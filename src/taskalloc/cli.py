@@ -81,12 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--example", choices=instance_ids(), help="bundled instance id"
             )
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="worker cap (results are independent of it)",
-        )
 
     sp = sub.add_parser("solve", help="clamped optimum via breakpoint interpolation")
     add_common(sp)
@@ -114,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--example", choices=instance_ids(), required=True, help="bundled instance id"
     )
     sp.add_argument("--out", default=".", help="output directory")
-    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=_run_reproduce)
     return parser
 
@@ -131,8 +124,6 @@ def _load(args):
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.threads < 1:
-        raise ParseError(f"--threads must be >= 1, got {args.threads}")
     return out
 
 

@@ -1,21 +1,28 @@
-"""Per-agent convex cost families.
+"""Per-agent convex cost families and the struct-of-arrays cost table.
 
 Two closed families are supported:
 
 * exponential: c(w) = a * exp((w - lower) / (upper - lower))
 * quadratic:   c(w) = a/2 * (w - lower)^2 + b * w
 
-Each family supplies value, marginal cost, fitness (negative marginal),
-and the inverse of the marginal. The marginal is strictly increasing on
-the box, so the inverse is well defined; it is intentionally NOT clamped
-to the box — clamping is the water-filling solver's job.
+Each family writes its formulas once: value, marginal cost, the inverse
+of the marginal, key <-> level, and the interior response in the key
+coordinate. The marginal is strictly increasing on the box, so the
+inverse is well defined; it is intentionally NOT clamped to the box —
+clamping is the water-filling solver's job.
+
+The formulas take any object with ``a``, ``b``, ``lower`` and ``span``
+attributes: a single :class:`CostModel` (scalars) or one family group of
+the :class:`_CostTable` that every :class:`AllocationProblem` builds once
+(arrays over that family's agents). Everything that evaluates many agents
+at once (problem costs and marginals, the replicator step, the breakpoint
+table, the KKT check) goes through that table.
 
 The breakpoint solver works in a "key" coordinate in which the aggregate
 clamped response is piecewise linear: log marginal-cost for the
 exponential family, the marginal cost itself for the quadratic one.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +31,11 @@ from .errors import NonpositiveLambdaError
 
 EXPONENTIAL = "exponential"
 QUADRATIC = "quadratic"
+
+
+def _require_positive(lam):
+    if np.any(np.asarray(lam) <= 0.0):
+        raise NonpositiveLambdaError(float(np.min(lam)))
 
 
 class _Exponential:
@@ -41,25 +53,21 @@ class _Exponential:
 
     @staticmethod
     def inverse_marginal(m, lam):
-        if np.any(np.asarray(lam) <= 0.0):
-            raise NonpositiveLambdaError(float(np.min(lam)))
+        _require_positive(lam)
         # marginal = (a/u) e^{(w-lo)/u}  =>  w = lo + u (ln lam - ln(a/u))
-        return m.lower + m.span * (np.log(lam) - math.log(m.a / m.span))
+        return m.lower + m.span * (np.log(lam) - np.log(m.a / m.span))
 
     @staticmethod
-    def key_from_lambda(m, lam):
-        if lam <= 0.0:
-            raise NonpositiveLambdaError(lam)
-        return math.log(lam)
+    def key_from_lambda(lam):
+        _require_positive(lam)
+        return np.log(lam)
 
-    @staticmethod
-    def lambda_from_key(m, key):
-        return math.exp(key)
+    lambda_from_key = staticmethod(np.exp)
 
     @staticmethod
     def response_from_key(m, key):
         # interior inverse marginal, expressed directly in the log coordinate
-        return m.lower + m.span * (key - math.log(m.a) + math.log(m.span))
+        return m.lower + m.span * (key - np.log(m.a) + np.log(m.span))
 
 
 class _Quadratic:
@@ -81,19 +89,81 @@ class _Quadratic:
         return m.lower + (lam - m.b) / m.a
 
     @staticmethod
-    def key_from_lambda(m, lam):
+    def key_from_lambda(lam):
         return lam
 
-    @staticmethod
-    def lambda_from_key(m, key):
-        return key
+    lambda_from_key = key_from_lambda
 
-    @staticmethod
-    def response_from_key(m, key):
-        return m.lower + (key - m.b) / m.a
+    # the key is the level itself
+    response_from_key = inverse_marginal
 
 
 _FAMILIES = {EXPONENTIAL: _Exponential, QUADRATIC: _Quadratic}
+
+
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """One family's agents: their positions and coefficients as arrays."""
+
+    fam: type
+    idx: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    lower: np.ndarray
+    span: np.ndarray
+
+
+class _CostTable:
+    """Struct-of-arrays costs of n agents, one group per family present.
+
+    `family` is the single family's formula class, or None when families
+    are mixed. Per-agent inputs have shape (..., n); a shared level (key
+    or lam) is a scalar or an array that broadcasts against (n,), such as
+    a column of keys.
+    """
+
+    def __init__(self, models):
+        self.n = len(models)
+        self.lower = np.array([m.lower for m in models])
+        self.upper = np.array([m.upper for m in models])
+        a = np.array([m.a for m in models])
+        b = np.array([0.0 if m.b is None else m.b for m in models])
+        span = self.upper - self.lower
+        names = np.array([m.family for m in models])
+        self.groups = []
+        for name, fam in _FAMILIES.items():
+            idx = np.flatnonzero(names == name)
+            if idx.size:
+                self.groups.append(
+                    _Group(fam, idx, a[idx], b[idx], self.lower[idx], span[idx])
+                )
+        self.family = self.groups[0].fam if len(self.groups) == 1 else None
+        self.lower.setflags(write=False)
+        self.upper.setflags(write=False)
+
+    def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
+        if self.family is not None:  # no scatter for a single family
+            return getattr(self.family, formula)(self.groups[0], x)
+        shape = np.shape(x) if per_agent else np.broadcast_shapes(np.shape(x), (self.n,))
+        out = np.empty(shape)
+        for g in self.groups:
+            xg = x[..., g.idx] if per_agent else x
+            out[..., g.idx] = getattr(g.fam, formula)(g, xg)
+        return out
+
+    def cost(self, w) -> np.ndarray:
+        return self._evaluate("cost", w, per_agent=True)
+
+    def marginal(self, w) -> np.ndarray:
+        return self._evaluate("marginal", w, per_agent=True)
+
+    def inverse_marginal(self, lam) -> np.ndarray:
+        """Each agent's unclamped load at a shared marginal-cost level."""
+        return self._evaluate("inverse_marginal", lam, per_agent=False)
+
+    def response_from_key(self, key) -> np.ndarray:
+        """Each agent's unclamped load at a shared key (single family)."""
+        return self._evaluate("response_from_key", key, per_agent=False)
 
 
 @dataclass(frozen=True)
@@ -161,10 +231,10 @@ class CostModel:
         return self._fam.key_coordinate
 
     def key_from_lambda(self, lam: float) -> float:
-        return self._fam.key_from_lambda(self, lam)
+        return self._fam.key_from_lambda(lam)
 
     def lambda_from_key(self, key: float) -> float:
-        return self._fam.lambda_from_key(self, key)
+        return self._fam.lambda_from_key(key)
 
     def key_at_lower(self) -> float:
         return self.key_from_lambda(float(self.marginal(self.lower)))

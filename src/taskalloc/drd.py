@@ -104,16 +104,16 @@ def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     f = fitness_values(p, arr)
-    nxt = arr + dt * _drift(p, arr, f)
+    nxt = arr + dt * _drift(p.graph.adjacency.astype(float), arr, f, p.total)
     bad = ~np.isfinite(nxt) | (nxt < 0)
     if bad.any():
         raise StepOverflowError(np.flatnonzero(bad).tolist())
     return nxt
 
 
-def _drift(p: AllocationProblem, w: np.ndarray, f: np.ndarray) -> np.ndarray:
-    adj = p.graph.adjacency
-    return (w / p.total) * (f * (adj @ w) - adj @ (f * w))
+def _drift(adj: np.ndarray, w: np.ndarray, f: np.ndarray, total: float) -> np.ndarray:
+    """Replicator drift dw/dt for loads w with fitness f, on a float adjacency."""
+    return (w / total) * (f * (adj @ w) - adj @ (f * w))
 
 
 def default_start(p: AllocationProblem) -> np.ndarray:
@@ -147,6 +147,7 @@ def simulate(
         raise ValueError("w0 must lie on the simplex (nonnegative, summing to w)")
 
     adj = p.graph.adjacency.astype(float)
+    marginal = p._costs.marginal  # bound once: this loop runs millions of steps
     total = p.total
     tol = cfg.residual_tol
     dt = cfg.step
@@ -163,7 +164,7 @@ def simulate(
     converged = False
     step_idx = 0
     while True:
-        f = -_marginals_fast(p, state)
+        f = -marginal(state)
         mass = state > floor
         residual = max(0.0, float(f.max()) - float(f[mass].min())) if mass.any() else 0.0
 
@@ -186,7 +187,7 @@ def simulate(
             converged = residual <= tol
             break
 
-        nxt = state + dt * ((state / total) * (f * (adj @ state) - adj @ (f * state)))
+        nxt = state + dt * _drift(adj, state, f, total)
         bad = ~np.isfinite(nxt) | (nxt < 0)
         if bad.any():
             raise StepOverflowError(np.flatnonzero(bad).tolist(), step_index=step_idx)
@@ -209,18 +210,6 @@ def simulate(
         steps=step_idx,
         dt=dt,
     )
-
-
-def _marginals_fast(p: AllocationProblem, w: np.ndarray) -> np.ndarray:
-    exp_idx, ea, elo, eu, quad_idx, qa, qb, qlo = p._family_split
-    if quad_idx.size == 0:
-        return (ea / eu) * np.exp((w - elo) / eu)
-    if exp_idx.size == 0:
-        return qa * (w - qlo) + qb
-    out = np.empty_like(w)
-    out[exp_idx] = (ea / eu) * np.exp((w[exp_idx] - elo) / eu)
-    out[quad_idx] = qa * (w[quad_idx] - qlo) + qb
-    return out
 
 
 def write_trace_csv(traj: Trajectory, p: AllocationProblem, path) -> None:

@@ -15,6 +15,14 @@ bracketing table entries — no iteration.
 Mixed-family instances have no single linearizing coordinate; they fall
 back to a monotone bisection on lam over the true aggregate response.
 
+One vectorized clamp, `_clamp`, applies the rule above (lower wins a tie
+with upper) for the table masses, the final allocation, the active sets
+and every bisection step; the interior responses come from the problem's
+cost table (:mod:`taskalloc.costs`). Each table mass is the plain sum
+of the clamped loads at its key, computed over blocks of keys so memory
+stays O(n). Prefix sums would be O(n log n) but round differently and
+move the last printed digits of the bundled reproduction reports.
+
 `key_decimals` quantizes the breakpoint keys (and the clamp thresholds,
 consistently) before the table is built. The bundled reference tables
 use 3-decimal keys, so the reproduction path passes key_decimals=3;
@@ -37,6 +45,7 @@ from .problem import (
     as_allocation,
     cost_values,
     in_feasible_set,
+    marginals,
     total_cost,
 )
 
@@ -46,6 +55,7 @@ LOWER = "lower"
 UPPER = "upper"
 
 _EXACT_HIT_REL = 1e-12  # |w - m_j| below this (relative) skips interpolation
+_BLOCK_ELEMENTS = 1 << 17  # agents x keys clamped at once while building a table
 
 
 @dataclass(frozen=True)
@@ -88,52 +98,58 @@ class SolverResult:
     table: BreakpointTable | None
 
 
-def _uniform_family(p: AllocationProblem) -> str | None:
-    families = {a.family for a in p.agents}
-    if len(families) == 1:
-        return families.pop()
-    return None
-
-
 def _agent_keys(p: AllocationProblem, key_decimals: int | None):
-    kmin = np.array([a.key_at_lower() for a in p.agents])
-    kmax = np.array([a.key_at_upper() for a in p.agents])
+    """Each agent's clamp thresholds (key at lower, key at upper)."""
+    fam = p._costs.family
+    if fam is None:
+        raise MixedFamiliesError(
+            "breakpoint keys need a single cost family; "
+            "use solve_lambda, which falls back to bisection"
+        )
+    kmin = fam.key_from_lambda(marginals(p, p.lower_bounds))
+    kmax = fam.key_from_lambda(marginals(p, p.upper_bounds))
     if key_decimals is not None:
         kmin = np.round(kmin, key_decimals)
         kmax = np.round(kmax, key_decimals)
     return kmin, kmax
 
 
-def _clamped_response(p: AllocationProblem, key: float, kmin, kmax) -> np.ndarray:
-    out = np.empty(p.n)
-    for i, agent in enumerate(p.agents):
-        if key <= kmin[i]:
-            out[i] = agent.lower
-        elif key >= kmax[i]:
-            out[i] = agent.upper
-        else:
-            out[i] = agent.response_from_key(key)
-    return out
+def _clamp(p: AllocationProblem, key, kmin, kmax, respond):
+    """The box clamp at a level: key <= kmin gives the lower bound, then
+    key >= kmax the upper bound, otherwise the interior response
+    respond(key). key is a scalar, or a column of keys giving one row of
+    loads each. Returns (loads, at-lower mask, at-upper mask)."""
+    at_lower = key <= kmin
+    at_upper = (key >= kmax) & ~at_lower
+    loads = np.where(
+        at_lower, p.lower_bounds, np.where(at_upper, p.upper_bounds, respond(key))
+    )
+    return loads, at_lower, at_upper
 
 
 def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> BreakpointTable:
     """Sorted 2n-entry table of clamp thresholds and aggregate responses."""
-    family = _uniform_family(p)
-    if family is None:
-        raise MixedFamiliesError(
-            "breakpoint tables need a single cost family; "
-            "use solve_lambda, which falls back to bisection"
-        )
     kmin, kmax = _agent_keys(p, key_decimals)
-    bps = [Breakpoint(i, LOWER, float(kmin[i])) for i in range(p.n)]
-    bps += [Breakpoint(i, UPPER, float(kmax[i])) for i in range(p.n)]
-    bps.sort(key=lambda b: (b.key, b.agent, b.kind != LOWER))
-    keys = np.array([b.key for b in bps])
-    masses = np.array([_clamped_response(p, k, kmin, kmax).sum() for k in keys])
+    n = p.n
+    agents = np.tile(np.arange(n), 2)
+    is_upper = np.arange(2 * n) >= n
+    keys = np.concatenate([kmin, kmax])
+    order = np.lexsort((is_upper, agents, keys))
+    keys = keys[order]
+    bps = [
+        Breakpoint(i, UPPER if up else LOWER, k)
+        for i, up, k in zip(agents[order].tolist(), is_upper[order].tolist(), keys.tolist())
+    ]
+    masses = np.empty(2 * n)
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    respond = p._costs.response_from_key
+    for s in range(0, 2 * n, rows):
+        loads, _, _ = _clamp(p, keys[s : s + rows, None], kmin, kmax, respond)
+        masses[s : s + rows] = loads.sum(axis=1)
     dm = np.diff(masses)
     slopes = np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
     return BreakpointTable(
-        coordinate=p.agents[0].key_coordinate,
+        coordinate=p._costs.family.key_coordinate,
         breakpoints=bps,
         keys=keys,
         masses=masses,
@@ -146,48 +162,15 @@ def aggregate_allocation(
     p: AllocationProblem, key: float, key_decimals: int | None = None
 ) -> float:
     """Total clamped response at a key; saturates outside the table range."""
-    family = _uniform_family(p)
-    if family is None:
-        raise MixedFamiliesError("aggregate_allocation needs a single cost family")
-    kmin, kmax = _agent_keys(p, key_decimals)
-    return float(_clamped_response(p, key, kmin, kmax).sum())
+    return float(allocate_from_lambda(p, key, key_decimals).sum())
 
 
 def allocate_from_lambda(
     p: AllocationProblem, key: float, key_decimals: int | None = None
 ) -> np.ndarray:
     """Clamped per-agent allocation at a key (uniform family)."""
-    alloc, _, _, _ = _allocate_with_sets(p, key, key_decimals)
-    return alloc
-
-
-def _allocate_with_sets(p: AllocationProblem, key: float, key_decimals: int | None):
-    family = _uniform_family(p)
-    if family is None:
-        raise MixedFamiliesError("allocate_from_lambda needs a single cost family")
     kmin, kmax = _agent_keys(p, key_decimals)
-    return _allocate_thresholds(p, key, kmin, kmax)
-
-
-def _allocate_thresholds(p: AllocationProblem, key: float, kmin, kmax, in_lambda=False):
-    """Clamp per agent; `in_lambda` switches the interior inverse from the
-    family key coordinate to the marginal-cost level itself (mixed path)."""
-    alloc = np.empty(p.n)
-    interior, lower_set, upper_set = [], [], []
-    for i, agent in enumerate(p.agents):
-        if key <= kmin[i]:
-            alloc[i] = agent.lower
-            lower_set.append(i)
-        elif key >= kmax[i]:
-            alloc[i] = agent.upper
-            upper_set.append(i)
-        else:
-            if in_lambda:
-                alloc[i] = float(agent.inverse_marginal(key))
-            else:
-                alloc[i] = agent.response_from_key(key)
-            interior.append(i)
-    return alloc, interior, lower_set, upper_set
+    return _clamp(p, key, kmin, kmax, p._costs.response_from_key)[0]
 
 
 def solve_lambda(p: AllocationProblem, key_decimals: int | None = None) -> SolverResult:
@@ -205,7 +188,7 @@ def solve_lambda(p: AllocationProblem, key_decimals: int | None = None) -> Solve
         raise InfeasibleError(
             f"total {w} outside [{lo_sum}, {up_sum}] spanned by the bounds"
         )
-    if _uniform_family(p) is None:
+    if p._costs.family is None:
         return _solve_mixed(p)
 
     tbl = breakpoints(p, key_decimals)
@@ -234,15 +217,11 @@ def solve_lambda(p: AllocationProblem, key_decimals: int | None = None) -> Solve
         bracket = j
 
     kmin, kmax = _agent_keys(p, key_decimals)
-    alloc, interior, lower_set, upper_set = _allocate_thresholds(p, key, kmin, kmax)
-    return SolverResult(
-        allocation=alloc,
-        key=key,
-        lam=p.agents[0].lambda_from_key(key),
+    return _result(
+        key,
+        float(p._costs.family.lambda_from_key(key)),
+        _clamp(p, key, kmin, kmax, p._costs.response_from_key),
         bracket=bracket,
-        interior=interior,
-        active_lower=lower_set,
-        active_upper=upper_set,
         method=method,
         table=tbl,
     )
@@ -251,46 +230,44 @@ def solve_lambda(p: AllocationProblem, key_decimals: int | None = None) -> Solve
 def _solve_mixed(p: AllocationProblem) -> SolverResult:
     """Monotone bisection on lam; needed when families are mixed."""
     w = p.total
-    lam_lo = min(float(a.marginal(a.lower)) for a in p.agents)
-    lam_hi = max(float(a.marginal(a.upper)) for a in p.agents)
-    kmin = np.array([float(a.marginal(a.lower)) for a in p.agents])
-    kmax = np.array([float(a.marginal(a.upper)) for a in p.agents])
-
-    def mass(lam: float) -> float:
-        out = 0.0
-        for i, agent in enumerate(p.agents):
-            if lam <= kmin[i]:
-                out += agent.lower
-            elif lam >= kmax[i]:
-                out += agent.upper
-            else:
-                out += float(agent.inverse_marginal(lam))
-        return out
+    kmin = marginals(p, p.lower_bounds)
+    kmax = marginals(p, p.upper_bounds)
+    lam_lo = float(kmin.min())
+    lam_hi = float(kmax.max())
+    respond = p._costs.inverse_marginal
 
     tol = 1e-10 * max(1.0, w)
     lam = 0.5 * (lam_lo + lam_hi)
     for _ in range(200):
         lam = 0.5 * (lam_lo + lam_hi)
-        g = mass(lam) - w
+        g = float(_clamp(p, lam, kmin, kmax, respond)[0].sum()) - w
         if abs(g) <= tol:
             break
         if g > 0:
             lam_hi = lam
         else:
             lam_lo = lam
-    alloc, interior, lower_set, upper_set = _allocate_thresholds(
-        p, lam, kmin, kmax, in_lambda=True
-    )
-    return SolverResult(
-        allocation=alloc,
-        key=lam,
-        lam=lam,
+    return _result(
+        lam,
+        lam,
+        _clamp(p, lam, kmin, kmax, respond),
         bracket=None,
-        interior=interior,
-        active_lower=lower_set,
-        active_upper=upper_set,
         method="bisection",
         table=None,
+    )
+
+
+def _result(key, lam, clamped, **fields) -> SolverResult:
+    """SolverResult whose allocation and active sets come from one clamp."""
+    alloc, at_lower, at_upper = clamped
+    return SolverResult(
+        allocation=alloc,
+        key=key,
+        lam=lam,
+        interior=np.flatnonzero(~(at_lower | at_upper)).tolist(),
+        active_lower=np.flatnonzero(at_lower).tolist(),
+        active_upper=np.flatnonzero(at_upper).tolist(),
+        **fields,
     )
 
 

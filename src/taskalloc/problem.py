@@ -1,7 +1,9 @@
 """The constrained allocation instance and its feasibility predicates.
 
 An instance couples an interaction graph, one cost model per agent, and
-the total task w. Allocations are plain float vectors of length n.
+the total task w. Allocations are plain float vectors of length n. Each
+instance builds its cost table (see :mod:`taskalloc.costs`) once, on first
+use; per-agent costs, marginals and the bounds are all read from it.
 
 The on-disk format is JSON::
 
@@ -22,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import graph as graphmod
-from .costs import EXPONENTIAL, QUADRATIC, CostModel
+from .costs import EXPONENTIAL, QUADRATIC, CostModel, _CostTable
 from .errors import InfeasibleError, LengthMismatchError, ParseError
 from .graph import Graph
 
@@ -60,33 +62,17 @@ class AllocationProblem:
         return self.graph.n
 
     @cached_property
+    def _costs(self) -> _CostTable:
+        """The one struct-of-arrays cost table every vectorized evaluation reads."""
+        return _CostTable(self.agents)
+
+    @property
     def lower_bounds(self) -> np.ndarray:
-        v = np.array([a.lower for a in self.agents])
-        v.setflags(write=False)
-        return v
+        return self._costs.lower
 
-    @cached_property
+    @property
     def upper_bounds(self) -> np.ndarray:
-        v = np.array([a.upper for a in self.agents])
-        v.setflags(write=False)
-        return v
-
-    @cached_property
-    def _family_split(self):
-        """Index arrays and coefficient vectors for vectorized evaluation."""
-        exp_idx = np.array(
-            [i for i, a in enumerate(self.agents) if a.family == EXPONENTIAL], dtype=int
-        )
-        quad_idx = np.array(
-            [i for i, a in enumerate(self.agents) if a.family == QUADRATIC], dtype=int
-        )
-        ea = np.array([self.agents[i].a for i in exp_idx])
-        elo = np.array([self.agents[i].lower for i in exp_idx])
-        eu = np.array([self.agents[i].span for i in exp_idx])
-        qa = np.array([self.agents[i].a for i in quad_idx])
-        qb = np.array([self.agents[i].b for i in quad_idx])
-        qlo = np.array([self.agents[i].lower for i in quad_idx])
-        return exp_idx, ea, elo, eu, quad_idx, qa, qb, qlo
+        return self._costs.upper
 
 
 def as_allocation(p: AllocationProblem, w) -> np.ndarray:
@@ -104,31 +90,12 @@ def default_tol(p: AllocationProblem) -> float:
 
 def cost_values(p: AllocationProblem, w) -> np.ndarray:
     """Per-agent costs c_i(w_i); w may be (n,) or a batch (m, n)."""
-    arr = np.asarray(w, dtype=float)
-    exp_idx, ea, elo, eu, quad_idx, qa, qb, qlo = p._family_split
-    out = np.empty_like(arr)
-    if exp_idx.size:
-        we = arr[..., exp_idx]
-        out[..., exp_idx] = ea * np.exp((we - elo) / eu)
-    if quad_idx.size:
-        wq = arr[..., quad_idx]
-        d = wq - qlo
-        out[..., quad_idx] = 0.5 * qa * d * d + qb * wq
-    return out
+    return p._costs.cost(np.asarray(w, dtype=float))
 
 
 def marginals(p: AllocationProblem, w) -> np.ndarray:
     """Per-agent marginal costs; w may be (n,) or a batch (m, n)."""
-    arr = np.asarray(w, dtype=float)
-    exp_idx, ea, elo, eu, quad_idx, qa, qb, qlo = p._family_split
-    out = np.empty_like(arr)
-    if exp_idx.size:
-        we = arr[..., exp_idx]
-        out[..., exp_idx] = (ea / eu) * np.exp((we - elo) / eu)
-    if quad_idx.size:
-        wq = arr[..., quad_idx]
-        out[..., quad_idx] = qa * (wq - qlo) + qb
-    return out
+    return p._costs.marginal(np.asarray(w, dtype=float))
 
 
 def fitness_values(p: AllocationProblem, w) -> np.ndarray:

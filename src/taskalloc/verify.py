@@ -116,8 +116,10 @@ def kkt_check(
     lower_active.sort()
     upper_active.sort()
 
-    alphas = {i: float(p.agents[i].marginal(lo[i])) - lam for i in lower_active}
-    betas = {j: lam - float(p.agents[j].marginal(up[j])) for j in upper_active}
+    marg_lo = marginals(p, lo)
+    marg_up = marginals(p, up)
+    alphas = {i: float(marg_lo[i]) - lam for i in lower_active}
+    betas = {j: lam - float(marg_up[j]) for j in upper_active}
     residual = float(np.abs(marg[k_idx] - lam).max()) if k_idx.size else 0.0
     passed = (
         residual <= tol

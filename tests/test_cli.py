@@ -198,11 +198,6 @@ def test_solve_mixed_family_file(tmp_path):
     assert "kkt certificate: PASSED" in report
 
 
-def test_threads_flag_validated(tmp_path, capsys):
-    rc = main(["solve", "--example", "tab1", "--threads", "0", "--out", str(tmp_path)])
-    assert rc == 2
-
-
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "taskalloc", "reproduce", "--example", "tab3",
