@@ -21,6 +21,7 @@ import numpy as np
 from . import drd, verify
 from .errors import (
     DegenerateBracketError,
+    DimensionTooLargeError,
     InfeasibleError,
     NonpositiveLambdaError,
     ParseError,
@@ -47,6 +48,10 @@ def main(argv=None) -> int:
         return _fail("parse", EXIT_CONFIG, exc)
     except UnknownExampleError as exc:
         return _fail("unknown-example", EXIT_CONFIG, exc)
+    except (ValueError, DimensionTooLargeError) as exc:
+        # option values the run configuration rejects: --dt, --max-steps,
+        # --tol, --samples, --grid
+        return _fail("config", EXIT_CONFIG, exc)
     except InfeasibleError as exc:
         return _fail("infeasible", EXIT_INFEASIBLE, exc)
     except StepOverflowError as exc:

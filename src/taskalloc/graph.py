@@ -78,11 +78,13 @@ def is_connected(g) -> bool:
 
 def diameter(g: Graph) -> int:
     """Longest shortest-path distance over all node pairs."""
-    best = 0
-    for start in range(g.n):
-        dist = _bfs_distances(g.adjacency, start)
-        best = max(best, int(dist.max()))
-    return best
+    return max(int(_bfs(g.adjacency, start)[0].max()) for start in range(g.n))
+
+
+def bfs_tree(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first spanning tree rooted at node 0: each node's depth
+    and its parent, one level shallower (-1 at the root)."""
+    return _bfs(g.adjacency, 0)
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:
@@ -92,12 +94,15 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
 
 
 def _reachable_from_zero(adj: np.ndarray) -> np.ndarray:
-    return _bfs_distances(adj, 0) >= 0
+    return _bfs(adj, 0)[0] >= 0
 
 
-def _bfs_distances(adj: np.ndarray, start: int) -> np.ndarray:
+def _bfs(adj: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from start (-1 if unreached) and BFS parents (-1 at start
+    and at unreached nodes)."""
     n = adj.shape[0]
     dist = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
     dist[start] = 0
     queue = deque([start])
     while queue:
@@ -105,5 +110,6 @@ def _bfs_distances(adj: np.ndarray, start: int) -> np.ndarray:
         for v in np.flatnonzero(adj[u]):
             if dist[v] < 0:
                 dist[v] = dist[u] + 1
+                parent[v] = u
                 queue.append(int(v))
-    return dist
+    return dist, parent

@@ -23,13 +23,16 @@ of the clamped loads at its key, computed over blocks of keys so memory
 stays O(n). Prefix sums would be O(n log n) but round differently and
 move the last printed digits of the bundled reproduction reports.
 
-`key_decimals` quantizes the breakpoint keys (and the clamp thresholds,
-consistently) before the table is built. The bundled reference tables
-use 3-decimal keys, so the reproduction path passes key_decimals=3;
-leave it None for full-precision solving.
+`breakpoints(p, key_decimals)` quantizes the breakpoint keys (and the
+clamp thresholds, consistently) before the table is built. The bundled
+reference tables use 3-decimal keys, so the reproduction path passes
+key_decimals=3; `solve_lambda` always solves with full-precision keys.
+
+The final selection between a replicator limit and the water-filling
+optimum (`select_final`) compares their exact total costs, summed up a
+breadth-first spanning tree to node 0.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,17 +42,14 @@ from .errors import (
     InfeasibleError,
     MixedFamiliesError,
 )
-from .graph import diameter
+from .graph import bfs_tree
 from .problem import (
     AllocationProblem,
     as_allocation,
     cost_values,
     in_feasible_set,
     marginals,
-    total_cost,
 )
-
-log = logging.getLogger(__name__)
 
 LOWER = "lower"
 UPPER = "upper"
@@ -173,7 +173,7 @@ def allocate_from_lambda(
     return _clamp(p, key, kmin, kmax, p._costs.response_from_key)[0]
 
 
-def solve_lambda(p: AllocationProblem, key_decimals: int | None = None) -> SolverResult:
+def solve_lambda(p: AllocationProblem) -> SolverResult:
     """Find the level whose clamped responses sum exactly to the total.
 
     Uniform-family instances use the breakpoint table and one linear
@@ -191,7 +191,7 @@ def solve_lambda(p: AllocationProblem, key_decimals: int | None = None) -> Solve
     if p._costs.family is None:
         return _solve_mixed(p)
 
-    tbl = breakpoints(p, key_decimals)
+    tbl = breakpoints(p)
     masses, keys = tbl.masses, tbl.keys
     hit_tol = _EXACT_HIT_REL * max(1.0, abs(w))
 
@@ -216,7 +216,7 @@ def solve_lambda(p: AllocationProblem, key_decimals: int | None = None) -> Solve
         method = "interpolation"
         bracket = j
 
-    kmin, kmax = _agent_keys(p, key_decimals)
+    kmin, kmax = _agent_keys(p, None)
     return _result(
         key,
         float(p._costs.family.lambda_from_key(key)),
@@ -271,63 +271,40 @@ def _result(key, lam, clamped, **fields) -> SolverResult:
     )
 
 
-def compare_and_select(
-    p: AllocationProblem,
-    wstar,
-    wo,
-    rounds: int | None = None,
-    sanity_check: bool = True,
-) -> np.ndarray:
-    """Distributed cost comparison: per-agent cost vectors are pushed
-    `rounds` times through the adjacency accumulation C <- A C, then the
-    candidate whose accumulated value at node 0 is smaller wins (ties go
-    to the first candidate).
+def compare_and_select(p: AllocationProblem, wstar, wo) -> np.ndarray:
+    """Distributed cost comparison by an exact sum up a spanning tree.
 
-    `rounds` defaults to graph diameter + 1 so every agent's cost reaches
-    node 0. The accumulation is an unnormalized sum and grows
-    geometrically with rounds; with sanity_check on, the outcome is
-    cross-checked against the direct total-cost comparison and a warning
-    is logged if they ever disagree.
+    Each agent holds c_i(wstar_i) - c_i(wo_i). Over the breadth-first tree
+    rooted at node 0, each round the nodes at the deepest remaining level
+    add their partial sums to their parents' (a convergecast), so after
+    depth rounds node 0 holds C(wstar) - C(wo). It keeps wstar when that
+    total is <= 0, so ties go to the first candidate.
     """
     a_star = as_allocation(p, wstar)
     a_o = as_allocation(p, wo)
-    if rounds is None:
-        rounds = diameter(p.graph) + 1
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    adj = p.graph.adjacency.astype(float)
-    c1 = cost_values(p, a_star)
-    c2 = cost_values(p, a_o)
-    for _ in range(rounds):
-        c1 = adj @ c1
-        c2 = adj @ c2
-    pick_star = bool(c1[0] <= c2[0])
-    if sanity_check:
-        direct_star = total_cost(p, a_star) <= total_cost(p, a_o)
-        if direct_star != pick_star:
-            log.warning(
-                "adjacency accumulation (%d rounds) disagrees with the direct "
-                "total-cost comparison; keeping the accumulation result",
-                rounds,
-            )
-    return (a_star if pick_star else a_o).copy()
+    partial = cost_values(p, a_star) - cost_values(p, a_o)
+    depth, parent = bfs_tree(p.graph)
+    for level in range(int(depth.max()), 0, -1):
+        nodes = np.flatnonzero(depth == level)
+        np.add.at(partial, parent[nodes], partial[nodes])
+    return (a_star if partial[0] <= 0 else a_o).copy()
 
 
-def select_final(
-    p: AllocationProblem, wstar, wo, rounds: int | None = None
-) -> np.ndarray:
+def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:
     """Feasibility-guarded final selection used by the pipeline.
 
     A replicator limit outside the feasible set costs less than any
     feasible point (it ignores the boxes), so comparing costs alone would
-    always pick it; an infeasible candidate is discarded instead.
+    always pick it; an infeasible candidate is discarded instead. Two
+    feasible candidates go to the tree-sum comparison, which keeps the one
+    with the smaller total cost (wstar on a tie).
     """
     a_star = as_allocation(p, wstar)
     a_o = as_allocation(p, wo)
     star_ok = in_feasible_set(p, a_star)
     o_ok = in_feasible_set(p, a_o)
     if star_ok and o_ok:
-        return compare_and_select(p, a_star, a_o, rounds=rounds)
+        return compare_and_select(p, a_star, a_o)
     if star_ok:
         return a_star.copy()
     if o_ok:

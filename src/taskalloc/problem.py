@@ -174,6 +174,8 @@ def parse_problem(text: str) -> AllocationProblem:
         raise ParseError("top level must be an object")
     _reject_unknown(data, _ROOT_KEYS, "problem")
     total = _number(_require(data, "total", "problem"), "'total'")
+    if not total > 0:
+        raise ParseError(f"'total' must be positive, got {total!r}")
 
     gobj = _require(data, "graph", "problem")
     if not isinstance(gobj, dict):
@@ -202,6 +204,8 @@ def parse_problem(text: str) -> AllocationProblem:
     aobjs = _require(data, "agents", "problem")
     if not isinstance(aobjs, list):
         raise ParseError("'agents' must be a list")
+    if len(aobjs) != n:
+        raise ParseError(f"'agents' has {len(aobjs)} entries, graph 'n' is {n}")
     agents = []
     for k, aobj in enumerate(aobjs):
         where = f"agent #{k + 1}"

@@ -207,3 +207,44 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--example", "tab1", "--samples", "0"],
+        # the grid runs after the Monte Carlo oracle; a small sample keeps it quick
+        ["verify", "--example", "tab1", "--samples", "2000", "--grid", "0"],
+        ["verify", "--example", "tab1", "--samples", "2000", "--grid", "0.001"],
+        ["simulate", "--example", "fig3", "--dt", "-1"],
+        ["simulate", "--example", "fig3", "--max-steps", "0"],
+        ["simulate", "--example", "fig3", "--tol", "0"],
+    ],
+)
+def test_invalid_option_values_exit_config(tmp_path, capsys, argv):
+    rc = main([*argv, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error-code: config exit=2"
+    assert len(err) == 2 and err[1]
+
+
+def _truncate_agents(doc):
+    doc["agents"] = doc["agents"][:2]
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [(lambda doc: doc.update(total=0), "'total'"), (_truncate_agents, "'agents'")],
+    ids=["zero-total", "short-agents"],
+)
+def test_malformed_problem_file_exit_parse(tmp_path, capsys, edit, field):
+    doc = json.loads(serialize_problem(get_instance("tab1").problem))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc = main(["solve", "--input", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error-code: parse exit=2"
+    assert field in err[1]

@@ -5,6 +5,7 @@ from conftest import random_graph
 from taskalloc.errors import DisconnectedError, NodeOutOfRangeError, SelfLoopError
 from taskalloc.graph import (
     Graph,
+    bfs_tree,
     diameter,
     edge_list,
     from_edge_list,
@@ -114,3 +115,18 @@ def test_adjacency_immutable():
     g = from_edge_list(2, [(0, 1)])
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = 0
+
+
+def test_bfs_tree_parents_are_one_level_up():
+    rng = np.random.default_rng(17)
+    graphs = [from_edge_list(1, []), from_edge_list(6, [(i, i + 1) for i in range(5)])]
+    graphs += [random_graph(rng, int(rng.integers(2, 40))) for _ in range(30)]
+    for g in graphs:
+        depth, parent = bfs_tree(g)
+        assert depth[0] == 0 and parent[0] == -1
+        for v in range(1, g.n):
+            assert parent[v] in neighbors(g, v)
+            assert depth[parent[v]] == depth[v] - 1
+        # depths are the shortest-path distances, so the deepest is at most
+        # the diameter
+        assert depth.max() <= diameter(g)

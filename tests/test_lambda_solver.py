@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -204,13 +205,14 @@ def test_solver_result_passes_kkt_random():
 
 def test_compare_and_select_identical(tab1):
     w = solve_lambda(tab1.problem).allocation
-    pick = compare_and_select(tab1.problem, w, w.copy(), rounds=5)
+    pick = compare_and_select(tab1.problem, w, w.copy())
     np.testing.assert_array_equal(pick, w)
 
 
 def test_compare_and_select_triangle_hand_expansion():
-    # complete graph on 3 nodes, one round: node 0 accumulates c_1 + c_2,
-    # so with tied c_0 the ordering matches the total-cost ordering
+    # complete graph on 3 nodes: node 0's tree is its two neighbours, so one
+    # round brings it the whole cost difference, and the evenly spread
+    # loads win in either argument order
     agents = tuple(
         quadratic(a=0.01, b=1.0, lower=0.0, upper=100.0) for _ in range(3)
     )
@@ -222,9 +224,9 @@ def test_compare_and_select_triangle_hand_expansion():
     c_even = [p.agents[i].cost(w_even[i]) for i in range(3)]
     c_skew = [p.agents[i].cost(w_skew[i]) for i in range(3)]
     assert c_even[1] + c_even[2] < c_skew[1] + c_skew[2]
-    pick = compare_and_select(p, w_even, w_skew, rounds=1)
+    pick = compare_and_select(p, w_even, w_skew)
     np.testing.assert_array_equal(pick, w_even)
-    pick = compare_and_select(p, w_skew, w_even, rounds=1)
+    pick = compare_and_select(p, w_skew, w_even)
     np.testing.assert_array_equal(pick, w_even)
     assert total_cost(p, w_even) < total_cost(p, w_skew)
 
@@ -259,3 +261,96 @@ def test_select_final_guards_feasibility(tab1):
     # with two feasible candidates it falls through to the comparison
     pick = select_final(p, wo, wo.copy())
     np.testing.assert_array_equal(pick, wo)
+
+
+def test_compare_and_select_path_picks_cheaper_in_both_orders():
+    # identical c(w) = w^2/2 + w on a 3-node path, total 12: the even split
+    # costs 36, (6, 2, 4) costs 40
+    agents = tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0) for _ in range(3))
+    p = AllocationProblem(
+        graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=12.0
+    )
+    even = np.array([4.0, 4.0, 4.0])
+    skew = np.array([6.0, 2.0, 4.0])
+    assert total_cost(p, even) == 36.0
+    assert total_cost(p, skew) == 40.0
+    for first, second in ((even, skew), (skew, even)):
+        np.testing.assert_array_equal(compare_and_select(p, first, second), even)
+        np.testing.assert_array_equal(select_final(p, first, second), even)
+
+
+def _shaped_edges(rng, shape, n):
+    """Edges of a path, star, random tree or ring with n//3 chords, with the
+    node labels shuffled so node 0 sits anywhere in the shape."""
+    if shape == "path":
+        edges = [(k, k + 1) for k in range(n - 1)]
+    elif shape == "star":
+        edges = [(0, k) for k in range(1, n)]
+    elif shape == "tree":
+        edges = [(k, int(rng.integers(0, k))) for k in range(1, n)]
+    else:
+        edges = [(k, (k + 1) % n) for k in range(n)]
+        for _ in range(n // 3):
+            a, b = rng.choice(n, size=2, replace=False)
+            edges.append((int(a), int(b)))
+    label = rng.permutation(n)
+    return [(int(label[a]), int(label[b])) for a, b in edges]
+
+
+def _wide_scale_problem(rng, shape):
+    """Mixed-family instance with coefficients, bounds and spans log-uniform
+    on 1e-3..1e6."""
+    n = int(rng.integers(3, 25))
+
+    def wide():
+        return float(10.0 ** rng.uniform(-3.0, 6.0))
+
+    agents = []
+    for _ in range(n):
+        lower = wide()
+        upper = lower + wide()
+        if rng.random() < 0.5:
+            agents.append(exponential(a=wide(), lower=lower, upper=upper))
+        else:
+            agents.append(quadratic(a=wide(), b=wide(), lower=lower, upper=upper))
+    lo = sum(a.lower for a in agents)
+    up = sum(a.upper for a in agents)
+    total = lo + float(rng.uniform(0.05, 0.95)) * (up - lo)
+    g = from_edge_list(n, _shaped_edges(rng, shape, n))
+    return AllocationProblem(graph=g, agents=tuple(agents), total=total)
+
+
+def _feasible_point(p, rng):
+    """A random point of the feasible set: the even-fraction point moved
+    along a random zero-sum direction that stays inside every box."""
+    lo, up = p.lower_bounds, p.upper_bounds
+    span = up - lo
+    base = lo + (p.total - lo.sum()) / span.sum() * span
+    d = rng.standard_normal(p.n) * span
+    d -= span * (d.sum() / span.sum())
+    room = np.where(d > 0, (up - base) / np.where(d > 0, d, 1.0), np.inf)
+    room = np.minimum(room, np.where(d < 0, (lo - base) / np.where(d < 0, d, 1.0), np.inf))
+    return np.clip(base + float(rng.uniform(0.0, 1.0)) * room.min() * d, lo, up)
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "tree", "ring"])
+def test_selection_keeps_cheaper_candidate(shape, caplog):
+    rng = np.random.default_rng(["path", "star", "tree", "ring"].index(shape) + 101)
+    caplog.set_level(logging.DEBUG)
+    compared = 0
+    for _ in range(60):
+        p = _wide_scale_problem(rng, shape)
+        a = _feasible_point(p, rng)
+        b = _feasible_point(p, rng) if rng.random() < 0.7 else 0.5 * (a + _feasible_point(p, rng))
+        assert in_feasible_set(p, a) and in_feasible_set(p, b)
+        np.testing.assert_array_equal(compare_and_select(p, a, a.copy()), a)
+        ca, cb = total_cost(p, a), total_cost(p, b)
+        if abs(ca - cb) <= 1e-9 * max(abs(ca), abs(cb)):
+            continue
+        cheaper = a if ca < cb else b
+        for first, second in ((a, b), (b, a)):
+            np.testing.assert_array_equal(compare_and_select(p, first, second), cheaper)
+            np.testing.assert_array_equal(select_final(p, first, second), cheaper)
+        compared += 1
+    assert compared >= 50
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
