@@ -20,7 +20,6 @@ import numpy as np
 
 from . import drd, verify
 from .errors import (
-    DegenerateBracketError,
     DimensionTooLargeError,
     InfeasibleError,
     NonpositiveLambdaError,
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
         return _fail("infeasible", EXIT_INFEASIBLE, exc)
     except StepOverflowError as exc:
         return _fail("step-overflow", EXIT_NUMERICAL, exc, hint="try halving --dt")
-    except (SamplerStarvedError, DegenerateBracketError, NonpositiveLambdaError) as exc:
+    except (SamplerStarvedError, NonpositiveLambdaError) as exc:
         return _fail("numerical", EXIT_NUMERICAL, exc)
     except OSError as exc:
         return _fail("io", EXIT_CONFIG, exc)
@@ -150,7 +149,7 @@ def _run_solve(args) -> int:
 
     lines = ["command: solve", f"instance: {label}", *_instance_lines(p)]
     decimals = inst.table_decimals if inst else None
-    if res.table is not None or decimals is not None:
+    if len(_families(p)) == 1 or decimals is not None:
         lines += _table_lines(p, decimals)
     lines += _solution_lines(p, res)
     lines += _cert_lines(cert)
@@ -158,11 +157,14 @@ def _run_solve(args) -> int:
     return EXIT_OK if cert.passed else EXIT_MISMATCH
 
 
+def _families(p) -> list[str]:
+    return sorted({a.family for a in p.agents})
+
+
 def _instance_lines(p) -> list[str]:
-    families = sorted({a.family for a in p.agents})
     return [
         f"agents: {p.n}",
-        f"families: {','.join(families)}",
+        f"families: {','.join(_families(p))}",
         f"total: {_g(p.total)}",
     ]
 
@@ -193,7 +195,7 @@ def _solution_lines(p, res) -> list[str]:
         status[i] = "upper"
     lines = [
         f"method: {res.method}",
-        f"bracket: {res.bracket + 1 if res.bracket is not None else '-'}",
+        f"bracket: {res.bracket + 1}",
         f"level key: {_g(res.key)}",
         f"lambda: {_g(res.lam)}",
         "allocation:",
@@ -271,9 +273,24 @@ def _run_verify(args) -> int:
     solver_cost = total_cost(p, res.allocation)
     cert = verify.kkt_check(p, res.allocation)
 
+    slack = 1e-9 * max(1.0, abs(solver_cost))
+    # the grid runs first, so a rejected --grid fails before any sampling
+    grid_ok = True
+    grid_lines = []
+    if p.n <= 4:
+        resolution = args.grid if args.grid is not None else _auto_resolution(p)
+        gr = verify.grid_min(p, resolution)
+        grid_ok = solver_cost <= gr.best_cost + slack
+        offset = float(np.abs(gr.best - res.allocation).max())
+        grid_lines = [
+            f"grid: resolution={_g(resolution)} points={gr.samples}",
+            f"  best cost: {_g(gr.best_cost)}",
+            f"  max |grid minimizer - solver|: {_g(offset)}",
+            f"  solver not beaten: {grid_ok}",
+        ]
+
     dump = out / "oracle_samples.csv" if args.dump_oracle else None
     mc = verify.monte_carlo_min(p, args.samples, args.seed, dump_path=dump)
-    slack = 1e-9 * max(1.0, abs(solver_cost))
     mc_ok = solver_cost <= mc.best_cost + slack
     mc_gap = (mc.best_cost - solver_cost) / abs(solver_cost)
 
@@ -285,20 +302,9 @@ def _run_verify(args) -> int:
         f"monte carlo: samples={mc.samples} seed={mc.seed}",
         f"  best cost: {_g(mc.best_cost)}  relative gap: {_g(mc_gap)}",
         f"  solver not beaten: {mc_ok}",
+        *grid_lines,
+        *_cert_lines(cert),
     ]
-    grid_ok = True
-    if p.n <= 4:
-        resolution = args.grid if args.grid is not None else _auto_resolution(p)
-        gr = verify.grid_min(p, resolution)
-        grid_ok = solver_cost <= gr.best_cost + slack
-        offset = float(np.abs(gr.best - res.allocation).max())
-        lines += [
-            f"grid: resolution={_g(resolution)} points={gr.samples}",
-            f"  best cost: {_g(gr.best_cost)}",
-            f"  max |grid minimizer - solver|: {_g(offset)}",
-            f"  solver not beaten: {grid_ok}",
-        ]
-    lines += _cert_lines(cert)
     ok = mc_ok and grid_ok and cert.passed
     lines.append("verdict: " + ("VERIFIED" if ok else "MISMATCH"))
     _emit(out, "verify_report.txt", lines)

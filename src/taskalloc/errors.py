@@ -70,10 +70,6 @@ class MixedFamiliesError(TaskAllocError):
     """Breakpoint tables need every agent in the same cost family."""
 
 
-class DegenerateBracketError(TaskAllocError):
-    """No usable bracket of positive width contains the total."""
-
-
 class NotFeasibleError(TaskAllocError):
     """An allocation expected to lie in the feasible set does not."""
 

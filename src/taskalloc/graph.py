@@ -1,8 +1,9 @@
 """Undirected connected interaction topology.
 
 Nodes are agents, indexed 0..n-1. The adjacency matrix is symmetric 0/1
-with a zero diagonal, and connectivity is enforced when a graph is built
-through :func:`from_edge_list`.
+with a zero diagonal, and every node is reachable from node 0: a
+:class:`Graph` raises ValueError or DisconnectedError (naming the
+unreachable nodes) otherwise, however it is built.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ from .errors import DisconnectedError, NodeOutOfRangeError, SelfLoopError
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable undirected graph over ``n`` agents."""
+    """Immutable undirected connected graph over ``n`` agents."""
 
     n: int
     adjacency: np.ndarray
@@ -32,6 +33,9 @@ class Graph:
             raise ValueError("adjacency diagonal must be zero")
         if not np.isin(adj, (0, 1)).all():
             raise ValueError("adjacency entries must be 0 or 1")
+        reached = _reachable_from_zero(adj)
+        if not reached.all():
+            raise DisconnectedError(np.flatnonzero(~reached).tolist())
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
 
@@ -52,11 +56,7 @@ def from_edge_list(n: int, edges) -> Graph:
             raise SelfLoopError(i)
         adj[i, j] = 1
         adj[j, i] = 1
-    g = Graph(n=n, adjacency=adj)
-    reached = _reachable_from_zero(adj)
-    if not reached.all():
-        raise DisconnectedError(np.flatnonzero(~reached).tolist())
-    return g
+    return Graph(n=n, adjacency=adj)
 
 
 def neighbors(g: Graph, i: int) -> set[int]:

@@ -1,4 +1,4 @@
-"""Non-iterative water-filling solver via breakpoint interpolation.
+"""Water-filling solver: one bracket search over the sorted clamp thresholds.
 
 Every agent's box-clamped response to a marginal-cost level lam is
 
@@ -6,27 +6,21 @@ Every agent's box-clamped response to a marginal-cost level lam is
     upper        if lam >= marginal(upper)
     inverse_marginal(lam)   otherwise
 
-and the aggregate response is nondecreasing and piecewise linear in the
-family's key coordinate (log lam for exponential costs, lam for quadratic
-ones). Sorting the 2n per-agent breakpoints therefore lets the level that
-balances the total be read off by a single linear interpolation between
-bracketing table entries — no iteration.
-
-Mixed-family instances have no single linearizing coordinate; they fall
-back to a monotone bisection on lam over the true aggregate response.
+so the aggregate response is nondecreasing, and between two consecutive
+clamp thresholds no agent changes its active set. `solve_lambda` binary-
+searches the 2n sorted thresholds for the bracket holding the total, one
+O(n) clamp per probe. A uniform family's response is linear in its key
+coordinate (log lam for exponential costs, lam for quadratic ones), so one
+interpolation in the bracket gives the level; mixed families search in lam
+and use Illinois false position inside the bracket.
 
 One vectorized clamp, `_clamp`, applies the rule above (lower wins a tie
-with upper) for the table masses, the final allocation, the active sets
-and every bisection step; the interior responses come from the problem's
-cost table (:mod:`taskalloc.costs`). Each table mass is the plain sum
-of the clamped loads at its key, computed over blocks of keys so memory
-stays O(n). Prefix sums would be O(n log n) but round differently and
-move the last printed digits of the bundled reproduction reports.
-
-`breakpoints(p, key_decimals)` quantizes the breakpoint keys (and the
-clamp thresholds, consistently) before the table is built. The bundled
-reference tables use 3-decimal keys, so the reproduction path passes
-key_decimals=3; `solve_lambda` always solves with full-precision keys.
+with upper) for every probe, the final allocation and active sets, and the
+masses of the printed table `breakpoints(p, key_decimals)`. Each table
+mass is the plain sum of the clamped loads at its key, over blocks of keys
+so memory stays O(n); prefix sums would round differently and move the
+last digits of the bundled reports. The reference tables use keys
+quantized to 3 decimals; `solve_lambda` always uses full precision.
 
 The final selection between a replicator limit and the water-filling
 optimum (`select_final`) compares their exact total costs, summed up a
@@ -37,11 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBracketError,
-    InfeasibleError,
-    MixedFamiliesError,
-)
+from .errors import InfeasibleError, MixedFamiliesError
 from .graph import bfs_tree
 from .problem import (
     AllocationProblem,
@@ -88,14 +78,13 @@ class SolverResult:
     """Box-clamped, sum-exact optimum with its level and active sets."""
 
     allocation: np.ndarray
-    key: float  # level in the table coordinate
+    key: float  # level in the key coordinate (lam itself for mixed families)
     lam: float  # marginal-cost level itself
-    bracket: int | None  # table interval used (None for bisection)
+    bracket: int  # 0-based threshold hit, or the interval it starts
     interior: list[int]
     active_lower: list[int]
     active_upper: list[int]
-    method: str  # "interpolation" | "table-hit" | "bisection"
-    table: BreakpointTable | None
+    method: str  # "table-hit" | "interpolation" | "false-position"
 
 
 def _agent_keys(p: AllocationProblem, key_decimals: int | None):
@@ -104,7 +93,7 @@ def _agent_keys(p: AllocationProblem, key_decimals: int | None):
     if fam is None:
         raise MixedFamiliesError(
             "breakpoint keys need a single cost family; "
-            "use solve_lambda, which falls back to bisection"
+            "solve_lambda solves mixed instances in lam itself"
         )
     kmin = fam.key_from_lambda(marginals(p, p.lower_bounds))
     kmax = fam.key_from_lambda(marginals(p, p.upper_bounds))
@@ -176,85 +165,80 @@ def allocate_from_lambda(
 def solve_lambda(p: AllocationProblem) -> SolverResult:
     """Find the level whose clamped responses sum exactly to the total.
 
-    Uniform-family instances use the breakpoint table and one linear
-    interpolation; mixed instances bisect on lam. Zero-width table
-    intervals are skipped, and a total that lands exactly on a table
-    entry is returned without interpolating.
+    A binary search finds the first threshold whose mass reaches the
+    total; within 1e-12 (relative, at least 1e-12) it is a table hit.
+    Otherwise the level lies in the bracket that threshold closes, solved
+    by one interpolation (uniform family) or by false position (mixed).
     """
     w = p.total
-    lo_sum = float(p.lower_bounds.sum())
-    up_sum = float(p.upper_bounds.sum())
-    if w < lo_sum or w > up_sum:
-        raise InfeasibleError(
-            f"total {w} outside [{lo_sum}, {up_sum}] spanned by the bounds"
-        )
-    if p._costs.family is None:
-        return _solve_mixed(p)
-
-    tbl = breakpoints(p)
-    masses, keys = tbl.masses, tbl.keys
-    hit_tol = _EXACT_HIT_REL * max(1.0, abs(w))
-
-    hits = np.flatnonzero(np.abs(masses - w) <= hit_tol)
-    if hits.size:
-        j = int(hits[0])
-        key = float(keys[j])
-        method = "table-hit"
-        bracket = j
+    fam = p._costs.family
+    if fam is None:
+        kmin = marginals(p, p.lower_bounds)
+        kmax = marginals(p, p.upper_bounds)
+        respond = p._costs.inverse_marginal
     else:
-        idx = int(np.searchsorted(masses, w))
-        if idx <= 0 or idx >= masses.size:
-            raise DegenerateBracketError(f"no bracket contains total {w}")
-        j = idx - 1
-        dm = masses[j + 1] - masses[j]
-        if dm <= 0:
-            raise DegenerateBracketError(
-                f"bracket {j} has zero width at total {w}"
-            )
-        slope = (keys[j + 1] - keys[j]) / dm
-        key = float(slope * (w - masses[j]) + keys[j])
-        method = "interpolation"
-        bracket = j
+        kmin, kmax = _agent_keys(p, None)
+        respond = p._costs.response_from_key
+    keys = np.sort(np.concatenate([kmin, kmax]))
 
-    kmin, kmax = _agent_keys(p, None)
-    return _result(
-        key,
-        float(p._costs.family.lambda_from_key(key)),
-        _clamp(p, key, kmin, kmax, p._costs.response_from_key),
-        bracket=bracket,
-        method=method,
-        table=tbl,
-    )
+    def clamp(key):
+        return _clamp(p, key, kmin, kmax, respond)
 
+    def mass(key) -> float:
+        return float(clamp(key)[0].sum())
 
-def _solve_mixed(p: AllocationProblem) -> SolverResult:
-    """Monotone bisection on lam; needed when families are mixed."""
-    w = p.total
-    kmin = marginals(p, p.lower_bounds)
-    kmax = marginals(p, p.upper_bounds)
-    lam_lo = float(kmin.min())
-    lam_hi = float(kmax.max())
-    respond = p._costs.inverse_marginal
-
-    tol = 1e-10 * max(1.0, w)
-    lam = 0.5 * (lam_lo + lam_hi)
-    for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        g = float(_clamp(p, lam, kmin, kmax, respond)[0].sum()) - w
-        if abs(g) <= tol:
-            break
-        if g > 0:
-            lam_hi = lam
+    # First threshold whose mass reaches w - hit_tol. The problem keeps w
+    # between the sums of the bounds, so the last threshold (all agents at
+    # upper) always qualifies, and the first (all at lower) only as a hit.
+    hit_tol = _EXACT_HIT_REL * max(1.0, abs(w))
+    lo, j = 0, keys.size - 1
+    while lo < j:
+        mid = (lo + j) // 2
+        if mass(keys[mid]) - w >= -hit_tol:
+            j = mid
         else:
-            lam_lo = lam
-    return _result(
-        lam,
-        lam,
-        _clamp(p, lam, kmin, kmax, respond),
-        bracket=None,
-        method="bisection",
-        table=None,
-    )
+            lo = mid + 1
+    m1 = mass(keys[j])
+    if abs(m1 - w) <= hit_tol:
+        key, method = float(keys[j]), "table-hit"
+    else:
+        j -= 1
+        k0, k1, m0 = float(keys[j]), float(keys[j + 1]), mass(keys[j])
+        if fam is None:
+            key, clamped = _false_position(clamp, w, k0, k1, m0, m1)
+            return _result(key, key, clamped, bracket=j, method="false-position")
+        key, method = (k1 - k0) / (m1 - m0) * (w - m0) + k0, "interpolation"
+    lam = key if fam is None else float(fam.lambda_from_key(key))
+    return _result(key, lam, clamp(key), bracket=j, method=method)
+
+
+def _false_position(clamp, w, k0, k1, m0, m1):
+    """Illinois false position inside a bracket with masses m0 < w < m1,
+    to a load sum within 1e-12 w; returns (level, clamp there). If no float
+    is left inside the bracket (one ulp of lam can move a load by more, as
+    near a large quadratic b), the loads of its two ends are blended to sum
+    to w; every agent's marginal stays between the ends."""
+    tol = 1e-12 * w
+    g0, g1 = m0 - w, m1 - w  # misses at the ends; s0, s1 are the halved copies
+    s0, s1, side = g0, g1, 0  # side: which end the last step replaced
+    while True:
+        key = k1 - s1 * (k1 - k0) / (s1 - s0)
+        if not k0 < key < k1:
+            t = -g0 / (g1 - g0)
+            near = k0 if t < 0.5 else k1
+            return near, ((1.0 - t) * clamp(k0)[0] + t * clamp(k1)[0], *clamp(near)[1:])
+        clamped = clamp(key)
+        g = float(clamped[0].sum()) - w
+        if abs(g) <= tol:
+            return key, clamped
+        if g < 0:
+            k0, g0, s0 = key, g, g
+            s1 *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            k1, g1, s1 = key, g, g
+            s0 *= 0.5 if side > 0 else 1.0
+            side = 1
 
 
 def _result(key, lam, clamped, **fields) -> SolverResult:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import graph as graphmod
 from .costs import EXPONENTIAL, QUADRATIC, CostModel, _CostTable
-from .errors import InfeasibleError, LengthMismatchError, ParseError
+from .errors import DisconnectedError, InfeasibleError, LengthMismatchError, ParseError
 from .graph import Graph
 
 # An allocation is just a length-n float vector.
@@ -199,6 +199,8 @@ def parse_problem(text: str) -> AllocationProblem:
                 raise ParseError(
                     f"edge #{k + 1} node {node} outside 1..{n} (file labels are 1-based)"
                 )
+        if i == j:
+            raise ParseError(f"edge #{k + 1} is a self-loop at node {i}")
         edges.append((i - 1, j - 1))
 
     aobjs = _require(data, "agents", "problem")
@@ -229,6 +231,9 @@ def parse_problem(text: str) -> AllocationProblem:
 
     try:
         g = graphmod.from_edge_list(n, edges)
+    except DisconnectedError as exc:
+        labels = [u + 1 for u in exc.unreachable]
+        raise ParseError(f"graph is not connected; unreachable from node 1: {labels}") from exc
     except ValueError as exc:
         raise ParseError(f"graph: {exc}") from exc
     return AllocationProblem(graph=g, agents=tuple(agents), total=total)

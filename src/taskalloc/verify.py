@@ -41,8 +41,8 @@ class KktCertificate:
 
     lam is the shared marginal-cost level; alphas/betas are the
     multipliers of active lower/upper bounds. passed means: multipliers
-    nonnegative (within tol) and the interior marginals agree with lam
-    (within tol) — which certifies the global optimum.
+    nonnegative and the interior marginals agree with lam, both within
+    tol * max(1, |lam|) — which certifies the global optimum.
     """
 
     lam: float
@@ -116,15 +116,16 @@ def kkt_check(
     lower_active.sort()
     upper_active.sort()
 
-    marg_lo = marginals(p, lo)
-    marg_up = marginals(p, up)
-    alphas = {i: float(marg_lo[i]) - lam for i in lower_active}
-    betas = {j: lam - float(marg_up[j]) for j in upper_active}
+    # multipliers from the marginals at the loads themselves: a load within
+    # the activity band but off its bound is still stationary at lam
+    alphas = {i: float(marg[i]) - lam for i in lower_active}
+    betas = {j: lam - float(marg[j]) for j in upper_active}
     residual = float(np.abs(marg[k_idx] - lam).max()) if k_idx.size else 0.0
+    scaled = tol * max(1.0, abs(lam))
     passed = (
-        residual <= tol
-        and all(v >= -tol for v in alphas.values())
-        and all(v >= -tol for v in betas.values())
+        residual <= scaled
+        and all(v >= -scaled for v in alphas.values())
+        and all(v >= -scaled for v in betas.values())
     )
     return KktCertificate(
         lam=lam,
@@ -205,15 +206,17 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
             )
         raise EmptyGridError("the single point w violates the box")
 
-    axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
-    count_all = 1
-    for ax in axes:
-        count_all *= ax.size
+    # Count the points from the spans before any axis is built; rounding
+    # in _axis can move an axis by one point, which the cap does not need.
+    count_all = 1.0
+    for i in range(n - 1):
+        count_all *= np.ceil(float(up[i] - lo[i]) / float(resolution) - 1e-9) + 1
     if count_all > _GRID_EVAL_CAP:
         raise DimensionTooLargeError(
-            f"grid would need {count_all} evaluations (cap {_GRID_EVAL_CAP})"
+            f"grid would need {count_all:.0f} evaluations (cap {_GRID_EVAL_CAP})"
         )
 
+    axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
     vec = axes[-1]
     tracker = _BestTracker()
     feasible = 0

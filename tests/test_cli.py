@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from taskalloc import verify
 from taskalloc.cli import main
 from taskalloc.errors import UnknownExampleError
 from taskalloc.instances import get_instance, instance_ids
@@ -194,7 +195,7 @@ def test_solve_mixed_family_file(tmp_path):
     rc = main(["solve", "--input", str(path), "--out", str(out)])
     assert rc == 0
     report = (out / "solver_report.txt").read_text()
-    assert "method: bisection" in report
+    assert "method: false-position" in report
     assert "kkt certificate: PASSED" in report
 
 
@@ -213,7 +214,6 @@ def test_module_entry_point(tmp_path):
     "argv",
     [
         ["verify", "--example", "tab1", "--samples", "0"],
-        # the grid runs after the Monte Carlo oracle; a small sample keeps it quick
         ["verify", "--example", "tab1", "--samples", "2000", "--grid", "0"],
         ["verify", "--example", "tab1", "--samples", "2000", "--grid", "0.001"],
         ["simulate", "--example", "fig3", "--dt", "-1"],
@@ -229,14 +229,34 @@ def test_invalid_option_values_exit_config(tmp_path, capsys, argv):
     assert len(err) == 2 and err[1]
 
 
+@pytest.mark.parametrize("grid", ["0", "0.001"])
+def test_verify_checks_grid_before_sampling(tmp_path, capsys, monkeypatch, grid):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the Monte Carlo oracle ran before --grid was checked")
+
+    monkeypatch.setattr(verify, "monte_carlo_min", no_sampling)
+    rc = main(["verify", "--example", "tab1", "--grid", grid, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error-code: config exit=2"
+
+
 def _truncate_agents(doc):
     doc["agents"] = doc["agents"][:2]
 
 
+def _set_edges(edges):
+    return lambda doc: doc["graph"].update(edges=edges)
+
+
 @pytest.mark.parametrize(
     "edit, field",
-    [(lambda doc: doc.update(total=0), "'total'"), (_truncate_agents, "'agents'")],
-    ids=["zero-total", "short-agents"],
+    [
+        (lambda doc: doc.update(total=0), "'total'"),
+        (_truncate_agents, "'agents'"),
+        (_set_edges([[1, 1], [1, 2]]), "self-loop at node 1"),
+        (_set_edges([[1, 2]]), "unreachable from node 1: [3]"),
+    ],
+    ids=["zero-total", "short-agents", "self-loop", "disconnected"],
 )
 def test_malformed_problem_file_exit_parse(tmp_path, capsys, edit, field):
     doc = json.loads(serialize_problem(get_instance("tab1").problem))

@@ -82,6 +82,10 @@ def test_validation_of_raw_graph():
         Graph(n=2, adjacency=np.array([[1, 1], [1, 0]]))  # self loop
     with pytest.raises(ValueError):
         Graph(n=2, adjacency=np.array([[0, 2], [2, 0]]))  # not 0/1
+    # node 2 isolated: a selection's tree sum from node 0 would never reach it
+    with pytest.raises(DisconnectedError) as exc:
+        Graph(n=3, adjacency=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    assert exc.value.unreachable == [2]
 
 
 def test_neighbor_reciprocity_random():

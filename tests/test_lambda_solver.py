@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import MixedFamiliesError
@@ -170,7 +172,7 @@ def test_allocate_from_lambda_branches(tab1):
     assert 410.0 < mid[2] < 540.0
 
 
-def test_mixed_families_use_bisection():
+def test_mixed_families_use_false_position():
     agents = (
         exponential(a=500.0, lower=10.0, upper=60.0),
         quadratic(a=0.05, b=2.0, lower=20.0, upper=90.0),
@@ -184,9 +186,79 @@ def test_mixed_families_use_bisection():
     with pytest.raises(MixedFamiliesError):
         aggregate_allocation(p, 1.0)
     res = solve_lambda(p)
-    assert res.method == "bisection"
+    assert res.method == "false-position"
     assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
     assert in_feasible_set(p, res.allocation)
+    assert kkt_check(p, res.allocation).passed
+
+
+def _interpolate_table(p):
+    """Level and bracket read off the full breakpoint table: the first
+    entry within 1e-12 of the total (relative, at least 1e-12), else one
+    linear interpolation between the two entries around it."""
+    tbl = breakpoints(p)
+    w = p.total
+    hits = np.flatnonzero(np.abs(tbl.masses - w) <= 1e-12 * max(1.0, w))
+    if hits.size:
+        return float(tbl.keys[hits[0]]), int(hits[0])
+    j = int(np.searchsorted(tbl.masses, w)) - 1
+    slope = (tbl.keys[j + 1] - tbl.keys[j]) / (tbl.masses[j + 1] - tbl.masses[j])
+    return float(slope * (w - tbl.masses[j]) + tbl.keys[j]), j
+
+
+@pytest.mark.parametrize("family", ["exponential", "quadratic"])
+def test_single_family_solve_matches_table_interpolation(family):
+    rng = np.random.default_rng(["exponential", "quadratic"].index(family) + 61)
+    for k in range(60):
+        if k % 2:
+            p = _wide_scale_problem(rng, "ring", family=family)
+        else:
+            p = random_problem(
+                rng, n=int(rng.integers(1, 40)), family=family, interior_total=k % 6 != 0
+            )
+        key, bracket = _interpolate_table(p)
+        res = solve_lambda(p)
+        assert res.key == key and res.bracket == bracket
+        np.testing.assert_array_equal(res.allocation, allocate_from_lambda(p, key))
+
+
+_LOG_SCALE = st.floats(-3.0, 6.0).map(lambda x: 10.0**x)
+
+
+@st.composite
+def _mixed_problems(draw):
+    """Mixed-family path instances; coefficients, spans, lower bounds (or
+    0) and the total's excess over the lower bounds log-uniform on
+    1e-3..1e6."""
+    families = draw(
+        st.lists(st.sampled_from(["exponential", "quadratic"]), min_size=2, max_size=8)
+        .filter(lambda f: len(set(f)) == 2)
+    )
+    agents = []
+    for fam in families:
+        lower = draw(st.one_of(st.just(0.0), _LOG_SCALE))
+        upper = lower + draw(_LOG_SCALE)
+        if fam == "exponential":
+            agents.append(exponential(a=draw(_LOG_SCALE), lower=lower, upper=upper))
+        else:
+            agents.append(
+                quadratic(a=draw(_LOG_SCALE), b=draw(_LOG_SCALE), lower=lower, upper=upper)
+            )
+    lo = sum(a.lower for a in agents)
+    excess = draw(_LOG_SCALE.filter(lambda x: lo + x <= sum(a.upper for a in agents)))
+    n = len(agents)
+    return AllocationProblem(
+        graph=from_edge_list(n, [(k, k + 1) for k in range(n - 1)]),
+        agents=tuple(agents),
+        total=lo + excess,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mixed_problems())
+def test_mixed_solve_sum_exact_and_certified(p):
+    res = solve_lambda(p)
+    assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
     assert kkt_check(p, res.allocation).passed
 
 
@@ -297,9 +369,9 @@ def _shaped_edges(rng, shape, n):
     return [(int(label[a]), int(label[b])) for a, b in edges]
 
 
-def _wide_scale_problem(rng, shape):
-    """Mixed-family instance with coefficients, bounds and spans log-uniform
-    on 1e-3..1e6."""
+def _wide_scale_problem(rng, shape, family=None):
+    """Instance with coefficients, bounds and spans log-uniform on
+    1e-3..1e6; each agent's family is drawn at random unless given."""
     n = int(rng.integers(3, 25))
 
     def wide():
@@ -309,7 +381,7 @@ def _wide_scale_problem(rng, shape):
     for _ in range(n):
         lower = wide()
         upper = lower + wide()
-        if rng.random() < 0.5:
+        if (rng.random() < 0.5) if family is None else family == "exponential":
             agents.append(exponential(a=wide(), lower=lower, upper=upper))
         else:
             agents.append(quadratic(a=wide(), b=wide(), lower=lower, upper=upper))

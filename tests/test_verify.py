@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import random_problem
@@ -10,6 +12,7 @@ from taskalloc.errors import (
     SamplerStarvedError,
 )
 from taskalloc.graph import from_edge_list
+from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
 from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost
 from taskalloc.verify import grid_min, is_nash, kkt_check, monte_carlo_min
@@ -92,6 +95,25 @@ def test_kkt_nash_equivalence_for_interior_points(fig3):
     assert in_feasible_set(p, off)
     assert not kkt_check(p, off, tol=1e-3).passed
     assert not is_nash(p, off, tol=1e-3)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9, 1e12])
+@pytest.mark.parametrize("iid", ["tab1", "tab3", "fig2", "fig3"])
+def test_kkt_tolerance_scales_with_level(iid, scale):
+    # every a and b times scale: the optimum stays, the level scales
+    base = get_instance(iid).problem
+    agents = tuple(
+        dataclasses.replace(m, a=m.a * scale, b=None if m.b is None else m.b * scale)
+        for m in base.agents
+    )
+    p = AllocationProblem(graph=base.graph, agents=agents, total=base.total)
+    res = solve_lambda(p)
+    assert kkt_check(p, res.allocation).passed
+    i, j = res.interior[:2]
+    moved = res.allocation.copy()
+    moved[[i, j]] += np.array([-1.0, 1.0]) * 0.01 * moved[i]
+    assert in_feasible_set(p, moved)
+    assert not kkt_check(p, moved).passed
 
 
 def test_kkt_multiplier_formulas_random():
