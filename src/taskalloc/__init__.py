@@ -28,7 +28,7 @@ from .drd import (
     simulate,
     write_trace_csv,
 )
-from .graph import Graph, diameter, edge_list, from_edge_list, is_connected, neighbors
+from .graph import Graph, diameter, edge_list, from_edge_list, neighbors
 from .instances import BundledInstance, get_instance, instance_ids
 from .lambda_solver import (
     Breakpoint,
@@ -84,7 +84,6 @@ __all__ = [
     "in_feasible_set",
     "in_simplex",
     "instance_ids",
-    "is_connected",
     "is_nash",
     "kkt_check",
     "load_problem",

@@ -21,6 +21,7 @@ import numpy as np
 from . import drd, verify
 from .errors import (
     DimensionTooLargeError,
+    EmptyGridError,
     InfeasibleError,
     NonpositiveLambdaError,
     ParseError,
@@ -47,9 +48,9 @@ def main(argv=None) -> int:
         return _fail("parse", EXIT_CONFIG, exc)
     except UnknownExampleError as exc:
         return _fail("unknown-example", EXIT_CONFIG, exc)
-    except (ValueError, DimensionTooLargeError) as exc:
+    except (ValueError, DimensionTooLargeError, EmptyGridError) as exc:
         # option values the run configuration rejects: --dt, --max-steps,
-        # --tol, --samples, --grid
+        # --tol, --samples, --grid (also a grid with no feasible point)
         return _fail("config", EXIT_CONFIG, exc)
     except InfeasibleError as exc:
         return _fail("infeasible", EXIT_INFEASIBLE, exc)

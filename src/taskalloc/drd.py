@@ -74,8 +74,8 @@ def local_mean_fitness(p: AllocationProblem, w, i: int) -> float:
     if not 0 <= i < p.n:
         raise NodeOutOfRangeError(i, p.n)
     f = fitness_values(p, arr)
-    row = p.graph.adjacency[i]
-    return float((row * f * arr).sum() / p.total)
+    rows, cols = p.graph.adjacency.T
+    return float((f * arr)[cols[rows == i]].sum() / p.total)
 
 
 def nash_residual(p: AllocationProblem, w) -> float:
@@ -104,16 +104,20 @@ def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     f = fitness_values(p, arr)
-    nxt = arr + dt * _drift(p.graph.adjacency.astype(float), arr, f, p.total)
+    nxt = arr + dt * _drift(*p.graph.adjacency.T, arr, f, p.total)
     bad = ~np.isfinite(nxt) | (nxt < 0)
     if bad.any():
         raise StepOverflowError(np.flatnonzero(bad).tolist())
     return nxt
 
 
-def _drift(adj: np.ndarray, w: np.ndarray, f: np.ndarray, total: float) -> np.ndarray:
-    """Replicator drift dw/dt for loads w with fitness f, on a float adjacency."""
-    return (w / total) * (f * (adj @ w) - adj @ (f * w))
+def _drift(rows, cols, w: np.ndarray, f: np.ndarray, total: float) -> np.ndarray:
+    """Replicator drift dw/dt for loads w with fitness f; each bincount over
+    the adjacency pairs (rows, cols) gives every agent's neighbour sum."""
+    n = w.shape[0]
+    nbr_w = np.bincount(rows, weights=w[cols], minlength=n)
+    nbr_fw = np.bincount(rows, weights=(f * w)[cols], minlength=n)
+    return (w / total) * (f * nbr_w - nbr_fw)
 
 
 def default_start(p: AllocationProblem) -> np.ndarray:
@@ -146,7 +150,7 @@ def simulate(
     if not in_simplex(p, state):
         raise ValueError("w0 must lie on the simplex (nonnegative, summing to w)")
 
-    adj = p.graph.adjacency.astype(float)
+    rows, cols = np.ascontiguousarray(p.graph.adjacency.T)
     marginal = p._costs.marginal  # bound once: this loop runs millions of steps
     total = p.total
     tol = cfg.residual_tol
@@ -187,7 +191,7 @@ def simulate(
             converged = residual <= tol
             break
 
-        nxt = state + dt * _drift(adj, state, f, total)
+        nxt = state + dt * _drift(rows, cols, state, f, total)
         bad = ~np.isfinite(nxt) | (nxt < 0)
         if bad.any():
             raise StepOverflowError(np.flatnonzero(bad).tolist(), step_index=step_idx)

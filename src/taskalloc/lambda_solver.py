@@ -12,7 +12,8 @@ searches the 2n sorted thresholds for the bracket holding the total, one
 O(n) clamp per probe. A uniform family's response is linear in its key
 coordinate (log lam for exponential costs, lam for quadratic ones), so one
 interpolation in the bracket gives the level; mixed families search in lam
-and use Illinois false position inside the bracket.
+and use Illinois false position inside the bracket, as does a uniform
+family whose interpolated loads miss the total.
 
 One vectorized clamp, `_clamp`, applies the rule above (lower wins a tie
 with upper) for every probe, the final allocation and active sets, and the
@@ -45,6 +46,7 @@ LOWER = "lower"
 UPPER = "upper"
 
 _EXACT_HIT_REL = 1e-12  # |w - m_j| below this (relative) skips interpolation
+_SUM_TOL = 1e-12  # load sum miss (relative to w) that false position solves to
 _BLOCK_ELEMENTS = 1 << 17  # agents x keys clamped at once while building a table
 
 
@@ -168,7 +170,8 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     A binary search finds the first threshold whose mass reaches the
     total; within 1e-12 (relative, at least 1e-12) it is a table hit.
     Otherwise the level lies in the bracket that threshold closes, solved
-    by one interpolation (uniform family) or by false position (mixed).
+    by one interpolation (uniform family) or by false position (mixed
+    families, or an interpolation whose loads miss the total).
     """
     w = p.total
     fam = p._costs.family
@@ -201,24 +204,28 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     m1 = mass(keys[j])
     if abs(m1 - w) <= hit_tol:
         key, method = float(keys[j]), "table-hit"
+        clamped = clamp(key)
     else:
         j -= 1
         k0, k1, m0 = float(keys[j]), float(keys[j + 1]), mass(keys[j])
-        if fam is None:
-            key, clamped = _false_position(clamp, w, k0, k1, m0, m1)
-            return _result(key, key, clamped, bracket=j, method="false-position")
         key, method = (k1 - k0) / (m1 - m0) * (w - m0) + k0, "interpolation"
+        # mixed families, and a uniform family whose loads at the interpolated
+        # key miss w (key granularity at wide scales), go on by false position
+        clamped = None if fam is None else clamp(key)
+        if clamped is None or abs(float(clamped[0].sum()) - w) > _SUM_TOL * w:
+            key, clamped = _false_position(clamp, w, k0, k1, m0, m1)
+            method = "false-position"
     lam = key if fam is None else float(fam.lambda_from_key(key))
-    return _result(key, lam, clamp(key), bracket=j, method=method)
+    return _result(key, lam, clamped, bracket=j, method=method)
 
 
 def _false_position(clamp, w, k0, k1, m0, m1):
     """Illinois false position inside a bracket with masses m0 < w < m1,
-    to a load sum within 1e-12 w; returns (level, clamp there). If no float
+    to a load sum within _SUM_TOL * w; returns (level, clamp there). If no float
     is left inside the bracket (one ulp of lam can move a load by more, as
     near a large quadratic b), the loads of its two ends are blended to sum
     to w; every agent's marginal stays between the ends."""
-    tol = 1e-12 * w
+    tol = _SUM_TOL * w
     g0, g1 = m0 - w, m1 - w  # misses at the ends; s0, s1 are the halved copies
     s0, s1, side = g0, g1, 0  # side: which end the last step replaced
     while True:

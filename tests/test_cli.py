@@ -240,6 +240,28 @@ def test_verify_checks_grid_before_sampling(tmp_path, capsys, monkeypatch, grid)
     assert capsys.readouterr().err.splitlines()[0] == "error-code: config exit=2"
 
 
+def test_verify_empty_grid_exit_config(tmp_path, capsys):
+    # the grid on the first box is 0, 3, 6, 9, 10, so the second load is
+    # never inside [4.5, 4.6]
+    doc = {
+        "total": 10.0,
+        "graph": {"n": 2, "edges": [[1, 2]]},
+        "agents": [
+            {"family": "exponential", "a": 1.0, "lower": 0.0, "upper": 10.0},
+            {"family": "exponential", "a": 1.0, "lower": 4.5, "upper": 4.6},
+        ],
+    }
+    path = tmp_path / "thin.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--input", str(path), "--samples", "2000", "--grid", "3"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error-code: config exit=2",
+        "no grid point satisfies the sum and box constraints",
+    ]
+
+
 def _truncate_agents(doc):
     doc["agents"] = doc["agents"][:2]
 

@@ -13,7 +13,7 @@ from taskalloc.drd import (
     write_trace_csv,
 )
 from taskalloc.errors import NodeOutOfRangeError, StepOverflowError
-from taskalloc.graph import from_edge_list
+from taskalloc.graph import Graph, edge_list, from_edge_list, neighbors
 from taskalloc.problem import (
     AllocationProblem,
     fitness_values,
@@ -70,7 +70,7 @@ def test_local_mean_fitness_at_equal_fitness(fig2):
     f = fitness_values(p, wstar)
     lam = -f.mean()
     for i in range(p.n):
-        nbr_mass = float((p.graph.adjacency[i] * wstar).sum())
+        nbr_mass = float(sum(wstar[j] for j in neighbors(p.graph, i)))
         assert local_mean_fitness(p, wstar, i) == pytest.approx(
             -lam * nbr_mass / p.total, rel=1e-9
         )
@@ -86,6 +86,28 @@ def test_step_fixed_point_at_equal_fitness(fig2):
     wstar = np.asarray(fig2.reference["allocation"])
     nxt = drd_step(p, wstar, 1e-4)
     assert np.abs(nxt - wstar).max() < 1e-10
+
+
+def test_step_matches_dense_formula():
+    # the graph comes from pairs with reversed repeats; A is built here
+    from conftest import random_problem
+
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        n = int(rng.integers(2, 30))
+        base = random_problem(rng, n=n, family="mixed")
+        edges = edge_list(base.graph)
+        g = Graph(n, edges + [(j, i) for i, j in edges[::2]])
+        p = AllocationProblem(graph=g, agents=base.agents, total=base.total)
+        adj = np.zeros((n, n))
+        for i, j in edge_list(g):
+            adj[i, j] = adj[j, i] = 1.0
+        w = p.total * rng.dirichlet(np.ones(n))
+        f = fitness_values(p, w)
+        drift = (w / p.total) * (f * (adj @ w) - adj @ (f * w))
+        # a step that moves some load by 1%, so the drift shows in the result
+        dt = 0.01 / np.max(np.abs(drift) / w)
+        np.testing.assert_allclose(drd_step(p, w, dt), w + dt * drift, rtol=1e-13, atol=0)
 
 
 def test_step_keeps_zero_mass_at_zero():

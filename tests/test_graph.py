@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from conftest import random_graph
 
+from taskalloc.costs import exponential, quadratic
+from taskalloc.drd import DrdConfig, default_start, simulate
 from taskalloc.errors import DisconnectedError, NodeOutOfRangeError, SelfLoopError
 from taskalloc.graph import (
     Graph,
@@ -9,9 +11,10 @@ from taskalloc.graph import (
     diameter,
     edge_list,
     from_edge_list,
-    is_connected,
     neighbors,
 )
+from taskalloc.lambda_solver import select_final, solve_lambda
+from taskalloc.problem import AllocationProblem, in_feasible_set
 
 
 def test_path_graph_neighbors():
@@ -59,32 +62,14 @@ def test_duplicate_edges_idempotent():
     assert np.array_equal(g1.adjacency, g2.adjacency)
 
 
-def test_is_connected_path6():
-    g = from_edge_list(6, [(i, i + 1) for i in range(5)])
-    assert is_connected(g)
-
-
-def test_is_connected_rejects_disjoint_pairs():
-    adj = np.zeros((4, 4), dtype=int)
-    adj[0, 1] = adj[1, 0] = 1
-    adj[2, 3] = adj[3, 2] = 1
-    assert not is_connected(adj)
-
-
-def test_is_connected_three_node_path():
-    assert is_connected(from_edge_list(3, [(0, 1), (1, 2)]))
-
-
 def test_validation_of_raw_graph():
-    with pytest.raises(ValueError):
-        Graph(n=2, adjacency=np.array([[0, 1], [0, 0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        Graph(n=2, adjacency=np.array([[1, 1], [1, 0]]))  # self loop
-    with pytest.raises(ValueError):
-        Graph(n=2, adjacency=np.array([[0, 2], [2, 0]]))  # not 0/1
+    with pytest.raises(SelfLoopError):
+        Graph(n=2, adjacency=np.array([[0, 1], [1, 1]]))
+    with pytest.raises(NodeOutOfRangeError):
+        Graph(n=2, adjacency=np.array([[0, 1], [1, 2]]))
     # node 2 isolated: a selection's tree sum from node 0 would never reach it
     with pytest.raises(DisconnectedError) as exc:
-        Graph(n=3, adjacency=np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+        Graph(n=3, adjacency=np.array([[0, 1], [1, 0]]))
     assert exc.value.unreachable == [2]
 
 
@@ -93,12 +78,37 @@ def test_neighbor_reciprocity_random():
     for _ in range(20):
         n = int(rng.integers(2, 9))
         g = random_graph(rng, n)
-        assert np.array_equal(g.adjacency, g.adjacency.T)
-        assert np.all(np.diag(g.adjacency) == 0)
-        assert is_connected(g)
+        pairs = set(map(tuple, g.adjacency.tolist()))
+        assert pairs == {(j, i) for i, j in pairs}
+        assert all(i != j for i, j in pairs)
         for i in range(n):
             for j in neighbors(g, i):
                 assert i in neighbors(g, j)
+
+
+def test_adjacency_is_the_dense_matrix_nonzeros():
+    # edge lists with repeated and reversed pairs, against a dense matrix
+    # built here
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(2, 30))
+        edges = [(k, int(rng.integers(0, k))) for k in range(1, n)]
+        for _ in range(int(rng.integers(0, 2 * n))):
+            a, b = rng.choice(n, size=2, replace=False)
+            edges.append((int(a), int(b)))
+        edges += [(b, a) for a, b in edges if rng.random() < 0.3]
+        edges += [edges[int(k)] for k in rng.integers(0, len(edges), size=n)]
+        rng.shuffle(edges)
+        dense = np.zeros((n, n), dtype=np.int64)
+        for a, b in edges:
+            dense[a, b] = dense[b, a] = 1
+        g = from_edge_list(n, edges)
+        assert g.adjacency.dtype == np.int64 and g.adjacency.shape == (dense.sum(), 2)
+        np.testing.assert_array_equal(g.adjacency, np.argwhere(dense))
+        np.testing.assert_array_equal(Graph(n, g.adjacency).adjacency, g.adjacency)
+    n = 1000
+    ring = [(k, (k + 1) % n) for k in range(n)]
+    assert from_edge_list(n, ring + ring[::-1]).adjacency.nbytes == 32 * len(ring)
 
 
 def test_edge_list_round_trip():
@@ -131,6 +141,52 @@ def test_bfs_tree_parents_are_one_level_up():
         for v in range(1, g.n):
             assert parent[v] in neighbors(g, v)
             assert depth[parent[v]] == depth[v] - 1
-        # depths are the shortest-path distances, so the deepest is at most
-        # the diameter
+        # neighbours at most one level apart: the depths are the
+        # shortest-path distances, so the deepest is at most the diameter
+        assert np.abs(np.diff(depth[g.adjacency], axis=1)).max(initial=0) <= 1
         assert depth.max() <= diameter(g)
+
+
+def test_sparse_instance_with_1e5_agents():
+    # a ring with n/3 chords and mixed families: the dense matrix would need
+    # 74.5 GiB; no timing is asserted
+    rng = np.random.default_rng(5)
+    n = 100_000
+    chords = rng.integers(0, n, size=(n // 3, 2))
+    chords = chords[chords[:, 0] != chords[:, 1]]
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    g = from_edge_list(n, np.concatenate([ring, chords]))
+    assert g.adjacency.nbytes == 32 * len(edge_list(g)) < 5 * 2**20
+
+    depth, parent = bfs_tree(g)
+    assert depth[0] == 0 and parent[0] == -1 and depth.min() == 0
+    child = np.arange(1, n)
+    codes = g.adjacency[:, 0] * n + g.adjacency[:, 1]
+    assert np.isin(parent[child] * n + child, codes).all()
+    assert np.array_equal(depth[parent[child]], depth[child] - 1)
+    # with that, neighbours at most one level apart make depth the distance
+    assert np.abs(np.diff(depth[g.adjacency], axis=1)).max() <= 1
+
+    lower = rng.uniform(0.0, 10.0, size=n)
+    upper = lower + rng.uniform(1.0, 10.0, size=n)
+    a = rng.uniform(1.0, 10.0, size=n)
+    b = rng.uniform(1.0, 10.0, size=n)
+    agents = tuple(
+        exponential(a=a[k], lower=lower[k], upper=upper[k])
+        if k % 2
+        else quadratic(a=a[k], b=b[k], lower=lower[k], upper=upper[k])
+        for k in range(n)
+    )
+    total = float(lower.sum() + 0.5 * (upper - lower).sum())
+    p = AllocationProblem(graph=g, agents=agents, total=total)
+    res = solve_lambda(p)
+    assert res.method == "false-position"
+    assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
+
+    traj = simulate(p, default_start(p), DrdConfig(step=1e-3, max_steps=20))
+    assert traj.steps == 20 and not traj.converged
+    assert abs(traj.final.sum() - p.total) <= 1e-9 * p.total
+
+    even = lower + 0.5 * (upper - lower)
+    assert in_feasible_set(p, even)
+    np.testing.assert_array_equal(select_final(p, even, res.allocation), res.allocation)

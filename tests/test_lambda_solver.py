@@ -226,17 +226,20 @@ _LOG_SCALE = st.floats(-3.0, 6.0).map(lambda x: 10.0**x)
 
 
 @st.composite
-def _mixed_problems(draw):
-    """Mixed-family path instances; coefficients, spans, lower bounds (or
-    0) and the total's excess over the lower bounds log-uniform on
-    1e-3..1e6."""
-    families = draw(
-        st.lists(st.sampled_from(["exponential", "quadratic"]), min_size=2, max_size=8)
-        .filter(lambda f: len(set(f)) == 2)
-    )
+def _path_problems(draw, family=None):
+    """Path instances; coefficients, spans and the total's excess over the
+    lower bounds log-uniform on 1e-3..1e6. Mixed families (family=None)
+    also draw lower bounds (or 0) on that scale; one family has them at 0."""
+    if family is None:
+        families = draw(
+            st.lists(st.sampled_from(["exponential", "quadratic"]), min_size=2, max_size=8)
+            .filter(lambda f: len(set(f)) == 2)
+        )
+    else:
+        families = [family] * draw(st.integers(2, 8))
     agents = []
     for fam in families:
-        lower = draw(st.one_of(st.just(0.0), _LOG_SCALE))
+        lower = draw(st.one_of(st.just(0.0), _LOG_SCALE)) if family is None else 0.0
         upper = lower + draw(_LOG_SCALE)
         if fam == "exponential":
             agents.append(exponential(a=draw(_LOG_SCALE), lower=lower, upper=upper))
@@ -255,11 +258,22 @@ def _mixed_problems(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_mixed_problems())
+@given(_path_problems())
 def test_mixed_solve_sum_exact_and_certified(p):
     res = solve_lambda(p)
     assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
     assert kkt_check(p, res.allocation).passed
+
+
+# The certificate is not asserted: a steep quadratic agent near its bound
+# can fail it at a representable optimum (its marginal cannot resolve the
+# load finely enough).
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(["exponential", "quadratic"]).flatmap(_path_problems))
+def test_single_family_solve_sum_exact(p):
+    res = solve_lambda(p)
+    assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
+    assert in_feasible_set(p, res.allocation)
 
 
 def test_solver_result_passes_kkt_random():

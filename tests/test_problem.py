@@ -7,7 +7,7 @@ from conftest import random_problem
 from taskalloc import verify
 from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import InfeasibleError, LengthMismatchError, ParseError
-from taskalloc.graph import from_edge_list
+from taskalloc.graph import edge_list, from_edge_list
 from taskalloc.problem import (
     AllocationProblem,
     in_feasible_set,
@@ -175,7 +175,7 @@ def test_parse_uses_one_based_edge_labels():
         }
     )
     p = parse_problem(text)
-    assert p.graph.adjacency[0, 1] == 1
+    assert edge_list(p.graph) == [(0, 1)]
     with pytest.raises(ParseError, match="1-based"):
         parse_problem(text.replace("[[1, 2]]", "[[0, 1]]"))
 
