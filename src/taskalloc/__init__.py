@@ -22,8 +22,6 @@ from .drd import (
     Trajectory,
     default_start,
     drd_step,
-    local_mean_fitness,
-    lyapunov_value,
     nash_residual,
     simulate,
     write_trace_csv,
@@ -34,8 +32,6 @@ from .lambda_solver import (
     Breakpoint,
     BreakpointTable,
     SolverResult,
-    aggregate_allocation,
-    allocate_from_lambda,
     breakpoints,
     compare_and_select,
     select_final,
@@ -52,7 +48,7 @@ from .problem import (
     serialize_problem,
     total_cost,
 )
-from .verify import KktCertificate, OracleResult, grid_min, is_nash, kkt_check, monte_carlo_min
+from .verify import KktCertificate, OracleResult, grid_min, kkt_check, monte_carlo_min
 
 __all__ = [
     "EXPONENTIAL",
@@ -69,8 +65,6 @@ __all__ = [
     "OracleResult",
     "SolverResult",
     "Trajectory",
-    "aggregate_allocation",
-    "allocate_from_lambda",
     "breakpoints",
     "compare_and_select",
     "default_start",
@@ -84,11 +78,8 @@ __all__ = [
     "in_feasible_set",
     "in_simplex",
     "instance_ids",
-    "is_nash",
     "kkt_check",
     "load_problem",
-    "local_mean_fitness",
-    "lyapunov_value",
     "monte_carlo_min",
     "nash_residual",
     "neighbors",

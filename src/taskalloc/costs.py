@@ -18,9 +18,11 @@ the :class:`_CostTable` that every :class:`AllocationProblem` builds once
 at once (problem costs and marginals, the replicator step, the breakpoint
 table, the KKT check) goes through that table.
 
-The breakpoint solver works in a "key" coordinate in which the aggregate
-clamped response is piecewise linear: log marginal-cost for the
-exponential family, the marginal cost itself for the quadratic one.
+The water-filling solver works in a "key" coordinate, which the table
+picks once as its `coordinate`: for a single family the aggregate clamped
+response is piecewise linear in it (log marginal-cost for the exponential
+family, the marginal cost itself for the quadratic one); mixed families
+use the marginal cost itself, the quadratic family's key.
 """
 
 from dataclasses import dataclass
@@ -117,9 +119,11 @@ class _CostTable:
     """Struct-of-arrays costs of n agents, one group per family present.
 
     `family` is the single family's formula class, or None when families
-    are mixed. Per-agent inputs have shape (..., n); a shared level (key
-    or lam) is a scalar or an array that broadcasts against (n,), such as
-    a column of keys.
+    are mixed. `coordinate` maps levels to the solver's keys: the single
+    family, or _Quadratic (whose key is lam itself) when families mix.
+    Per-agent inputs have shape (..., n); a shared level (key or lam) is a
+    scalar or an array that broadcasts against (n,), such as a column of
+    keys.
     """
 
     def __init__(self, models):
@@ -138,6 +142,7 @@ class _CostTable:
                     _Group(fam, idx, a[idx], b[idx], self.lower[idx], span[idx])
                 )
         self.family = self.groups[0].fam if len(self.groups) == 1 else None
+        self.coordinate = self.family or _Quadratic
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
 
@@ -157,13 +162,11 @@ class _CostTable:
     def marginal(self, w) -> np.ndarray:
         return self._evaluate("marginal", w, per_agent=True)
 
-    def inverse_marginal(self, lam) -> np.ndarray:
-        """Each agent's unclamped load at a shared marginal-cost level."""
-        return self._evaluate("inverse_marginal", lam, per_agent=False)
-
     def response_from_key(self, key) -> np.ndarray:
-        """Each agent's unclamped load at a shared key (single family)."""
-        return self._evaluate("response_from_key", key, per_agent=False)
+        """Each agent's unclamped load at a shared key in `coordinate`: lam
+        itself, so each group's inverse marginal, when families are mixed."""
+        formula = "inverse_marginal" if self.family is None else "response_from_key"
+        return self._evaluate(formula, key, per_agent=False)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NodeOutOfRangeError, StepOverflowError
+from .errors import StepOverflowError
 from .problem import (
     AllocationProblem,
     as_allocation,
@@ -31,16 +31,16 @@ from .problem import (
 log = logging.getLogger(__name__)
 
 MASS_FLOOR_REL = 1e-9  # loads below this fraction of w count as zero mass
+RECORD_EVERY = 100  # the trace keeps every RECORD_EVERY-th step (and the last)
 
 
 @dataclass(frozen=True)
 class DrdConfig:
-    """Discretization step, iteration cap, stop tolerance, trace decimation."""
+    """Discretization step, iteration cap and stop tolerance."""
 
     step: float
     max_steps: int = 10_000_000
     residual_tol: float = 1e-6
-    record_every: int = 100
 
     def __post_init__(self):
         if not self.step > 0:
@@ -49,8 +49,6 @@ class DrdConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if not self.residual_tol > 0:
             raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass
@@ -68,16 +66,6 @@ class Trajectory:
     dt: float
 
 
-def local_mean_fitness(p: AllocationProblem, w, i: int) -> float:
-    """Neighbor-weighted mean payoff seen by agent i: sum_{j in N_i} f_j w_j / w."""
-    arr = as_allocation(p, w)
-    if not 0 <= i < p.n:
-        raise NodeOutOfRangeError(i, p.n)
-    f = fitness_values(p, arr)
-    rows, cols = p.graph.adjacency.T
-    return float((f * arr)[cols[rows == i]].sum() / p.total)
-
-
 def nash_residual(p: AllocationProblem, w) -> float:
     """Largest fitness advantage any agent holds over a mass-carrying agent.
 
@@ -90,11 +78,6 @@ def nash_residual(p: AllocationProblem, w) -> float:
     if not mass.any():
         return 0.0
     return float(max(0.0, f.max() - f[mass].min()))
-
-
-def lyapunov_value(p: AllocationProblem, w, wstar) -> float:
-    """C(W) - C(W*); nonnegative when W* is the true minimizer."""
-    return total_cost(p, w) - total_cost(p, wstar)
 
 
 def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
@@ -172,7 +155,7 @@ def simulate(
         mass = state > floor
         residual = max(0.0, float(f.max()) - float(f[mass].min())) if mass.any() else 0.0
 
-        record = step_idx % cfg.record_every == 0
+        record = step_idx % RECORD_EVERY == 0
         done = residual <= tol or step_idx >= cfg.max_steps
         if record or done:
             rec_steps.append(step_idx)

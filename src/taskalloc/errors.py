@@ -66,10 +66,6 @@ class StepOverflowError(TaskAllocError):
         )
 
 
-class MixedFamiliesError(TaskAllocError):
-    """Breakpoint tables need every agent in the same cost family."""
-
-
 class NotFeasibleError(TaskAllocError):
     """An allocation expected to lie in the feasible set does not."""
 

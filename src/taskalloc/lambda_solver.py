@@ -7,13 +7,14 @@ Every agent's box-clamped response to a marginal-cost level lam is
     inverse_marginal(lam)   otherwise
 
 so the aggregate response is nondecreasing, and between two consecutive
-clamp thresholds no agent changes its active set. `solve_lambda` binary-
-searches the 2n sorted thresholds for the bracket holding the total, one
-O(n) clamp per probe. A uniform family's response is linear in its key
-coordinate (log lam for exponential costs, lam for quadratic ones), so one
-interpolation in the bracket gives the level; mixed families search in lam
-and use Illinois false position inside the bracket, as does a uniform
-family whose interpolated loads miss the total.
+clamp thresholds no agent changes its active set. The cost table picks
+the key coordinate the thresholds are sorted in (log lam for exponential
+costs, lam for quadratic or mixed ones). `solve_lambda` binary-searches
+the 2n sorted thresholds for the bracket holding the total, one O(n)
+clamp per probe, and solves inside it by Illinois false position. Its
+first step is the linear interpolation between the bracket ends, which is
+exact when every interior response is linear in the key, as for a single
+family.
 
 One vectorized clamp, `_clamp`, applies the rule above (lower wins a tie
 with upper) for every probe, the final allocation and active sets, and the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, MixedFamiliesError
+from .errors import InfeasibleError
 from .graph import bfs_tree
 from .problem import (
     AllocationProblem,
@@ -80,7 +81,7 @@ class SolverResult:
     """Box-clamped, sum-exact optimum with its level and active sets."""
 
     allocation: np.ndarray
-    key: float  # level in the key coordinate (lam itself for mixed families)
+    key: float  # level in the cost table's key coordinate
     lam: float  # marginal-cost level itself
     bracket: int  # 0-based threshold hit, or the interval it starts
     interior: list[int]
@@ -91,14 +92,9 @@ class SolverResult:
 
 def _agent_keys(p: AllocationProblem, key_decimals: int | None):
     """Each agent's clamp thresholds (key at lower, key at upper)."""
-    fam = p._costs.family
-    if fam is None:
-        raise MixedFamiliesError(
-            "breakpoint keys need a single cost family; "
-            "solve_lambda solves mixed instances in lam itself"
-        )
-    kmin = fam.key_from_lambda(marginals(p, p.lower_bounds))
-    kmax = fam.key_from_lambda(marginals(p, p.upper_bounds))
+    coord = p._costs.coordinate
+    kmin = coord.key_from_lambda(marginals(p, p.lower_bounds))
+    kmax = coord.key_from_lambda(marginals(p, p.upper_bounds))
     if key_decimals is not None:
         kmin = np.round(kmin, key_decimals)
         kmax = np.round(kmax, key_decimals)
@@ -119,7 +115,11 @@ def _clamp(p: AllocationProblem, key, kmin, kmax, respond):
 
 
 def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> BreakpointTable:
-    """Sorted 2n-entry table of clamp thresholds and aggregate responses."""
+    """Sorted 2n-entry table of clamp thresholds and aggregate responses.
+    key_decimals rounds the keys; a mixed table is in lam, where rounding
+    could turn a positive threshold into 0, so it refuses key_decimals."""
+    if key_decimals is not None and len(p._costs.groups) > 1:
+        raise ValueError("key_decimals needs a single cost family; mixed tables are in lam")
     kmin, kmax = _agent_keys(p, key_decimals)
     n = p.n
     agents = np.tile(np.arange(n), 2)
@@ -140,7 +140,7 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
     dm = np.diff(masses)
     slopes = np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
     return BreakpointTable(
-        coordinate=p._costs.family.key_coordinate,
+        coordinate=p._costs.coordinate.key_coordinate,
         breakpoints=bps,
         keys=keys,
         masses=masses,
@@ -149,40 +149,18 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
     )
 
 
-def aggregate_allocation(
-    p: AllocationProblem, key: float, key_decimals: int | None = None
-) -> float:
-    """Total clamped response at a key; saturates outside the table range."""
-    return float(allocate_from_lambda(p, key, key_decimals).sum())
-
-
-def allocate_from_lambda(
-    p: AllocationProblem, key: float, key_decimals: int | None = None
-) -> np.ndarray:
-    """Clamped per-agent allocation at a key (uniform family)."""
-    kmin, kmax = _agent_keys(p, key_decimals)
-    return _clamp(p, key, kmin, kmax, p._costs.response_from_key)[0]
-
-
 def solve_lambda(p: AllocationProblem) -> SolverResult:
     """Find the level whose clamped responses sum exactly to the total.
 
     A binary search finds the first threshold whose mass reaches the
     total; within 1e-12 (relative, at least 1e-12) it is a table hit.
     Otherwise the level lies in the bracket that threshold closes, solved
-    by one interpolation (uniform family) or by false position (mixed
-    families, or an interpolation whose loads miss the total).
+    by false position ("interpolation" when its first step lands).
     """
     w = p.total
-    fam = p._costs.family
-    if fam is None:
-        kmin = marginals(p, p.lower_bounds)
-        kmax = marginals(p, p.upper_bounds)
-        respond = p._costs.inverse_marginal
-    else:
-        kmin, kmax = _agent_keys(p, None)
-        respond = p._costs.response_from_key
+    kmin, kmax = _agent_keys(p, None)
     keys = np.sort(np.concatenate([kmin, kmax]))
+    respond = p._costs.response_from_key
 
     def clamp(key):
         return _clamp(p, key, kmin, kmax, respond)
@@ -207,44 +185,46 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
         clamped = clamp(key)
     else:
         j -= 1
-        k0, k1, m0 = float(keys[j]), float(keys[j + 1]), mass(keys[j])
-        key, method = (k1 - k0) / (m1 - m0) * (w - m0) + k0, "interpolation"
-        # mixed families, and a uniform family whose loads at the interpolated
-        # key miss w (key granularity at wide scales), go on by false position
-        clamped = None if fam is None else clamp(key)
-        if clamped is None or abs(float(clamped[0].sum()) - w) > _SUM_TOL * w:
-            key, clamped = _false_position(clamp, w, k0, k1, m0, m1)
-            method = "false-position"
-    lam = key if fam is None else float(fam.lambda_from_key(key))
+        key, clamped, method = _false_position(
+            clamp, w, float(keys[j]), float(keys[j + 1]), mass(keys[j]), m1
+        )
+    lam = float(p._costs.coordinate.lambda_from_key(key))
     return _result(key, lam, clamped, bracket=j, method=method)
 
 
 def _false_position(clamp, w, k0, k1, m0, m1):
-    """Illinois false position inside a bracket with masses m0 < w < m1,
-    to a load sum within _SUM_TOL * w; returns (level, clamp there). If no float
-    is left inside the bracket (one ulp of lam can move a load by more, as
-    near a large quadratic b), the loads of its two ends are blended to sum
-    to w; every agent's marginal stays between the ends."""
+    """Illinois false position inside a bracket with masses m0 < w < m1, to
+    a load sum within _SUM_TOL * w; returns (level, clamp there, method).
+    The first step is the linear interpolation between the ends, reported
+    as "interpolation" when it lands. After that, an end kept twice in a
+    row has its miss halved. If no float is left inside the bracket (one
+    ulp of lam can move a load by more, as near a large quadratic b), the
+    loads of its two ends are blended to sum to w; every agent's marginal
+    stays between the ends."""
     tol = _SUM_TOL * w
-    g0, g1 = m0 - w, m1 - w  # misses at the ends; s0, s1 are the halved copies
-    s0, s1, side = g0, g1, 0  # side: which end the last step replaced
+    g0, g1 = m0 - w, m1 - w  # true misses at the ends; m0, m1 get halved
+    side, method = 0, "interpolation"  # side: which end the last step replaced
     while True:
-        key = k1 - s1 * (k1 - k0) / (s1 - s0)
+        key = (k1 - k0) / (m1 - m0) * (w - m0) + k0
         if not k0 < key < k1:
             t = -g0 / (g1 - g0)
             near = k0 if t < 0.5 else k1
-            return near, ((1.0 - t) * clamp(k0)[0] + t * clamp(k1)[0], *clamp(near)[1:])
+            blend = (1.0 - t) * clamp(k0)[0] + t * clamp(k1)[0]
+            return near, (blend, *clamp(near)[1:]), "false-position"
         clamped = clamp(key)
-        g = float(clamped[0].sum()) - w
-        if abs(g) <= tol:
-            return key, clamped
-        if g < 0:
-            k0, g0, s0 = key, g, g
-            s1 *= 0.5 if side < 0 else 1.0
+        m = float(clamped[0].sum())
+        if abs(m - w) <= tol:
+            return key, clamped, method
+        method = "false-position"
+        if m < w:
+            k0, g0, m0 = key, m - w, m
+            if side < 0:
+                m1 = w + 0.5 * (m1 - w)
             side = -1
         else:
-            k1, g1, s1 = key, g, g
-            s0 *= 0.5 if side > 0 else 1.0
+            k1, g1, m1 = key, m - w, m
+            if side > 0:
+                m0 = w + 0.5 * (m0 - w)
             side = 1
 
 

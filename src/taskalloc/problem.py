@@ -18,6 +18,7 @@ API. Unknown keys are rejected so typos cannot silently change a run.
 """
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -161,6 +162,8 @@ def _require(obj: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity, or an int past the floats
+        raise ParseError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 

@@ -1,5 +1,4 @@
-"""Optimality verification: Nash membership, KKT certificates, and
-brute-force oracles.
+"""Optimality verification: KKT certificates and brute-force oracles.
 
 The problem is convex with linear constraints, so the KKT conditions are
 necessary and sufficient: a passing certificate proves global optimality.
@@ -12,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drd import nash_residual
 from .errors import (
     DimensionTooLargeError,
     EmptyGridError,
@@ -42,7 +40,8 @@ class KktCertificate:
     lam is the shared marginal-cost level; alphas/betas are the
     multipliers of active lower/upper bounds. passed means: multipliers
     nonnegative and the interior marginals agree with lam, both within
-    tol * max(1, |lam|) — which certifies the global optimum.
+    tol * max(1, |lam|) plus the agent's resolution (how far its marginal
+    moves over one ulp of its load) — which certifies the global optimum.
     """
 
     lam: float
@@ -63,14 +62,7 @@ class OracleResult:
     seed: int | None
 
 
-def is_nash(p: AllocationProblem, w, tol: float = 1e-6) -> bool:
-    """True iff no agent's fitness beats a mass-carrying agent's by more than tol."""
-    return nash_residual(p, w) <= tol
-
-
-def kkt_check(
-    p: AllocationProblem, w, tol: float = 1e-6, feas_tol: float | None = None
-) -> KktCertificate:
+def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     """Partition agents by bound activity, estimate the shared level, and
     evaluate the stationarity multipliers.
 
@@ -81,7 +73,7 @@ def kkt_check(
     w is not (tolerantly) inside the feasible set.
     """
     arr = as_allocation(p, w)
-    if not in_feasible_set(p, arr, feas_tol):
+    if not in_feasible_set(p, arr):
         raise NotFeasibleError(
             "allocation is outside the feasible set; certificate undefined"
         )
@@ -109,24 +101,23 @@ def kkt_check(
             edges.append(float(marg[strict_low].min()))
         lam = 0.5 * sum(edges) if len(edges) == 2 else (edges[0] if edges else float(marg.mean()))
 
-    lower_active = [int(i) for i in np.flatnonzero(low_mask & ~both)]
-    upper_active = [int(i) for i in np.flatnonzero(up_mask & ~both)]
-    for i in np.flatnonzero(both):
-        (lower_active if marg[i] >= lam else upper_active).append(int(i))
-    lower_active.sort()
-    upper_active.sort()
+    # an agent at both bounds counts as lower-active when marginal >= lam
+    at_lower = (low_mask & ~both) | (both & (marg >= lam))
+    at_upper = up_mask & ~at_lower
+    lower_active = np.flatnonzero(at_lower).tolist()
+    upper_active = np.flatnonzero(at_upper).tolist()
 
     # multipliers from the marginals at the loads themselves: a load within
     # the activity band but off its bound is still stationary at lam
     alphas = {i: float(marg[i]) - lam for i in lower_active}
     betas = {j: lam - float(marg[j]) for j in upper_active}
     residual = float(np.abs(marg[k_idx] - lam).max()) if k_idx.size else 0.0
-    scaled = tol * max(1.0, abs(lam))
-    passed = (
-        residual <= scaled
-        and all(v >= -scaled for v in alphas.values())
-        and all(v >= -scaled for v in betas.values())
-    )
+    # each agent's violation: its stationarity residual, or its negated multiplier
+    violation = np.where(at_lower, lam - marg, np.where(at_upper, marg - lam, np.abs(marg - lam)))
+    # each agent's resolution, the change of its marginal over one ulp of
+    # its load, widens its tolerance: a steep agent cannot meet lam more closely
+    resolution = np.abs(marginals(p, np.nextafter(arr, np.inf)) - marg)
+    passed = bool((violation <= tol * max(1.0, abs(lam)) + resolution).all())
     return KktCertificate(
         lam=lam,
         alphas=alphas,

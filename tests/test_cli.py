@@ -195,8 +195,10 @@ def test_solve_mixed_family_file(tmp_path):
     rc = main(["solve", "--input", str(path), "--out", str(out)])
     assert rc == 0
     report = (out / "solver_report.txt").read_text()
-    assert "method: false-position" in report
+    # the bracket's interior agent is quadratic, so the first step is exact
+    assert "method: interpolation" in report
     assert "kkt certificate: PASSED" in report
+    assert "breakpoint coordinate" not in report
 
 
 def test_module_entry_point(tmp_path):
@@ -270,18 +272,33 @@ def _set_edges(edges):
     return lambda doc: doc["graph"].update(edges=edges)
 
 
+def _set_field(agent, key, value):
+    return lambda doc: doc["agents"][agent].update({key: value})
+
+
 @pytest.mark.parametrize(
-    "edit, field",
+    "example, edit, field",
     [
-        (lambda doc: doc.update(total=0), "'total'"),
-        (_truncate_agents, "'agents'"),
-        (_set_edges([[1, 1], [1, 2]]), "self-loop at node 1"),
-        (_set_edges([[1, 2]]), "unreachable from node 1: [3]"),
+        ("tab1", lambda doc: doc.update(total=0), "'total'"),
+        ("tab1", _truncate_agents, "'agents'"),
+        ("tab1", _set_edges([[1, 1], [1, 2]]), "self-loop at node 1"),
+        ("tab1", _set_edges([[1, 2]]), "unreachable from node 1: [3]"),
+        ("tab3", _set_field(0, "lower", float("nan")), "agent #1 'lower' must be finite"),
+        ("tab1", _set_field(0, "a", float("inf")), "agent #1 'a' must be finite"),
+        ("tab3", _set_field(1, "b", float("inf")), "agent #2 'b' must be finite"),
+        ("tab3", _set_field(2, "upper", float("inf")), "agent #3 'upper' must be finite"),
+        ("tab1", _set_field(0, "upper", float("inf")), "agent #1 'upper' must be finite"),
+        ("tab1", lambda doc: doc.update(total=float("inf")), "'total' must be finite"),
+        ("tab1", _set_field(0, "a", 10**400), "agent #1 'a' must be finite"),
     ],
-    ids=["zero-total", "short-agents", "self-loop", "disconnected"],
+    ids=[
+        "zero-total", "short-agents", "self-loop", "disconnected", "nan-lower",
+        "inf-a", "inf-b", "inf-upper-quadratic", "inf-upper-exponential", "inf-total",
+        "int-beyond-float",
+    ],
 )
-def test_malformed_problem_file_exit_parse(tmp_path, capsys, edit, field):
-    doc = json.loads(serialize_problem(get_instance("tab1").problem))
+def test_malformed_problem_file_exit_parse(tmp_path, capsys, example, edit, field):
+    doc = json.loads(serialize_problem(get_instance(example).problem))
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -2,7 +2,8 @@
 
 Coefficients, box widths and loads are spread log-uniformly over
 1e-3 ... 1e6, and families are mixed per agent, so every vectorized path
-(single family, scattered mixed groups, (n,) and (m, n) inputs) is
+(single family, scattered mixed groups, (n,) and (m, n) inputs, the key
+coordinate the cost table picks) is
 compared with a plain scalar formula that shares no code with src/.
 """
 
@@ -83,6 +84,10 @@ def ref_response(m, key):
     return ref_inverse(m, lam)
 
 
+def _identity(m, lam):
+    return lam
+
+
 def _close(got, want, scale):
     assert abs(float(got) - want) <= REL * scale, (got, want)
 
@@ -137,7 +142,7 @@ def test_cost_model_methods_match_closed_forms(seed):
 # --- breakpoint masses against a scalar loop over the documented clamp ------
 
 
-def ref_masses(agents, keys, kmin, kmax):
+def ref_masses(agents, keys, kmin, kmax, respond=ref_response):
     """For each key: sum over agents of lower if key <= kmin, else upper if
     key >= kmax, else the interior response."""
     out = []
@@ -149,15 +154,18 @@ def ref_masses(agents, keys, kmin, kmax):
             elif key >= up_k:
                 total += m.upper
             else:
-                total += ref_response(m, key)
+                total += respond(m, key)
         out.append(total)
     return np.array(out)
 
 
-@pytest.mark.parametrize("decimals", [None, 3])
+_TABLES = [("exponential", 7, 0.0), ("quadratic", 9, 0.3), ("exponential", 400, 0.0), ("quadratic", 400, 0.2)]
+
+
+# mixed tables are in lam itself, where breakpoints refuses quantized keys
 @pytest.mark.parametrize(
-    "family, n, pinned_frac",
-    [("exponential", 7, 0.0), ("quadratic", 9, 0.3), ("exponential", 400, 0.0), ("quadratic", 400, 0.2)],
+    "family, n, pinned_frac, decimals",
+    [(*t, d) for d in (None, 3) for t in _TABLES] + [("mixed", 11, 0.3, None), ("mixed", 400, 0.2, None)],
 )
 def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     rng = np.random.default_rng(n + (decimals or 0))
@@ -166,13 +174,16 @@ def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     if n > 100:  # the table is built in several key blocks
         assert 2 * n > 2 * (lambda_solver._BLOCK_ELEMENTS // n)
 
-    kmin = [ref_key(m, ref_marginal(m, m.lower)) for m in agents]
-    kmax = [ref_key(m, ref_marginal(m, m.upper)) for m in agents]
+    # a single family's key, or lam itself (the quadratic key) when mixed
+    key_of, respond = (ref_key, ref_response) if family != "mixed" else (_identity, ref_inverse)
+    kmin = [key_of(m, ref_marginal(m, m.lower)) for m in agents]
+    kmax = [key_of(m, ref_marginal(m, m.upper)) for m in agents]
     if decimals is not None:
         kmin = [float(np.round(k, decimals)) for k in kmin]
         kmax = [float(np.round(k, decimals)) for k in kmax]
 
     tbl = breakpoints(p, key_decimals=decimals)
+    assert tbl.coordinate == ("log-marginal" if family == "exponential" else "marginal")
     assert tbl.keys.shape == (2 * n,)
     np.testing.assert_allclose(tbl.keys, np.sort(kmin + kmax), rtol=REL, atol=1e-15)
     order = [(bp.key, bp.agent, bp.kind != "lower") for bp in tbl.breakpoints]
@@ -182,6 +193,6 @@ def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     )
     np.testing.assert_array_equal([bp.key for bp in tbl.breakpoints], tbl.keys)
 
-    want = ref_masses(agents, tbl.keys.tolist(), kmin, kmax)
+    want = ref_masses(agents, tbl.keys.tolist(), kmin, kmax, respond)
     scale = sum(m.upper for m in agents)
     assert np.abs(tbl.masses - want).max() <= 1e-12 * scale

@@ -5,14 +5,13 @@ from taskalloc.costs import quadratic
 from taskalloc.drd import (
     DrdConfig,
     default_start,
+    _drift,
     drd_step,
-    local_mean_fitness,
-    lyapunov_value,
     nash_residual,
     simulate,
     write_trace_csv,
 )
-from taskalloc.errors import NodeOutOfRangeError, StepOverflowError
+from taskalloc.errors import StepOverflowError
 from taskalloc.graph import Graph, edge_list, from_edge_list, neighbors
 from taskalloc.problem import (
     AllocationProblem,
@@ -42,12 +41,22 @@ def _spread_instance(f0, f1, total=200.0):
     )
 
 
+# The local mean fitness sum_{j in N_i} f_j w_j / w is the second term of
+# agent i's drift, (w_i / w) (f_i sum_{j in N_i} w_j - sum_{j in N_i} f_j w_j).
+
+
+def _drift_of(p, w):
+    return _drift(*p.graph.adjacency.T, w, fitness_values(p, w), p.total)
+
+
 def test_local_mean_fitness_symmetric_pair():
     p = _two_identical_agents()
-    w = np.array([50.0, 50.0])
-    f_half = p.agents[1].fitness(50.0)
-    # the neighbor sum excludes the agent itself (no self-loop)
-    assert local_mean_fitness(p, w, 0) == pytest.approx(f_half * 0.5, rel=1e-12)
+    w = np.array([30.0, 70.0])
+    f = fitness_values(p, w)
+    # the neighbor sums exclude the agent itself (no self-loop)
+    expected = (w / p.total) * (f * w[::-1] - (f * w)[::-1])
+    np.testing.assert_allclose(_drift_of(p, w), expected, rtol=1e-12)
+    np.testing.assert_array_equal(_drift_of(p, np.array([50.0, 50.0])), [0.0, 0.0])
 
 
 def test_local_mean_fitness_single_neighbor():
@@ -58,27 +67,22 @@ def test_local_mean_fitness_single_neighbor():
         graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=150.0
     )
     w = np.array([30.0, 70.0, 50.0])
-    expected = p.agents[1].fitness(70.0) * 70.0 / p.total
-    assert local_mean_fitness(p, w, 0) == pytest.approx(expected, rel=1e-12)
+    f = fitness_values(p, w)
+    # agent 0's only neighbor is agent 1
+    expected = w[0] + 0.5 * (w[0] / p.total) * (f[0] * 70.0 - f[1] * 70.0)
+    assert drd_step(p, w, 0.5)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_local_mean_fitness_at_equal_fitness(fig2):
-    # with one shared fitness value -lam the mean reduces to
-    # -lam * (neighbor mass) / w
+    # with one shared fitness value -lam the local mean fitness is
+    # -lam * (neighbor mass) / w and cancels the first drift term
     p = fig2.problem
     wstar = np.asarray(fig2.reference["allocation"])
-    f = fitness_values(p, wstar)
-    lam = -f.mean()
+    lam = -fitness_values(p, wstar).mean()
+    drift = _drift_of(p, wstar)
     for i in range(p.n):
         nbr_mass = float(sum(wstar[j] for j in neighbors(p.graph, i)))
-        assert local_mean_fitness(p, wstar, i) == pytest.approx(
-            -lam * nbr_mass / p.total, rel=1e-9
-        )
-
-
-def test_local_mean_fitness_node_range(fig2):
-    with pytest.raises(NodeOutOfRangeError):
-        local_mean_fitness(fig2.problem, np.asarray(fig2.reference["allocation"]), 6)
+        assert abs(drift[i]) <= 1e-9 * lam * nbr_mass * wstar[i] / p.total
 
 
 def test_step_fixed_point_at_equal_fitness(fig2):
@@ -167,7 +171,9 @@ def test_nash_residual_sees_idle_agent_advantage():
 
 def test_lyapunov_zero_at_reference(fig3):
     ref = np.asarray(fig3.reference["allocation"])
-    assert lyapunov_value(fig3.problem, ref, ref) == 0.0
+    traj = simulate(fig3.problem, ref, DrdConfig(step=1e-6, max_steps=1), reference=ref)
+    assert traj.lyapunov[0] == 0.0
+    assert traj.lyapunov[-1] == total_cost(fig3.problem, traj.final) - total_cost(fig3.problem, ref)
 
 
 def test_default_start_is_interior():
@@ -279,5 +285,3 @@ def test_config_validation():
         DrdConfig(step=1e-3, max_steps=0)
     with pytest.raises(ValueError):
         DrdConfig(step=1e-3, residual_tol=0.0)
-    with pytest.raises(ValueError):
-        DrdConfig(step=1e-3, record_every=0)

@@ -1,5 +1,4 @@
 import logging
-import math
 
 import numpy as np
 import pytest
@@ -8,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc.costs import exponential, quadratic
-from taskalloc.errors import MixedFamiliesError
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import (
-    aggregate_allocation,
-    allocate_from_lambda,
+    _agent_keys,
+    _clamp,
     breakpoints,
     compare_and_select,
     select_final,
@@ -62,6 +60,17 @@ def test_breakpoint_table_quadratic(tab3):
     np.testing.assert_allclose(exact.keys, tbl.keys, atol=1e-12)
 
 
+def _loads_at(p, key, key_decimals=None):
+    """Reference clamp of every agent at one key of the cost table's
+    coordinate; saturates outside the table range."""
+    kmin, kmax = _agent_keys(p, key_decimals)
+    return _clamp(p, key, kmin, kmax, p._costs.response_from_key)[0]
+
+
+def _mass_at(p, key, key_decimals=None):
+    return float(_loads_at(p, key, key_decimals).sum())
+
+
 def test_single_agent_table():
     p = AllocationProblem(
         graph=from_edge_list(1, []),
@@ -76,12 +85,10 @@ def test_single_agent_table():
 
 
 def test_aggregate_allocation_saturates(tab1, tab3):
-    assert aggregate_allocation(tab1.problem, 1.897, key_decimals=3) == pytest.approx(
-        960.0
-    )
-    assert aggregate_allocation(tab1.problem, -5.0) == pytest.approx(960.0)
-    assert aggregate_allocation(tab3.problem, 6.9) == pytest.approx(1370.0)
-    assert aggregate_allocation(tab3.problem, 100.0) == pytest.approx(1370.0)
+    assert _mass_at(tab1.problem, 1.897, key_decimals=3) == pytest.approx(960.0)
+    assert _mass_at(tab1.problem, -5.0) == pytest.approx(960.0)
+    assert _mass_at(tab3.problem, 6.9) == pytest.approx(1370.0)
+    assert _mass_at(tab3.problem, 100.0) == pytest.approx(1370.0)
 
 
 def test_aggregate_allocation_monotone():
@@ -91,7 +98,7 @@ def test_aggregate_allocation_monotone():
         tbl = breakpoints(p)
         keys = rng.uniform(tbl.keys[0] - 0.5, tbl.keys[-1] + 0.5, size=20)
         keys.sort()
-        vals = [aggregate_allocation(p, float(k)) for k in keys]
+        vals = [_mass_at(p, float(k)) for k in keys]
         assert all(v2 >= v1 - 1e-9 for v1, v2 in zip(vals, vals[1:]))
 
 
@@ -145,7 +152,7 @@ def test_sum_exactness_random_instances():
         assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
         assert in_feasible_set(p, res.allocation)
         # the interpolated level reproduces the total through the aggregate
-        assert aggregate_allocation(p, res.key) == pytest.approx(
+        assert _mass_at(p, res.key) == pytest.approx(
             p.total, abs=1e-9 * max(1.0, p.total)
         )
 
@@ -161,35 +168,63 @@ def test_duplicate_breakpoints_are_tolerated():
 
 def test_allocate_from_lambda_branches(tab1):
     p = tab1.problem
-    lo = allocate_from_lambda(p, 0.0)
+    lo = _loads_at(p, 0.0)
     np.testing.assert_allclose(lo, p.lower_bounds, atol=1e-12)
-    hi = allocate_from_lambda(p, 10.0)
+    hi = _loads_at(p, 10.0)
     np.testing.assert_allclose(hi, p.upper_bounds, atol=1e-12)
     # at the reference level agent 1 is clamped up, agents 2-3 interior
-    mid = allocate_from_lambda(p, 2.9314)
+    mid = _loads_at(p, 2.9314)
     assert mid[0] == pytest.approx(350.0, abs=1e-12)
     assert 350.0 < mid[1] < 480.0
     assert 410.0 < mid[2] < 540.0
 
 
-def test_mixed_families_use_false_position():
+def _mixed_instance(total):
     agents = (
         exponential(a=500.0, lower=10.0, upper=60.0),
         quadratic(a=0.05, b=2.0, lower=20.0, upper=90.0),
         quadratic(a=0.02, b=1.0, lower=0.0, upper=70.0),
     )
-    p = AllocationProblem(
-        graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=140.0
+    return AllocationProblem(
+        graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=total
     )
-    with pytest.raises(MixedFamiliesError):
-        breakpoints(p)
-    with pytest.raises(MixedFamiliesError):
-        aggregate_allocation(p, 1.0)
+
+
+def test_mixed_families_use_false_position():
+    # the exponential agent is the interior one, so the loads are not
+    # linear in lam across the bracket and the first step misses
+    p = _mixed_instance(180.0)
     res = solve_lambda(p)
+    assert res.interior == [0]
     assert res.method == "false-position"
-    assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
+    assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
     assert in_feasible_set(p, res.allocation)
     assert kkt_check(p, res.allocation).passed
+
+
+def test_mixed_families_with_quadratic_interior_interpolate_exactly():
+    # the bracket's only interior agent is quadratic, whose load is linear
+    # in lam, so the first false-position step is the exact level
+    p = _mixed_instance(140.0)
+    res = solve_lambda(p)
+    assert res.active_lower == [0] and res.interior == [1] and res.active_upper == [2]
+    assert res.method == "interpolation"
+    assert res.key == res.lam == pytest.approx(2.0 + 0.05 * 40.0, rel=1e-12)
+    np.testing.assert_array_equal(res.allocation, [10.0, 60.0, 70.0])
+    assert kkt_check(p, res.allocation).passed
+
+
+def test_mixed_table_rejects_quantized_keys():
+    # rounded to 3 decimals, the exponential agent's lower threshold
+    # (lam = 1e-4) would become 0, outside its inverse marginal's domain
+    agents = (
+        exponential(a=1e-3, lower=0.0, upper=10.0),
+        quadratic(a=1.0, b=1.0, lower=0.0, upper=5.0),
+    )
+    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=6.0)
+    with pytest.raises(ValueError, match="single cost family"):
+        breakpoints(p, key_decimals=3)
+    assert breakpoints(p).coordinate == "marginal"
 
 
 def _interpolate_table(p):
@@ -219,7 +254,7 @@ def test_single_family_solve_matches_table_interpolation(family):
         key, bracket = _interpolate_table(p)
         res = solve_lambda(p)
         assert res.key == key and res.bracket == bracket
-        np.testing.assert_array_equal(res.allocation, allocate_from_lambda(p, key))
+        np.testing.assert_array_equal(res.allocation, _loads_at(p, key))
 
 
 _LOG_SCALE = st.floats(-3.0, 6.0).map(lambda x: 10.0**x)
@@ -265,15 +300,13 @@ def test_mixed_solve_sum_exact_and_certified(p):
     assert kkt_check(p, res.allocation).passed
 
 
-# The certificate is not asserted: a steep quadratic agent near its bound
-# can fail it at a representable optimum (its marginal cannot resolve the
-# load finely enough).
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(["exponential", "quadratic"]).flatmap(_path_problems))
 def test_single_family_solve_sum_exact(p):
     res = solve_lambda(p)
     assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
     assert in_feasible_set(p, res.allocation)
+    assert kkt_check(p, res.allocation).passed
 
 
 def test_solver_result_passes_kkt_random():

@@ -15,24 +15,25 @@ from taskalloc.graph import from_edge_list
 from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
 from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost
-from taskalloc.verify import grid_min, is_nash, kkt_check, monte_carlo_min
+from taskalloc.drd import nash_residual
+from taskalloc.verify import grid_min, kkt_check, monte_carlo_min
 
 
 def test_is_nash_at_equal_fitness(fig2):
-    assert is_nash(fig2.problem, np.asarray(fig2.reference["allocation"]))
+    assert nash_residual(fig2.problem, np.asarray(fig2.reference["allocation"])) <= 1e-6
 
 
 def test_is_nash_rejects_perturbation(fig2):
     w = np.asarray(fig2.reference["allocation"]).copy()
     w[0] += 10.0
     w[1] -= 10.0
-    assert not is_nash(fig2.problem, w, tol=1e-3)
+    assert nash_residual(fig2.problem, w) > 1e-3
 
 
 def test_is_nash_single_agent():
     agent = quadratic(a=0.01, b=1.0, lower=0.0, upper=100.0)
     p = AllocationProblem(graph=from_edge_list(1, []), agents=(agent,), total=60.0)
-    assert is_nash(p, [60.0])
+    assert nash_residual(p, [60.0]) == 0.0
 
 
 def test_kkt_interior_certificate(tab3):
@@ -70,12 +71,45 @@ def test_kkt_all_bounds_active():
     assert cert.interior == []
 
 
+def test_kkt_pinned_agents_take_one_side():
+    # a zero-width box sits at both bounds: it counts as lower-active when
+    # its marginal (b here) is at least lam, otherwise as upper-active
+    agents = (
+        quadratic(a=1.0, b=1.0, lower=5.0, upper=5.0),
+        quadratic(a=1.0, b=20.0, lower=5.0, upper=5.0),
+        quadratic(a=1.0, b=2.0, lower=0.0, upper=10.0),
+        quadratic(a=1.0, b=2.0, lower=0.0, upper=10.0),
+    )
+    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    cert = kkt_check(AllocationProblem(graph=g, agents=agents, total=20.0), [5.0] * 4)
+    assert cert.interior == [2, 3] and cert.lam == 7.0
+    assert cert.lower_active == [1] and cert.upper_active == [0]
+    assert cert.alphas == {1: 13.0} and cert.betas == {0: 6.0}
+    assert cert.passed
+
+
 def test_kkt_rejects_suboptimal_point(tab3):
     p = tab3.problem
     w = np.array([340.0, 395.7, 414.3])  # feasible but marginals differ
     assert in_feasible_set(p, w)
     cert = kkt_check(p, w)
     assert not cert.passed
+
+
+def test_kkt_resolution_floor_near_a_bound():
+    # one ulp of agent 1's load (about 1.5e-11 at 1e5) moves its marginal
+    # by a * ulp = 8.6e-6, more than 1e-6 * max(1, lam) at lam = 0.051
+    agents = (
+        quadratic(a=5.9e5, b=0.012, lower=1e5, upper=1e5 + 100.0),
+        quadratic(a=1.0, b=1e-3, lower=0.0, upper=1.0),
+    )
+    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=1e5 + 0.05)
+    res = solve_lambda(p)
+    cert = kkt_check(p, res.allocation)
+    assert cert.lower_active == [0] and cert.alphas[0] < -1e-6 * max(1.0, cert.lam)
+    assert cert.passed
+    # the floor is one ulp's worth: a point off the optimum still fails
+    assert not kkt_check(p, [1e5 + 0.01, 0.04]).passed
 
 
 def test_kkt_not_feasible(tab3):
@@ -89,12 +123,12 @@ def test_kkt_nash_equivalence_for_interior_points(fig3):
     wstar = np.asarray(fig3.reference["allocation"])
     cert = kkt_check(p, wstar, tol=1e-6)
     assert cert.passed and not cert.lower_active and not cert.upper_active
-    assert is_nash(p, wstar, tol=1e-6)
+    assert nash_residual(p, wstar) <= 1e-6
 
     off = wstar + np.array([2.0, -2.0, 0.0, 0.0, 0.0, 0.0])
     assert in_feasible_set(p, off)
     assert not kkt_check(p, off, tol=1e-3).passed
-    assert not is_nash(p, off, tol=1e-3)
+    assert nash_residual(p, off) > 1e-3
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e9, 1e12])
