@@ -10,9 +10,15 @@ All agents update synchronously from the same state. The sum of loads is
 conserved (edge terms cancel pairwise) and coordinates that start at zero
 stay at zero. The iteration stops when the fitness spread among agents
 carrying mass falls below the residual tolerance.
+
+`simulate` steps in blocks: each step computes the fitness its drift
+needs and writes it and the next state into a buffer, and one row-wise
+reduction per block gives every buffered state's residual. The run stops
+at the first state that meets the stop rule, so the trace is the one a
+check after every step would give.
 """
 
-import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +34,12 @@ from .problem import (
     total_cost_batch,
 )
 
-log = logging.getLogger(__name__)
-
 MASS_FLOOR_REL = 1e-9  # loads below this fraction of w count as zero mass
 RECORD_EVERY = 100  # the trace keeps every RECORD_EVERY-th step (and the last)
+_BLOCK_STEPS = 64  # most states whose stop rule one reduction checks
+# Most states x agents in one block, so its two buffers stay under 2 MiB;
+# from n = 2**17 agents on, a block is a single state.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -43,12 +51,14 @@ class DrdConfig:
     residual_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not self.residual_tol > 0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(
+                f"residual_tol must be positive and finite, got {self.residual_tol}"
+            )
 
 
 @dataclass
@@ -64,6 +74,8 @@ class Trajectory:
     final: np.ndarray
     steps: int  # index of the last simulated state
     dt: float
+    stop: str  # "residual" (met residual_tol) | "max-steps"
+    box_exit_step: int | None  # first recorded step outside the box constraints
 
 
 def nash_residual(p: AllocationProblem, w) -> float:
@@ -87,10 +99,10 @@ def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
     f = fitness_values(p, arr)
-    nxt = arr + dt * _drift(*p.graph.adjacency.T, arr, f, p.total)
-    bad = ~np.isfinite(nxt) | (nxt < 0)
-    if bad.any():
-        raise StepOverflowError(np.flatnonzero(bad).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = arr + dt * _drift(*p.graph.adjacency.T, arr, f, p.total)
+        if _overflowed(nxt):
+            raise _overflow_error(nxt)
     return nxt
 
 
@@ -101,6 +113,16 @@ def _drift(rows, cols, w: np.ndarray, f: np.ndarray, total: float) -> np.ndarray
     nbr_w = np.bincount(rows, weights=w[cols], minlength=n)
     nbr_fw = np.bincount(rows, weights=(f * w)[cols], minlength=n)
     return (w / total) * (f * nbr_w - nbr_fw)
+
+
+def _overflowed(nxt: np.ndarray) -> bool:
+    """True when some load of a stepped state is negative or non-finite."""
+    return not nxt.min() >= 0.0 or not math.isfinite(nxt.sum())
+
+
+def _overflow_error(nxt: np.ndarray, step_index: int | None = None) -> StepOverflowError:
+    bad = ~np.isfinite(nxt) | (nxt < 0)
+    return StepOverflowError(np.flatnonzero(bad).tolist(), step_index=step_index)
 
 
 def default_start(p: AllocationProblem) -> np.ndarray:
@@ -133,55 +155,74 @@ def simulate(
     if not in_simplex(p, state):
         raise ValueError("w0 must lie on the simplex (nonnegative, summing to w)")
 
+    n = p.n
     rows, cols = np.ascontiguousarray(p.graph.adjacency.T)
     marginal = p._costs.marginal  # bound once: this loop runs millions of steps
     total = p.total
     tol = cfg.residual_tol
     dt = cfg.step
     floor = MASS_FLOOR_REL * total
-    lo = p.lower_bounds
-    up = p.upper_bounds
     box_tol = default_tol(p)
+    lo = p.lower_bounds - box_tol
+    up = p.upper_bounds + box_tol
+
+    block = min(_BLOCK_STEPS, max(1, _BLOCK_ELEMENTS // n))
+    S = np.empty((block + 1, n))  # S[j]: state at step start + j
+    F = np.empty((block, n))  # F[j]: fitness at S[j]
+    S[0] = state
+    s_rows, f_rows = list(S), list(F)  # row views, made once
 
     rec_steps: list[int] = []
     rec_states: list[np.ndarray] = []
-    rec_residuals: list[float] = []
-    left_box_logged = False
+    rec_residuals: list[np.ndarray] = []
+    box_exit_step = None
 
-    converged = False
-    step_idx = 0
+    start = 0
     while True:
-        f = -marginal(state)
-        mass = state > floor
-        residual = max(0.0, float(f.max()) - float(f[mass].min())) if mass.any() else 0.0
+        k = min(cfg.max_steps - start + 1, block)
+        overflow = False
+        # Overflow shows as StepOverflowError alone, without numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k):
+                w, f = s_rows[j], f_rows[j]
+                np.negative(marginal(w), out=f)
+                if start + j == cfg.max_steps:
+                    break
+                nxt = s_rows[j + 1]
+                np.add(w, dt * _drift(rows, cols, w, f, total), out=nxt)
+                if _overflowed(nxt):
+                    overflow = True
+                    break
+            m = j + 1  # states S[:m] have their fitness in F[:m]
+            least = np.minimum.reduce(F[:m], axis=1, where=S[:m] > floor, initial=np.inf)
+            spread = F[:m].max(axis=1) - least
+        # max(0, spread) as nash_residual takes it: a nan spread, or -inf
+        # (no mass-carrying agent), gives 0
+        residuals = np.where(spread > 0.0, spread, 0.0)
+        met = np.flatnonzero(residuals <= tol)
+        last = int(met[0]) if met.size else m - 1
+        done = met.size > 0 or start + last == cfg.max_steps
 
-        record = step_idx % RECORD_EVERY == 0
-        done = residual <= tol or step_idx >= cfg.max_steps
-        if record or done:
-            rec_steps.append(step_idx)
-            rec_states.append(state.copy())
-            rec_residuals.append(residual)
-            if not left_box_logged and (
-                np.any(state < lo - box_tol) or np.any(state > up + box_tol)
-            ):
-                left_box_logged = True
-                log.info(
-                    "trajectory left the box constraints at step %d "
-                    "(allowed: costs extend smoothly)",
-                    step_idx,
-                )
+        keep = list(range(-start % RECORD_EVERY, last + 1, RECORD_EVERY))
+        if done and last not in keep:
+            keep.append(last)
+        if keep:
+            kept = S[keep]
+            rec_steps.extend(start + i for i in keep)
+            rec_states.append(kept)
+            rec_residuals.append(residuals[keep])
+            if box_exit_step is None:
+                outside = np.flatnonzero(((kept < lo) | (kept > up)).any(axis=1))
+                if outside.size:
+                    box_exit_step = start + keep[outside[0]]
         if done:
-            converged = residual <= tol
             break
+        if overflow:
+            raise _overflow_error(S[m], step_index=start + j)
+        S[0] = S[k]
+        start += k
 
-        nxt = state + dt * _drift(rows, cols, state, f, total)
-        bad = ~np.isfinite(nxt) | (nxt < 0)
-        if bad.any():
-            raise StepOverflowError(np.flatnonzero(bad).tolist(), step_index=step_idx)
-        state = nxt
-        step_idx += 1
-
-    states = np.array(rec_states)
+    states = np.concatenate(rec_states)
     costs = total_cost_batch(p, states)
     lyap = None
     if reference is not None:
@@ -190,12 +231,14 @@ def simulate(
         times=np.array(rec_steps, dtype=np.int64),
         states=states,
         costs=costs,
-        residuals=np.array(rec_residuals),
+        residuals=np.concatenate(rec_residuals),
         lyapunov=lyap,
-        converged=converged,
-        final=state,
-        steps=step_idx,
+        converged=met.size > 0,
+        final=S[last].copy(),
+        steps=start + last,
         dt=dt,
+        stop="residual" if met.size else "max-steps",
+        box_exit_step=box_exit_step,
     )
 
 

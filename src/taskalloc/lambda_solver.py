@@ -161,9 +161,13 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     kmin, kmax = _agent_keys(p, None)
     keys = np.sort(np.concatenate([kmin, kmax]))
     respond = p._costs.response_from_key
+    clamps = {}  # float key -> its clamp; the search and the bracket share keys
 
     def clamp(key):
-        return _clamp(p, key, kmin, kmax, respond)
+        key = float(key)
+        if key not in clamps:
+            clamps[key] = _clamp(p, key, kmin, kmax, respond)
+        return clamps[key]
 
     def mass(key) -> float:
         return float(clamp(key)[0].sum())

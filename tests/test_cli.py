@@ -221,6 +221,8 @@ def test_module_entry_point(tmp_path):
         ["simulate", "--example", "fig3", "--dt", "-1"],
         ["simulate", "--example", "fig3", "--max-steps", "0"],
         ["simulate", "--example", "fig3", "--tol", "0"],
+        ["simulate", "--example", "fig3", "--dt", "inf"],
+        ["simulate", "--example", "fig3", "--tol", "inf"],
     ],
 )
 def test_invalid_option_values_exit_config(tmp_path, capsys, argv):

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from taskalloc.costs import quadratic
 from taskalloc.drd import (
+    MASS_FLOOR_REL,
+    RECORD_EVERY,
     DrdConfig,
     default_start,
     _drift,
@@ -15,6 +19,7 @@ from taskalloc.errors import StepOverflowError
 from taskalloc.graph import Graph, edge_list, from_edge_list, neighbors
 from taskalloc.problem import (
     AllocationProblem,
+    default_tol,
     fitness_values,
     in_simplex,
     marginals,
@@ -145,6 +150,116 @@ def test_simulate_overflow_reports_step(fig2):
     with pytest.raises(StepOverflowError) as exc:
         simulate(p, default_start(p), DrdConfig(step=10.0, max_steps=1000))
     assert exc.value.step_index is not None
+
+
+def test_huge_step_raises_overflow_without_warning(fig3):
+    # the suite turns RuntimeWarning into an error, so a numpy overflow
+    # warning would fail this before StepOverflowError
+    p = fig3.problem
+    with pytest.raises(StepOverflowError):
+        drd_step(p, default_start(p), 1e308)
+    with pytest.raises(StepOverflowError) as exc:
+        simulate(p, default_start(p), DrdConfig(step=1e308))
+    assert exc.value.step_index == 0
+
+
+def _plain_loop(p, w0, cfg):
+    """simulate as a plain loop, one state at a time: the state's residual
+    (nash_residual's formula), then one drd_step. Returns the trajectory
+    fields simulate reports, or (agents, step) of a StepOverflowError."""
+    w = np.asarray(w0, dtype=float)
+    out = {"times": [], "states": [], "residuals": [], "box_exit_step": None}
+    for step in itertools.count():
+        f = fitness_values(p, w)
+        mass = w > MASS_FLOOR_REL * p.total
+        r = max(0.0, float(f.max()) - float(f[mass].min())) if mass.any() else 0.0
+        done = r <= cfg.residual_tol or step == cfg.max_steps
+        if done or step % RECORD_EVERY == 0:
+            out["times"].append(step)
+            out["states"].append(w)
+            out["residuals"].append(r)
+            tol = default_tol(p)
+            outside = np.any(w < p.lower_bounds - tol) or np.any(w > p.upper_bounds + tol)
+            if out["box_exit_step"] is None and outside:
+                out["box_exit_step"] = step
+        if done:
+            converged = r <= cfg.residual_tol
+            stop = "residual" if converged else "max-steps"
+            return dict(out, final=w, steps=step, converged=converged, stop=stop)
+        try:
+            w = drd_step(p, w, cfg.step)
+        except StepOverflowError as exc:
+            return exc.agents, step
+
+
+def _assert_matches_plain_loop(p, w0, cfg):
+    expected = _plain_loop(p, w0, cfg)
+    traj = simulate(p, w0, cfg)
+    got = {name: getattr(traj, name) for name in expected}
+    for name in ("times", "states", "residuals", "final"):
+        want = np.asarray(expected[name])
+        assert got[name].shape == want.shape, name
+        assert got[name].tobytes() == want.tobytes(), name  # bit for bit
+    for name in ("steps", "converged", "stop", "box_exit_step"):
+        assert got[name] == expected[name], name
+    return traj
+
+
+def _leaves_box():
+    """Two agents whose equilibrium (80, 20) puts agent 0 above its upper 60."""
+    agents = (
+        quadratic(a=0.05, b=1.0, lower=0.0, upper=60.0),
+        quadratic(a=0.05, b=4.0, lower=0.0, upper=60.0),
+    )
+    return AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=100.0)
+
+
+@pytest.mark.parametrize("max_steps", [1, 63, 64, 65, 99, 100, 101, 1000])
+def test_simulate_matches_plain_loop_at_step_caps(fig2, max_steps):
+    p = fig2.problem
+    traj = _assert_matches_plain_loop(
+        p, default_start(p), DrdConfig(step=fig2.drd_step, max_steps=max_steps)
+    )
+    assert traj.steps == max_steps and traj.stop == "max-steps"
+
+
+def test_simulate_matches_plain_loop_to_tolerance(fig3):
+    p = fig3.problem
+    ref = np.asarray(fig3.reference["allocation"])
+    traj = _assert_matches_plain_loop(p, ref, DrdConfig(step=1e-3))
+    assert traj.steps == 0 and traj.stop == "residual"
+    traj = _assert_matches_plain_loop(p, default_start(p), DrdConfig(step=32 * fig3.drd_step))
+    assert traj.converged and traj.steps > 1000
+    assert traj.box_exit_step == 0  # the default start lies outside the box
+
+
+def test_simulate_reports_box_exit():
+    p = _leaves_box()
+    traj = _assert_matches_plain_loop(p, np.array([50.0, 50.0]), DrdConfig(step=0.01))
+    assert traj.converged and traj.final[0] > 79.0
+    assert traj.box_exit_step is not None and traj.box_exit_step > 0
+
+
+def test_simulate_stops_at_converged_state_before_overflow(fig3):
+    # at this step the residuals run 4.01, 3.58, 8.02, 5.35, 1.44, ... and
+    # step 6 overflows; state 4 meets the tolerance first, so the run ends
+    # there, inside the block that overflows
+    p = fig3.problem
+    cfg = DrdConfig(step=0.8895, residual_tol=1.5)
+    assert _plain_loop(p, default_start(p), DrdConfig(step=0.8895, max_steps=100))[1] == 6
+    traj = _assert_matches_plain_loop(p, default_start(p), cfg)
+    assert traj.converged and traj.steps == 4
+
+
+@pytest.mark.parametrize("dt, step", [(0.83149, 63), (0.83257, 64)])
+def test_simulate_overflow_on_block_boundary(fig3, dt, step):
+    # the last step of the first 64-state block, and the first of the next
+    p = fig3.problem
+    agents, at = _plain_loop(p, default_start(p), DrdConfig(step=dt, max_steps=1000))
+    assert at == step
+    with pytest.raises(StepOverflowError) as exc:
+        simulate(p, default_start(p), DrdConfig(step=dt, max_steps=1000))
+    assert exc.value.step_index == step and exc.value.agents == agents
 
 
 def test_nash_residual_values():
@@ -285,3 +400,8 @@ def test_config_validation():
         DrdConfig(step=1e-3, max_steps=0)
     with pytest.raises(ValueError):
         DrdConfig(step=1e-3, residual_tol=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            DrdConfig(step=bad)
+        with pytest.raises(ValueError):
+            DrdConfig(step=1e-3, residual_tol=bad)

@@ -6,6 +6,7 @@ from conftest import random_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskalloc import lambda_solver
 from taskalloc.costs import exponential, quadratic
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import (
@@ -155,6 +156,34 @@ def test_sum_exactness_random_instances():
         assert _mass_at(p, res.key) == pytest.approx(
             p.total, abs=1e-9 * max(1.0, p.total)
         )
+
+
+def test_solve_clamps_each_key_once(monkeypatch, tab1, tab3):
+    # the search's last probe, the threshold it lands on, a table hit and
+    # the bracket ends share one clamp per key
+    problems = []
+    for p in (tab1.problem, tab3.problem):
+        # each threshold's mass as the total makes a table hit
+        problems += [
+            AllocationProblem(graph=p.graph, agents=p.agents, total=float(m))
+            for m in breakpoints(p).masses
+        ]
+    rng = np.random.default_rng(43)
+    for k in range(30):
+        problems.append(random_problem(rng, family=("exponential", "quadratic", "mixed")[k % 3]))
+    keys = []
+
+    def counting_clamp(p, key, *args):
+        keys.append(float(key))
+        return _clamp(p, key, *args)
+
+    monkeypatch.setattr(lambda_solver, "_clamp", counting_clamp)
+    methods = set()
+    for p in problems:
+        keys.clear()
+        methods.add(solve_lambda(p).method)
+        assert len(keys) == len(set(keys)), keys
+    assert methods == {"table-hit", "interpolation", "false-position"}
 
 
 def test_duplicate_breakpoints_are_tolerated():
