@@ -37,7 +37,7 @@ from .problem import (
 MASS_FLOOR_REL = 1e-9  # loads below this fraction of w count as zero mass
 RECORD_EVERY = 100  # the trace keeps every RECORD_EVERY-th step (and the last)
 _BLOCK_STEPS = 64  # most states whose stop rule one reduction checks
-# Most states x agents in one block, so its two buffers stay under 2 MiB;
+# Most states x agents in one block, so its two buffers hold about 2 MiB;
 # from n = 2**17 agents on, a block is a single state.
 _BLOCK_ELEMENTS = 1 << 17
 
@@ -53,8 +53,10 @@ class DrdConfig:
     def __post_init__(self):
         if not 0 < self.step < math.inf:
             raise ValueError(f"step must be positive and finite, got {self.step}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not (self.max_steps >= 1 and float(self.max_steps).is_integer()):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps}")
+        # the step loop sizes its blocks from max_steps, so 1e6 becomes 1000000
+        object.__setattr__(self, "max_steps", int(self.max_steps))
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(
                 f"residual_tol must be positive and finite, got {self.residual_tol}"

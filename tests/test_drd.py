@@ -405,3 +405,15 @@ def test_config_validation():
             DrdConfig(step=bad)
         with pytest.raises(ValueError):
             DrdConfig(step=1e-3, residual_tol=bad)
+        with pytest.raises(ValueError):
+            DrdConfig(step=1e-3, max_steps=bad)
+    with pytest.raises(ValueError):
+        DrdConfig(step=1e-3, max_steps=10.5)
+    assert DrdConfig(step=1e-3, max_steps=1e3).max_steps == 1000
+
+
+def test_simulate_float_step_cap(fig3):
+    # a whole float cap ends the run on that step, as an int cap does
+    p = fig3.problem
+    traj = simulate(p, default_start(p), DrdConfig(step=fig3.drd_step, max_steps=130.0))
+    assert traj.steps == 130 and traj.stop == "max-steps"
