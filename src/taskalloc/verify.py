@@ -25,12 +25,18 @@ from .problem import (
     total_cost_batch,
 )
 
-_PILOT = 20_000  # draws used to estimate the rejection acceptance rate
-_BLOCK = 16_384  # draws per rejection block
+# Rejection draws come in arrays of about this many numbers, so memory
+# stays flat in n: the pilot (20 000 points at n = 3) estimates the
+# acceptance rate, later blocks (4096 points at n = 3) refill the stream.
+# Neither depends on `samples`, so streams are prefix-stable.
+_PILOT_ELEMENTS = 60_000
+_BLOCK_ELEMENTS = 12_288
+_MIN_POINTS = 256  # floor; a 256-point pilot keeps rejection on one accepted point
 _CHAINS = 512  # parallel hit-and-run chains
 _BURN = 50  # walk steps between recorded hit-and-run samples
 _REJECTION_MIN_RATE = 1e-3  # below this, switch to hit-and-run
 _GRID_EVAL_CAP = 200_000_000
+_GRID_BLOCK_CELLS = 4096  # grid cells evaluated per array pass
 
 
 @dataclass
@@ -56,10 +62,22 @@ class KktCertificate:
 
 @dataclass
 class OracleResult:
+    """Cheapest of `samples` feasible points, and how they were found.
+
+    mode is "degenerate" (a single feasible point), "rejection" or
+    "hit-and-run" for monte_carlo_min, and "grid" for grid_min. drawn
+    counts the candidates tried and accepted those inside the feasible
+    set: simplex draws for the sampler (in hit-and-run mode, the pilot
+    that chose the walker), grid cells for the grid.
+    """
+
     best: np.ndarray
     best_cost: float
     samples: int
     seed: int | None
+    mode: str
+    drawn: int
+    accepted: int
 
 
 def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
@@ -135,12 +153,14 @@ def monte_carlo_min(
 ) -> OracleResult:
     """Minimize total cost over `samples` random feasible points.
 
-    Points come from rejection sampling of the sum-w simplex (exponential
-    spacings) while the acceptance rate allows it, otherwise from a
-    hit-and-run walk inside the feasible polytope. Deterministic for a
-    fixed seed, and sample streams are prefix-stable across sample
-    counts. Raises SamplerStarvedError when the feasible set is too thin
-    to walk (effective acceptance below 1e-6).
+    Each draw is lower + x with x uniform on the shifted simplex
+    {x >= 0, sum x = w - sum lower} (normalized exponential spacings), and
+    is kept when it stays under the upper bounds: a uniform point of the
+    feasible set. When a pilot accepts fewer than 1e-3 of its draws, the
+    points come from a hit-and-run walk inside the feasible polytope
+    instead. Deterministic for a fixed seed, and sample streams are
+    prefix-stable across sample counts. Raises SamplerStarvedError when
+    the feasible set is too thin to walk.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -156,21 +176,38 @@ def monte_carlo_min(
             cost = float(total_cost_batch(p, best[None])[0])
             dump.write(best[None], np.array([cost]))
             dump.close()
-            return OracleResult(best=best, best_cost=cost, samples=samples, seed=seed)
+            return OracleResult(best, cost, samples, seed, mode="degenerate", drawn=0, accepted=0)
 
     rng = np.random.default_rng(seed)
+    room = w - float(lo.sum())
     tracker = _BestTracker()
     try:
-        pilot = _simplex_block(rng, _PILOT, n, w)
-        accepted = _accept(pilot, lo, up)
-        if accepted.mean() >= _REJECTION_MIN_RATE:
-            _rejection_stream(p, rng, samples, pilot, accepted, lo, up, tracker, dump)
+        points = _shifted_simplex(rng, _draw_size(_PILOT_ELEMENTS, n), lo, room)
+        inside = np.all(points <= up[:, None], axis=0)
+        drawn, accepted = inside.size, int(inside.sum())
+        if accepted >= _REJECTION_MIN_RATE * drawn:
+            mode, taken = "rejection", 0
+            while True:
+                pts = points.T[np.flatnonzero(inside)[: samples - taken]]
+                if pts.shape[0]:
+                    costs = total_cost_batch(p, pts)
+                    tracker.update(pts, costs)
+                    dump.write(pts, costs)
+                    taken += pts.shape[0]
+                if taken >= samples:
+                    break
+                points = _shifted_simplex(rng, _draw_size(_BLOCK_ELEMENTS, n), lo, room)
+                inside = np.all(points <= up[:, None], axis=0)
+                drawn += inside.size
+                accepted += int(inside.sum())
         else:
+            mode = "hit-and-run"
+            del points, inside
             _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump)
     finally:
         dump.close()
     return OracleResult(
-        best=tracker.best, best_cost=tracker.cost, samples=samples, seed=seed
+        tracker.best, tracker.cost, samples, seed, mode=mode, drawn=drawn, accepted=accepted
     )
 
 
@@ -189,12 +226,8 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     if n == 1:
         if lo[0] - eps <= w <= up[0] + eps:
             best = np.array([w])
-            return OracleResult(
-                best=best,
-                best_cost=float(total_cost_batch(p, best[None])[0]),
-                samples=1,
-                seed=None,
-            )
+            cost = float(total_cost_batch(p, best[None])[0])
+            return OracleResult(best, cost, 1, None, mode="grid", drawn=1, accepted=1)
         raise EmptyGridError("the single point w violates the box")
 
     # Count the points from the spans before any axis is built; rounding
@@ -207,27 +240,37 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
             f"grid would need {count_all:.0f} evaluations (cap {_GRID_EVAL_CAP})"
         )
 
+    # The last two free axes form 2-D blocks of (inner rows) x (last axis);
+    # only the axes before them loop in Python. Cells are taken in C order,
+    # and each partial sum is added left to right as sum(combo) would, so
+    # the points, their costs and the tie order match a per-row scan.
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
-    vec = axes[-1]
+    last = axes[-1]
+    inner = axes[-2] if n > 2 else np.zeros(1)  # n = 2: one row, no column
+    rows_per_block = max(1, _GRID_BLOCK_CELLS // last.size)
     tracker = _BestTracker()
-    feasible = 0
-    for combo in itertools.product(*axes[:-1]):
-        w_last = w - sum(combo) - vec
-        mask = (w_last >= lo[-1] - eps) & (w_last <= up[-1] + eps)
-        m = int(mask.sum())
-        if m == 0:
-            continue
-        batch = np.empty((m, n))
-        for col, val in enumerate(combo):
-            batch[:, col] = val
-        batch[:, n - 2] = vec[mask]
-        batch[:, n - 1] = np.clip(w_last[mask], lo[-1], up[-1])
-        tracker.update(batch, total_cost_batch(p, batch))
-        feasible += m
+    drawn = feasible = 0
+    for combo in itertools.product(*axes[:-2]):
+        head = sum(combo)
+        for start in range(0, inner.size, rows_per_block):
+            rows = inner[start : start + rows_per_block]
+            w_last = w - (head + rows)[:, None] - last[None, :]
+            drawn += w_last.size
+            ii, jj = np.nonzero((w_last >= lo[-1] - eps) & (w_last <= up[-1] + eps))
+            if ii.size == 0:
+                continue
+            batch = np.empty((ii.size, n))
+            if n > 2:
+                batch[:, : n - 3] = combo
+                batch[:, n - 3] = rows[ii]
+            batch[:, n - 2] = last[jj]
+            batch[:, n - 1] = np.clip(w_last[ii, jj], lo[-1], up[-1])
+            tracker.update(batch, total_cost_batch(p, batch))
+            feasible += ii.size
     if feasible == 0:
         raise EmptyGridError("no grid point satisfies the sum and box constraints")
     return OracleResult(
-        best=tracker.best, best_cost=tracker.cost, samples=feasible, seed=None
+        tracker.best, tracker.cost, feasible, None, mode="grid", drawn=drawn, accepted=feasible
     )
 
 
@@ -250,21 +293,22 @@ class _BestTracker:
 
 
 class _OracleDump:
+    """Writes `sample_index,w_1,...,w_n,C` rows, every number %.15g."""
+
     def __init__(self, path, n: int):
         self.fh = open(path, "w", encoding="utf-8") if path is not None else None
         self.index = 0
+        self.row_format = "%d," + "%.15g," * n + "%.15g\n"
         if self.fh:
             cols = ",".join(f"w_{i + 1}" for i in range(n))
             self.fh.write(f"sample_index,{cols},C\n")
 
     def write(self, points: np.ndarray, costs: np.ndarray):
-        if self.fh is None:
-            self.index += len(points)
-            return
-        for row, c in zip(points, costs):
-            vals = ",".join(f"{x:.15g}" for x in row)
-            self.fh.write(f"{self.index},{vals},{c:.15g}\n")
-            self.index += 1
+        if self.fh is not None:
+            fmt = self.row_format
+            rows = np.column_stack((points, costs)).tolist()
+            self.fh.write("".join(fmt % (i, *r) for i, r in enumerate(rows, self.index)))
+        self.index += len(points)
 
     def close(self):
         if self.fh:
@@ -272,32 +316,21 @@ class _OracleDump:
             self.fh = None
 
 
-def _simplex_block(rng, count: int, n: int, w: float) -> np.ndarray:
-    """Uniform points of the sum-w simplex via normalized exponential spacings."""
-    e = rng.exponential(size=(count, n))
-    return w * e / e.sum(axis=1, keepdims=True)
+def _draw_size(elements: int, n: int) -> int:
+    """Points in a draw of about `elements` numbers."""
+    return max(_MIN_POINTS, elements // n)
 
 
-def _accept(points: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-    return np.all(points >= lo, axis=1) & np.all(points <= up, axis=1)
-
-
-def _rejection_stream(p, rng, samples, pilot, pilot_mask, lo, up, tracker, dump):
-    taken = 0
-    block, mask = pilot, pilot_mask
-    while True:
-        pts = block[mask]
-        if pts.shape[0] > samples - taken:
-            pts = pts[: samples - taken]
-        if pts.shape[0]:
-            costs = total_cost_batch(p, pts)
-            tracker.update(pts, costs)
-            dump.write(pts, costs)
-            taken += pts.shape[0]
-        if taken >= samples:
-            return
-        block = _simplex_block(rng, _BLOCK, p.n, p.total)
-        mask = _accept(block, lo, up)
+def _shifted_simplex(rng, count: int, lo: np.ndarray, room: float) -> np.ndarray:
+    """`count` points lo + x, x uniform on {x >= 0, sum x = room}, by
+    normalized exponential spacings, built in place as the columns of an
+    (n, count) array: the per-point sums and box tests then run along
+    rows, which is fast for small n. Every coordinate is at least its
+    lower bound exactly."""
+    e = rng.standard_exponential(size=(lo.size, count))
+    e *= room / e.sum(axis=0)
+    e += lo[:, None]
+    return e
 
 
 def _plane_center(p: AllocationProblem) -> np.ndarray:

@@ -57,10 +57,10 @@ def random_problem(rng, n=None, family=None, interior_total=True):
     lo = sum(a.lower for a in agents)
     up = sum(a.upper for a in agents)
     if interior_total:
-        t = float(rng.uniform(0.05, 0.95))
+        total = lo + float(rng.uniform(0.05, 0.95)) * (up - lo)
     else:
-        t = float(rng.choice([0.0, 1.0]))
-    total = lo + t * (up - lo)
+        # the sums themselves: lo + 1.0 * (up - lo) can round above up
+        total = up if rng.choice([0.0, 1.0]) == 1.0 else lo
     if total <= 0:
         total = 0.5 * (lo + up)
     return AllocationProblem(

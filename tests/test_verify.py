@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import random_problem
 
-from taskalloc.costs import quadratic
+from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import (
     DimensionTooLargeError,
     EmptyGridError,
@@ -16,7 +18,7 @@ from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
 from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost
 from taskalloc.drd import nash_residual
-from taskalloc.verify import grid_min, kkt_check, monte_carlo_min
+from taskalloc.verify import _OracleDump, grid_min, kkt_check, monte_carlo_min
 
 
 def test_is_nash_at_equal_fitness(fig2):
@@ -178,6 +180,7 @@ def test_monte_carlo_deterministic(tab1):
     b = monte_carlo_min(tab1.problem, 2000, seed=7)
     assert a.best_cost == b.best_cost
     np.testing.assert_array_equal(a.best, b.best)
+    assert a.mode == "rejection" and a.accepted / a.drawn > 0.5
     c = monte_carlo_min(tab1.problem, 2000, seed=8)
     assert not np.array_equal(a.best, c.best)
 
@@ -216,17 +219,20 @@ def test_monte_carlo_degenerate_total_returns_bound_vector():
         res = monte_carlo_min(p, samples, seed=1)
         np.testing.assert_array_equal(res.best, [10.0, 30.0])
         assert res.samples == samples
+        assert res.mode == "degenerate" and res.drawn == 0
 
 
 def test_monte_carlo_hit_and_run_path():
-    # boxes so tight that rejection starves; the walker must take over
+    # a total 0.05 below the upper sum leaves a corner that takes about
+    # (0.05 / 2.95)^2 = 3e-4 of the shifted simplex: the walker takes over
     agents = tuple(
         quadratic(a=0.01, b=1.0, lower=100.0, upper=101.0) for _ in range(3)
     )
     p = AllocationProblem(
-        graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=301.5
+        graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=302.95
     )
     res = monte_carlo_min(p, 3000, seed=5)
+    assert res.mode == "hit-and-run" and res.accepted < 1e-3 * res.drawn
     assert in_feasible_set(p, res.best)
     again = monte_carlo_min(p, 3000, seed=5)
     assert res.best_cost == again.best_cost
@@ -258,8 +264,178 @@ def test_monte_carlo_dump(tmp_path, tab1):
     assert min(costs) == pytest.approx(res.best_cost, rel=1e-12)
 
 
+def test_monte_carlo_memory_flat_in_n():
+    # every draw is accepted (the room, 1, fits every box); the pilot and
+    # blocks hold a fixed number of elements, not 20 000 rows of n
+    n = 2000
+    agents = tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=1.0) for _ in range(n))
+    p = AllocationProblem(
+        graph=from_edge_list(n, [(i, i + 1) for i in range(n - 1)]), agents=agents, total=1.0
+    )
+    tracemalloc.start()
+    try:
+        res = monte_carlo_min(p, 1000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.mode == "rejection" and res.accepted == res.drawn > 1000
+    assert peak < 32 * 2**20
+
+
+def _ks_distance(x, cdf) -> float:
+    x = np.sort(x)
+    f = cdf(x)
+    k = np.arange(1, x.size + 1)
+    return float(max((k / x.size - f).max(), (f - (k - 1) / x.size).max()))
+
+
+def _sampled(tmp_path, p, samples, seed) -> np.ndarray:
+    path = tmp_path / "samples.csv"
+    monte_carlo_min(p, samples, seed=seed, dump_path=path)
+    return np.loadtxt(path, delimiter=",", skiprows=1)[:, 1:-1]
+
+
+def test_monte_carlo_uniform_on_feasible_set(tmp_path):
+    samples = 20_000
+    crit = 1.63 / np.sqrt(samples)  # Kolmogorov-Smirnov, 1 % level
+    # n = 2: w_1 is uniform on the feasible segment [3, 10]
+    agents = (
+        quadratic(a=0.01, b=1.0, lower=0.0, upper=10.0),
+        quadratic(a=0.01, b=1.0, lower=5.0, upper=12.0),
+    )
+    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=15.0)
+    w = _sampled(tmp_path, p, samples, seed=11)
+    assert _ks_distance(w[:, 0], lambda t: (t - 3.0) / 7.0) < crit
+    # n = 3 on the hexagon [0, 1]^3 with sum 1.5: each coordinate has mean
+    # 0.5 and the density (0.5 + t) / 0.75 below 0.5, (1.5 - t) / 0.75 above
+    agents = tuple(quadratic(a=0.01, b=1.0, lower=0.0, upper=1.0) for _ in range(3))
+    p = AllocationProblem(
+        graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=1.5
+    )
+    w = _sampled(tmp_path, p, samples, seed=12)
+    np.testing.assert_allclose(w.mean(axis=0), 0.5, atol=4 * 0.2 / np.sqrt(samples))
+
+    def hexagon_cdf(t):
+        below = (0.5 * t + 0.5 * t * t) / 0.75
+        above = 1.0 - (1.0 - t) * (0.5 + 0.5 * (1.0 - t)) / 0.75
+        return np.where(t <= 0.5, below, above)
+
+    for i in range(3):
+        assert _ks_distance(w[:, i], hexagon_cdf) < crit
+
+
+def test_oracle_dump_matches_per_number_format(tmp_path):
+    points = np.array(
+        [[1e16, 1e-5, 0.1], [3.0, 100.0, -0.0], [1.0 / 3.0, 2.0**-1074, 123456789012345678.0]]
+    )
+    costs = np.array([0.1, 1e16, 7.0])
+    dump = _OracleDump(tmp_path / "d.csv", 3)
+    dump.write(points[:1], costs[:1])
+    dump.write(points[1:], costs[1:])
+    dump.close()
+    expected = ["sample_index,w_1,w_2,w_3,C\n"]
+    for k, (row, c) in enumerate(zip(points, costs)):
+        vals = ",".join(f"{x:.15g}" for x in row)
+        expected.append(f"{k},{vals},{c:.15g}\n")
+    assert (tmp_path / "d.csv").read_bytes() == "".join(expected).encode()
+
+
 # ---------------------------------------------------------------------------
 # grid oracle
+
+
+def _grid_per_row(p, resolution):
+    """grid_min as one Python iteration per grid row: the reference."""
+    from taskalloc.problem import total_cost_batch
+    from taskalloc.verify import _axis
+
+    n, w = p.n, p.total
+    lo, up = p.lower_bounds, p.upper_bounds
+    eps = 1e-9 * max(1.0, abs(w))
+    axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
+    vec = axes[-1]
+    best, best_cost, feasible = None, np.inf, 0
+    for combo in itertools.product(*axes[:-1]):
+        w_last = w - sum(combo) - vec
+        mask = (w_last >= lo[-1] - eps) & (w_last <= up[-1] + eps)
+        m = int(mask.sum())
+        if m == 0:
+            continue
+        batch = np.empty((m, n))
+        for col, val in enumerate(combo):
+            batch[:, col] = val
+        batch[:, n - 2] = vec[mask]
+        batch[:, n - 1] = np.clip(w_last[mask], lo[-1], up[-1])
+        costs = total_cost_batch(p, batch)
+        k = int(np.argmin(costs))
+        if costs[k] < best_cost:
+            best, best_cost = batch[k].copy(), float(costs[k])
+        feasible += m
+    if feasible == 0:
+        raise EmptyGridError("empty")
+    return best, best_cost, feasible
+
+
+def _boxes(bounds, total, family="quadratic"):
+    n = len(bounds)
+    if family == "quadratic":
+        agents = tuple(quadratic(a=0.02 * (i + 1), b=1.0, lower=l, upper=u)
+                       for i, (l, u) in enumerate(bounds))
+    else:
+        agents = tuple(exponential(a=300.0 * (i + 1), lower=l, upper=u)
+                       for i, (l, u) in enumerate(bounds))
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return AllocationProblem(graph=from_edge_list(n, edges), agents=agents, total=total)
+
+
+_GRID_CASES = [
+    # n = 2: one row, longer than a block
+    (_boxes([(0.0, 100.0), (10.0, 90.0)], 120.0), 0.01),
+    # n = 3: 101 rows of 101 cells cross the 4096-cell block twice;
+    # a 5001-cell last axis makes every block a single row
+    (_boxes([(0.0, 100.0), (5.0, 105.0), (20.0, 90.0)], 150.0), 1.0),
+    (_boxes([(0.0, 100.0), (0.0, 40.0), (0.0, 100.0)], 150.0, "exponential"), 0.33),
+    (_boxes([(0.0, 1.0), (0.0, 100.0), (0.0, 100.0)], 120.0), 0.02),
+    # identical agents: (3, 4, 3.5) and (4, 3, 3.5) tie, the earlier stays
+    (AllocationProblem(
+        graph=from_edge_list(3, [(0, 1), (1, 2)]),
+        agents=tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0) for _ in range(3)),
+        total=10.5,
+    ), 1.0),
+    # n = 4
+    (_boxes([(0.0, 10.0), (0.0, 50.0), (0.0, 100.0), (10.0, 80.0)], 100.0), 1.0),
+    (_boxes([(100.0, 102.0), (50.0, 120.0), (0.0, 90.0), (30.0, 60.0)], 250.0, "exponential"),
+     0.7),
+]
+# random boxes and totals, so the partial sums round
+_rng = np.random.default_rng(31)
+for _n, _div in [(2, 9000.0), (3, 137.0), (3, 70.0), (4, 23.0), (4, 61.0)]:
+    _p = random_problem(_rng, n=_n)
+    _GRID_CASES.append((_p, float((_p.upper_bounds - _p.lower_bounds).max()) / _div))
+
+
+@pytest.mark.parametrize("case", range(len(_GRID_CASES)))
+def test_grid_matches_per_row_reference(case):
+    p, resolution = _GRID_CASES[case]
+    best, best_cost, feasible = _grid_per_row(p, resolution)
+    res = grid_min(p, resolution)
+    assert res.best.tobytes() == best.tobytes()
+    assert res.best_cost == best_cost and res.samples == feasible
+    assert res.mode == "grid" and res.accepted == feasible <= res.drawn
+
+
+def test_grid_empty_matches_per_row_reference():
+    # the sum lands between grid points of every axis
+    cases = [
+        (_boxes([(0.0, 10.0), (9.9, 10.1)], 10.5), 1.0),
+        (_boxes([(0.0, 2.0), (0.0, 2.0), (0.4, 0.6)], 2.2), 1.0),
+        (_boxes([(0.0, 2.0), (0.0, 2.0), (0.0, 2.0), (0.4, 0.6)], 3.2), 1.0),
+    ]
+    for p, resolution in cases:
+        with pytest.raises(EmptyGridError):
+            _grid_per_row(p, resolution)
+        with pytest.raises(EmptyGridError):
+            grid_min(p, resolution)
 
 
 def test_grid_single_agent():
