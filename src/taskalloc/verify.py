@@ -202,7 +202,7 @@ def monte_carlo_min(
                 accepted += int(inside.sum())
         else:
             mode = "hit-and-run"
-            del points, inside
+            del points, inside  # the walk does not need the pilot
             _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump)
     finally:
         dump.close()

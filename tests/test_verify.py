@@ -16,9 +16,9 @@ from taskalloc.errors import (
 from taskalloc.graph import from_edge_list
 from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
-from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost
+from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost, total_cost_batch
 from taskalloc.drd import nash_residual
-from taskalloc.verify import _OracleDump, grid_min, kkt_check, monte_carlo_min
+from taskalloc.verify import _axis, _OracleDump, grid_min, kkt_check, monte_carlo_min
 
 
 def test_is_nash_at_equal_fitness(fig2):
@@ -265,8 +265,8 @@ def test_monte_carlo_dump(tmp_path, tab1):
 
 
 def test_monte_carlo_memory_flat_in_n():
-    # every draw is accepted (the room, 1, fits every box); the pilot and
-    # blocks hold a fixed number of elements, not 20 000 rows of n
+    # every draw is accepted (the room, 1, fits every box); draws hold a
+    # bounded number of elements, far below one 20 000 x n array (320 MB)
     n = 2000
     agents = tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=1.0) for _ in range(n))
     p = AllocationProblem(
@@ -346,9 +346,6 @@ def test_oracle_dump_matches_per_number_format(tmp_path):
 
 def _grid_per_row(p, resolution):
     """grid_min as one Python iteration per grid row: the reference."""
-    from taskalloc.problem import total_cost_batch
-    from taskalloc.verify import _axis
-
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
     eps = 1e-9 * max(1.0, abs(w))
@@ -388,35 +385,36 @@ def _boxes(bounds, total, family="quadratic"):
     return AllocationProblem(graph=from_edge_list(n, edges), agents=agents, total=total)
 
 
-_GRID_CASES = [
-    # n = 2: one row, longer than a block
-    (_boxes([(0.0, 100.0), (10.0, 90.0)], 120.0), 0.01),
-    # n = 3: 101 rows of 101 cells cross the 4096-cell block twice;
-    # a 5001-cell last axis makes every block a single row
-    (_boxes([(0.0, 100.0), (5.0, 105.0), (20.0, 90.0)], 150.0), 1.0),
-    (_boxes([(0.0, 100.0), (0.0, 40.0), (0.0, 100.0)], 150.0, "exponential"), 0.33),
-    (_boxes([(0.0, 1.0), (0.0, 100.0), (0.0, 100.0)], 120.0), 0.02),
-    # identical agents: (3, 4, 3.5) and (4, 3, 3.5) tie, the earlier stays
-    (AllocationProblem(
-        graph=from_edge_list(3, [(0, 1), (1, 2)]),
-        agents=tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0) for _ in range(3)),
-        total=10.5,
-    ), 1.0),
-    # n = 4
-    (_boxes([(0.0, 10.0), (0.0, 50.0), (0.0, 100.0), (10.0, 80.0)], 100.0), 1.0),
-    (_boxes([(100.0, 102.0), (50.0, 120.0), (0.0, 90.0), (30.0, 60.0)], 250.0, "exponential"),
-     0.7),
-]
-# random boxes and totals, so the partial sums round
-_rng = np.random.default_rng(31)
-for _n, _div in [(2, 9000.0), (3, 137.0), (3, 70.0), (4, 23.0), (4, 61.0)]:
-    _p = random_problem(_rng, n=_n)
-    _GRID_CASES.append((_p, float((_p.upper_bounds - _p.lower_bounds).max()) / _div))
+def _grid_cases():
+    cases = [
+        # n = 2: one row, longer than a block
+        (_boxes([(0.0, 100.0), (10.0, 90.0)], 120.0), 0.01),
+        # n = 3: 101 rows of 101 cells cross the 4096-cell block twice;
+        # a 5001-cell last axis makes every block a single row
+        (_boxes([(0.0, 100.0), (5.0, 105.0), (20.0, 90.0)], 150.0), 1.0),
+        (_boxes([(0.0, 100.0), (0.0, 40.0), (0.0, 100.0)], 150.0, "exponential"), 0.33),
+        (_boxes([(0.0, 1.0), (0.0, 100.0), (0.0, 100.0)], 120.0), 0.02),
+        # identical agents: (3, 4, 3.5) and (4, 3, 3.5) tie, the earlier stays
+        (AllocationProblem(
+            graph=from_edge_list(3, [(0, 1), (1, 2)]),
+            agents=tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0) for _ in range(3)),
+            total=10.5,
+        ), 1.0),
+        # n = 4
+        (_boxes([(0.0, 10.0), (0.0, 50.0), (0.0, 100.0), (10.0, 80.0)], 100.0), 1.0),
+        (_boxes([(100.0, 102.0), (50.0, 120.0), (0.0, 90.0), (30.0, 60.0)], 250.0,
+                "exponential"), 0.7),
+    ]
+    # random boxes and totals, so the partial sums round
+    rng = np.random.default_rng(31)
+    for n, div in [(2, 9000.0), (3, 137.0), (3, 70.0), (4, 23.0), (4, 61.0)]:
+        p = random_problem(rng, n=n)
+        cases.append((p, float((p.upper_bounds - p.lower_bounds).max()) / div))
+    return cases
 
 
-@pytest.mark.parametrize("case", range(len(_GRID_CASES)))
-def test_grid_matches_per_row_reference(case):
-    p, resolution = _GRID_CASES[case]
+@pytest.mark.parametrize("p, resolution", _grid_cases())
+def test_grid_matches_per_row_reference(p, resolution):
     best, best_cost, feasible = _grid_per_row(p, resolution)
     res = grid_min(p, resolution)
     assert res.best.tobytes() == best.tobytes()
