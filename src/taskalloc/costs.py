@@ -11,12 +11,13 @@ coordinate. The marginal is strictly increasing on the box, so the
 inverse is well defined; it is intentionally NOT clamped to the box —
 clamping is the water-filling solver's job.
 
-The formulas take any object with ``a``, ``b``, ``lower`` and ``span``
-attributes: a single :class:`CostModel` (scalars) or one family group of
-the :class:`_CostTable` that every :class:`AllocationProblem` builds once
-(arrays over that family's agents). Everything that evaluates many agents
-at once (problem costs and marginals, the replicator step, the breakpoint
-table, the KKT check) goes through that table.
+The formulas take any object with ``a``, ``b``, ``lower``, ``span`` and
+``a_per_span`` (a / span) attributes: a single :class:`CostModel`
+(scalars) or one family group of the :class:`_CostTable` that every
+:class:`AllocationProblem` builds once (arrays over that family's agents).
+Everything that evaluates many agents at once (problem costs, marginals
+and fitness, the replicator step, the breakpoint table, the KKT check)
+goes through that table.
 
 The water-filling solver works in a "key" coordinate, which the table
 picks once as its `coordinate`: for a single family the aggregate clamped
@@ -25,6 +26,7 @@ family, the marginal cost itself for the quadratic one); mixed families
 use the marginal cost itself, the quadratic family's key.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +53,13 @@ class _Exponential:
 
     @staticmethod
     def marginal(m, w):
-        return (m.a / m.span) * np.exp((w - m.lower) / m.span)
+        return m.a_per_span * np.exp((w - m.lower) / m.span)
 
     @staticmethod
     def inverse_marginal(m, lam):
         _require_positive(lam)
         # marginal = (a/u) e^{(w-lo)/u}  =>  w = lo + u (ln lam - ln(a/u))
-        return m.lower + m.span * (np.log(lam) - np.log(m.a / m.span))
+        return m.lower + m.span * (np.log(lam) - np.log(m.a_per_span))
 
     @staticmethod
     def key_from_lambda(lam):
@@ -113,6 +115,7 @@ class _Group:
     b: np.ndarray
     lower: np.ndarray
     span: np.ndarray
+    a_per_span: np.ndarray
 
 
 class _CostTable:
@@ -124,6 +127,11 @@ class _CostTable:
     Per-agent inputs have shape (..., n); a shared level (key or lam) is a
     scalar or an array that broadcasts against (n,), such as a column of
     keys.
+
+    `fitness` runs the marginal formula on a second set of groups, made on
+    first use, whose `a`, `b` and `a_per_span` are negated. Round-to-nearest
+    is symmetric in sign, so (-a)/u = -(a/u), (-c)*x = -(c*x) and
+    (-x) + (-b) = -(x + b): the fitness is exactly -marginal, in one pass.
     """
 
     def __init__(self, models):
@@ -133,25 +141,36 @@ class _CostTable:
         a = np.array([m.a for m in models])
         b = np.array([0.0 if m.b is None else m.b for m in models])
         span = self.upper - self.lower
+        # only exponential agents read a / span; a quadratic box may be a point
+        with np.errstate(divide="ignore"):
+            a_per_span = a / span
         names = np.array([m.family for m in models])
         self.groups = []
         for name, fam in _FAMILIES.items():
             idx = np.flatnonzero(names == name)
             if idx.size:
                 self.groups.append(
-                    _Group(fam, idx, a[idx], b[idx], self.lower[idx], span[idx])
+                    _Group(fam, idx, a[idx], b[idx], self.lower[idx], span[idx], a_per_span[idx])
                 )
         self.family = self.groups[0].fam if len(self.groups) == 1 else None
         self.coordinate = self.family or _Quadratic
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
 
-    def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
+    @functools.cached_property
+    def _fitness_groups(self) -> list:
+        return [
+            _Group(g.fam, g.idx, -g.a, -g.b, g.lower, g.span, -g.a_per_span)
+            for g in self.groups
+        ]
+
+    def _evaluate(self, formula: str, x, per_agent: bool, groups=None) -> np.ndarray:
+        groups = self.groups if groups is None else groups
         if self.family is not None:  # no scatter for a single family
-            return getattr(self.family, formula)(self.groups[0], x)
+            return getattr(self.family, formula)(groups[0], x)
         shape = np.shape(x) if per_agent else np.broadcast_shapes(np.shape(x), (self.n,))
         out = np.empty(shape)
-        for g in self.groups:
+        for g in groups:
             xg = x[..., g.idx] if per_agent else x
             out[..., g.idx] = getattr(g.fam, formula)(g, xg)
         return out
@@ -161,6 +180,10 @@ class _CostTable:
 
     def marginal(self, w) -> np.ndarray:
         return self._evaluate("marginal", w, per_agent=True)
+
+    def fitness(self, w) -> np.ndarray:
+        """Per-agent fitness -marginal(w), bit for bit."""
+        return self._evaluate("marginal", w, per_agent=True, groups=self._fitness_groups)
 
     def response_from_key(self, key) -> np.ndarray:
         """Each agent's unclamped load at a shared key in `coordinate`: lam
@@ -206,6 +229,10 @@ class CostModel:
     @property
     def span(self) -> float:
         return self.upper - self.lower
+
+    @property
+    def a_per_span(self) -> float:
+        return self.a / self.span
 
     @property
     def _fam(self):

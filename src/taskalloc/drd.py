@@ -11,14 +11,19 @@ conserved (edge terms cancel pairwise) and coordinates that start at zero
 stay at zero. The iteration stops when the fitness spread among agents
 carrying mass falls below the residual tolerance.
 
-`simulate` steps in blocks: each step computes the fitness its drift
-needs and writes it and the next state into a buffer, and one row-wise
-reduction per block gives every buffered state's residual. The run stops
-at the first state that meets the stop rule, so the trace is the one a
-check after every step would give.
+`simulate` steps in blocks of up to 64 states. Each step computes the
+fitness its drift needs and writes the next state into a buffer. Once per
+block, one row-wise pass finds the first stepped state with a negative or
+non-finite load (an overflow), and one row-wise reduction gives the
+residual of every state before it. The run stops at the first state that
+meets the stop rule; failing that, an overflow raises StepOverflowError
+with the first overflowing step and its agents, and the states stepped
+after it are discarded. So the trace and the error are the ones a check
+after every step would give.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +58,15 @@ class DrdConfig:
     def __post_init__(self):
         if not 0 < self.step < math.inf:
             raise ValueError(f"step must be positive and finite, got {self.step}")
-        if not (self.max_steps >= 1 and float(self.max_steps).is_integer()):
+        cap = self.max_steps
+        if not isinstance(cap, numbers.Integral):
+            # a whole float such as 1e6 is a cap; nan, inf and 10.5 are not.
+            # An int is kept as it is: float() of a huge one overflows.
+            cap = int(cap) if float(cap).is_integer() else 0
+        if not cap >= 1:
             raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps}")
         # the step loop sizes its blocks from max_steps, so 1e6 becomes 1000000
-        object.__setattr__(self, "max_steps", int(self.max_steps))
+        object.__setattr__(self, "max_steps", int(cap))
         if not 0 < self.residual_tol < math.inf:
             raise ValueError(
                 f"residual_tol must be positive and finite, got {self.residual_tol}"
@@ -78,6 +88,7 @@ class Trajectory:
     dt: float
     stop: str  # "residual" (met residual_tol) | "max-steps"
     box_exit_step: int | None  # first recorded step outside the box constraints
+    residual_evals: int  # block stop-rule reductions the run took
 
 
 def nash_residual(p: AllocationProblem, w) -> float:
@@ -103,7 +114,7 @@ def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
     f = fitness_values(p, arr)
     with np.errstate(over="ignore", invalid="ignore"):
         nxt = arr + dt * _drift(*p.graph.adjacency.T, arr, f, p.total)
-        if _overflowed(nxt):
+        if _first_overflow(nxt[None]) is not None:
             raise _overflow_error(nxt)
     return nxt
 
@@ -117,9 +128,13 @@ def _drift(rows, cols, w: np.ndarray, f: np.ndarray, total: float) -> np.ndarray
     return (w / total) * (f * nbr_w - nbr_fw)
 
 
-def _overflowed(nxt: np.ndarray) -> bool:
-    """True when some load of a stepped state is negative or non-finite."""
-    return not nxt.min() >= 0.0 or not math.isfinite(nxt.sum())
+def _first_overflow(stepped: np.ndarray) -> int | None:
+    """Row index of the first stepped state, in a (k, n) stack, with a
+    negative or non-finite load; None when every row is a valid state."""
+    ok = stepped.min(axis=1) >= 0.0
+    ok &= np.isfinite(stepped.sum(axis=1))
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) if bad.size else None
 
 
 def _overflow_error(nxt: np.ndarray, step_index: int | None = None) -> StepOverflowError:
@@ -159,10 +174,11 @@ def simulate(
 
     n = p.n
     rows, cols = np.ascontiguousarray(p.graph.adjacency.T)
-    marginal = p._costs.marginal  # bound once: this loop runs millions of steps
+    fitness = p._costs.fitness  # bound once: this loop runs millions of steps
     total = p.total
     tol = cfg.residual_tol
     dt = cfg.step
+    max_steps = cfg.max_steps
     floor = MASS_FLOOR_REL * total
     box_tol = default_tol(p)
     lo = p.lower_bounds - box_tol
@@ -170,40 +186,43 @@ def simulate(
 
     block = min(_BLOCK_STEPS, max(1, _BLOCK_ELEMENTS // n))
     S = np.empty((block + 1, n))  # S[j]: state at step start + j
-    F = np.empty((block, n))  # F[j]: fitness at S[j]
     S[0] = state
-    s_rows, f_rows = list(S), list(F)  # row views, made once
+    s_rows = list(S)  # row views, made once
 
     rec_steps: list[int] = []
     rec_states: list[np.ndarray] = []
     rec_residuals: list[np.ndarray] = []
     box_exit_step = None
+    residual_evals = 0
 
     start = 0
     while True:
-        k = min(cfg.max_steps - start + 1, block)
-        overflow = False
-        # Overflow shows as StepOverflowError alone, without numpy warnings.
+        k = min(max_steps - start + 1, block)
+        cap = max_steps - start  # index of the state that takes no step
+        fs = []
+        # Overflow shows as StepOverflowError alone, without numpy warnings;
+        # the states stepped after an overflow are discarded unchecked.
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k):
-                w, f = s_rows[j], f_rows[j]
-                np.negative(marginal(w), out=f)
-                if start + j == cfg.max_steps:
+                w = s_rows[j]
+                f = fitness(w)
+                fs.append(f)
+                if j == cap:
                     break
-                nxt = s_rows[j + 1]
-                np.add(w, dt * _drift(rows, cols, w, f, total), out=nxt)
-                if _overflowed(nxt):
-                    overflow = True
-                    break
-            m = j + 1  # states S[:m] have their fitness in F[:m]
-            least = np.minimum.reduce(F[:m], axis=1, where=S[:m] > floor, initial=np.inf)
-            spread = F[:m].max(axis=1) - least
+                np.add(w, dt * _drift(rows, cols, w, f, total), out=s_rows[j + 1])
+            stepped = len(fs) - (j == cap)
+            bad = _first_overflow(S[1 : stepped + 1])
+            m = len(fs) if bad is None else bad + 1  # S[:m] are valid states
+            F = np.concatenate(fs[:m]).reshape(m, n)  # F[j]: fitness at S[j]
+            least = np.minimum.reduce(F, axis=1, where=S[:m] > floor, initial=np.inf)
+            spread = F.max(axis=1) - least
+        residual_evals += 1
         # max(0, spread) as nash_residual takes it: a nan spread, or -inf
         # (no mass-carrying agent), gives 0
         residuals = np.where(spread > 0.0, spread, 0.0)
         met = np.flatnonzero(residuals <= tol)
         last = int(met[0]) if met.size else m - 1
-        done = met.size > 0 or start + last == cfg.max_steps
+        done = met.size > 0 or start + last == max_steps
 
         keep = list(range(-start % RECORD_EVERY, last + 1, RECORD_EVERY))
         if done and last not in keep:
@@ -219,8 +238,9 @@ def simulate(
                     box_exit_step = start + keep[outside[0]]
         if done:
             break
-        if overflow:
-            raise _overflow_error(S[m], step_index=start + j)
+        if bad is not None:
+            # a converged state before the overflow has ended the run above
+            raise _overflow_error(S[m], step_index=start + m - 1)
         S[0] = S[k]
         start += k
 
@@ -241,6 +261,7 @@ def simulate(
         dt=dt,
         stop="residual" if met.size else "max-steps",
         box_exit_step=box_exit_step,
+        residual_evals=residual_evals,
     )
 
 

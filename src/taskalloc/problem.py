@@ -100,7 +100,8 @@ def marginals(p: AllocationProblem, w) -> np.ndarray:
 
 
 def fitness_values(p: AllocationProblem, w) -> np.ndarray:
-    return -marginals(p, w)
+    """Per-agent fitness, the negated marginal costs; w may be (n,) or (m, n)."""
+    return p._costs.fitness(np.asarray(w, dtype=float))
 
 
 def total_cost(p: AllocationProblem, w) -> float:

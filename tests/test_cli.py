@@ -94,6 +94,12 @@ def test_simulate_step_overflow_exit(tmp_path, capsys):
     assert "halving" in err
 
 
+def test_simulate_accepts_step_cap_beyond_float_range(tmp_path):
+    rc = main(["simulate", "--example", "fig3", "--dt", "0.032",
+               "--max-steps", "9" * 400, "--out", str(tmp_path / "o")])
+    assert rc == 0
+
+
 def test_simulate_requires_dt_for_files(tmp_path, tab1_file, capsys):
     rc = main(["simulate", "--input", str(tab1_file), "--out", str(tmp_path / "o")])
     assert rc == 2

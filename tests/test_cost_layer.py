@@ -117,6 +117,28 @@ def test_problem_costs_and_marginals_match_closed_forms(family, seed):
                 _close(g, want_g, abs(want_g))
 
 
+@pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fitness_is_negated_marginal_bit_for_bit(family, seed):
+    # the fitness groups hold -a, -b and -a/span; round-to-nearest is
+    # symmetric in sign, so no bit may differ, not even the sign of a zero
+    rng = np.random.default_rng(seed)
+    agents = _random_agents(rng, 40, family, pinned_frac=0.2)
+    table = _problem(agents)._costs
+    lo, span = table.lower, table.upper - table.lower
+    w = np.vstack([
+        _loads(rng, agents, rows=5),
+        lo,  # quadratic (-a) * 0.0 is -0.0 before b is added
+        lo + 2.0 * span,
+        lo - 800.0 * span,  # exponential exp((w - lower) / span) underflows to 0
+    ])
+    want = -table.marginal(w)
+    assert np.any((want == 0.0) & np.signbit(want)) == (family != "quadratic")
+    for got, ref in ((table.fitness(w), want), (table.fitness(w[0]), want[0])):
+        assert got.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
 @pytest.mark.parametrize("seed", [3, 4])
 def test_cost_model_methods_match_closed_forms(seed):
     rng = np.random.default_rng(seed)

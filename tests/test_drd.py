@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taskalloc.costs import quadratic
+from taskalloc.costs import exponential, quadratic
 from taskalloc.drd import (
     MASS_FLOOR_REL,
     RECORD_EVERY,
@@ -262,6 +264,99 @@ def test_simulate_overflow_on_block_boundary(fig3, dt, step):
     assert exc.value.step_index == step and exc.value.agents == agents
 
 
+def _shaped_graph(shape, n, rng):
+    ring = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+    if shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif shape == "ring":
+        edges = ring
+    else:  # a ring plus up to n/3 random chords
+        pairs = rng.integers(0, n, size=(n // 3, 2))
+        edges = ring + [(int(i), int(j)) for i, j in pairs if i != j]
+    return from_edge_list(n, sorted({(min(e), max(e)) for e in edges}))
+
+
+def _agents(exp_agent, a, b, lower, upper):
+    return tuple(
+        exponential(a=ai, lower=lo, upper=up) if e else quadratic(a=ai, b=bi, lower=lo, upper=up)
+        for e, ai, bi, lo, up in zip(exp_agent, a, b, lower, upper)
+    )
+
+
+@st.composite
+def _replicator_runs(draw):
+    """A problem, start and config; the step size is log-uniform over nine
+    decades. Half the runs start from default_start. The others start a
+    relative rel away from a point x of equal fitness, with the costs
+    scaled so that the step is 2 to 10 times the largest stable step at x:
+    the oscillation grows from rel and overflows after some steps, the later
+    the smaller rel is. So runs converge, hit the cap or overflow at any
+    step of a block."""
+    n = draw(st.integers(2, 40))
+    shape = draw(st.sampled_from(["path", "ring", "star", "chorded"]))
+    family = draw(st.sampled_from(["exponential", "quadratic", "mixed"]))
+    near = draw(st.booleans())
+    rel = 10.0 ** draw(st.floats(-15.0, -4.0))
+    over = 10.0 ** draw(st.floats(0.3, 1.0))
+    dt = 10.0 ** draw(st.floats(-3.0, 6.0))
+    max_steps = draw(st.integers(1, 300))
+    tol = 10.0 ** draw(st.floats(-12.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = _shaped_graph(shape, n, rng)
+    exp_agent = rng.random(n) < 0.5 if family == "mixed" else np.full(n, family == "exponential")
+    lower = rng.uniform(0.0, 50.0, n)
+    upper = lower + rng.uniform(1.0, 100.0, n)
+    a = np.where(exp_agent, rng.uniform(1.0, 2000.0, n), rng.uniform(1e-3, 0.1, n))
+    b = rng.uniform(0.1, 10.0, n)
+    x = lower + rng.uniform(0.05, 0.95, n) * (upper - lower)
+    agents = _agents(exp_agent, a, b, lower, upper)
+    if near:
+        # equal marginals at x: exponential a scaled up, quadratic b raised
+        marg = np.array([m.marginal(xi) for m, xi in zip(agents, x)])
+        a = np.where(exp_agent, a * marg.max() / marg, a)
+        b = np.where(exp_agent, b, b + marg.max() - marg)
+        # the step's Jacobian at x is I - dt * J, J = diag(x) M diag(c'') / w
+        # with M = diag(A x) - A diag(x); it is unstable once dt * rho(J) > 2
+        curv = np.where(exp_agent, marg.max() / (upper - lower), a)
+        adj = np.zeros((n, n))
+        adj[tuple(graph.adjacency.T)] = 1.0
+        jac = x[:, None] * (np.diag(adj @ x) - adj * x) * curv / x.sum()
+        scale = 2.0 * over / (dt * np.linalg.eigvals(jac).real.max())
+        agents = _agents(exp_agent, a * scale, b * scale, lower, upper)
+    p = AllocationProblem(graph=graph, agents=agents, total=float(x.sum()))
+    if near:
+        w0 = x * (1.0 + rel * rng.uniform(-1.0, 1.0, n))
+        w0 *= p.total / w0.sum()
+        # below the start's residual, so that the run goes on and oscillates
+        tol = min(tol, 1e-3 * nash_residual(p, w0)) or tol
+    else:
+        w0 = default_start(p)
+    return p, w0, DrdConfig(step=dt, max_steps=max_steps, residual_tol=tol)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_replicator_runs())
+def test_simulate_matches_plain_loop_on_random_runs(run):
+    p, w0, cfg = run
+    expected = _plain_loop(p, w0, cfg)
+    if isinstance(expected, tuple):  # the plain loop overflowed at that step
+        agents, at = expected
+        with pytest.raises(StepOverflowError) as exc:
+            simulate(p, w0, cfg)
+        assert (exc.value.agents, exc.value.step_index) == (agents, at)
+    else:
+        _assert_matches_plain_loop(p, w0, cfg)
+
+
+def test_simulate_counts_block_reductions(fig2):
+    # 1001 states in blocks of 64: fifteen full blocks and one of 41
+    p = fig2.problem
+    traj = simulate(p, default_start(p), DrdConfig(step=fig2.drd_step, max_steps=1000))
+    assert traj.residual_evals == 16
+
+
 def test_nash_residual_values():
     p = _spread_instance(-5.0, -6.0)
     w = np.array([100.0, 100.0])
@@ -410,6 +505,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DrdConfig(step=1e-3, max_steps=10.5)
     assert DrdConfig(step=1e-3, max_steps=1e3).max_steps == 1000
+    huge = int("9" * 400)  # beyond float range: a cap, not an OverflowError
+    assert DrdConfig(step=1e-3, max_steps=huge).max_steps == huge
 
 
 def test_simulate_float_step_cap(fig3):
