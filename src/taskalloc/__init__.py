@@ -26,7 +26,7 @@ from .drd import (
     simulate,
     write_trace_csv,
 )
-from .graph import Graph, diameter, edge_list, from_edge_list, neighbors
+from .graph import Graph, edge_list, from_edge_list, neighbors
 from .instances import BundledInstance, get_instance, instance_ids
 from .lambda_solver import (
     Breakpoint,
@@ -38,7 +38,6 @@ from .lambda_solver import (
     solve_lambda,
 )
 from .problem import (
-    Allocation,
     AllocationProblem,
     in_feasible_set,
     in_simplex,
@@ -53,7 +52,6 @@ from .verify import KktCertificate, OracleResult, grid_min, kkt_check, monte_car
 __all__ = [
     "EXPONENTIAL",
     "QUADRATIC",
-    "Allocation",
     "AllocationProblem",
     "Breakpoint",
     "BreakpointTable",
@@ -68,7 +66,6 @@ __all__ = [
     "breakpoints",
     "compare_and_select",
     "default_start",
-    "diameter",
     "drd_step",
     "edge_list",
     "exponential",

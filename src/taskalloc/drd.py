@@ -275,14 +275,11 @@ def write_trace_csv(traj: Trajectory, p: AllocationProblem, path) -> None:
     if lyap is None:
         lyap = traj.costs - traj.costs.min()
     header = "step,t," + ",".join(f"w_{i + 1}" for i in range(p.n)) + ",C,V,residual"
+    fmt = "%d," + "%.15g," * (p.n + 3) + "%.15g\n"
+    table = np.column_stack((traj.times * traj.dt, traj.states, traj.costs, lyap, traj.residuals))
+    rows = max(1, _BLOCK_ELEMENTS // table.shape[1])  # bounds the Python floats tolist makes
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for k, step in enumerate(traj.times):
-            row = [str(int(step)), _fmt(step * traj.dt)]
-            row += [_fmt(x) for x in traj.states[k]]
-            row += [_fmt(traj.costs[k]), _fmt(lyap[k]), _fmt(traj.residuals[k])]
-            fh.write(",".join(row) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
+        for s in range(0, len(table), rows):
+            block = zip(traj.times[s : s + rows].tolist(), table[s : s + rows].tolist())
+            fh.write("".join(fmt % (step, *r) for step, r in block))

@@ -7,9 +7,14 @@ edges appears once in each direction, so memory is O(m). A Graph is built
 from (i, j) pairs in either direction and with repeats, and raises
 NodeOutOfRangeError, SelfLoopError or DisconnectedError (naming the
 nodes unreachable from node 0) otherwise.
+
+The breadth-first search from node 0 that checks connectivity is kept:
+``Graph.depth`` and ``Graph.parent`` are its spanning tree (each node's
+distance from node 0, and its parent one level shallower, -1 at the
+root), so a graph is traversed once in its life.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +27,8 @@ class Graph:
 
     n: int
     adjacency: np.ndarray
+    depth: np.ndarray = field(init=False, repr=False)
+    parent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
@@ -40,9 +47,13 @@ class Graph:
         adj = np.stack(np.divmod(codes, n), axis=1)
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-        unreached = np.flatnonzero(_bfs(self, 0)[0] < 0)
+        depth, parent = _bfs(self, 0)
+        unreached = np.flatnonzero(depth < 0)
         if unreached.size:
             raise DisconnectedError(unreached.tolist())
+        for name, arr in (("depth", depth), ("parent", parent)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -61,12 +72,6 @@ def neighbors(g: Graph, i: int) -> set[int]:
 def diameter(g: Graph) -> int:
     """Longest shortest-path distance over all node pairs."""
     return max(int(_bfs(g, start)[0].max()) for start in range(g.n))
-
-
-def bfs_tree(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first spanning tree rooted at node 0: each node's depth
-    and its parent, one level shallower (-1 at the root)."""
-    return _bfs(g, 0)
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:

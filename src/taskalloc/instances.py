@@ -108,7 +108,6 @@ def _tab1() -> BundledInstance:
             # per-agent clamp thresholds in the log coordinate
             "keys_lower": [1.897, 2.682, 2.873],
             "keys_upper": [2.897, 3.682, 3.873],
-            "keys_sorted": [1.897, 2.682, 2.873, 2.897, 3.682, 3.873],
             "masses": [960.0, 1077.732, 1131.202, 1141.043, 1345.153, 1370.0],
             "slopes": [6.6677e-3, 3.5721e-3, 2.4388e-3, 3.8460e-3, 7.6870e-3],
             "allocation": np.array([350.0, 382.4, 417.6]),
@@ -138,7 +137,6 @@ def _tab3() -> BundledInstance:
         reference={
             "keys_lower": [5.0, 5.4, 5.6],
             "keys_upper": [5.9, 6.44, 6.9],
-            "keys_sorted": [5.0, 5.4, 5.6, 5.9, 6.44, 6.9],
             "masses": [960.0, 1026.667, 1085.0, 1202.5, 1324.0, 1370.0],
             "slopes": [6.0e-3, 3.4286e-3, 2.5532e-3, 4.4444e-3, 10.0e-3],
             "allocation": np.array([327.7, 395.7, 426.6]),

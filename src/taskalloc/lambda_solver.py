@@ -25,8 +25,9 @@ last digits of the bundled reports. The reference tables use keys
 quantized to 3 decimals; `solve_lambda` always uses full precision.
 
 The final selection between a replicator limit and the water-filling
-optimum (`select_final`) compares their exact total costs, summed up a
-breadth-first spanning tree to node 0.
+optimum (`select_final`) compares their exact total costs, summed up the
+breadth-first spanning tree to node 0 that each Graph keeps from its
+connectivity check.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .graph import bfs_tree
 from .problem import (
     AllocationProblem,
     as_allocation,
@@ -73,7 +73,6 @@ class BreakpointTable:
     keys: np.ndarray  # (2n,) ascending
     masses: np.ndarray  # (2n,) aggregate response at each key
     slopes: np.ndarray  # (2n-1,)
-    key_decimals: int | None
 
 
 @dataclass
@@ -145,7 +144,6 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
         keys=keys,
         masses=masses,
         slopes=slopes,
-        key_decimals=key_decimals,
     )
 
 
@@ -250,17 +248,21 @@ def compare_and_select(p: AllocationProblem, wstar, wo) -> np.ndarray:
     """Distributed cost comparison by an exact sum up a spanning tree.
 
     Each agent holds c_i(wstar_i) - c_i(wo_i). Over the breadth-first tree
-    rooted at node 0, each round the nodes at the deepest remaining level
-    add their partial sums to their parents' (a convergecast), so after
-    depth rounds node 0 holds C(wstar) - C(wo). It keeps wstar when that
-    total is <= 0, so ties go to the first candidate.
+    rooted at node 0 that the graph keeps (Graph.depth, Graph.parent), each
+    round the nodes at the deepest remaining level add their partial sums
+    to their parents' (a convergecast), so after depth rounds node 0 holds
+    C(wstar) - C(wo). It keeps wstar when that total is <= 0, so ties go to
+    the first candidate. Each level is a slice of one stable sort by depth,
+    so its nodes add in ascending index order: O(n log n + depth) in all.
     """
     a_star = as_allocation(p, wstar)
     a_o = as_allocation(p, wo)
     partial = cost_values(p, a_star) - cost_values(p, a_o)
-    depth, parent = bfs_tree(p.graph)
-    for level in range(int(depth.max()), 0, -1):
-        nodes = np.flatnonzero(depth == level)
+    depth, parent = p.graph.depth, p.graph.parent
+    order = np.argsort(depth, kind="stable")
+    ends = np.cumsum(np.bincount(depth))
+    for level in range(ends.size - 1, 0, -1):
+        nodes = order[ends[level - 1] : ends[level]]
         np.add.at(partial, parent[nodes], partial[nodes])
     return (a_star if partial[0] <= 0 else a_o).copy()
 

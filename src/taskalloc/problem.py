@@ -29,9 +29,6 @@ from .costs import EXPONENTIAL, QUADRATIC, CostModel, _CostTable
 from .errors import DisconnectedError, InfeasibleError, LengthMismatchError, ParseError
 from .graph import Graph
 
-# An allocation is just a length-n float vector.
-Allocation = np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class AllocationProblem:
@@ -117,11 +114,10 @@ def total_cost_batch(p: AllocationProblem, batch: np.ndarray) -> np.ndarray:
     return cost_values(p, batch).sum(axis=1)
 
 
-def in_feasible_set(p: AllocationProblem, w, tol: float | None = None) -> bool:
-    """Sum matches the total and every load sits inside its box (within tol)."""
+def in_feasible_set(p: AllocationProblem, w) -> bool:
+    """Sum matches the total and every load sits in its box (within default_tol)."""
     arr = as_allocation(p, w)
-    if tol is None:
-        tol = default_tol(p)
+    tol = default_tol(p)
     if abs(arr.sum() - p.total) > tol:
         return False
     return bool(
@@ -129,11 +125,10 @@ def in_feasible_set(p: AllocationProblem, w, tol: float | None = None) -> bool:
     )
 
 
-def in_simplex(p: AllocationProblem, w, tol: float | None = None) -> bool:
-    """Nonnegative loads summing to the total (within tol); boxes ignored."""
+def in_simplex(p: AllocationProblem, w) -> bool:
+    """Nonnegative loads summing to the total (within default_tol); boxes ignored."""
     arr = as_allocation(p, w)
-    if tol is None:
-        tol = default_tol(p)
+    tol = default_tol(p)
     return bool(abs(arr.sum() - p.total) <= tol and np.all(arr >= -tol))
 
 

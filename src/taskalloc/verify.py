@@ -217,8 +217,8 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     constraint and box-checked. Deterministic small-instance oracle."""
     if p.n > 4:
         raise DimensionTooLargeError(f"grid oracle supports n <= 4, got {p.n}")
-    if not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < np.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
     eps = 1e-9 * max(1.0, abs(w))
@@ -230,15 +230,16 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
             return OracleResult(best, cost, 1, None, mode="grid", drawn=1, accepted=1)
         raise EmptyGridError("the single point w violates the box")
 
-    # Count the points from the spans before any axis is built; rounding
+    # Count the points from the spans before any axis is built, stopping
+    # past the cap; Python floats saturate at inf without a warning. Rounding
     # in _axis can move an axis by one point, which the cap does not need.
     count_all = 1.0
     for i in range(n - 1):
-        count_all *= np.ceil(float(up[i] - lo[i]) / float(resolution) - 1e-9) + 1
-    if count_all > _GRID_EVAL_CAP:
-        raise DimensionTooLargeError(
-            f"grid would need {count_all:.0f} evaluations (cap {_GRID_EVAL_CAP})"
-        )
+        count_all *= float(np.ceil(float(up[i] - lo[i]) / float(resolution) - 1e-9)) + 1
+        if count_all > _GRID_EVAL_CAP:
+            raise DimensionTooLargeError(
+                f"grid would need at least {count_all:.3g} evaluations (cap {_GRID_EVAL_CAP})"
+            )
 
     # The last two free axes form 2-D blocks of (inner rows) x (last axis);
     # only the axes before them loop in Python. Cells are taken in C order,

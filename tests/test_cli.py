@@ -229,6 +229,8 @@ def test_module_entry_point(tmp_path):
         ["simulate", "--example", "fig3", "--tol", "0"],
         ["simulate", "--example", "fig3", "--dt", "inf"],
         ["simulate", "--example", "fig3", "--tol", "inf"],
+        ["verify", "--example", "tab1", "--samples", "2000", "--grid", "inf"],
+        ["verify", "--example", "tab1", "--samples", "2000", "--grid", "1e-300"],
     ],
 )
 def test_invalid_option_values_exit_config(tmp_path, capsys, argv):

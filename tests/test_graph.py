@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from conftest import random_graph
 
+from taskalloc import graph
 from taskalloc.costs import exponential, quadratic
 from taskalloc.drd import DrdConfig, default_start, simulate
 from taskalloc.errors import DisconnectedError, NodeOutOfRangeError, SelfLoopError
 from taskalloc.graph import (
     Graph,
-    bfs_tree,
     diameter,
     edge_list,
     from_edge_list,
@@ -136,7 +136,7 @@ def test_bfs_tree_parents_are_one_level_up():
     graphs = [from_edge_list(1, []), from_edge_list(6, [(i, i + 1) for i in range(5)])]
     graphs += [random_graph(rng, int(rng.integers(2, 40))) for _ in range(30)]
     for g in graphs:
-        depth, parent = bfs_tree(g)
+        depth, parent = g.depth, g.parent
         assert depth[0] == 0 and parent[0] == -1
         for v in range(1, g.n):
             assert parent[v] in neighbors(g, v)
@@ -158,7 +158,7 @@ def test_sparse_instance_with_1e5_agents():
     g = from_edge_list(n, np.concatenate([ring, chords]))
     assert g.adjacency.nbytes == 32 * len(edge_list(g)) < 5 * 2**20
 
-    depth, parent = bfs_tree(g)
+    depth, parent = g.depth, g.parent
     assert depth[0] == 0 and parent[0] == -1 and depth.min() == 0
     child = np.arange(1, n)
     codes = g.adjacency[:, 0] * n + g.adjacency[:, 1]
@@ -190,3 +190,40 @@ def test_sparse_instance_with_1e5_agents():
     even = lower + 0.5 * (upper - lower)
     assert in_feasible_set(p, even)
     np.testing.assert_array_equal(select_final(p, even, res.allocation), res.allocation)
+
+
+def test_graph_is_traversed_once(monkeypatch):
+    # the connectivity check's BFS is the tree select_final sums over
+    calls = []
+    bfs = graph._bfs
+
+    def counted(g, start):
+        calls.append(start)
+        return bfs(g, start)
+
+    monkeypatch.setattr(graph, "_bfs", counted)
+    g = from_edge_list(4, [(0, 1), (1, 2), (1, 3)])
+    assert calls == [0]
+    agents = (quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0),) * 4
+    p = AllocationProblem(graph=g, agents=agents, total=8.0)
+    even = np.full(4, 2.0)
+    skew = np.array([5.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(select_final(p, skew, even), even)
+    assert calls == [0]
+    # the kept tree is that search's result, read-only
+    for kept, fresh in zip((g.depth, g.parent), bfs(g, 0)):
+        np.testing.assert_array_equal(kept, fresh)
+        assert not kept.flags.writeable
+
+
+def test_select_final_on_1e5_node_path():
+    # a tree 10^5 levels deep; no timing is asserted
+    n = 100_000
+    g = from_edge_list(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
+    assert g.depth.max() == n - 1
+    agents = (quadratic(a=1.0, b=1.0, lower=0.0, upper=2.0),) * n
+    p = AllocationProblem(graph=g, agents=agents, total=float(n))
+    even = np.ones(n)
+    skew = even + np.where(np.arange(n) % 2, -0.5, 0.5)  # costs 1.625 n against 1.5 n
+    for first, second in ((even, skew), (skew, even)):
+        np.testing.assert_array_equal(select_final(p, first, second), even)

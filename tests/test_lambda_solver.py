@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from taskalloc.lambda_solver import (
 )
 from taskalloc.problem import (
     AllocationProblem,
+    cost_values,
     in_feasible_set,
     marginals,
     total_cost,
@@ -502,3 +504,59 @@ def test_selection_keeps_cheaper_candidate(shape, caplog):
         compared += 1
     assert compared >= 50
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _per_level_pick(p, wstar, wo):
+    """Reference convergecast that scans all depths once per level
+    (O(n·depth)); compare_and_select must pick what this picks."""
+    partial = cost_values(p, wstar) - cost_values(p, wo)
+    depth, parent = p.graph.depth, p.graph.parent
+    for level in range(int(depth.max()), 0, -1):
+        nodes = np.flatnonzero(depth == level)
+        np.add.at(partial, parent[nodes], partial[nodes])
+    return wstar if partial[0] <= 0 else wo
+
+
+@st.composite
+def _near_ties(draw):
+    """Identical agents on a path, star, random tree or chorded ring, at a
+    cost scale in 1e-3..1e6, and two feasible candidates that are
+    permutations of each other (true cost difference 0). Half the time
+    one load moves between two agents of the second, by a relative amount
+    down to 1e-16, so the difference is near but not at 0."""
+    shape = draw(st.sampled_from(["path", "star", "tree", "ring"]))
+    n = draw(st.integers(2, 60))
+    scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        agent = exponential(a=scale, lower=1.0, upper=3.0)
+    else:
+        agent = quadratic(a=scale, b=scale * float(rng.uniform(0.1, 10.0)), lower=1.0, upper=3.0)
+    total = n * float(rng.uniform(1.1, 2.9))
+    p = AllocationProblem(
+        graph=from_edge_list(n, _shaped_edges(rng, shape, n)), agents=(agent,) * n, total=total
+    )
+    a = _feasible_point(p, rng)
+    b = a[rng.permutation(n)]
+    if draw(st.booleans()):
+        i, j = rng.choice(n, size=2, replace=False)
+        move = min(b[i] - 1.0, 3.0 - b[j]) * 10.0 ** draw(st.floats(-16.0, 0.0))
+        b[i] -= move
+        b[j] += move
+    return p, a, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_near_ties())
+def test_selection_matches_per_level_sum_at_near_ties(case):
+    p, a, b = case
+    assert in_feasible_set(p, a) and in_feasible_set(p, b)
+    ca, cb = cost_values(p, a), cost_values(p, b)
+    diff = math.fsum(np.concatenate([ca, -cb]))  # C(a) - C(b), rounded once
+    # rounding of the n differences and of the n - 1 tree additions
+    slack = 2.0 * p.n * np.finfo(float).eps * math.fsum(np.abs(ca - cb))
+    for first, second, sign in ((a, b, 1.0), (b, a, -1.0)):
+        pick = compare_and_select(p, first, second)
+        np.testing.assert_array_equal(pick, _per_level_pick(p, first, second))
+        if abs(diff) > slack:
+            np.testing.assert_array_equal(pick, first if sign * diff < 0 else second)
