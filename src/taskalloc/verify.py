@@ -4,13 +4,19 @@ The problem is convex with linear constraints, so the KKT conditions are
 necessary and sufficient: a passing certificate proves global optimality.
 The Monte Carlo and grid oracles provide independent brute-force
 cross-checks that never rely on the solver's own machinery.
+
+Monte Carlo prices its points with total_cost_batch. The grid instead
+keeps one cost table per free axis, since the total cost is separable,
+and adds each cell's per-agent costs left to right. That is the order in
+which numpy sums the rows of a (cells, n) batch when n < 8, so for the
+grid's n <= 4 its sums are exactly the batch's.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import _CostTable
 from .errors import (
     DimensionTooLargeError,
     EmptyGridError,
@@ -68,7 +74,8 @@ class OracleResult:
     "hit-and-run" for monte_carlo_min, and "grid" for grid_min. drawn
     counts the candidates tried and accepted those inside the feasible
     set: simplex draws for the sampler (in hit-and-run mode, the pilot
-    that chose the walker), grid cells for the grid.
+    that chose the walker), grid cells for the grid. chain_steps counts the
+    walk steps each hit-and-run chain took, 0 in the other modes.
     """
 
     best: np.ndarray
@@ -78,6 +85,7 @@ class OracleResult:
     mode: str
     drawn: int
     accepted: int
+    chain_steps: int = 0
 
 
 def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
@@ -181,6 +189,7 @@ def monte_carlo_min(
     rng = np.random.default_rng(seed)
     room = w - float(lo.sum())
     tracker = _BestTracker()
+    chain_steps = 0
     try:
         points = _shifted_simplex(rng, _draw_size(_PILOT_ELEMENTS, n), lo, room)
         inside = np.all(points <= up[:, None], axis=0)
@@ -203,18 +212,28 @@ def monte_carlo_min(
         else:
             mode = "hit-and-run"
             del points, inside  # the walk does not need the pilot
-            _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump)
+            chain_steps = _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump)
     finally:
         dump.close()
     return OracleResult(
-        tracker.best, tracker.cost, samples, seed, mode=mode, drawn=drawn, accepted=accepted
+        tracker.best, tracker.cost, samples, seed,
+        mode=mode, drawn=drawn, accepted=accepted, chain_steps=chain_steps,
     )
 
 
 def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     """Exhaustive scan of the feasible slice: the first n-1 coordinates run
     over box grids at `resolution`, the last is solved from the sum
-    constraint and box-checked. Deterministic small-instance oracle."""
+    constraint and box-checked. Deterministic small-instance oracle.
+
+    The total cost is separable, so each free axis gets a cost table,
+    evaluated once per axis value by that agent's own formula, and a cell
+    evaluates only its solved last coordinate. A cell's total adds its
+    agents' costs left to right; numpy sums a row shorter than 8 left to
+    right as well, so for n <= 4 the costs, the tie order and the chosen
+    point are bit for bit those of total_cost_batch on the feasible cells.
+    Memory grows with the axes and their cost tables only.
+    """
     if p.n > 4:
         raise DimensionTooLargeError(f"grid oracle supports n <= 4, got {p.n}")
     if not 0 < resolution < np.inf:
@@ -226,7 +245,7 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     if n == 1:
         if lo[0] - eps <= w <= up[0] + eps:
             best = np.array([w])
-            cost = float(total_cost_batch(p, best[None])[0])
+            cost = float(_CostTable(p.agents).cost(best)[0])
             return OracleResult(best, cost, 1, None, mode="grid", drawn=1, accepted=1)
         raise EmptyGridError("the single point w violates the box")
 
@@ -241,37 +260,44 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
                 f"grid would need at least {count_all:.3g} evaluations (cap {_GRID_EVAL_CAP})"
             )
 
-    # The last two free axes form 2-D blocks of (inner rows) x (last axis);
-    # only the axes before them loop in Python. Cells are taken in C order,
-    # and each partial sum is added left to right as sum(combo) would, so
-    # the points, their costs and the tie order match a per-row scan.
+    # The last two free axes form 2-D blocks of (inner rows) x (last axis)
+    # of at most _GRID_BLOCK_CELLS cells, a longer row cut into column
+    # chunks; only the head axes before them loop in Python. Cells are
+    # taken in C order, so the tie order is that of a per-row scan.
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
-    last = axes[-1]
-    inner = axes[-2] if n > 2 else np.zeros(1)  # n = 2: one row, no column
-    rows_per_block = max(1, _GRID_BLOCK_CELLS // last.size)
-    tracker = _BestTracker()
+    one_agent = [_CostTable((m,)) for m in p.agents]  # one table per agent, its own formula
+    costs = [_axis_costs(one_agent[i], a) for i, a in enumerate(axes)]
+    last, last_cost = axes[-1], costs[-1]
+    inner, inner_cost = (axes[-2], costs[-2]) if n > 2 else (np.zeros(1),) * 2  # n = 2: one row
+    cols = min(last.size, _GRID_BLOCK_CELLS)
+    rows_per_block = _GRID_BLOCK_CELLS // cols
+    best, best_cost = None, np.inf
     drawn = feasible = 0
-    for combo in itertools.product(*axes[:-2]):
-        head = sum(combo)
+    for combo in np.ndindex(*(a.size for a in axes[:-2])):
+        head_point = [axes[i][k] for i, k in enumerate(combo)]
+        head, head_cost = sum(head_point), sum(costs[i][k] for i, k in enumerate(combo))
         for start in range(0, inner.size, rows_per_block):
-            rows = inner[start : start + rows_per_block]
-            w_last = w - (head + rows)[:, None] - last[None, :]
-            drawn += w_last.size
-            ii, jj = np.nonzero((w_last >= lo[-1] - eps) & (w_last <= up[-1] + eps))
-            if ii.size == 0:
-                continue
-            batch = np.empty((ii.size, n))
-            if n > 2:
-                batch[:, : n - 3] = combo
-                batch[:, n - 3] = rows[ii]
-            batch[:, n - 2] = last[jj]
-            batch[:, n - 1] = np.clip(w_last[ii, jj], lo[-1], up[-1])
-            tracker.update(batch, total_cost_batch(p, batch))
-            feasible += ii.size
+            rows = slice(start, start + rows_per_block)
+            row_sum, row_cost = head + inner[rows], head_cost + inner_cost[rows]
+            for col in range(0, last.size, cols):
+                w_last = w - row_sum[:, None] - last[col : col + cols]
+                drawn += w_last.size
+                mask = (w_last >= lo[-1] - eps) & (w_last <= up[-1] + eps)
+                solved = np.clip(w_last[mask], lo[-1], up[-1])
+                if solved.size == 0:
+                    continue
+                totals = (row_cost[:, None] + last_cost[col : col + cols])[mask]
+                totals += one_agent[-1].cost(solved)
+                feasible += solved.size
+                k = int(np.argmin(totals))
+                if totals[k] < best_cost:
+                    best_cost = float(totals[k])
+                    i, j = divmod(int(np.flatnonzero(mask)[k]), mask.shape[1])
+                    best = np.array((*head_point, inner[start + i], last[col + j], solved[k])[-n:])
     if feasible == 0:
         raise EmptyGridError("no grid point satisfies the sum and box constraints")
     return OracleResult(
-        tracker.best, tracker.cost, feasible, None, mode="grid", drawn=drawn, accepted=feasible
+        best, best_cost, feasible, None, mode="grid", drawn=drawn, accepted=feasible
     )
 
 
@@ -372,7 +398,8 @@ def _chord(x: np.ndarray, d: np.ndarray, lo, up) -> tuple[np.ndarray, np.ndarray
     return np.minimum(t_lo, 0.0), np.maximum(t_hi, 0.0)
 
 
-def _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump):
+def _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump) -> int:
+    """Feed `samples` walk points to tracker and dump; returns the steps per chain."""
     n, w = p.n, p.total
     free = (up - lo) > 0
     x0 = _plane_center(p)
@@ -389,8 +416,9 @@ def _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump):
         )
 
     chains = np.repeat(x0[None], _CHAINS, axis=0)
-    taken = 0
+    taken = steps = 0
     while taken < samples:
+        steps += _BURN
         for _ in range(_BURN):
             d = _project_directions(rng.normal(size=(_CHAINS, n)), free)
             t_lo, t_hi = _chord(chains, d, lo, up)
@@ -403,11 +431,19 @@ def _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump):
         tracker.update(pts, costs)
         dump.write(pts, costs)
         taken += pts.shape[0]
+    return steps
 
 
 def _axis(lo: float, up: float, step: float) -> np.ndarray:
     pts = np.arange(lo, up + 0.5 * step, step)
-    pts = np.minimum(pts, up)
+    np.minimum(pts, up, out=pts)
     if pts.size == 0 or pts[-1] < up - 1e-9 * step:
         pts = np.append(pts, up)
     return pts
+
+
+def _axis_costs(table: _CostTable, axis: np.ndarray) -> np.ndarray:
+    out = np.empty_like(axis)
+    for s in range(0, axis.size, _GRID_BLOCK_CELLS):  # chunks bound the temporaries
+        out[s : s + _GRID_BLOCK_CELLS] = table.cost(axis[s : s + _GRID_BLOCK_CELLS])
+    return out

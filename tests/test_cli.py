@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from taskalloc.cli import main
 from taskalloc.errors import UnknownExampleError
 from taskalloc.instances import get_instance, instance_ids
 from taskalloc.problem import serialize_problem
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -164,6 +167,25 @@ def test_reports_byte_identical(tmp_path):
         assert rc == 0
         outs.append((out / "verify_report.txt").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_solve_tab3_report_matches_golden(tmp_path):
+    # tab3 is quadratic, so no exp/log last-bit drift across CPUs or libms
+    out = tmp_path / "out"
+    assert main(["solve", "--example", "tab3", "--out", str(out)]) == 0
+    golden = (DATA / "tab3_solver_report.txt").read_bytes()
+    assert (out / "solver_report.txt").read_bytes() == golden
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "0.5"]], ids=["auto", "0.5"])
+def test_verify_tab3_grid_lines_match_golden(tmp_path, grid):
+    # the automatic resolution is width/300, which is 0.5 on tab3 as well
+    out = tmp_path / "out"
+    argv = ["verify", "--example", "tab3", "--samples", "2000", "--seed", "0", *grid]
+    assert main([*argv, "--out", str(out)]) == 0
+    lines = (out / "verify_report.txt").read_text().splitlines(keepends=True)
+    start = next(k for k, line in enumerate(lines) if line.startswith("grid:"))
+    assert "".join(lines[start : start + 4]) == (DATA / "tab3_verify_grid.txt").read_text()
 
 
 def test_reproduce_tab_instances(tmp_path, capsys):

@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import random_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taskalloc.costs import exponential, quadratic
+from taskalloc.costs import _CostTable, exponential, quadratic
 from taskalloc.errors import (
     DimensionTooLargeError,
     EmptyGridError,
@@ -18,7 +20,15 @@ from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
 from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost, total_cost_batch
 from taskalloc.drd import nash_residual
-from taskalloc.verify import _axis, _OracleDump, grid_min, kkt_check, monte_carlo_min
+from taskalloc.verify import (
+    _BURN,
+    _CHAINS,
+    _axis,
+    _OracleDump,
+    grid_min,
+    kkt_check,
+    monte_carlo_min,
+)
 
 
 def test_is_nash_at_equal_fitness(fig2):
@@ -240,6 +250,28 @@ def test_monte_carlo_hit_and_run_path():
     assert res.best_cost >= solver_cost
 
 
+def test_oracle_chain_steps_count_walk_steps_only(tab1):
+    # boxes 0.02 wide and a total 0.01 below the upper sum: the feasible
+    # set is the corner where the slacks up_i - w_i sum to 0.01, a share
+    # (0.01 / room)^(n - 1) of the shifted simplex: 4e-2 at n = 3 (room
+    # 0.05), 1.5e-4 at n = 5 (room 0.09), where the walker takes over
+    def thin(n):
+        agents = tuple(quadratic(a=1.0, b=1.0, lower=1.0, upper=1.02) for _ in range(n))
+        g = from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+        return AllocationProblem(graph=g, agents=agents, total=1.02 * n - 0.01)
+
+    for samples in (1, _CHAINS, _CHAINS + 1, 1500):
+        res = monte_carlo_min(thin(5), samples, seed=2)
+        assert res.mode == "hit-and-run"
+        assert res.chain_steps == _BURN * -(-samples // _CHAINS)
+    # no walk: rejection, a degenerate total (the upper sum), the grid
+    rejection = monte_carlo_min(thin(3), 100, seed=2)
+    degenerate = monte_carlo_min(_boxes([(0.0, 1.0), (0.0, 1.0)], 2.0), 10, seed=0)
+    assert (rejection.mode, degenerate.mode) == ("rejection", "degenerate")
+    assert rejection.chain_steps == degenerate.chain_steps == 0
+    assert grid_min(tab1.problem, 1.0).chain_steps == 0
+
+
 def test_monte_carlo_starved_on_pointlike_set():
     # one pinned box plus the sum constraint leaves a single point:
     # zero-measure for rejection, no direction for the walker
@@ -344,6 +376,43 @@ def test_oracle_dump_matches_per_number_format(tmp_path):
 # grid oracle
 
 
+@pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_total_cost_batch_is_left_to_right_column_sum(n, family):
+    # grid_min adds per-agent cost columns, each from a one-agent cost
+    # table, left to right and relies on numpy's row sum of a (m, n) batch
+    # doing the same for n < 8; a numpy that reorders short-row sums fails
+    # here first
+    rng = np.random.default_rng(100 * n + len(family))
+    agents = []
+    for i in range(n):
+        fam = family if family != "mixed" else ("exponential", "quadratic")[i % 2]
+        lower, width = float(rng.uniform(0.0, 50.0)), float(rng.uniform(1.0, 100.0))
+        scale = 10.0 ** rng.uniform(-3.0, 6.0)  # partial sums of mixed sizes round
+        if fam == "exponential":
+            agents.append(exponential(a=scale, lower=lower, upper=lower + width))
+        else:
+            agents.append(quadratic(a=1e-2 * scale, b=scale, lower=lower, upper=lower + width))
+    lo = np.array([m.lower for m in agents])
+    up = np.array([m.upper for m in agents])
+    p = AllocationProblem(
+        graph=from_edge_list(n, [(i, i + 1) for i in range(n - 1)]),
+        agents=tuple(agents),
+        total=float(0.5 * (lo + up).sum()),
+    )
+    batch = lo + (up - lo) * rng.random((20_000, n))
+    columns = [_CostTable((m,)).cost(batch[:, i]) for i, m in enumerate(p.agents)]
+    left_to_right = columns[0]
+    for col in columns[1:]:
+        left_to_right = left_to_right + col
+    assert total_cost_batch(p, batch).tobytes() == left_to_right.tobytes()
+    if n > 2:  # the data can tell the orders apart
+        right_to_left = columns[-1]
+        for col in columns[-2::-1]:
+            right_to_left = right_to_left + col
+        assert not np.array_equal(right_to_left, left_to_right)
+
+
 def _grid_per_row(p, resolution):
     """grid_min as one Python iteration per grid row: the reference."""
     n, w = p.n, p.total
@@ -374,15 +443,17 @@ def _grid_per_row(p, resolution):
 
 
 def _boxes(bounds, total, family="quadratic"):
+    """A path of agents with the given boxes; "mixed" alternates exponential
+    (even positions) and quadratic agents."""
     n = len(bounds)
-    if family == "quadratic":
-        agents = tuple(quadratic(a=0.02 * (i + 1), b=1.0, lower=l, upper=u)
-                       for i, (l, u) in enumerate(bounds))
-    else:
-        agents = tuple(exponential(a=300.0 * (i + 1), lower=l, upper=u)
-                       for i, (l, u) in enumerate(bounds))
+    agents = []
+    for i, (l, u) in enumerate(bounds):
+        if family == "quadratic" or (family == "mixed" and i % 2):
+            agents.append(quadratic(a=0.02 * (i + 1), b=1.0, lower=l, upper=u))
+        else:
+            agents.append(exponential(a=300.0 * (i + 1), lower=l, upper=u))
     edges = [(i, i + 1) for i in range(n - 1)]
-    return AllocationProblem(graph=from_edge_list(n, edges), agents=agents, total=total)
+    return AllocationProblem(graph=from_edge_list(n, edges), agents=tuple(agents), total=total)
 
 
 def _grid_cases():
@@ -404,6 +475,17 @@ def _grid_cases():
         (_boxes([(0.0, 10.0), (0.0, 50.0), (0.0, 100.0), (10.0, 80.0)], 100.0), 1.0),
         (_boxes([(100.0, 102.0), (50.0, 120.0), (0.0, 90.0), (30.0, 60.0)], 250.0,
                 "exponential"), 0.7),
+        (_boxes([(0.0, 40.0), (5.0, 60.0), (0.0, 70.0), (10.0, 50.0)], 110.0, "mixed"), 0.9),
+        # a zero-width box on a free axis: that axis has a single point
+        (_boxes([(0.0, 50.0), (20.0, 20.0), (0.0, 60.0), (5.0, 40.0)], 80.0), 0.7),
+        # identical agents at n = 4: (3, 3, 4, 3.5), (3, 4, 3, 3.5) and
+        # (4, 3, 3, 3.5) tie exactly (every cost and sum is a dyadic
+        # fraction), and the first in C order stays
+        (AllocationProblem(
+            graph=from_edge_list(4, [(0, 1), (1, 2), (2, 3)]),
+            agents=tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0) for _ in range(4)),
+            total=13.5,
+        ), 1.0),
     ]
     # random boxes and totals, so the partial sums round
     rng = np.random.default_rng(31)
@@ -420,6 +502,59 @@ def test_grid_matches_per_row_reference(p, resolution):
     assert res.best.tobytes() == best.tobytes()
     assert res.best_cost == best_cost and res.samples == feasible
     assert res.mode == "grid" and res.accepted == feasible <= res.drawn
+
+
+@st.composite
+def _grid_problems(draw):
+    """A path of 2-4 agents of either family, cost scales 1e-3...1e6, so the
+    per-cell sums round differently in different orders; 3-60 grid steps
+    across the widest box."""
+    n = draw(st.integers(2, 4))
+    agents = []
+    for _ in range(n):
+        lower, width = draw(st.floats(0.0, 50.0)), draw(st.floats(0.5, 100.0))
+        scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+        if draw(st.booleans()):
+            agents.append(exponential(a=scale, lower=lower, upper=lower + width))
+        else:
+            agents.append(quadratic(a=1e-2 * scale, b=scale, lower=lower, upper=lower + width))
+    lo, up = sum(m.lower for m in agents), sum(m.upper for m in agents)
+    p = AllocationProblem(
+        graph=from_edge_list(n, [(i, i + 1) for i in range(n - 1)]),
+        agents=tuple(agents),
+        total=lo + draw(st.floats(0.05, 0.95)) * (up - lo),
+    )
+    divisions = draw(st.integers(3, 30 if n == 4 else 60))
+    return p, float((p.upper_bounds - p.lower_bounds).max()) / divisions
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_grid_problems())
+def test_grid_matches_per_row_reference_on_random_problems(case):
+    p, resolution = case
+    try:
+        best, best_cost, feasible = _grid_per_row(p, resolution)
+    except EmptyGridError:
+        with pytest.raises(EmptyGridError):
+            grid_min(p, resolution)
+        return
+    res = grid_min(p, resolution)
+    assert res.best.tobytes() == best.tobytes()
+    assert res.best_cost == best_cost and res.samples == feasible
+
+
+def test_grid_memory_bounded_by_axes():
+    # n = 2 at 1e-4 on a width of 100: one row of 10^6 + 1 cells, which
+    # runs in column chunks; the axis and its cost table take 8 MB each
+    p = _boxes([(0.0, 100.0), (0.0, 100.0)], 100.0)
+    tracemalloc.start()
+    try:
+        res = grid_min(p, 1e-4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.drawn == res.accepted == 1_000_001
+    assert peak < 32 * 2**20
 
 
 def test_grid_empty_matches_per_row_reference():
