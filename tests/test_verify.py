@@ -475,6 +475,14 @@ def _grid_cases():
         (_boxes([(0.0, 10.0), (0.0, 50.0), (0.0, 100.0), (10.0, 80.0)], 100.0), 1.0),
         (_boxes([(100.0, 102.0), (50.0, 120.0), (0.0, 90.0), (30.0, 60.0)], 250.0,
                 "exponential"), 0.7),
+    ]
+    # random boxes and totals, so the partial sums round
+    rng = np.random.default_rng(31)
+    for n, div in [(2, 9000.0), (3, 137.0), (3, 70.0), (4, 23.0), (4, 61.0)]:
+        p = random_problem(rng, n=n)
+        cases.append((p, float((p.upper_bounds - p.lower_bounds).max()) / div))
+    # n = 4, after the random cases so the earlier cases keep their ids
+    cases += [
         (_boxes([(0.0, 40.0), (5.0, 60.0), (0.0, 70.0), (10.0, 50.0)], 110.0, "mixed"), 0.9),
         # a zero-width box on a free axis: that axis has a single point
         (_boxes([(0.0, 50.0), (20.0, 20.0), (0.0, 60.0), (5.0, 40.0)], 80.0), 0.7),
@@ -487,11 +495,6 @@ def _grid_cases():
             total=13.5,
         ), 1.0),
     ]
-    # random boxes and totals, so the partial sums round
-    rng = np.random.default_rng(31)
-    for n, div in [(2, 9000.0), (3, 137.0), (3, 70.0), (4, 23.0), (4, 61.0)]:
-        p = random_problem(rng, n=n)
-        cases.append((p, float((p.upper_bounds - p.lower_bounds).max()) / div))
     return cases
 
 
