@@ -6,10 +6,10 @@ dynamics trace), verify (solver vs brute-force oracles), reproduce
 
 Exit codes: 0 success/verified, 2 parse or configuration problem,
 3 infeasible instance, 4 numerical failure (step overflow, starved
-sampler), 5 verification mismatch. Every failure prints a machine-parsable
-line ``error-code: <slug> exit=<n>`` on stderr before the human-readable
-message. Reports carry no timestamps, so identical runs produce
-byte-identical files.
+sampler, a cost beyond float range), 5 verification mismatch. Every
+failure prints a machine-parsable line ``error-code: <slug> exit=<n>``
+on stderr before the human-readable message. Reports carry no
+timestamps, so identical runs produce byte-identical files.
 """
 
 import argparse
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import drd, verify
 from .errors import (
+    CostOverflowError,
     DimensionTooLargeError,
     EmptyGridError,
     InfeasibleError,
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
         return _fail("infeasible", EXIT_INFEASIBLE, exc)
     except StepOverflowError as exc:
         return _fail("step-overflow", EXIT_NUMERICAL, exc, hint="try halving --dt")
-    except (SamplerStarvedError, NonpositiveLambdaError) as exc:
+    except (SamplerStarvedError, NonpositiveLambdaError, CostOverflowError) as exc:
         return _fail("numerical", EXIT_NUMERICAL, exc)
     except OSError as exc:
         return _fail("io", EXIT_CONFIG, exc)
@@ -267,11 +268,18 @@ def _auto_resolution(p) -> float:
     return width / 300.0 if width > 0 else 1.0
 
 
+def _finite(cost: float, what: str) -> float:
+    """A verdict needs finite costs: an overflow compares as a tie or a loss."""
+    if not np.isfinite(cost):
+        raise CostOverflowError(f"{what} cost is {cost}; the instance's costs overflow")
+    return cost
+
+
 def _run_verify(args) -> int:
     p, inst, label = _load(args)
     out = _out_dir(args)
     res = solve_lambda(p)
-    solver_cost = total_cost(p, res.allocation)
+    solver_cost = _finite(total_cost(p, res.allocation), "solver")
     cert = verify.kkt_check(p, res.allocation)
 
     slack = 1e-9 * max(1.0, abs(solver_cost))
@@ -281,6 +289,7 @@ def _run_verify(args) -> int:
     if p.n <= 4:
         resolution = args.grid if args.grid is not None else _auto_resolution(p)
         gr = verify.grid_min(p, resolution)
+        _finite(gr.best_cost, "grid")
         grid_ok = solver_cost <= gr.best_cost + slack
         offset = float(np.abs(gr.best - res.allocation).max())
         grid_lines = [
@@ -292,6 +301,7 @@ def _run_verify(args) -> int:
 
     dump = out / "oracle_samples.csv" if args.dump_oracle else None
     mc = verify.monte_carlo_min(p, args.samples, args.seed, dump_path=dump)
+    _finite(mc.best_cost, "monte carlo")
     mc_ok = solver_cost <= mc.best_cost + slack
     mc_gap = (mc.best_cost - solver_cost) / abs(solver_cost)
 

@@ -74,6 +74,10 @@ class SamplerStarvedError(TaskAllocError):
     """The feasible region is too thin to sample."""
 
 
+class CostOverflowError(TaskAllocError):
+    """A total cost is not a finite float."""
+
+
 class DimensionTooLargeError(TaskAllocError):
     """The grid oracle only handles small agent counts."""
 

@@ -3,7 +3,8 @@
 The problem is convex with linear constraints, so the KKT conditions are
 necessary and sufficient: a passing certificate proves global optimality.
 The Monte Carlo and grid oracles provide independent brute-force
-cross-checks that never rely on the solver's own machinery.
+cross-checks that never rely on the solver's own machinery. Monte Carlo
+samples by rejection, or by a walk of pair moves on too thin a set.
 
 Monte Carlo prices its points with total_cost_batch. The grid instead
 keeps one cost table per free axis, since the total cost is separable,
@@ -39,7 +40,7 @@ _PILOT_ELEMENTS = 60_000
 _BLOCK_ELEMENTS = 12_288
 _MIN_POINTS = 256  # floor; a 256-point pilot keeps rejection on one accepted point
 _CHAINS = 512  # parallel hit-and-run chains
-_BURN = 50  # walk steps between recorded hit-and-run samples
+_SWEEPS = 5  # pair moves per free agent between recorded hit-and-run samples
 _REJECTION_MIN_RATE = 1e-3  # below this, switch to hit-and-run
 _GRID_EVAL_CAP = 200_000_000
 _GRID_BLOCK_CELLS = 4096  # grid cells evaluated per array pass
@@ -75,7 +76,8 @@ class OracleResult:
     counts the candidates tried and accepted those inside the feasible
     set: simplex draws for the sampler (in hit-and-run mode, the pilot
     that chose the walker), grid cells for the grid. chain_steps counts the
-    walk steps each hit-and-run chain took, 0 in the other modes.
+    pair moves each hit-and-run chain made, 0 in the other modes. best is
+    never None: when no cost is finite, it is the first point.
     """
 
     best: np.ndarray
@@ -165,10 +167,11 @@ def monte_carlo_min(
     {x >= 0, sum x = w - sum lower} (normalized exponential spacings), and
     is kept when it stays under the upper bounds: a uniform point of the
     feasible set. When a pilot accepts fewer than 1e-3 of its draws, the
-    points come from a hit-and-run walk inside the feasible polytope
-    instead. Deterministic for a fixed seed, and sample streams are
-    prefix-stable across sample counts. Raises SamplerStarvedError when
-    the feasible set is too thin to walk.
+    points come from a hit-and-run walk of pair moves instead, whose law
+    is also uniform (see _hit_and_run_stream). Deterministic for a fixed
+    seed, and sample streams are prefix-stable across sample counts.
+    Raises SamplerStarvedError when fewer than two agents have a box of
+    nonzero width, so no pair move exists.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -290,7 +293,7 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
                 totals += one_agent[-1].cost(solved)
                 feasible += solved.size
                 k = int(np.argmin(totals))
-                if totals[k] < best_cost:
+                if best is None or totals[k] < best_cost:
                     best_cost = float(totals[k])
                     i, j = divmod(int(np.flatnonzero(mask)[k]), mask.shape[1])
                     best = np.array((*head_point, inner[start + i], last[col + j], solved[k])[-n:])
@@ -306,7 +309,8 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
 
 
 class _BestTracker:
-    """Keeps the strictly-smallest cost seen; earliest sample wins ties."""
+    """Keeps the strictly-smallest cost seen; earliest sample wins ties,
+    and the first sample stands when no cost is finite."""
 
     def __init__(self):
         self.best = None
@@ -314,7 +318,7 @@ class _BestTracker:
 
     def update(self, points: np.ndarray, costs: np.ndarray):
         k = int(np.argmin(costs))
-        if costs[k] < self.cost:
+        if self.best is None or costs[k] < self.cost:
             self.cost = float(costs[k])
             self.best = points[k].copy()
 
@@ -374,64 +378,39 @@ def _plane_center(p: AllocationProblem) -> np.ndarray:
     return x
 
 
-def _project_directions(d: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Zero pinned coordinates and remove the mean over free ones, so every
-    direction stays inside the sum plane and the pinned faces."""
-    d = d.copy()
-    d[:, ~free] = 0.0
-    nfree = int(free.sum())
-    if nfree < 2:
-        d[:] = 0.0
-        return d
-    d[:, free] -= d[:, free].sum(axis=1, keepdims=True) / nfree
-    return d
-
-
-def _chord(x: np.ndarray, d: np.ndarray, lo, up) -> tuple[np.ndarray, np.ndarray]:
-    """Feasible step range [t_lo, t_hi] along direction d from x (batch)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        to_up = np.where(d != 0, (up - x) / d, np.inf)
-        to_lo = np.where(d != 0, (lo - x) / d, -np.inf)
-    t_hi = np.minimum(np.where(d > 0, to_up, np.inf), np.where(d < 0, to_lo, np.inf)).min(axis=1)
-    t_lo = np.maximum(np.where(d > 0, to_lo, -np.inf), np.where(d < 0, to_up, -np.inf)).max(axis=1)
-    # guard against float-noise inversions: staying put is always allowed
-    return np.minimum(t_lo, 0.0), np.maximum(t_hi, 0.0)
-
-
 def _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump) -> int:
-    """Feed `samples` walk points to tracker and dump; returns the steps per chain."""
-    n, w = p.n, p.total
-    free = (up - lo) > 0
-    x0 = _plane_center(p)
+    """Feed `samples` walk points to tracker and dump; returns the moves per chain.
 
-    probe = _project_directions(rng.normal(size=(64, n)), free)
-    t_lo, t_hi = _chord(x0[None].repeat(64, axis=0), probe, lo, up)
-    norms = np.linalg.norm(probe, axis=1)
-    with np.errstate(invalid="ignore"):
-        lengths = np.where(norms > 0, (t_hi - t_lo) * norms, 0.0)
-    if float(np.nanmax(lengths, initial=0.0)) < 1e-12 * max(1.0, abs(w)):
-        raise SamplerStarvedError(
-            "feasible set is effectively lower-dimensional; "
-            "acceptance below 1e-6 and no direction to walk"
-        )
-
-    chains = np.repeat(x0[None], _CHAINS, axis=0)
-    taken = steps = 0
-    while taken < samples:
-        steps += _BURN
-        for _ in range(_BURN):
-            d = _project_directions(rng.normal(size=(_CHAINS, n)), free)
-            t_lo, t_hi = _chord(chains, d, lo, up)
-            with np.errstate(invalid="ignore"):
-                span = t_hi - t_lo
-                t = np.where(np.isfinite(span), t_lo + span * rng.uniform(size=_CHAINS), 0.0)
-            chains = chains + t[:, None] * d
-        pts = chains[: min(_CHAINS, samples - taken)]
+    A move picks, in each chain, two distinct free agents i and j and adds
+    t (e_i - e_j), t uniform on the chord that keeps both boxes: the sum
+    is kept and the uniform law is invariant. Chain c's load i is x[c*n + i].
+    """
+    n = p.n
+    free = np.flatnonzero(up > lo)
+    if free.size < 2:
+        raise SamplerStarvedError(f"{free.size} agent(s) with a nonzero box; no pair move exists")
+    x = np.tile(_plane_center(p), _CHAINS)
+    offset = np.arange(_CHAINS) * n
+    moves, block = _SWEEPS * free.size, _BLOCK_ELEMENTS // _CHAINS
+    for start in range(0, samples, _CHAINS):
+        for done in range(0, moves, block):
+            size = (min(block, moves - done), _CHAINS)
+            a = rng.integers(free.size, size=size)
+            b = rng.integers(free.size - 1, size=size)
+            b += b >= a  # a uniform pair of distinct free agents
+            for i, j, u in zip(free[a], free[b], rng.uniform(size=size)):
+                ci, cj = i + offset, j + offset
+                xi, xj = x[ci], x[cj]
+                # the chord keeps 0, so float noise can never invert it
+                t_lo = np.minimum(np.maximum(lo[i] - xi, xj - up[j]), 0.0)
+                t_hi = np.maximum(np.minimum(up[i] - xi, xj - lo[j]), 0.0)
+                t = t_lo + (t_hi - t_lo) * u
+                x[ci], x[cj] = xi + t, xj - t
+        pts = x.reshape(_CHAINS, n)[: samples - start]
         costs = total_cost_batch(p, pts)
         tracker.update(pts, costs)
         dump.write(pts, costs)
-        taken += pts.shape[0]
-    return steps
+    return moves * -(-samples // _CHAINS)
 
 
 def _axis(lo: float, up: float, step: float) -> np.ndarray:

@@ -9,7 +9,7 @@ from taskalloc import verify
 from taskalloc.cli import main
 from taskalloc.errors import UnknownExampleError
 from taskalloc.instances import get_instance, instance_ids
-from taskalloc.problem import serialize_problem
+from taskalloc.problem import load_problem, serialize_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -154,6 +154,46 @@ def test_verify_dump_writes_samples(tmp_path):
     lines = (out / "oracle_samples.csv").read_text().splitlines()
     assert lines[0] == "sample_index,w_1,w_2,w_3,C"
     assert len(lines) == 501
+
+
+def test_verify_walker_instance(tmp_path):
+    # thin5's feasible set is about 1.5e-4 of the shifted simplex, so the
+    # hit-and-run walker draws the samples
+    path = DATA / "thin5.json"
+    assert verify.monte_carlo_min(load_problem(path), 1, 0).mode == "hit-and-run"
+    out = tmp_path / "out"
+    rc = main(["verify", "--input", str(path), "--samples", "2000", "--seed", "0",
+               "--out", str(out)])
+    assert rc == 0
+    assert "verdict: VERIFIED" in (out / "verify_report.txt").read_text()
+
+
+# numpy warns when a cost overflows; the exit code is what is checked
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "total, grid, what",
+    [
+        # every cost on [0, 1e300]^2 overflows, the solver's first
+        (1e300, [], "solver"),
+        # the optimum's cost is 1.79768e308, just under the float maximum
+        # 1.79769e308: a load 4e152 off the centre, as on the 1e153 grid,
+        # overflows, and so does each of the ten random points
+        (2.68155e154, [], "monte carlo"),
+        (2.68155e154, ["--grid", "1e153"], "grid"),
+    ],
+    ids=["solver", "monte-carlo", "grid"],
+)
+def test_verify_cost_overflow_exits_numerical(tmp_path, capsys, total, grid, what):
+    agent = {"family": "quadratic", "a": 1.0, "b": 1.0, "lower": 0.0, "upper": total}
+    doc = {"total": total, "graph": {"n": 2, "edges": [[1, 2]]}, "agents": [agent, agent]}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["verify", "--input", str(path), "--samples", "10", *grid,
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error-code: numerical exit=4"
+    assert err[1].startswith(f"{what} cost is inf")
 
 
 def test_reports_byte_identical(tmp_path):

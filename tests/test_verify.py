@@ -21,9 +21,11 @@ from taskalloc.lambda_solver import solve_lambda
 from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost, total_cost_batch
 from taskalloc.drd import nash_residual
 from taskalloc.verify import (
-    _BURN,
     _CHAINS,
+    _SWEEPS,
     _axis,
+    _BestTracker,
+    _hit_and_run_stream,
     _OracleDump,
     grid_min,
     kkt_check,
@@ -232,7 +234,7 @@ def test_monte_carlo_degenerate_total_returns_bound_vector():
         assert res.mode == "degenerate" and res.drawn == 0
 
 
-def test_monte_carlo_hit_and_run_path():
+def test_monte_carlo_hit_and_run_path(tmp_path):
     # a total 0.05 below the upper sum leaves a corner that takes about
     # (0.05 / 2.95)^2 = 3e-4 of the shifted simplex: the walker takes over
     agents = tuple(
@@ -241,13 +243,18 @@ def test_monte_carlo_hit_and_run_path():
     p = AllocationProblem(
         graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=302.95
     )
-    res = monte_carlo_min(p, 3000, seed=5)
+    res = monte_carlo_min(p, 3000, seed=5, dump_path=tmp_path / "long.csv")
     assert res.mode == "hit-and-run" and res.accepted < 1e-3 * res.drawn
     assert in_feasible_set(p, res.best)
     again = monte_carlo_min(p, 3000, seed=5)
     assert res.best_cost == again.best_cost
     solver_cost = total_cost(p, solve_lambda(p).allocation)
     assert res.best_cost >= solver_cost
+    # prefix-stable: a shorter run records the same first rows
+    monte_carlo_min(p, 300, seed=5, dump_path=tmp_path / "short.csv")
+    short = (tmp_path / "short.csv").read_text().splitlines()
+    assert len(short) == 301
+    assert (tmp_path / "long.csv").read_text().splitlines()[:301] == short
 
 
 def test_oracle_chain_steps_count_walk_steps_only(tab1):
@@ -263,7 +270,7 @@ def test_oracle_chain_steps_count_walk_steps_only(tab1):
     for samples in (1, _CHAINS, _CHAINS + 1, 1500):
         res = monte_carlo_min(thin(5), samples, seed=2)
         assert res.mode == "hit-and-run"
-        assert res.chain_steps == _BURN * -(-samples // _CHAINS)
+        assert res.chain_steps == _SWEEPS * 5 * -(-samples // _CHAINS)
     # no walk: rejection, a degenerate total (the upper sum), the grid
     rejection = monte_carlo_min(thin(3), 100, seed=2)
     degenerate = monte_carlo_min(_boxes([(0.0, 1.0), (0.0, 1.0)], 2.0), 10, seed=0)
@@ -273,15 +280,13 @@ def test_oracle_chain_steps_count_walk_steps_only(tab1):
 
 
 def test_monte_carlo_starved_on_pointlike_set():
-    # one pinned box plus the sum constraint leaves a single point:
-    # zero-measure for rejection, no direction for the walker
-    agents = (
-        quadratic(a=0.01, b=1.0, lower=50.0, upper=50.0),
-        quadratic(a=0.01, b=1.0, lower=0.0, upper=100.0),
-    )
-    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=100.0)
-    with pytest.raises(SamplerStarvedError):
-        monte_carlo_min(p, 100, seed=0)
+    # pinned boxes leave one free agent, which the sum constraint fixes:
+    # zero-measure for rejection, no pair of agents for the walker
+    one_pinned = _boxes([(50.0, 50.0), (0.0, 100.0)], 100.0)
+    two_pinned = _boxes([(50.0, 50.0), (0.0, 100.0), (20.0, 20.0)], 120.0)
+    for p in (one_pinned, two_pinned):
+        with pytest.raises(SamplerStarvedError, match="no pair move"):
+            monte_carlo_min(p, 100, seed=0)
 
 
 def test_monte_carlo_dump(tmp_path, tab1):
@@ -354,6 +359,46 @@ def test_monte_carlo_uniform_on_feasible_set(tmp_path):
 
     for i in range(3):
         assert _ks_distance(w[:, i], hexagon_cdf) < crit
+
+
+class _Rows(list):
+    """Stands in for _OracleDump and keeps the recorded rows."""
+
+    def write(self, points, costs):
+        self.append(points.copy())
+
+
+@pytest.mark.parametrize("n", [4, 30])
+def test_hit_and_run_law_matches_rejection(tmp_path, n):
+    # boxes [0, u_i] with a total 0.3 of the upper sum: rejection still
+    # accepts about 11 % of its draws at n = 30, so it is the reference
+    up = np.linspace(0.5, 1.5, n)
+    p = _boxes([(0.0, u) for u in up], float(0.3 * up.sum()))
+    reference = _sampled(tmp_path, p, 20_000, seed=0)
+    rows = _Rows()
+    _hit_and_run_stream(p, np.random.default_rng(1), 4096, p.lower_bounds, up, _BestTracker(), rows)
+    walk = np.concatenate(rows)
+    assert walk.shape == (4096, n)
+    assert all(in_feasible_set(p, row) for row in walk)
+    # the share of walker rows below each reference decile of each load is
+    # that decile's level within 0.045, under 6 binomial standard errors of
+    # 4096 independent draws (0.5 / sqrt(4096) = 0.008), the rest being room
+    # for the chains' correlation across batches; a walk that has not mixed
+    # stays near its start and misses the tails
+    levels = np.linspace(0.1, 0.9, 9)
+    deciles = np.quantile(reference, levels, axis=0)
+    shares = (walk[:, None, :] <= deciles).mean(axis=0)
+    assert np.abs(shares - levels[:, None]).max() <= 0.045
+
+
+def test_oracles_keep_a_point_when_costs_overflow():
+    # every cost on [0, 1e300]^2 with that total overflows to inf
+    p = _boxes([(0.0, 1e300), (0.0, 1e300)], 1e300)
+    with np.errstate(over="ignore"):
+        results = [grid_min(p, 1e298), monte_carlo_min(p, 10, seed=0)]
+    for res in results:
+        assert res.best is not None and in_feasible_set(p, res.best)
+        assert res.best_cost == np.inf
 
 
 def test_oracle_dump_matches_per_number_format(tmp_path):
