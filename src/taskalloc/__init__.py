@@ -29,7 +29,6 @@ from .drd import (
 from .graph import Graph, edge_list, from_edge_list, neighbors
 from .instances import BundledInstance, get_instance, instance_ids
 from .lambda_solver import (
-    Breakpoint,
     BreakpointTable,
     SolverResult,
     breakpoints,
@@ -53,7 +52,6 @@ __all__ = [
     "EXPONENTIAL",
     "QUADRATIC",
     "AllocationProblem",
-    "Breakpoint",
     "BreakpointTable",
     "BundledInstance",
     "CostModel",

@@ -6,10 +6,11 @@ dynamics trace), verify (solver vs brute-force oracles), reproduce
 
 Exit codes: 0 success/verified, 2 parse or configuration problem,
 3 infeasible instance, 4 numerical failure (step overflow, starved
-sampler, a cost beyond float range), 5 verification mismatch. Every
-failure prints a machine-parsable line ``error-code: <slug> exit=<n>``
-on stderr before the human-readable message. Reports carry no
-timestamps, so identical runs produce byte-identical files.
+sampler, a cost beyond float range, an infeasible solver point),
+5 verification mismatch. Every failure prints a machine-parsable line
+``error-code: <slug> exit=<n>`` on stderr before the human-readable
+message. Reports carry no timestamps, so identical runs produce
+byte-identical files.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .errors import (
     EmptyGridError,
     InfeasibleError,
     NonpositiveLambdaError,
+    NotFeasibleError,
     ParseError,
     SamplerStarvedError,
     StepOverflowError,
@@ -44,7 +46,9 @@ EXIT_MISMATCH = 5
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # costs beyond float range show as inf or nan, or exit 4 via _finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ParseError as exc:
         return _fail("parse", EXIT_CONFIG, exc)
     except UnknownExampleError as exc:
@@ -57,7 +61,8 @@ def main(argv=None) -> int:
         return _fail("infeasible", EXIT_INFEASIBLE, exc)
     except StepOverflowError as exc:
         return _fail("step-overflow", EXIT_NUMERICAL, exc, hint="try halving --dt")
-    except (SamplerStarvedError, NonpositiveLambdaError, CostOverflowError) as exc:
+    except (SamplerStarvedError, NonpositiveLambdaError, CostOverflowError,
+            NotFeasibleError) as exc:
         return _fail("numerical", EXIT_NUMERICAL, exc)
     except OSError as exc:
         return _fail("io", EXIT_CONFIG, exc)
@@ -79,13 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, needs_instance=True):
-        if needs_instance:
-            grp = sp.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--input", help="problem file (JSON)")
-            grp.add_argument(
-                "--example", choices=instance_ids(), help="bundled instance id"
-            )
+    def add_common(sp):
+        grp = sp.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--input", help="problem file (JSON)")
+        grp.add_argument("--example", choices=instance_ids(), help="bundled instance id")
         sp.add_argument("--out", default=".", help="output directory")
 
     sp = sub.add_parser("solve", help="clamped optimum via breakpoint interpolation")
@@ -178,23 +180,19 @@ def _table_lines(p, decimals) -> list[str]:
         f"breakpoint coordinate: {tbl.coordinate}{quant}",
         f"{'j':>3} {'agent':>6} {'kind':>6} {'key':>12} {'m_j':>14} {'slope[j->j+1]':>15}",
     ]
-    for j, bp in enumerate(tbl.breakpoints):
+    for j, (agent, kind) in enumerate(zip(tbl.agents.tolist(), tbl.kinds.tolist())):
         slope = f"{tbl.slopes[j]:.6e}" if j < len(tbl.slopes) else ""
         lines.append(
-            f"{j + 1:>3} {bp.agent + 1:>6} {bp.kind:>6} {tbl.keys[j]:>12.6f} "
+            f"{j + 1:>3} {agent + 1:>6} {kind:>6} {tbl.keys[j]:>12.6f} "
             f"{tbl.masses[j]:>14.6f} {slope:>15}"
         )
     return lines
 
 
 def _solution_lines(p, res) -> list[str]:
-    status = {}
-    for i in res.interior:
-        status[i] = "interior"
-    for i in res.active_lower:
-        status[i] = "lower"
-    for i in res.active_upper:
-        status[i] = "upper"
+    status = dict.fromkeys(res.interior, "interior")
+    status.update(dict.fromkeys(res.active_lower, "lower"))
+    status.update(dict.fromkeys(res.active_upper, "upper"))
     lines = [
         f"method: {res.method}",
         f"bracket: {res.bracket + 1}",
@@ -211,10 +209,7 @@ def _solution_lines(p, res) -> list[str]:
 
 
 def _cert_lines(cert) -> list[str]:
-    worst = min(
-        [v for v in cert.alphas.values()] + [v for v in cert.betas.values()],
-        default=0.0,
-    )
+    worst = min([*cert.alphas.values(), *cert.betas.values()], default=0.0)
     return [
         "kkt certificate: " + ("PASSED" if cert.passed else "FAILED"),
         f"  level: {_g(cert.lam)}",
@@ -282,7 +277,7 @@ def _run_verify(args) -> int:
     solver_cost = _finite(total_cost(p, res.allocation), "solver")
     cert = verify.kkt_check(p, res.allocation)
 
-    slack = 1e-9 * max(1.0, abs(solver_cost))
+    slack = 1e-9 * abs(solver_cost)
     # the grid runs first, so a rejected --grid fails before any sampling
     grid_ok = True
     grid_lines = []
@@ -303,7 +298,7 @@ def _run_verify(args) -> int:
     mc = verify.monte_carlo_min(p, args.samples, args.seed, dump_path=dump)
     _finite(mc.best_cost, "monte carlo")
     mc_ok = solver_cost <= mc.best_cost + slack
-    mc_gap = (mc.best_cost - solver_cost) / abs(solver_cost)
+    mc_gap = (mc.best_cost - solver_cost) / abs(solver_cost) if solver_cost else np.nan
 
     lines = [
         "command: verify",
@@ -364,20 +359,11 @@ def _reproduce_table_instance(inst, out: Path):
     checks = _Checks()
 
     tbl = breakpoints(p, key_decimals=inst.table_decimals)
-    per_agent = {(bp.agent, bp.kind): bp.key for bp in tbl.breakpoints}
+    per_agent = dict(zip(zip(tbl.agents.tolist(), tbl.kinds.tolist()), tbl.keys.tolist()))
     for i in range(p.n):
-        checks.add(
-            f"key lower agent {i + 1}",
-            ref["keys_lower"][i],
-            per_agent[(i, "lower")],
-            ref["key_tol"],
-        )
-        checks.add(
-            f"key upper agent {i + 1}",
-            ref["keys_upper"][i],
-            per_agent[(i, "upper")],
-            ref["key_tol"],
-        )
+        for kind in ("lower", "upper"):
+            key = per_agent[(i, kind)]
+            checks.add(f"key {kind} agent {i + 1}", ref[f"keys_{kind}"][i], key, ref["key_tol"])
     for j in range(2 * p.n):
         checks.add(f"m_{j + 1}", ref["masses"][j], float(tbl.masses[j]), ref["mass_tol"])
     for j in range(2 * p.n - 1):

@@ -15,9 +15,10 @@ The formulas take any object with ``a``, ``b``, ``lower``, ``span`` and
 ``a_per_span`` (a / span) attributes: a single :class:`CostModel`
 (scalars) or one family group of the :class:`_CostTable` that every
 :class:`AllocationProblem` builds once (arrays over that family's agents).
-Everything that evaluates many agents at once (problem costs, marginals
-and fitness, the replicator step, the breakpoint table, the KKT check)
-goes through that table.
+Everything that evaluates many agents at once (problem costs and
+marginals, the replicator step, the breakpoint table, the KKT check)
+goes through that table. The replicator reads the marginals themselves;
+its fitness is their negation.
 
 The water-filling solver works in a "key" coordinate, which the table
 picks once as its `coordinate`: for a single family the aggregate clamped
@@ -26,7 +27,6 @@ family, the marginal cost itself for the quadratic one); mixed families
 use the marginal cost itself, the quadratic family's key.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,11 +127,6 @@ class _CostTable:
     Per-agent inputs have shape (..., n); a shared level (key or lam) is a
     scalar or an array that broadcasts against (n,), such as a column of
     keys.
-
-    `fitness` runs the marginal formula on a second set of groups, made on
-    first use, whose `a`, `b` and `a_per_span` are negated. Round-to-nearest
-    is symmetric in sign, so (-a)/u = -(a/u), (-c)*x = -(c*x) and
-    (-x) + (-b) = -(x + b): the fitness is exactly -marginal, in one pass.
     """
 
     def __init__(self, models):
@@ -157,20 +152,12 @@ class _CostTable:
         self.lower.setflags(write=False)
         self.upper.setflags(write=False)
 
-    @functools.cached_property
-    def _fitness_groups(self) -> list:
-        return [
-            _Group(g.fam, g.idx, -g.a, -g.b, g.lower, g.span, -g.a_per_span)
-            for g in self.groups
-        ]
-
-    def _evaluate(self, formula: str, x, per_agent: bool, groups=None) -> np.ndarray:
-        groups = self.groups if groups is None else groups
+    def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
         if self.family is not None:  # no scatter for a single family
-            return getattr(self.family, formula)(groups[0], x)
+            return getattr(self.family, formula)(self.groups[0], x)
         shape = np.shape(x) if per_agent else np.broadcast_shapes(np.shape(x), (self.n,))
         out = np.empty(shape)
-        for g in groups:
+        for g in self.groups:
             xg = x[..., g.idx] if per_agent else x
             out[..., g.idx] = getattr(g.fam, formula)(g, xg)
         return out
@@ -180,10 +167,6 @@ class _CostTable:
 
     def marginal(self, w) -> np.ndarray:
         return self._evaluate("marginal", w, per_agent=True)
-
-    def fitness(self, w) -> np.ndarray:
-        """Per-agent fitness -marginal(w), bit for bit."""
-        return self._evaluate("marginal", w, per_agent=True, groups=self._fitness_groups)
 
     def response_from_key(self, key) -> np.ndarray:
         """Each agent's unclamped load at a shared key in `coordinate`: lam

@@ -11,8 +11,14 @@ conserved (edge terms cancel pairwise) and coordinates that start at zero
 stay at zero. The iteration stops when the fitness spread among agents
 carrying mass falls below the residual tolerance.
 
+The fitness is f = -c'(w), and the code reads the marginals g = -f: the
+drift is (w_i/w) (sum_j g_j w_j - g_i sum_j w_j), the spread max g over
+mass-carrying agents minus min g. Rounding is symmetric in sign, so both
+are the fitness forms bit for bit (a zero drift may change sign, which
+adding it to a load undoes).
+
 `simulate` steps in blocks of up to 64 states. Each step computes the
-fitness its drift needs and writes the next state into a buffer. Once per
+marginals its drift needs and writes the next state into a buffer. Once per
 block, one row-wise pass finds the first stepped state with a negative or
 non-finite load (an overflow), and one row-wise reduction gives the
 residual of every state before it. The run stops at the first state that
@@ -33,8 +39,8 @@ from .problem import (
     AllocationProblem,
     as_allocation,
     default_tol,
-    fitness_values,
     in_simplex,
+    marginals,
     total_cost,
     total_cost_batch,
 )
@@ -98,11 +104,16 @@ def nash_residual(p: AllocationProblem, w) -> float:
     fitness; "positive" means above a floor of 1e-9 * w.
     """
     arr = as_allocation(p, w)
-    f = fitness_values(p, arr)
-    mass = arr > MASS_FLOOR_REL * p.total
-    if not mass.any():
-        return 0.0
-    return float(max(0.0, f.max() - f[mass].min()))
+    return float(_spread(marginals(p, arr), arr, MASS_FLOOR_REL * p.total))
+
+
+def _spread(G: np.ndarray, W: np.ndarray, floor: float) -> np.ndarray:
+    """Fitness spread of each state in W (n,) or (k, n) with marginals G:
+    the largest G of an agent carrying more than `floor` minus the least G,
+    taken as 0 when it is not positive, is nan, or no agent carries mass."""
+    most = np.maximum.reduce(G, axis=-1, where=W > floor, initial=-np.inf)
+    spread = most - G.min(axis=-1)
+    return np.where(spread > 0.0, spread, 0.0)
 
 
 def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
@@ -111,21 +122,21 @@ def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
     arr = as_allocation(p, w)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    f = fitness_values(p, arr)
+    g = marginals(p, arr)
     with np.errstate(over="ignore", invalid="ignore"):
-        nxt = arr + dt * _drift(*p.graph.adjacency.T, arr, f, p.total)
+        nxt = arr + dt * _drift(*p.graph.adjacency.T, arr, g, p.total)
         if _first_overflow(nxt[None]) is not None:
             raise _overflow_error(nxt)
     return nxt
 
 
-def _drift(rows, cols, w: np.ndarray, f: np.ndarray, total: float) -> np.ndarray:
-    """Replicator drift dw/dt for loads w with fitness f; each bincount over
-    the adjacency pairs (rows, cols) gives every agent's neighbour sum."""
+def _drift(rows, cols, w: np.ndarray, g: np.ndarray, total: float) -> np.ndarray:
+    """Replicator drift dw/dt for loads w with marginals g; each bincount
+    over the adjacency pairs (rows, cols) gives every agent's neighbour sum."""
     n = w.shape[0]
     nbr_w = np.bincount(rows, weights=w[cols], minlength=n)
-    nbr_fw = np.bincount(rows, weights=(f * w)[cols], minlength=n)
-    return (w / total) * (f * nbr_w - nbr_fw)
+    nbr_gw = np.bincount(rows, weights=(g * w)[cols], minlength=n)
+    return (w / total) * (nbr_gw - g * nbr_w)
 
 
 def _first_overflow(stepped: np.ndarray) -> int | None:
@@ -146,9 +157,13 @@ def default_start(p: AllocationProblem) -> np.ndarray:
     """Strictly interior start: box widths plus a uniform shift, scaled to sum w.
 
     The shift keeps every coordinate positive even for zero-width boxes and
-    keeps the start away from structured fixed points.
+    keeps the start away from structured fixed points. The widths are first
+    scaled by a power of two so no sum overflows, which changes no bit
+    unless a scaled width falls below the normal floats.
     """
     span = p.upper_bounds - p.lower_bounds
+    if span.max() > 0:
+        span = np.ldexp(span, -1 - int(np.frexp(span.max())[1]))
     shift = 0.1 * span.mean() if span.sum() > 0 else 1.0
     base = span + shift
     return p.total * base / base.sum()
@@ -174,7 +189,7 @@ def simulate(
 
     n = p.n
     rows, cols = np.ascontiguousarray(p.graph.adjacency.T)
-    fitness = p._costs.fitness  # bound once: this loop runs millions of steps
+    marginal = p._costs.marginal  # bound once: this loop runs millions of steps
     total = p.total
     tol = cfg.residual_tol
     dt = cfg.step
@@ -199,27 +214,23 @@ def simulate(
     while True:
         k = min(max_steps - start + 1, block)
         cap = max_steps - start  # index of the state that takes no step
-        fs = []
+        gs = []
         # Overflow shows as StepOverflowError alone, without numpy warnings;
         # the states stepped after an overflow are discarded unchecked.
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k):
                 w = s_rows[j]
-                f = fitness(w)
-                fs.append(f)
+                g = marginal(w)
+                gs.append(g)
                 if j == cap:
                     break
-                np.add(w, dt * _drift(rows, cols, w, f, total), out=s_rows[j + 1])
-            stepped = len(fs) - (j == cap)
+                np.add(w, dt * _drift(rows, cols, w, g, total), out=s_rows[j + 1])
+            stepped = len(gs) - (j == cap)
             bad = _first_overflow(S[1 : stepped + 1])
-            m = len(fs) if bad is None else bad + 1  # S[:m] are valid states
-            F = np.concatenate(fs[:m]).reshape(m, n)  # F[j]: fitness at S[j]
-            least = np.minimum.reduce(F, axis=1, where=S[:m] > floor, initial=np.inf)
-            spread = F.max(axis=1) - least
+            m = len(gs) if bad is None else bad + 1  # S[:m] are valid states
+            G = np.concatenate(gs[:m]).reshape(m, n)  # G[j]: marginals at S[j]
+            residuals = _spread(G, S[:m], floor)
         residual_evals += 1
-        # max(0, spread) as nash_residual takes it: a nan spread, or -inf
-        # (no mass-carrying agent), gives 0
-        residuals = np.where(spread > 0.0, spread, 0.0)
         met = np.flatnonzero(residuals <= tol)
         last = int(met[0]) if met.size else m - 1
         done = met.size > 0 or start + last == max_steps

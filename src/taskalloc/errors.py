@@ -75,7 +75,7 @@ class SamplerStarvedError(TaskAllocError):
 
 
 class CostOverflowError(TaskAllocError):
-    """A total cost is not a finite float."""
+    """A cost is not a finite float, or a marginal cost at a bound is 0 or inf."""
 
 
 class DimensionTooLargeError(TaskAllocError):

@@ -25,7 +25,7 @@ last digits of the bundled reports. The reference tables use keys
 quantized to 3 decimals; `solve_lambda` always uses full precision.
 
 The final selection between a replicator limit and the water-filling
-optimum (`select_final`) compares their exact total costs, summed up the
+optimum (`select_final`) compares their total costs, summed in float up the
 breadth-first spanning tree to node 0 that each Graph keeps from its
 connectivity check.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import CostOverflowError, InfeasibleError
 from .problem import (
     AllocationProblem,
     as_allocation,
@@ -43,33 +43,24 @@ from .problem import (
     marginals,
 )
 
-LOWER = "lower"
-UPPER = "upper"
-
 _EXACT_HIT_REL = 1e-12  # |w - m_j| below this (relative) skips interpolation
 _SUM_TOL = 1e-12  # load sum miss (relative to w) that false position solves to
 _BLOCK_ELEMENTS = 1 << 17  # agents x keys clamped at once while building a table
 
 
-@dataclass(frozen=True)
-class Breakpoint:
-    """One agent's clamp threshold in the table coordinate."""
-
-    agent: int
-    kind: str  # "lower" | "upper"
-    key: float
-
-
 @dataclass
 class BreakpointTable:
-    """Sorted breakpoints with the aggregate response at each key.
+    """The 2n clamp thresholds, sorted by key, then agent, then lower before
+    upper, with the aggregate response at each key.
 
-    slopes[j] is d(key)/d(mass) between entries j and j+1 (the
+    Entry j is agent agents[j]'s threshold of kind kinds[j] ("lower" or
+    "upper"). slopes[j] is d(key)/d(mass) between entries j and j+1 (the
     interpolation slope); infinite where the mass does not move.
     """
 
     coordinate: str  # "log-marginal" | "marginal"
-    breakpoints: list[Breakpoint]
+    agents: np.ndarray  # (2n,) 0-based agent of each threshold
+    kinds: np.ndarray  # (2n,) "lower" | "upper"
     keys: np.ndarray  # (2n,) ascending
     masses: np.ndarray  # (2n,) aggregate response at each key
     slopes: np.ndarray  # (2n-1,)
@@ -90,10 +81,13 @@ class SolverResult:
 
 
 def _agent_keys(p: AllocationProblem, key_decimals: int | None):
-    """Each agent's clamp thresholds (key at lower, key at upper)."""
+    """Each agent's clamp thresholds (key at lower, key at upper); raises
+    CostOverflowError when a marginal at a bound is 0 or inf in floats."""
+    lam_lo, lam_up = marginals(p, p.lower_bounds), marginals(p, p.upper_bounds)
+    if not ((lam_lo > 0).all() and np.isfinite(lam_up).all()):
+        raise CostOverflowError("a marginal cost at a box bound is 0 or inf in floats")
     coord = p._costs.coordinate
-    kmin = coord.key_from_lambda(marginals(p, p.lower_bounds))
-    kmax = coord.key_from_lambda(marginals(p, p.upper_bounds))
+    kmin, kmax = coord.key_from_lambda(lam_lo), coord.key_from_lambda(lam_up)
     if key_decimals is not None:
         kmin = np.round(kmin, key_decimals)
         kmax = np.round(kmax, key_decimals)
@@ -126,10 +120,6 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
     keys = np.concatenate([kmin, kmax])
     order = np.lexsort((is_upper, agents, keys))
     keys = keys[order]
-    bps = [
-        Breakpoint(i, UPPER if up else LOWER, k)
-        for i, up, k in zip(agents[order].tolist(), is_upper[order].tolist(), keys.tolist())
-    ]
     masses = np.empty(2 * n)
     rows = max(1, _BLOCK_ELEMENTS // n)
     respond = p._costs.response_from_key
@@ -140,7 +130,8 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
     slopes = np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
     return BreakpointTable(
         coordinate=p._costs.coordinate.key_coordinate,
-        breakpoints=bps,
+        agents=agents[order],
+        kinds=np.where(is_upper[order], "upper", "lower"),
         keys=keys,
         masses=masses,
         slopes=slopes,
@@ -151,9 +142,11 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     """Find the level whose clamped responses sum exactly to the total.
 
     A binary search finds the first threshold whose mass reaches the
-    total; within 1e-12 (relative, at least 1e-12) it is a table hit.
-    Otherwise the level lies in the bracket that threshold closes, solved
-    by false position ("interpolation" when its first step lands).
+    total; within 1e-12 * w it is a table hit. Otherwise the level lies in
+    the bracket that threshold closes, solved by false position
+    ("interpolation" when its first step lands). Bracket ends that share a
+    key hold agents whose marginal is flat to rounding (kmin == kmax, where
+    lower wins the clamp's tie); the upper end counts them at upper.
     """
     w = p.total
     kmin, kmax = _agent_keys(p, None)
@@ -170,10 +163,10 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     def mass(key) -> float:
         return float(clamp(key)[0].sum())
 
-    # First threshold whose mass reaches w - hit_tol. The problem keeps w
-    # between the sums of the bounds, so the last threshold (all agents at
-    # upper) always qualifies, and the first (all at lower) only as a hit.
-    hit_tol = _EXACT_HIT_REL * max(1.0, abs(w))
+    # First threshold whose mass reaches w - hit_tol: w lies between the
+    # bound sums, so the last qualifies unless a flat agent is still at
+    # lower there, and the first (all at lower) only as a hit.
+    hit_tol = _EXACT_HIT_REL * w
     lo, j = 0, keys.size - 1
     while lo < j:
         mid = (lo + j) // 2
@@ -187,44 +180,49 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
         clamped = clamp(key)
     else:
         j -= 1
-        key, clamped, method = _false_position(
-            clamp, w, float(keys[j]), float(keys[j + 1]), mass(keys[j]), m1
-        )
+        k0, k1 = float(keys[j]), float(keys[j + 1])
+        hi = clamp(k1)
+        if k0 == k1:
+            flat = (kmin == k1) & (kmax == k1)
+            hi = (np.where(flat, p.upper_bounds, hi[0]), hi[1] & ~flat, hi[2] | flat)
+        key, clamped, method = _false_position(clamp, w, k0, k1, clamp(k0), hi)
     lam = float(p._costs.coordinate.lambda_from_key(key))
     return _result(key, lam, clamped, bracket=j, method=method)
 
 
-def _false_position(clamp, w, k0, k1, m0, m1):
-    """Illinois false position inside a bracket with masses m0 < w < m1, to
-    a load sum within _SUM_TOL * w; returns (level, clamp there, method).
-    The first step is the linear interpolation between the ends, reported
-    as "interpolation" when it lands. After that, an end kept twice in a
+def _false_position(clamp, w, k0, k1, c0, c1):
+    """Illinois false position inside a bracket whose end clamps c0 and c1
+    have masses m0 < w < m1, to a load sum within _SUM_TOL * w; returns
+    (level, clamp there, method). The first step is the linear
+    interpolation between the ends, reported as "interpolation" when it
+    lands. After that, an end kept twice in a
     row has its miss halved. If no float is left inside the bracket (one
     ulp of lam can move a load by more, as near a large quadratic b), the
     loads of its two ends are blended to sum to w; every agent's marginal
     stays between the ends."""
     tol = _SUM_TOL * w
+    m0, m1 = float(c0[0].sum()), float(c1[0].sum())
     g0, g1 = m0 - w, m1 - w  # true misses at the ends; m0, m1 get halved
     side, method = 0, "interpolation"  # side: which end the last step replaced
     while True:
         key = (k1 - k0) / (m1 - m0) * (w - m0) + k0
         if not k0 < key < k1:
-            t = -g0 / (g1 - g0)
-            near = k0 if t < 0.5 else k1
-            blend = (1.0 - t) * clamp(k0)[0] + t * clamp(k1)[0]
-            return near, (blend, *clamp(near)[1:]), "false-position"
+            near, c = (k0, c0) if -g0 < g1 else (k1, c1)
+            # shares of the mass gap times the miss: nothing overflows or is subnormal
+            blend = c0[0] + (c1[0] - c0[0]) / (g1 - g0) * -g0
+            return near, (blend, *c[1:]), "false-position"
         clamped = clamp(key)
         m = float(clamped[0].sum())
         if abs(m - w) <= tol:
             return key, clamped, method
         method = "false-position"
         if m < w:
-            k0, g0, m0 = key, m - w, m
+            k0, g0, m0, c0 = key, m - w, m, clamped
             if side < 0:
                 m1 = w + 0.5 * (m1 - w)
             side = -1
         else:
-            k1, g1, m1 = key, m - w, m
+            k1, g1, m1, c1 = key, m - w, m, clamped
             if side > 0:
                 m0 = w + 0.5 * (m0 - w)
             side = 1
@@ -245,7 +243,7 @@ def _result(key, lam, clamped, **fields) -> SolverResult:
 
 
 def compare_and_select(p: AllocationProblem, wstar, wo) -> np.ndarray:
-    """Distributed cost comparison by an exact sum up a spanning tree.
+    """Distributed cost comparison by a float sum up a spanning tree.
 
     Each agent holds c_i(wstar_i) - c_i(wo_i). Over the breadth-first tree
     rooted at node 0 that the graph keeps (Graph.depth, Graph.parent), each
@@ -254,6 +252,7 @@ def compare_and_select(p: AllocationProblem, wstar, wo) -> np.ndarray:
     C(wstar) - C(wo). It keeps wstar when that total is <= 0, so ties go to
     the first candidate. Each level is a slice of one stable sort by depth,
     so its nodes add in ascending index order: O(n log n + depth) in all.
+    The sum is rounded, so near ties resolve by rounding.
     """
     a_star = as_allocation(p, wstar)
     a_o = as_allocation(p, wo)

@@ -98,7 +98,7 @@ def marginals(p: AllocationProblem, w) -> np.ndarray:
 
 def fitness_values(p: AllocationProblem, w) -> np.ndarray:
     """Per-agent fitness, the negated marginal costs; w may be (n,) or (m, n)."""
-    return p._costs.fitness(np.asarray(w, dtype=float))
+    return -marginals(p, w)
 
 
 def total_cost(p: AllocationProblem, w) -> float:

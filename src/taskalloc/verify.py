@@ -177,12 +177,11 @@ def monte_carlo_min(
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
-    scale = max(1.0, abs(w))
     dump = _OracleDump(dump_path, n)
 
     # Degenerate totals leave a single feasible point.
     for bound in (lo, up):
-        if abs(float(bound.sum()) - w) <= 1e-12 * scale:
+        if abs(float(bound.sum()) - w) <= 1e-12 * w:
             best = bound.astype(float).copy()
             cost = float(total_cost_batch(p, best[None])[0])
             dump.write(best[None], np.array([cost]))
@@ -243,7 +242,7 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
-    eps = 1e-9 * max(1.0, abs(w))
+    eps = 1e-9 * w
 
     if n == 1:
         if lo[0] - eps <= w <= up[0] + eps:

@@ -1,12 +1,18 @@
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import verify
 from taskalloc.cli import main
+from taskalloc.lambda_solver import solve_lambda
 from taskalloc.errors import UnknownExampleError
 from taskalloc.instances import get_instance, instance_ids
 from taskalloc.problem import load_problem, serialize_problem
@@ -168,8 +174,6 @@ def test_verify_walker_instance(tmp_path):
     assert "verdict: VERIFIED" in (out / "verify_report.txt").read_text()
 
 
-# numpy warns when a cost overflows; the exit code is what is checked
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "total, grid, what",
     [
@@ -191,9 +195,53 @@ def test_verify_cost_overflow_exits_numerical(tmp_path, capsys, total, grid, wha
     rc = main(["verify", "--input", str(path), "--samples", "10", *grid,
                "--out", str(tmp_path / "o")])
     assert rc == 4
+    # the error-code line and the message, with no numpy warning before them
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
     assert err[0] == "error-code: numerical exit=4"
     assert err[1].startswith(f"{what} cost is inf")
+
+
+def test_solve_reports_overflowing_cost_as_inf(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["solve", "--input", str(DATA / "overflow2.json"), "--out", str(out)])
+    assert rc == 0
+    assert "total cost: inf" in (out / "solver_report.txt").read_text()
+    assert capsys.readouterr().err == ""
+
+
+def test_flat_marginal_instance_solves_and_verifies(tmp_path):
+    # flat2's first agent has a * span = 1 below one ulp of b = 1e16, so
+    # both its thresholds are one key; the solver divided by zero there
+    path = DATA / "flat2.json"
+    rc = main(["solve", "--input", str(path), "--out", str(tmp_path / "s")])
+    assert rc == 0
+    report = (tmp_path / "s" / "solver_report.txt").read_text()
+    assert "kkt certificate: PASSED" in report
+    assert "     1       0.500000000000" in report
+    assert "     2       1.000000000000" in report
+    rc = main(["verify", "--input", str(path), "--samples", "2000", "--seed", "0",
+               "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert "verdict: VERIFIED" in (tmp_path / "v" / "verify_report.txt").read_text()
+
+
+def test_small_total_solves_and_verifies(tmp_path):
+    # loads of ~1e-13: tolerances floored at 1 made the solver return the
+    # infeasible (0, 0) and the sampler call that the only feasible point
+    agents = [{"family": "quadratic", "a": a, "b": 1.0, "lower": 0.0, "upper": 1e-12}
+              for a in (1.0, 2.0)]
+    doc = {"total": 3e-13, "graph": {"n": 2, "edges": [[1, 2]]}, "agents": agents}
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert "kkt certificate: PASSED" in (tmp_path / "s" / "solver_report.txt").read_text()
+    rc = main(["verify", "--input", str(path), "--samples", "2000", "--seed", "0",
+               "--out", str(tmp_path / "v")])
+    assert rc == 0
+    report = (tmp_path / "v" / "verify_report.txt").read_text()
+    assert "grid: resolution=3.33333333333e-15 points=91" in report
+    assert "verdict: VERIFIED" in report
 
 
 def test_reports_byte_identical(tmp_path):
@@ -379,3 +427,51 @@ def test_malformed_problem_file_exit_parse(tmp_path, capsys, example, edit, fiel
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "error-code: parse exit=2"
     assert field in err[1]
+
+
+# Scales from the smallest subnormal to the largest float, and a total
+# placed between the bound sums by one of these fractions.
+_NUMBERS = [0.0, 5e-324, 1e-300, 1e-12, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e12, 1e150, 1e300, 1.7e308]
+_POSITIVE = _NUMBERS[1:]
+_FRACTIONS = [x for x in _NUMBERS if x <= 1.0]
+
+
+@st.composite
+def _problem_docs(draw):
+    """A path of 1-5 agents of either family with a total inside the bounds."""
+    n = draw(st.integers(1, 5))
+    agents = []
+    for _ in range(n):
+        family = draw(st.sampled_from(["exponential", "quadratic"]))
+        bounds = st.lists(st.sampled_from(_NUMBERS), min_size=2, max_size=2,
+                          unique=family == "exponential")
+        lower, upper = sorted(draw(bounds))
+        agent = {"family": family, "a": draw(st.sampled_from(_POSITIVE))}
+        if family == "quadratic":
+            agent["b"] = draw(st.sampled_from(_POSITIVE))
+        agents.append({**agent, "lower": lower, "upper": upper})
+    lo, up = (min(sum(a[k] for a in agents), sys.float_info.max) for k in ("lower", "upper"))
+    total = lo + draw(st.sampled_from(_FRACTIONS)) * (up - lo)
+    edges = [[i, i + 1] for i in range(1, n)]
+    return {"total": total, "graph": {"n": n, "edges": edges}, "agents": agents}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_problem_docs())
+def test_exit_codes_on_random_problem_files(doc):
+    # the suite turns RuntimeWarning into an error, so a numpy warning fails too
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(doc))
+        out = str(Path(tmp) / "o")
+        for argv in (["solve"], ["verify", "--samples", "50"],
+                     ["simulate", "--dt", "1e-3", "--max-steps", "50"]):
+            rc = main([*argv, "--input", str(path), "--out", out])
+            assert rc in (0, 2, 3, 4, 5), argv
+            if argv == ["solve"] and rc == 0:
+                assert "kkt certificate: PASSED" in (Path(out) / "solver_report.txt").read_text()
+                p = load_problem(path)
+                with np.errstate(over="ignore", invalid="ignore"):  # as in main
+                    loads = solve_lambda(p).allocation
+                # n ulps of w exceed 1e-12 * w only for subnormal totals
+                assert abs(loads.sum() - p.total) <= max(1e-12 * p.total, p.n * math.ulp(p.total))

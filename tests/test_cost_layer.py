@@ -16,7 +16,7 @@ from taskalloc import lambda_solver
 from taskalloc.costs import exponential, quadratic
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import breakpoints
-from taskalloc.problem import AllocationProblem, cost_values, marginals
+from taskalloc.problem import AllocationProblem, cost_values, fitness_values, marginals
 
 REL = 1e-12
 
@@ -120,11 +120,12 @@ def test_problem_costs_and_marginals_match_closed_forms(family, seed):
 @pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fitness_is_negated_marginal_bit_for_bit(family, seed):
-    # the fitness groups hold -a, -b and -a/span; round-to-nearest is
-    # symmetric in sign, so no bit may differ, not even the sign of a zero
+    # fitness_values negates the marginals, so no bit may differ, not even
+    # the sign of a zero
     rng = np.random.default_rng(seed)
     agents = _random_agents(rng, 40, family, pinned_frac=0.2)
-    table = _problem(agents)._costs
+    p = _problem(agents)
+    table = p._costs
     lo, span = table.lower, table.upper - table.lower
     w = np.vstack([
         _loads(rng, agents, rows=5),
@@ -134,7 +135,7 @@ def test_fitness_is_negated_marginal_bit_for_bit(family, seed):
     ])
     want = -table.marginal(w)
     assert np.any((want == 0.0) & np.signbit(want)) == (family != "quadratic")
-    for got, ref in ((table.fitness(w), want), (table.fitness(w[0]), want[0])):
+    for got, ref in ((fitness_values(p, w), want), (fitness_values(p, w[0]), want[0])):
         assert got.tobytes() == ref.tobytes()
         np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
 
@@ -208,12 +209,16 @@ def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     assert tbl.coordinate == ("log-marginal" if family == "exponential" else "marginal")
     assert tbl.keys.shape == (2 * n,)
     np.testing.assert_allclose(tbl.keys, np.sort(kmin + kmax), rtol=REL, atol=1e-15)
-    order = [(bp.key, bp.agent, bp.kind != "lower") for bp in tbl.breakpoints]
+    assert tbl.agents.shape == tbl.kinds.shape == (2 * n,)
+    order = list(zip(tbl.keys.tolist(), tbl.agents.tolist(), (tbl.kinds != "lower").tolist()))
     assert order == sorted(order)
-    assert sorted((bp.agent, bp.kind) for bp in tbl.breakpoints) == sorted(
+    assert sorted(zip(tbl.agents.tolist(), tbl.kinds.tolist())) == sorted(
         [(i, "lower") for i in range(n)] + [(i, "upper") for i in range(n)]
     )
-    np.testing.assert_array_equal([bp.key for bp in tbl.breakpoints], tbl.keys)
+    # each entry's key is its agent's threshold of its kind
+    kmin_of, kmax_of = np.array(kmin)[tbl.agents], np.array(kmax)[tbl.agents]
+    want_keys = np.where(tbl.kinds == "lower", kmin_of, kmax_of)
+    np.testing.assert_allclose(tbl.keys, want_keys, rtol=REL, atol=1e-15)
 
     want = ref_masses(agents, tbl.keys.tolist(), kmin, kmax, respond)
     scale = sum(m.upper for m in agents)

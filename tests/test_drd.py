@@ -55,7 +55,7 @@ def _spread_instance(f0, f1, total=200.0):
 
 
 def _drift_of(p, w):
-    return _drift(*p.graph.adjacency.T, w, fitness_values(p, w), p.total)
+    return _drift(*p.graph.adjacency.T, w, marginals(p, w), p.total)
 
 
 def test_local_mean_fitness_symmetric_pair():

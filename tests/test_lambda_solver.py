@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from taskalloc import lambda_solver
 from taskalloc.costs import exponential, quadratic
+from taskalloc.errors import CostOverflowError
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import (
     _agent_keys,
@@ -242,6 +243,57 @@ def test_mixed_families_with_quadratic_interior_interpolate_exactly():
     assert res.method == "interpolation"
     assert res.key == res.lam == pytest.approx(2.0 + 0.05 * 40.0, rel=1e-12)
     np.testing.assert_array_equal(res.allocation, [10.0, 60.0, 70.0])
+    assert kkt_check(p, res.allocation).passed
+
+
+def _two_quadratics(total, first, second, upper=1.0):
+    """Two quadratic agents (a, b) on [0, upper], joined by one edge."""
+    agents = tuple(quadratic(a=a, b=b, lower=0.0, upper=upper) for a, b in (first, second))
+    return AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=total)
+
+
+def test_flat_marginal_agent_takes_the_remaining_load():
+    # a * span = 1 is below one ulp of b = 1e16, so the first agent's two
+    # thresholds are one key; lower wins the clamp's tie there, so even the
+    # last threshold's mass (1.0) misses the total and the bracket's ends
+    # share that key
+    p = _two_quadratics(1.5, (1.0, 1e16), (1.0, 1.0))
+    kmin, kmax = _agent_keys(p, None)
+    assert kmin[0] == kmax[0] == 1e16
+    res = solve_lambda(p)
+    np.testing.assert_array_equal(res.allocation, [0.5, 1.0])
+    assert res.lam == 1e16
+    assert kkt_check(p, res.allocation).passed
+
+
+@pytest.mark.parametrize("b", [1.7e308, 1e300])
+def test_flat_marginal_agent_at_the_float_limit(b):
+    p = _two_quadratics(1.25, (1.0, b), (1.0, 1.0))
+    res = solve_lambda(p)
+    np.testing.assert_array_equal(res.allocation, [0.25, 1.0])
+    assert kkt_check(p, res.allocation).passed
+
+
+def test_non_finite_threshold_raises_cost_overflow():
+    # a / span overflows, so the agent's marginal is inf at both bounds
+    agents = (
+        exponential(a=1e308, lower=0.0, upper=1e-10),
+        exponential(a=1.0, lower=0.0, upper=1.0),
+    )
+    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=0.5)
+    with np.errstate(over="ignore"), pytest.raises(CostOverflowError):
+        solve_lambda(p)
+
+
+def test_small_total_is_not_a_table_hit():
+    # the loads are ~1e-13: a hit tolerance floored at 1e-12 took the
+    # all-lower threshold (0, 0) as the answer
+    p = _two_quadratics(3e-13, (1.0, 1.0), (2.0, 1.0), upper=1e-12)
+    res = solve_lambda(p)
+    assert res.method != "table-hit"
+    np.testing.assert_allclose(res.allocation, [2e-13, 1e-13], rtol=1e-3)
+    assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
+    assert in_feasible_set(p, res.allocation)
     assert kkt_check(p, res.allocation).passed
 
 

@@ -401,6 +401,24 @@ def test_oracles_keep_a_point_when_costs_overflow():
         assert res.best_cost == np.inf
 
 
+def test_oracles_on_a_small_total():
+    # boxes [0, 1e-12], total 3e-13: with tolerances floored at 1, the
+    # sampler took the all-lower vector as the only feasible point and
+    # the grid counted all 301 cells as feasible
+    agents = tuple(quadratic(a=a, b=1.0, lower=0.0, upper=1e-12) for a in (1.0, 2.0))
+    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=3e-13)
+    mc = monte_carlo_min(p, 2000, seed=0)
+    assert mc.mode == "rejection" and in_feasible_set(p, mc.best)
+    resolution = 1e-12 / 300.0
+    grid = grid_min(p, resolution)
+    assert grid.samples == 91 and in_feasible_set(p, grid.best)
+    best, best_cost, feasible = _grid_per_row(p, resolution)
+    assert (feasible, best_cost) == (grid.samples, grid.best_cost)
+    np.testing.assert_array_equal(best, grid.best)
+    solver_cost = total_cost(p, solve_lambda(p).allocation)
+    assert solver_cost <= min(mc.best_cost, grid.best_cost) * (1.0 + 1e-9)
+
+
 def test_oracle_dump_matches_per_number_format(tmp_path):
     points = np.array(
         [[1e16, 1e-5, 0.1], [3.0, 100.0, -0.0], [1.0 / 3.0, 2.0**-1074, 123456789012345678.0]]
@@ -462,7 +480,7 @@ def _grid_per_row(p, resolution):
     """grid_min as one Python iteration per grid row: the reference."""
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
-    eps = 1e-9 * max(1.0, abs(w))
+    eps = 1e-9 * w
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
     vec = axes[-1]
     best, best_cost, feasible = None, np.inf, 0
