@@ -5,12 +5,13 @@ dynamics trace), verify (solver vs brute-force oracles), reproduce
 (bundled instances checked against their known solutions).
 
 Exit codes: 0 success/verified, 2 parse or configuration problem,
-3 infeasible instance, 4 numerical failure (step overflow, starved
-sampler, a cost beyond float range, an infeasible solver point),
-5 verification mismatch. Every failure prints a machine-parsable line
-``error-code: <slug> exit=<n>`` on stderr before the human-readable
-message. Reports carry no timestamps, so identical runs produce
-byte-identical files.
+3 infeasible instance, 4 numerical failure (no convergence, step
+overflow, starved sampler, a cost beyond float range, an infeasible
+solver point), 5 verification mismatch. Every failure prints a
+machine-parsable line ``error-code: <slug> exit=<n>`` on stderr before
+the human-readable message; a failed verdict (a FAILED certificate,
+MISMATCH, FAIL or no convergence) prints them after its report. Reports
+carry no timestamps, so identical runs produce byte-identical files.
 """
 
 import argparse
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
         return _fail("io", EXIT_CONFIG, exc)
 
 
-def _fail(slug: str, code: int, exc: Exception, hint: str | None = None) -> int:
+def _fail(slug: str, code: int, exc: Exception | str, hint: str | None = None) -> int:
     print(f"error-code: {slug} exit={code}", file=sys.stderr)
     msg = str(exc)
     if hint:
@@ -135,10 +136,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _emit(out: Path, name: str, lines: list[str]) -> None:
+def _emit(out: Path, name: str, lines: list[str], ok: bool, failed: str,
+          slug: str = "mismatch", code: int = EXIT_MISMATCH) -> int:
+    """Write and print a report; a failed verdict then exits like any failure."""
     text = "\n".join(lines) + "\n"
     (out / name).write_text(text, encoding="utf-8")
     print(text, end="")
+    return EXIT_OK if ok else _fail(slug, code, f"{failed}; see {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,11 +158,10 @@ def _run_solve(args) -> int:
     lines = ["command: solve", f"instance: {label}", *_instance_lines(p)]
     decimals = inst.table_decimals if inst else None
     if len(_families(p)) == 1 or decimals is not None:
-        lines += _table_lines(p, decimals)
+        lines += _table_lines(breakpoints(p, key_decimals=decimals), decimals)
     lines += _solution_lines(p, res)
     lines += _cert_lines(cert)
-    _emit(out, "solver_report.txt", lines)
-    return EXIT_OK if cert.passed else EXIT_MISMATCH
+    return _emit(out, "solver_report.txt", lines, cert.passed, "kkt certificate FAILED")
 
 
 def _families(p) -> list[str]:
@@ -173,8 +176,7 @@ def _instance_lines(p) -> list[str]:
     ]
 
 
-def _table_lines(p, decimals) -> list[str]:
-    tbl = breakpoints(p, key_decimals=decimals)
+def _table_lines(tbl, decimals) -> list[str]:
     quant = f" (keys quantized to {decimals} decimals)" if decimals is not None else ""
     lines = [
         f"breakpoint coordinate: {tbl.coordinate}{quant}",
@@ -250,8 +252,8 @@ def _run_simulate(args) -> int:
         f"inside feasible set: {in_feasible_set(p, final)}",
         "trace: trajectory.csv",
     ]
-    _emit(out, "simulate_report.txt", lines)
-    return EXIT_OK if traj.converged else EXIT_NUMERICAL
+    return _emit(out, "simulate_report.txt", lines, traj.converged,
+                 f"no convergence in {traj.steps} steps", "not-converged", EXIT_NUMERICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +315,7 @@ def _run_verify(args) -> int:
     ]
     ok = mc_ok and grid_ok and cert.passed
     lines.append("verdict: " + ("VERIFIED" if ok else "MISMATCH"))
-    _emit(out, "verify_report.txt", lines)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return _emit(out, "verify_report.txt", lines, ok, "verdict MISMATCH")
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +350,7 @@ def _run_reproduce(args) -> int:
         lines, ok = _reproduce_table_instance(inst, out)
     else:
         lines, ok = _reproduce_simulation_instance(inst, out)
-    _emit(out, f"reproduce_{inst.instance_id}.txt", lines)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    return _emit(out, f"reproduce_{inst.instance_id}.txt", lines, ok, "result FAIL")
 
 
 def _reproduce_table_instance(inst, out: Path):
@@ -390,7 +390,7 @@ def _reproduce_table_instance(inst, out: Path):
         "command: reproduce",
         f"instance: {inst.instance_id} ({inst.description})",
         *_instance_lines(p),
-        *_table_lines(p, inst.table_decimals),
+        *_table_lines(tbl, inst.table_decimals),
         *_solution_lines(p, res),
         *checks.lines,
         "result: " + ("PASS" if checks.all_ok else "FAIL"),

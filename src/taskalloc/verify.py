@@ -6,11 +6,11 @@ The Monte Carlo and grid oracles provide independent brute-force
 cross-checks that never rely on the solver's own machinery. Monte Carlo
 samples by rejection, or by a walk of pair moves on too thin a set.
 
-Monte Carlo prices its points with total_cost_batch. The grid instead
-keeps one cost table per free axis, since the total cost is separable,
-and adds each cell's per-agent costs left to right. That is the order in
-which numpy sums the rows of a (cells, n) batch when n < 8, so for the
-grid's n <= 4 its sums are exactly the batch's.
+Monte Carlo hands every sampled point to one sink, which prices it with
+total_cost_batch, keeps the cheapest and writes its dump row. The grid
+keeps one cost table per free axis instead, as the cost is separable, and
+adds each cell's per-agent costs left to right: numpy's order for the rows
+of a (cells, n) batch when n < 8, so for n <= 4 the sums are the batch's.
 """
 
 from dataclasses import dataclass
@@ -53,8 +53,8 @@ class KktCertificate:
     lam is the shared marginal-cost level; alphas/betas are the
     multipliers of active lower/upper bounds. passed means: multipliers
     nonnegative and the interior marginals agree with lam, both within
-    tol * max(1, |lam|) plus the agent's resolution (how far its marginal
-    moves over one ulp of its load) — which certifies the global optimum.
+    tol * |lam| plus the agent's resolution (how far its marginal moves
+    over one ulp of its load) — which certifies the global optimum.
     """
 
     lam: float
@@ -145,7 +145,7 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     # each agent's resolution, the change of its marginal over one ulp of
     # its load, widens its tolerance: a steep agent cannot meet lam more closely
     resolution = np.abs(marginals(p, np.nextafter(arr, np.inf)) - marg)
-    passed = bool((violation <= tol * max(1.0, abs(lam)) + resolution).all())
+    passed = bool((violation <= tol * abs(lam) + resolution).all())
     return KktCertificate(
         lam=lam,
         alphas=alphas,
@@ -177,48 +177,37 @@ def monte_carlo_min(
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
-    dump = _OracleDump(dump_path, n)
-
-    # Degenerate totals leave a single feasible point.
-    for bound in (lo, up):
-        if abs(float(bound.sum()) - w) <= 1e-12 * w:
-            best = bound.astype(float).copy()
-            cost = float(total_cost_batch(p, best[None])[0])
-            dump.write(best[None], np.array([cost]))
-            dump.close()
-            return OracleResult(best, cost, samples, seed, mode="degenerate", drawn=0, accepted=0)
-
-    rng = np.random.default_rng(seed)
-    room = w - float(lo.sum())
-    tracker = _BestTracker()
-    chain_steps = 0
+    sink = _Sink(p, dump_path)
+    mode, drawn, accepted, chain_steps = "degenerate", 0, 0, 0
     try:
-        points = _shifted_simplex(rng, _draw_size(_PILOT_ELEMENTS, n), lo, room)
-        inside = np.all(points <= up[:, None], axis=0)
-        drawn, accepted = inside.size, int(inside.sum())
-        if accepted >= _REJECTION_MIN_RATE * drawn:
-            mode, taken = "rejection", 0
-            while True:
-                pts = points.T[np.flatnonzero(inside)[: samples - taken]]
-                if pts.shape[0]:
-                    costs = total_cost_batch(p, pts)
-                    tracker.update(pts, costs)
-                    dump.write(pts, costs)
-                    taken += pts.shape[0]
-                if taken >= samples:
-                    break
-                points = _shifted_simplex(rng, _draw_size(_BLOCK_ELEMENTS, n), lo, room)
-                inside = np.all(points <= up[:, None], axis=0)
-                drawn += inside.size
-                accepted += int(inside.sum())
+        # Degenerate totals leave a single feasible point.
+        single = next((b for b in (lo, up) if abs(float(b.sum()) - w) <= 1e-12 * w), None)
+        if single is not None:
+            sink.add(single.astype(float)[None])
         else:
-            mode = "hit-and-run"
-            del points, inside  # the walk does not need the pilot
-            chain_steps = _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump)
+            rng = np.random.default_rng(seed)
+            room = w - float(lo.sum())
+            points = _shifted_simplex(rng, _draw_size(_PILOT_ELEMENTS, n), lo, room)
+            inside = np.all(points <= up[:, None], axis=0)
+            drawn, accepted = inside.size, int(inside.sum())
+            if accepted >= _REJECTION_MIN_RATE * drawn:
+                mode = "rejection"
+                while True:
+                    sink.add(points.T[np.flatnonzero(inside)[: samples - sink.count]])
+                    if sink.count >= samples:
+                        break
+                    points = _shifted_simplex(rng, _draw_size(_BLOCK_ELEMENTS, n), lo, room)
+                    inside = np.all(points <= up[:, None], axis=0)
+                    drawn += inside.size
+                    accepted += int(inside.sum())
+            else:
+                mode = "hit-and-run"
+                del points, inside  # the walk does not need the pilot
+                chain_steps = _hit_and_run_stream(p, rng, samples, lo, up, sink)
     finally:
-        dump.close()
+        sink.close()
     return OracleResult(
-        tracker.best, tracker.cost, samples, seed,
+        sink.best, sink.cost, samples, seed,
         mode=mode, drawn=drawn, accepted=accepted, chain_steps=chain_steps,
     )
 
@@ -244,13 +233,6 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     lo, up = p.lower_bounds, p.upper_bounds
     eps = 1e-9 * w
 
-    if n == 1:
-        if lo[0] - eps <= w <= up[0] + eps:
-            best = np.array([w])
-            cost = float(_CostTable(p.agents).cost(best)[0])
-            return OracleResult(best, cost, 1, None, mode="grid", drawn=1, accepted=1)
-        raise EmptyGridError("the single point w violates the box")
-
     # Count the points from the spans before any axis is built, stopping
     # past the cap; Python floats saturate at inf without a warning. Rounding
     # in _axis can move an axis by one point, which the cap does not need.
@@ -269,8 +251,11 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
     one_agent = [_CostTable((m,)) for m in p.agents]  # one table per agent, its own formula
     costs = [_axis_costs(one_agent[i], a) for i, a in enumerate(axes)]
-    last, last_cost = axes[-1], costs[-1]
-    inner, inner_cost = (axes[-2], costs[-2]) if n > 2 else (np.zeros(1),) * 2  # n = 2: one row
+    # n < 3 pads with one-point axes at 0 that cost 0, which move no bit
+    # (w - 0.0 = w, 0.0 + c = c), so every n takes this block loop
+    pad = [np.zeros(1)] * (3 - n)
+    axes, costs = pad + axes, pad + costs
+    (inner, last), (inner_cost, last_cost) = axes[-2:], costs[-2:]
     cols = min(last.size, _GRID_BLOCK_CELLS)
     rows_per_block = _GRID_BLOCK_CELLS // cols
     best, best_cost = None, np.inf
@@ -307,38 +292,34 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
 # sampling machinery
 
 
-class _BestTracker:
-    """Keeps the strictly-smallest cost seen; earliest sample wins ties,
-    and the first sample stands when no cost is finite."""
+class _Sink:
+    """Takes every sampled point: prices it with total_cost_batch, keeps
+    the strictly cheapest (the earliest wins ties, and the first stands
+    when no cost is finite), writes the `sample_index,w_1,...,w_n,C` dump
+    row (every number %.15g) when a dump path is given, and counts it."""
 
-    def __init__(self):
-        self.best = None
-        self.cost = np.inf
+    def __init__(self, p: AllocationProblem, dump_path=None):
+        self.p = p
+        self.best, self.cost, self.count = None, np.inf, 0
+        self.fh = open(dump_path, "w", encoding="utf-8") if dump_path is not None else None
+        self.row_format = "%d," + "%.15g," * p.n + "%.15g\n"
+        if self.fh:
+            cols = ",".join(f"w_{i + 1}" for i in range(p.n))
+            self.fh.write(f"sample_index,{cols},C\n")
 
-    def update(self, points: np.ndarray, costs: np.ndarray):
+    def add(self, points: np.ndarray):
+        if len(points) == 0:
+            return
+        costs = total_cost_batch(self.p, points)
         k = int(np.argmin(costs))
         if self.best is None or costs[k] < self.cost:
             self.cost = float(costs[k])
             self.best = points[k].copy()
-
-
-class _OracleDump:
-    """Writes `sample_index,w_1,...,w_n,C` rows, every number %.15g."""
-
-    def __init__(self, path, n: int):
-        self.fh = open(path, "w", encoding="utf-8") if path is not None else None
-        self.index = 0
-        self.row_format = "%d," + "%.15g," * n + "%.15g\n"
-        if self.fh:
-            cols = ",".join(f"w_{i + 1}" for i in range(n))
-            self.fh.write(f"sample_index,{cols},C\n")
-
-    def write(self, points: np.ndarray, costs: np.ndarray):
         if self.fh is not None:
             fmt = self.row_format
             rows = np.column_stack((points, costs)).tolist()
-            self.fh.write("".join(fmt % (i, *r) for i, r in enumerate(rows, self.index)))
-        self.index += len(points)
+            self.fh.write("".join(fmt % (i, *r) for i, r in enumerate(rows, self.count)))
+        self.count += len(points)
 
     def close(self):
         if self.fh:
@@ -368,17 +349,14 @@ def _plane_center(p: AllocationProblem) -> np.ndarray:
     lo, up = p.lower_bounds, p.upper_bounds
     x = 0.5 * (lo + up)
     gap = p.total - float(x.sum())
-    if gap > 0:
-        head = up - x
-        x = x + gap * head / head.sum()
-    elif gap < 0:
-        head = x - lo
+    if gap:
+        head = up - x if gap > 0 else x - lo
         x = x + gap * head / head.sum()
     return x
 
 
-def _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump) -> int:
-    """Feed `samples` walk points to tracker and dump; returns the moves per chain.
+def _hit_and_run_stream(p, rng, samples, lo, up, sink) -> int:
+    """Feed `samples` walk points to the sink; returns the moves per chain.
 
     A move picks, in each chain, two distinct free agents i and j and adds
     t (e_i - e_j), t uniform on the chord that keeps both boxes: the sum
@@ -405,10 +383,7 @@ def _hit_and_run_stream(p, rng, samples, lo, up, tracker, dump) -> int:
                 t_hi = np.maximum(np.minimum(up[i] - xi, xj - lo[j]), 0.0)
                 t = t_lo + (t_hi - t_lo) * u
                 x[ci], x[cj] = xi + t, xj - t
-        pts = x.reshape(_CHAINS, n)[: samples - start]
-        costs = total_cost_batch(p, pts)
-        tracker.update(pts, costs)
-        dump.write(pts, costs)
+        sink.add(x.reshape(_CHAINS, n)[: samples - start])
     return moves * -(-samples // _CHAINS)
 
 

@@ -1,8 +1,13 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +17,7 @@ from hypothesis import strategies as st
 
 from taskalloc import verify
 from taskalloc.cli import main
-from taskalloc.lambda_solver import solve_lambda
+from taskalloc.lambda_solver import breakpoints, solve_lambda
 from taskalloc.errors import UnknownExampleError
 from taskalloc.instances import get_instance, instance_ids
 from taskalloc.problem import load_problem, serialize_problem
@@ -286,6 +291,46 @@ def test_reproduce_tab_instances(tmp_path, capsys):
         assert "result: PASS" in report
 
 
+def test_reproduce_builds_the_breakpoint_table_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return breakpoints(*args, **kwargs)
+
+    monkeypatch.setattr("taskalloc.cli.breakpoints", counting)
+    assert main(["reproduce", "--example", "tab1", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, failed, report, code",
+    [
+        (["simulate", "--example", "fig3", "--dt", "0.032", "--max-steps", "5"], False,
+         "simulate_report.txt", "error-code: not-converged exit=4"),
+        (["solve", "--example", "tab1"], True, "solver_report.txt", "error-code: mismatch exit=5"),
+        (["verify", "--example", "tab1", "--samples", "50"], True,
+         "verify_report.txt", "error-code: mismatch exit=5"),
+        (["reproduce", "--example", "tab1"], True,
+         "reproduce_tab1.txt", "error-code: mismatch exit=5"),
+    ],
+)
+def test_verdict_failures_print_error_code(tmp_path, capsys, monkeypatch, argv, failed, report,
+                                           code):
+    if failed:
+        real = verify.kkt_check
+        monkeypatch.setattr(verify, "kkt_check",
+                            lambda p, w: dataclasses.replace(real(p, w), passed=False))
+    out = tmp_path / "o"
+    rc = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == int(code[-1])
+    assert captured.err.splitlines()[0] == code
+    assert len(captured.err.splitlines()) == 2 and report in captured.err
+    # the report is written and printed before the failure lines
+    assert captured.out == (out / report).read_text()
+
+
 def test_reproduce_fig3(tmp_path):
     out = tmp_path / "f3"
     rc = main(["reproduce", "--example", "fig3", "--out", str(out)])
@@ -475,3 +520,36 @@ def test_exit_codes_on_random_problem_files(doc):
                     loads = solve_lambda(p).allocation
                 # n ulps of w exceed 1e-12 * w only for subnormal totals
                 assert abs(loads.sum() - p.total) <= max(1e-12 * p.total, p.n * math.ulp(p.total))
+
+
+# Option values from 0, the smallest subnormal and the largest floats to
+# nan and both infinities; each is passed as --opt=value, so argparse reads
+# "-inf" as a value
+_OPTION_FLOATS = ["0", "-1", "5e-324", "1e-300", "1e-12", "1e-3", "0.5", "1", "1e3", "1e300",
+                  "nan", "inf", "-inf"]
+
+
+@st.composite
+def _option_argv(draw):
+    """simulate on fig3 or tab1, or verify on tab1 or tab3, every option drawn."""
+    floats = st.sampled_from(_OPTION_FLOATS)
+    if draw(st.booleans()):
+        return ["simulate", "--example", draw(st.sampled_from(["fig3", "tab1"])),
+                f"--dt={draw(floats)}", f"--tol={draw(floats)}",
+                f"--max-steps={draw(st.sampled_from([-1, 0, 1, 2, 7, 1000]))}"]
+    return ["verify", "--example", draw(st.sampled_from(["tab1", "tab3"])),
+            f"--grid={draw(floats)}", f"--samples={draw(st.sampled_from([-1, 0, 1, 7, 2000]))}",
+            f"--seed={draw(st.sampled_from([-1, 0, 1, 2**63, 10**30]))}"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_option_argv())
+def test_exit_codes_on_option_values(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([*argv, "--out", tmp])
+    assert rc in (0, 2, 3, 4, 5), argv
+    if rc:
+        assert re.fullmatch(rf"error-code: [a-z-]+ exit={rc}", err.getvalue().splitlines()[0]), argv

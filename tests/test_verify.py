@@ -24,9 +24,8 @@ from taskalloc.verify import (
     _CHAINS,
     _SWEEPS,
     _axis,
-    _BestTracker,
     _hit_and_run_stream,
-    _OracleDump,
+    _Sink,
     grid_min,
     kkt_check,
     monte_carlo_min,
@@ -145,7 +144,7 @@ def test_kkt_nash_equivalence_for_interior_points(fig3):
     assert nash_residual(p, off) > 1e-3
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e9, 1e12])
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e9, 1e12])
 @pytest.mark.parametrize("iid", ["tab1", "tab3", "fig2", "fig3"])
 def test_kkt_tolerance_scales_with_level(iid, scale):
     # every a and b times scale: the optimum stays, the level scales
@@ -362,9 +361,9 @@ def test_monte_carlo_uniform_on_feasible_set(tmp_path):
 
 
 class _Rows(list):
-    """Stands in for _OracleDump and keeps the recorded rows."""
+    """Stands in for _Sink and keeps the recorded rows."""
 
-    def write(self, points, costs):
+    def add(self, points):
         self.append(points.copy())
 
 
@@ -376,7 +375,7 @@ def test_hit_and_run_law_matches_rejection(tmp_path, n):
     p = _boxes([(0.0, u) for u in up], float(0.3 * up.sum()))
     reference = _sampled(tmp_path, p, 20_000, seed=0)
     rows = _Rows()
-    _hit_and_run_stream(p, np.random.default_rng(1), 4096, p.lower_bounds, up, _BestTracker(), rows)
+    _hit_and_run_stream(p, np.random.default_rng(1), 4096, p.lower_bounds, up, rows)
     walk = np.concatenate(rows)
     assert walk.shape == (4096, n)
     assert all(in_feasible_set(p, row) for row in walk)
@@ -423,11 +422,15 @@ def test_oracle_dump_matches_per_number_format(tmp_path):
     points = np.array(
         [[1e16, 1e-5, 0.1], [3.0, 100.0, -0.0], [1.0 / 3.0, 2.0**-1074, 123456789012345678.0]]
     )
-    costs = np.array([0.1, 1e16, 7.0])
-    dump = _OracleDump(tmp_path / "d.csv", 3)
-    dump.write(points[:1], costs[:1])
-    dump.write(points[1:], costs[1:])
-    dump.close()
+    p = _boxes([(0.0, 1.0)] * 3, 1.0)
+    sink = _Sink(p, tmp_path / "d.csv")
+    sink.add(points[:1])
+    sink.add(points[1:])
+    sink.close()
+    costs = total_cost_batch(p, points)
+    assert sink.count == 3
+    assert sink.cost == costs.min()
+    np.testing.assert_array_equal(sink.best, points[np.argmin(costs)])
     expected = ["sample_index,w_1,w_2,w_3,C\n"]
     for k, (row, c) in enumerate(zip(points, costs)):
         vals = ",".join(f"{x:.15g}" for x in row)
@@ -642,7 +645,8 @@ def test_grid_single_agent():
     p = AllocationProblem(graph=from_edge_list(1, []), agents=(agent,), total=60.0)
     res = grid_min(p, 0.5)
     np.testing.assert_array_equal(res.best, [60.0])
-    assert res.samples == 1
+    assert res.samples == res.drawn == res.accepted == 1
+    assert res.best_cost.hex() == float(_CostTable((agent,)).cost(np.array([60.0]))[0]).hex()
 
 
 def test_grid_matches_solver(tab3):
