@@ -21,12 +21,10 @@ from .drd import (
     DrdConfig,
     Trajectory,
     default_start,
-    drd_step,
-    nash_residual,
     simulate,
     write_trace_csv,
 )
-from .graph import Graph, edge_list, from_edge_list, neighbors
+from .graph import Graph, edge_list, from_edge_list
 from .instances import BundledInstance, get_instance, instance_ids
 from .lambda_solver import (
     BreakpointTable,
@@ -64,7 +62,6 @@ __all__ = [
     "breakpoints",
     "compare_and_select",
     "default_start",
-    "drd_step",
     "edge_list",
     "exponential",
     "from_edge_list",
@@ -76,8 +73,6 @@ __all__ = [
     "kkt_check",
     "load_problem",
     "monte_carlo_min",
-    "nash_residual",
-    "neighbors",
     "parse_problem",
     "quadratic",
     "quadratic_from_vertex_form",

@@ -40,7 +40,6 @@ from .problem import (
     as_allocation,
     default_tol,
     in_simplex,
-    marginals,
     total_cost,
     total_cost_batch,
 )
@@ -97,16 +96,6 @@ class Trajectory:
     residual_evals: int  # block stop-rule reductions the run took
 
 
-def nash_residual(p: AllocationProblem, w) -> float:
-    """Largest fitness advantage any agent holds over a mass-carrying agent.
-
-    Zero exactly when every agent with positive mass attains the maximal
-    fitness; "positive" means above a floor of 1e-9 * w.
-    """
-    arr = as_allocation(p, w)
-    return float(_spread(marginals(p, arr), arr, MASS_FLOOR_REL * p.total))
-
-
 def _spread(G: np.ndarray, W: np.ndarray, floor: float) -> np.ndarray:
     """Fitness spread of each state in W (n,) or (k, n) with marginals G:
     the largest G of an agent carrying more than `floor` minus the least G,
@@ -114,20 +103,6 @@ def _spread(G: np.ndarray, W: np.ndarray, floor: float) -> np.ndarray:
     most = np.maximum.reduce(G, axis=-1, where=W > floor, initial=-np.inf)
     spread = most - G.min(axis=-1)
     return np.where(spread > 0.0, spread, 0.0)
-
-
-def drd_step(p: AllocationProblem, w, dt: float) -> np.ndarray:
-    """One synchronous replicator step; raises StepOverflowError if any
-    load would turn negative or non-finite (step size too large)."""
-    arr = as_allocation(p, w)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    g = marginals(p, arr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        nxt = arr + dt * _drift(*p.graph.adjacency.T, arr, g, p.total)
-        if _first_overflow(nxt[None]) is not None:
-            raise _overflow_error(nxt)
-    return nxt
 
 
 def _drift(rows, cols, w: np.ndarray, g: np.ndarray, total: float) -> np.ndarray:
@@ -148,7 +123,7 @@ def _first_overflow(stepped: np.ndarray) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
-def _overflow_error(nxt: np.ndarray, step_index: int | None = None) -> StepOverflowError:
+def _overflow_error(nxt: np.ndarray, step_index: int) -> StepOverflowError:
     bad = ~np.isfinite(nxt) | (nxt < 0)
     return StepOverflowError(np.flatnonzero(bad).tolist(), step_index=step_index)
 

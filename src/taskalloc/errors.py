@@ -54,14 +54,14 @@ class NonpositiveLambdaError(TaskAllocError):
 
 
 class StepOverflowError(TaskAllocError):
-    """A replicator step produced a negative or non-finite load."""
+    """The replicator step from state `step_index` produced a negative or
+    non-finite load for `agents`."""
 
-    def __init__(self, agents: list[int], step_index: int | None = None):
+    def __init__(self, agents: list[int], step_index: int):
         self.agents = list(agents)
         self.step_index = step_index
-        where = f" at step {step_index}" if step_index is not None else ""
         super().__init__(
-            f"replicator step overflow{where} for agents {self.agents}; "
+            f"replicator step overflow at step {step_index} for agents {self.agents}; "
             "reduce the step size"
         )
 

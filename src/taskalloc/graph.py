@@ -61,14 +61,6 @@ def from_edge_list(n: int, edges) -> Graph:
     return Graph(n, edges)
 
 
-def neighbors(g: Graph, i: int) -> set[int]:
-    """Set of agents adjacent to i; never contains i itself."""
-    if not 0 <= i < g.n:
-        raise NodeOutOfRangeError(i, g.n)
-    lo, hi = np.searchsorted(g.adjacency[:, 0], (i, i + 1))
-    return set(g.adjacency[lo:hi, 1].tolist())
-
-
 def diameter(g: Graph) -> int:
     """Longest shortest-path distance over all node pairs."""
     return max(int(_bfs(g, start)[0].max()) for start in range(g.n))

@@ -96,11 +96,6 @@ def marginals(p: AllocationProblem, w) -> np.ndarray:
     return p._costs.marginal(np.asarray(w, dtype=float))
 
 
-def fitness_values(p: AllocationProblem, w) -> np.ndarray:
-    """Per-agent fitness, the negated marginal costs; w may be (n,) or (m, n)."""
-    return -marginals(p, w)
-
-
 def total_cost(p: AllocationProblem, w) -> float:
     """C(W) = sum of per-agent costs."""
     return float(cost_values(p, as_allocation(p, w)).sum())
@@ -213,7 +208,7 @@ def parse_problem(text: str) -> AllocationProblem:
         if not isinstance(aobj, dict):
             raise ParseError(f"{where} must be an object")
         family = _require(aobj, "family", where)
-        if family not in _AGENT_KEYS:
+        if not isinstance(family, str) or family not in _AGENT_KEYS:
             raise ParseError(f"{where} has unknown family {family!r}")
         _reject_unknown(aobj, _AGENT_KEYS[family], where)
         kwargs = dict(

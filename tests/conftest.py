@@ -1,14 +1,53 @@
 """Shared fixtures and random-instance helpers."""
 
+import copy
 import time
 
 import numpy as np
 import pytest
 
-from taskalloc import AllocationProblem, DrdConfig, get_instance
+from taskalloc import AllocationProblem, DrdConfig, drd, get_instance
 from taskalloc.costs import exponential, quadratic
 from taskalloc.drd import default_start, simulate
 from taskalloc.graph import from_edge_list
+from taskalloc.problem import marginals
+
+
+def one_step(p, w, dt, step=0):
+    """One synchronous replicator step from w, bit for bit the step simulate
+    takes; raises StepOverflowError at `step` if a load turns negative or
+    non-finite."""
+    w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = w + dt * drd._drift(*p.graph.adjacency.T, w, marginals(p, w), p.total)
+        if drd._first_overflow(nxt[None]) is not None:
+            raise drd._overflow_error(nxt, step)
+    return nxt
+
+
+def spread(p, w):
+    """The replicator's residual at w: the largest marginal of an agent
+    carrying mass above 1e-9 * total minus the least marginal, or 0."""
+    w = np.asarray(w, dtype=float)
+    return float(drd._spread(marginals(p, w), w, drd.MASS_FLOOR_REL * p.total))
+
+
+def adjacent(g, i):
+    """The agents adjacent to i, read from the adjacency pairs (i, j)."""
+    return set(g.adjacency[g.adjacency[:, 0] == i, 1].tolist())
+
+
+def replaced(doc, path, value):
+    """A deep copy of the JSON document doc with the value at path (a tuple
+    of keys and indices; () is the whole document) replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
 
 
 def random_graph(rng, n):

@@ -8,10 +8,10 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_problem
+from conftest import one_step, random_problem, spread
 
 from taskalloc.costs import exponential, quadratic
-from taskalloc.drd import DrdConfig, drd_step, nash_residual, simulate
+from taskalloc.drd import DrdConfig, simulate
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import breakpoints, solve_lambda
 from taskalloc.problem import AllocationProblem, marginals, total_cost
@@ -90,7 +90,7 @@ def test_criterion_4_drd_convergence_exponential(fig2, fig2_run):
     uppers = np.array([a.upper for a in p.agents])
     closed_form = uppers * p.total / uppers.sum()  # equal-fitness limit
     assert traj.converged
-    assert nash_residual(p, traj.final) < 1e-6
+    assert spread(p, traj.final) < 1e-6
     np.testing.assert_allclose(traj.final, closed_form, atol=0.5)
     assert np.all(traj.costs[1:] <= traj.costs[:-1] + 1e-9 * np.abs(traj.costs[:-1]))
     drift = float(np.abs(traj.states.sum(axis=1) - p.total).max())
@@ -223,10 +223,10 @@ def test_criterion_8_property_suite():
     )
     w = np.array([0.0, 150.0, 50.0])
     for _ in range(200):
-        w = drd_step(p2, w, 1e-3)
+        w = one_step(p2, w, 1e-3)
         assert w[0] == 0.0
     even = np.full(3, 200.0 / 3.0)
-    assert np.abs(drd_step(p2, even, 1e-3) - even).max() < 1e-12
+    assert np.abs(one_step(p2, even, 1e-3) - even).max() < 1e-12
 
     # solver dominates the grid oracle on random small instances
     for _ in range(50):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import replaced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -262,23 +263,21 @@ def test_reports_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_solve_tab3_report_matches_golden(tmp_path):
-    # tab3 is quadratic, so no exp/log last-bit drift across CPUs or libms
-    out = tmp_path / "out"
-    assert main(["solve", "--example", "tab3", "--out", str(out)]) == 0
-    golden = (DATA / "tab3_solver_report.txt").read_bytes()
-    assert (out / "solver_report.txt").read_bytes() == golden
-
-
 @pytest.mark.parametrize("grid", [[], ["--grid", "0.5"]], ids=["auto", "0.5"])
 def test_verify_tab3_grid_lines_match_golden(tmp_path, grid):
     # the automatic resolution is width/300, which is 0.5 on tab3 as well
     out = tmp_path / "out"
     argv = ["verify", "--example", "tab3", "--samples", "2000", "--seed", "0", *grid]
     assert main([*argv, "--out", str(out)]) == 0
-    lines = (out / "verify_report.txt").read_text().splitlines(keepends=True)
+    assert _grid_lines(out / "verify_report.txt") == _grid_lines(
+        DATA / "golden" / "verify-tab3" / "verify_report.txt"
+    )
+
+
+def _grid_lines(report: Path) -> str:
+    lines = report.read_text().splitlines(keepends=True)
     start = next(k for k, line in enumerate(lines) if line.startswith("grid:"))
-    assert "".join(lines[start : start + 4]) == (DATA / "tab3_verify_grid.txt").read_text()
+    return "".join(lines[start : start + 4])
 
 
 def test_reproduce_tab_instances(tmp_path, capsys):
@@ -472,6 +471,44 @@ def test_malformed_problem_file_exit_parse(tmp_path, capsys, example, edit, fiel
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "error-code: parse exit=2"
     assert field in err[1]
+
+
+_PAIR = {
+    "total": 1.0,
+    "graph": {"n": 2, "edges": [[1, 2]]},
+    "agents": [{"family": "quadratic", "a": 1.0, "b": 1.0, "lower": 0.0, "upper": 1.0}] * 2,
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), [], "top level must be an object"),
+        (("graph",), [], "'graph' must be an object"),
+        (("graph", "n"), 2.0, "graph 'n' must be an integer, got 2.0"),
+        (("graph", "edges"), {}, "graph 'edges' must be a list of [i, j] pairs"),
+        (("graph", "edges", 0), [1], "edge #1 must be a pair [i, j]"),
+        (("graph", "edges", 0, 0), [1], "edge #1 has non-integer node [1]"),
+        (("agents",), {}, "'agents' must be a list"),
+        (("agents", 0), [], "agent #1 must be an object"),
+        (("agents", 0, "family"), "cubic", "agent #1 has unknown family 'cubic'"),
+        (("agents", 0, "family"), [], "agent #1 has unknown family []"),
+        (("agents", 0, "a"), -1, "agent #1: coefficient a must be positive, got -1.0"),
+        ((), {"total": 1.0, "graph": {"n": 0, "edges": []}, "agents": []},
+         "graph: need at least 1 agent, got 0"),
+    ],
+)
+def test_parse_error_messages(tmp_path, capsys, path, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(replaced(_PAIR, path, value)))
+    assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error-code: parse exit=2", message]
+
+
+def test_missing_input_file_exits_io(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["solve", "--input", str(missing), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error-code: io exit=2"
 
 
 # Scales from the smallest subnormal to the largest float, and a total

@@ -16,7 +16,7 @@ from taskalloc import lambda_solver
 from taskalloc.costs import exponential, quadratic
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import breakpoints
-from taskalloc.problem import AllocationProblem, cost_values, fitness_values, marginals
+from taskalloc.problem import AllocationProblem, cost_values, marginals
 
 REL = 1e-12
 
@@ -120,7 +120,8 @@ def test_problem_costs_and_marginals_match_closed_forms(family, seed):
 @pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_fitness_is_negated_marginal_bit_for_bit(family, seed):
-    # fitness_values negates the marginals, so no bit may differ, not even
+    # each agent's CostModel.fitness negates its marginal on the scalar
+    # path, so no bit may differ from the negated table marginals, not even
     # the sign of a zero
     rng = np.random.default_rng(seed)
     agents = _random_agents(rng, 40, family, pinned_frac=0.2)
@@ -135,9 +136,9 @@ def test_fitness_is_negated_marginal_bit_for_bit(family, seed):
     ])
     want = -table.marginal(w)
     assert np.any((want == 0.0) & np.signbit(want)) == (family != "quadratic")
-    for got, ref in ((fitness_values(p, w), want), (fitness_values(p, w[0]), want[0])):
-        assert got.tobytes() == ref.tobytes()
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+    got = np.array([[m.fitness(x) for m, x in zip(agents, row)] for row in w.tolist()])
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("seed", [3, 4])

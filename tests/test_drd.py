@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import adjacent, one_step, spread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,17 +15,14 @@ from taskalloc.drd import (
     Trajectory,
     default_start,
     _drift,
-    drd_step,
-    nash_residual,
     simulate,
     write_trace_csv,
 )
 from taskalloc.errors import StepOverflowError
-from taskalloc.graph import Graph, edge_list, from_edge_list, neighbors
+from taskalloc.graph import Graph, edge_list, from_edge_list
 from taskalloc.problem import (
     AllocationProblem,
     default_tol,
-    fitness_values,
     in_simplex,
     marginals,
     total_cost,
@@ -61,7 +59,7 @@ def _drift_of(p, w):
 def test_local_mean_fitness_symmetric_pair():
     p = _two_identical_agents()
     w = np.array([30.0, 70.0])
-    f = fitness_values(p, w)
+    f = -marginals(p, w)
     # the neighbor sums exclude the agent itself (no self-loop)
     expected = (w / p.total) * (f * w[::-1] - (f * w)[::-1])
     np.testing.assert_allclose(_drift_of(p, w), expected, rtol=1e-12)
@@ -76,10 +74,10 @@ def test_local_mean_fitness_single_neighbor():
         graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=150.0
     )
     w = np.array([30.0, 70.0, 50.0])
-    f = fitness_values(p, w)
+    f = -marginals(p, w)
     # agent 0's only neighbor is agent 1
     expected = w[0] + 0.5 * (w[0] / p.total) * (f[0] * 70.0 - f[1] * 70.0)
-    assert drd_step(p, w, 0.5)[0] == pytest.approx(expected, rel=1e-12)
+    assert one_step(p, w, 0.5)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_local_mean_fitness_at_equal_fitness(fig2):
@@ -87,17 +85,17 @@ def test_local_mean_fitness_at_equal_fitness(fig2):
     # -lam * (neighbor mass) / w and cancels the first drift term
     p = fig2.problem
     wstar = np.asarray(fig2.reference["allocation"])
-    lam = -fitness_values(p, wstar).mean()
+    lam = marginals(p, wstar).mean()
     drift = _drift_of(p, wstar)
     for i in range(p.n):
-        nbr_mass = float(sum(wstar[j] for j in neighbors(p.graph, i)))
+        nbr_mass = float(sum(wstar[j] for j in adjacent(p.graph, i)))
         assert abs(drift[i]) <= 1e-9 * lam * nbr_mass * wstar[i] / p.total
 
 
 def test_step_fixed_point_at_equal_fitness(fig2):
     p = fig2.problem
     wstar = np.asarray(fig2.reference["allocation"])
-    nxt = drd_step(p, wstar, 1e-4)
+    nxt = one_step(p, wstar, 1e-4)
     assert np.abs(nxt - wstar).max() < 1e-10
 
 
@@ -116,18 +114,18 @@ def test_step_matches_dense_formula():
         for i, j in edge_list(g):
             adj[i, j] = adj[j, i] = 1.0
         w = p.total * rng.dirichlet(np.ones(n))
-        f = fitness_values(p, w)
+        f = -marginals(p, w)
         drift = (w / p.total) * (f * (adj @ w) - adj @ (f * w))
         # a step that moves some load by 1%, so the drift shows in the result
         dt = 0.01 / np.max(np.abs(drift) / w)
-        np.testing.assert_allclose(drd_step(p, w, dt), w + dt * drift, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(one_step(p, w, dt), w + dt * drift, rtol=1e-13, atol=0)
 
 
 def test_step_keeps_zero_mass_at_zero():
     p = _two_identical_agents()
     w = np.array([0.0, 100.0])
     for _ in range(50):
-        w = drd_step(p, w, 1e-3)
+        w = one_step(p, w, 1e-3)
         assert w[0] == 0.0
 
 
@@ -136,17 +134,16 @@ def test_step_conserves_total():
     w = np.array([120.0, 80.0])
     for _ in range(10_000):
         prev = w.sum()
-        w = drd_step(p, w, 1e-3)
+        w = one_step(p, w, 1e-3)
         assert abs(w.sum() - prev) <= 1e-9 * p.total  # edge terms cancel pairwise
     assert abs(w.sum() - p.total) < 1e-8 * p.total
 
 
 def test_step_overflow_raises(fig2):
     p = fig2.problem
-    with pytest.raises(StepOverflowError):
-        w = default_start(p)
-        for _ in range(50):
-            w = drd_step(p, w, 10.0)
+    with pytest.raises(StepOverflowError) as exc:
+        simulate(p, default_start(p), DrdConfig(step=10.0, max_steps=50))
+    assert 0 <= exc.value.step_index < 50 and exc.value.agents
 
 
 def test_simulate_overflow_reports_step(fig2):
@@ -160,21 +157,19 @@ def test_huge_step_raises_overflow_without_warning(fig3):
     # the suite turns RuntimeWarning into an error, so a numpy overflow
     # warning would fail this before StepOverflowError
     p = fig3.problem
-    with pytest.raises(StepOverflowError):
-        drd_step(p, default_start(p), 1e308)
     with pytest.raises(StepOverflowError) as exc:
         simulate(p, default_start(p), DrdConfig(step=1e308))
     assert exc.value.step_index == 0
 
 
 def _plain_loop(p, w0, cfg):
-    """simulate as a plain loop, one state at a time: the state's residual
-    (nash_residual's formula), then one drd_step. Returns the trajectory
-    fields simulate reports, or (agents, step) of a StepOverflowError."""
+    """simulate as a plain loop, one state at a time: the state's residual,
+    then one replicator step. Returns the trajectory fields simulate
+    reports, or (agents, step) of a StepOverflowError."""
     w = np.asarray(w0, dtype=float)
     out = {"times": [], "states": [], "residuals": [], "box_exit_step": None}
     for step in itertools.count():
-        f = fitness_values(p, w)
+        f = -marginals(p, w)
         mass = w > MASS_FLOOR_REL * p.total
         r = max(0.0, float(f.max()) - float(f[mass].min())) if mass.any() else 0.0
         done = r <= cfg.residual_tol or step == cfg.max_steps
@@ -191,9 +186,9 @@ def _plain_loop(p, w0, cfg):
             stop = "residual" if converged else "max-steps"
             return dict(out, final=w, steps=step, converged=converged, stop=stop)
         try:
-            w = drd_step(p, w, cfg.step)
+            w = one_step(p, w, cfg.step, step)
         except StepOverflowError as exc:
-            return exc.agents, step
+            return exc.agents, exc.step_index
 
 
 def _assert_matches_plain_loop(p, w0, cfg):
@@ -332,7 +327,7 @@ def _replicator_runs(draw):
         w0 = x * (1.0 + rel * rng.uniform(-1.0, 1.0, n))
         w0 *= p.total / w0.sum()
         # below the start's residual, so that the run goes on and oscillates
-        tol = min(tol, 1e-3 * nash_residual(p, w0)) or tol
+        tol = min(tol, 1e-3 * spread(p, w0)) or tol
     else:
         w0 = default_start(p)
     return p, w0, DrdConfig(step=dt, max_steps=max_steps, residual_tol=tol)
@@ -362,23 +357,23 @@ def test_simulate_counts_block_reductions(fig2):
 def test_nash_residual_values():
     p = _spread_instance(-5.0, -6.0)
     w = np.array([100.0, 100.0])
-    f = fitness_values(p, w)
+    f = -marginals(p, w)
     np.testing.assert_allclose(f, [-5.0, -6.0], atol=1e-12)
-    assert nash_residual(p, w) == pytest.approx(1.0, abs=1e-12)
+    assert spread(p, w) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nash_residual_zero_at_equal_fitness(fig2):
     wstar = np.asarray(fig2.reference["allocation"])
-    assert nash_residual(fig2.problem, wstar) < 1e-12
+    assert spread(fig2.problem, wstar) < 1e-12
 
 
 def test_nash_residual_sees_idle_agent_advantage():
     # an empty agent whose fitness beats the loaded one keeps the residual positive
     p = _spread_instance(-2.0, -6.0)
     w = np.array([0.0, 200.0])
-    f = fitness_values(p, w)
+    f = -marginals(p, w)
     assert f[0] > f[1]
-    assert nash_residual(p, w) > 0
+    assert spread(p, w) > 0
 
 
 def test_lyapunov_zero_at_reference(fig3):
@@ -458,7 +453,7 @@ def test_simulate_records_aligned_monotone_trace(fig2_run):
     assert traj.lyapunov[0] > traj.lyapunov[-1]
     assert traj.lyapunov[-1] >= -1e-6
     # the limit satisfies the equilibrium membership test
-    assert nash_residual(p, traj.final) <= 1e-6
+    assert spread(p, traj.final) <= 1e-6
     # long-run conservation over the 1e6-step trace
     assert np.abs(traj.states.sum(axis=1) - p.total).max() <= 1e-7 * p.total
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from taskalloc import lambda_solver
 from taskalloc.costs import exponential, quadratic
-from taskalloc.errors import CostOverflowError
+from taskalloc.errors import CostOverflowError, InfeasibleError
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import (
     _agent_keys,
@@ -463,6 +463,13 @@ def test_select_final_guards_feasibility(tab1):
     # with two feasible candidates it falls through to the comparison
     pick = select_final(p, wo, wo.copy())
     np.testing.assert_array_equal(pick, wo)
+    # an infeasible second candidate leaves the first; two raise
+    assert not in_feasible_set(p, wstar)
+    pick = select_final(p, wo, wstar)
+    assert pick is not wo
+    np.testing.assert_array_equal(pick, wo)
+    with pytest.raises(InfeasibleError):
+        select_final(p, wstar, wstar.copy())
 
 
 def test_compare_and_select_path_picks_cheaper_in_both_orders():

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_problem
+from conftest import random_problem, replaced
 
 from taskalloc import verify
 from taskalloc.costs import exponential, quadratic
@@ -47,6 +47,10 @@ def test_total_cost_reference_allocation_is_minimal(tab3):
 def test_total_cost_length_mismatch(tab1):
     with pytest.raises(LengthMismatchError):
         total_cost(tab1.problem, [1.0, 2.0])
+    with pytest.raises(LengthMismatchError):
+        total_cost_batch(tab1.problem, np.ones(3))  # one allocation, not a batch
+    with pytest.raises(LengthMismatchError):
+        total_cost_batch(tab1.problem, np.ones((4, 2)))
 
 
 def test_in_feasible_set_reference_points(tab1):
@@ -143,6 +147,13 @@ def test_construction_rejects_infeasible_totals():
     AllocationProblem(graph=g, agents=agents, total=40.0)
 
 
+def test_construction_rejects_nonpositive_total():
+    agents = (quadratic(a=0.01, b=1.0, lower=0.0, upper=100.0),)
+    for total in (0.0, -1.0):
+        with pytest.raises(ValueError, match="positive"):
+            AllocationProblem(graph=from_edge_list(1, []), agents=agents, total=total)
+
+
 def test_construction_rejects_agent_count_mismatch():
     agents = (quadratic(a=0.01, b=1.0, lower=0.0, upper=100.0),)
     with pytest.raises(LengthMismatchError):
@@ -214,3 +225,39 @@ def test_parse_reports_json_line():
 def test_parse_rejects_non_numbers():
     with pytest.raises(ParseError, match="'total'"):
         parse_problem('{"total": "big", "graph": {"n": 1, "edges": []}, "agents": []}')
+
+
+_DOC = {
+    "total": 6.0,
+    "graph": {"n": 3, "edges": [[1, 2], [2, 3]]},
+    "agents": [
+        {"family": "exponential", "a": 1.0, "lower": 0.0, "upper": 4.0},
+        {"family": "quadratic", "a": 1.0, "b": 1.0, "lower": 0.0, "upper": 4.0},
+        {"family": "quadratic", "a": 2.0, "b": 0.5, "lower": 1.0, "upper": 3.0},
+    ],
+}
+_VALUES = [None, True, False, 0, -1, 1, 2, 3, 1.5, -0.0, 1e308, 10**400, "x", "quadratic",
+           [], {}, [1, 2], [1, 1], [[1, 2]], {"a": 1}]
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_paths(child, (*path, key))
+
+
+def test_parse_survives_any_value_at_any_path():
+    # a file either parses or fails as a ParseError or an InfeasibleError,
+    # whatever JSON value stands at whichever path
+    parse_problem(json.dumps(_DOC))
+    failures = []
+    for path in _json_paths(_DOC):
+        for value in _VALUES:
+            try:
+                parse_problem(json.dumps(replaced(_DOC, path, value)))
+            except (ParseError, InfeasibleError):
+                pass
+            except Exception as exc:  # noqa: BLE001 - collected, then reported
+                failures.append((path, value, repr(exc)))
+    assert failures == []

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_problem
+from conftest import random_problem, spread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from taskalloc.graph import from_edge_list
 from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
 from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost, total_cost_batch
-from taskalloc.drd import nash_residual
 from taskalloc.verify import (
     _CHAINS,
     _SWEEPS,
@@ -33,20 +32,20 @@ from taskalloc.verify import (
 
 
 def test_is_nash_at_equal_fitness(fig2):
-    assert nash_residual(fig2.problem, np.asarray(fig2.reference["allocation"])) <= 1e-6
+    assert spread(fig2.problem, np.asarray(fig2.reference["allocation"])) <= 1e-6
 
 
 def test_is_nash_rejects_perturbation(fig2):
     w = np.asarray(fig2.reference["allocation"]).copy()
     w[0] += 10.0
     w[1] -= 10.0
-    assert nash_residual(fig2.problem, w) > 1e-3
+    assert spread(fig2.problem, w) > 1e-3
 
 
 def test_is_nash_single_agent():
     agent = quadratic(a=0.01, b=1.0, lower=0.0, upper=100.0)
     p = AllocationProblem(graph=from_edge_list(1, []), agents=(agent,), total=60.0)
-    assert nash_residual(p, [60.0]) == 0.0
+    assert spread(p, [60.0]) == 0.0
 
 
 def test_kkt_interior_certificate(tab3):
@@ -136,12 +135,12 @@ def test_kkt_nash_equivalence_for_interior_points(fig3):
     wstar = np.asarray(fig3.reference["allocation"])
     cert = kkt_check(p, wstar, tol=1e-6)
     assert cert.passed and not cert.lower_active and not cert.upper_active
-    assert nash_residual(p, wstar) <= 1e-6
+    assert spread(p, wstar) <= 1e-6
 
     off = wstar + np.array([2.0, -2.0, 0.0, 0.0, 0.0, 0.0])
     assert in_feasible_set(p, off)
     assert not kkt_check(p, off, tol=1e-3).passed
-    assert nash_residual(p, off) > 1e-3
+    assert spread(p, off) > 1e-3
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e9, 1e12])
