@@ -165,7 +165,7 @@ def _run_solve(args) -> int:
 
 
 def _families(p) -> list[str]:
-    return sorted({a.family for a in p.agents})
+    return sorted(g.name for g in p._costs.groups)
 
 
 def _instance_lines(p) -> list[str]:

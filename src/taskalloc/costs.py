@@ -109,6 +109,7 @@ _FAMILIES = {EXPONENTIAL: _Exponential, QUADRATIC: _Quadratic}
 class _Group:
     """One family's agents: their positions and coefficients as arrays."""
 
+    name: str
     fam: type
     idx: np.ndarray
     a: np.ndarray
@@ -121,36 +122,39 @@ class _Group:
 class _CostTable:
     """Struct-of-arrays costs of n agents, one group per family present.
 
-    `family` is the single family's formula class, or None when families
-    are mixed. `coordinate` maps levels to the solver's keys: the single
-    family, or _Quadratic (whose key is lam itself) when families mix.
-    Per-agent inputs have shape (..., n); a shared level (key or lam) is a
-    scalar or an array that broadcasts against (n,), such as a column of
-    keys.
+    Built from five `columns` in agent order: family names, a, b (0.0 for
+    an exponential agent), lower and upper. `family` is the single family's
+    formula class, or None when families are mixed. `coordinate` maps
+    levels to the solver's keys: the single family, or _Quadratic (whose key
+    is lam itself) when families mix. Per-agent inputs have shape (..., n);
+    a shared level (key or lam) is a scalar or an array that broadcasts
+    against (n,), such as a column of keys.
     """
 
-    def __init__(self, models):
-        self.n = len(models)
-        self.lower = np.array([m.lower for m in models])
-        self.upper = np.array([m.upper for m in models])
-        a = np.array([m.a for m in models])
-        b = np.array([0.0 if m.b is None else m.b for m in models])
-        span = self.upper - self.lower
-        # only exponential agents read a / span; a quadratic box may be a point
-        with np.errstate(divide="ignore"):
+    def __init__(self, families, a, b, lower, upper):
+        self.n = len(families)
+        self.columns = [np.array(col) for col in (families, a, b, lower, upper)]
+        names, a, b, lower, upper = self.columns
+        self.lower, self.upper = lower, upper
+        span = upper - lower
+        # only exponential agents read a / span, inf if it overflows; a quadratic box may be a point
+        with np.errstate(divide="ignore", over="ignore"):
             a_per_span = a / span
-        names = np.array([m.family for m in models])
         self.groups = []
         for name, fam in _FAMILIES.items():
             idx = np.flatnonzero(names == name)
             if idx.size:
                 self.groups.append(
-                    _Group(fam, idx, a[idx], b[idx], self.lower[idx], span[idx], a_per_span[idx])
+                    _Group(name, fam, idx, a[idx], b[idx], lower[idx], span[idx], a_per_span[idx])
                 )
         self.family = self.groups[0].fam if len(self.groups) == 1 else None
         self.coordinate = self.family or _Quadratic
-        self.lower.setflags(write=False)
-        self.upper.setflags(write=False)
+        for col in self.columns:
+            col.setflags(write=False)
+
+    def rows(self):
+        """(family, a, b, lower, upper) of each agent, as Python values."""
+        return zip(*(col.tolist() for col in self.columns))
 
     def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
         if self.family is not None:  # no scatter for a single family

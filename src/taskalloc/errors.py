@@ -33,12 +33,13 @@ class DisconnectedError(TaskAllocError):
 
 
 class LengthMismatchError(TaskAllocError):
-    """A per-agent vector has the wrong length."""
+    """A per-agent vector has the wrong length, or (got is its shape) the wrong axes."""
 
-    def __init__(self, expected: int, got: int, what: str = "allocation"):
+    def __init__(self, expected: int, got, what: str = "allocation"):
         self.expected = expected
         self.got = got
-        super().__init__(f"{what} has length {got}, expected {expected}")
+        found = f"shape {got}" if isinstance(got, tuple) else f"length {got}"
+        super().__init__(f"{what} has {found}, expected {expected}")
 
 
 class InfeasibleError(TaskAllocError):

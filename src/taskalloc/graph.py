@@ -11,7 +11,8 @@ nodes unreachable from node 0) otherwise.
 The breadth-first search from node 0 that checks connectivity is kept:
 ``Graph.depth`` and ``Graph.parent`` are its spanning tree (each node's
 distance from node 0, and its parent one level shallower, -1 at the
-root), so a graph is traversed once in its life.
+root), so a graph is traversed once in its life. The search is one Python
+pass over the CSR lists (see _bfs), O(n + m) however deep the tree.
 """
 
 from dataclasses import dataclass, field
@@ -74,26 +75,24 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
 
 def _bfs(g: Graph, start: int) -> tuple[np.ndarray, np.ndarray]:
     """Distances from start (-1 if unreached) and BFS parents (-1 at start
-    and at unreached nodes), one frontier at a time, in O(n + m) work."""
-    rows, cols = g.adjacency.T
-    row_start = np.searchsorted(rows, np.arange(g.n + 1))
-    degree = np.diff(row_start)
-    dist = np.full(g.n, -1, dtype=np.int64)
-    parent = np.full(g.n, -1, dtype=np.int64)
+    and at unreached nodes). A node reached from several nodes of a frontier
+    takes as parent the one whose adjacency pair comes last in frontier
+    order: each level is walked backwards, so the first pair met wins, and
+    the next frontier lists the nodes in the order of those pairs."""
+    cols = g.adjacency[:, 1].tolist()
+    row_start = np.searchsorted(g.adjacency[:, 0], np.arange(g.n + 1)).tolist()
+    dist, parent = [-1] * g.n, [-1] * g.n
     dist[start] = 0
-    frontier = np.array([start])
-    level = 0
-    while frontier.size:
-        level += 1
-        # the adjacency pairs (u, v) of every u in the frontier
-        count = degree[frontier]
-        end = count.cumsum()
-        pair = np.repeat(row_start[frontier] + count - end, count) + np.arange(end[-1])
-        v = cols[pair]
-        new = dist[v] < 0
-        v, u = v[new], rows[pair[new]]
-        # a node reached from several frontier nodes keeps the one written last
-        parent[v] = u
-        frontier = v[parent[v] == u]
-        dist[frontier] = level
-    return dist, parent
+    frontier = [start]
+    while frontier:
+        level = dist[frontier[0]] + 1
+        reached = []
+        for u in reversed(frontier):
+            for v in reversed(cols[row_start[u] : row_start[u + 1]]):
+                if dist[v] < 0:
+                    dist[v] = level
+                    parent[v] = u
+                    reached.append(v)
+        reached.reverse()
+        frontier = reached
+    return np.array(dist, dtype=np.int64), np.array(parent, dtype=np.int64)

@@ -1,9 +1,11 @@
 """The constrained allocation instance and its feasibility predicates.
 
-An instance couples an interaction graph, one cost model per agent, and
-the total task w. Allocations are plain float vectors of length n. Each
-instance builds its cost table (see :mod:`taskalloc.costs`) once, on first
-use; per-agent costs, marginals and the bounds are all read from it.
+An instance couples an interaction graph, the agents' costs and the total
+task w. Allocations are plain float vectors of length n. The costs live in
+one cost table (see :mod:`taskalloc.costs`) of five columns (family, a, b,
+lower, upper), built with the instance; per-agent costs, marginals and the
+bounds are all read from it. ``agents``, one CostModel per agent, is built
+from the columns only when something reads it.
 
 The on-disk format is JSON::
 
@@ -15,11 +17,15 @@ The on-disk format is JSON::
 
 Node labels in files are 1-based; indices are 0-based everywhere in the
 API. Unknown keys are rejected so typos cannot silently change a run.
+parse_problem reads a file in one pass: each edge and agent passes a quick
+test that formats no message, and the agents' columns go straight to the
+cost table. The first entry that fails the test gets the full checks,
+which raise the ParseError naming its first fault.
 """
 
+import itertools
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,39 +36,40 @@ from .errors import DisconnectedError, InfeasibleError, LengthMismatchError, Par
 from .graph import Graph
 
 
-@dataclass(frozen=True, eq=False)
 class AllocationProblem:
     """Graph + per-agent costs + total task; everything downstream consumes this."""
 
-    graph: Graph
-    agents: tuple[CostModel, ...]
-    total: float
+    def __init__(self, graph: Graph, agents, total: float):
+        vars(self)["agents"] = agents = tuple(agents)
+        if len(agents) != graph.n:
+            raise LengthMismatchError(graph.n, len(agents), "agents")
+        rows = [(m.family, m.a, 0.0 if m.b is None else m.b, m.lower, m.upper) for m in agents]
+        self._set(graph, rows, total)
 
-    def __post_init__(self):
-        object.__setattr__(self, "agents", tuple(self.agents))
-        if len(self.agents) != self.graph.n:
-            raise LengthMismatchError(self.graph.n, len(self.agents), "agents")
-        if not self.total > 0:
-            raise ValueError(f"total task must be positive, got {self.total}")
-        lo = sum(a.lower for a in self.agents)
-        up = sum(a.upper for a in self.agents)
-        if self.total < lo:
-            raise InfeasibleError(
-                f"total {self.total} is below the sum of lower bounds {lo}"
-            )
-        if self.total > up:
-            raise InfeasibleError(
-                f"total {self.total} exceeds the sum of upper bounds {up}"
-            )
+    def _set(self, graph: Graph, rows, total: float) -> "AllocationProblem":
+        """Check the total, then keep the graph and the table of these agent rows."""
+        costs = _CostTable(*([row[c] for row in rows] for c in range(5)))
+        if not total > 0:
+            raise ValueError(f"total task must be positive, got {total}")
+        lo, up = sum(costs.lower.tolist()), sum(costs.upper.tolist())
+        if total < lo:
+            raise InfeasibleError(f"total {total} is below the sum of lower bounds {lo}")
+        if total > up:
+            raise InfeasibleError(f"total {total} exceeds the sum of upper bounds {up}")
+        vars(self).update(graph=graph, total=total, _costs=costs)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"AllocationProblem is immutable; cannot set {name!r}")
+
+    @cached_property
+    def agents(self) -> tuple[CostModel, ...]:
+        return tuple(CostModel(f, a, lo, up, b if f == QUADRATIC else None)
+                     for f, a, b, lo, up in self._costs.rows())
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @cached_property
-    def _costs(self) -> _CostTable:
-        """The one struct-of-arrays cost table every vectorized evaluation reads."""
-        return _CostTable(self.agents)
 
     @property
     def lower_bounds(self) -> np.ndarray:
@@ -77,7 +84,7 @@ def as_allocation(p: AllocationProblem, w) -> np.ndarray:
     """Validate length and return a float vector."""
     arr = np.asarray(w, dtype=float)
     if arr.shape != (p.n,):
-        raise LengthMismatchError(p.n, arr.shape[0] if arr.ndim == 1 else -1)
+        raise LengthMismatchError(p.n, arr.shape[0] if arr.ndim == 1 else arr.shape)
     return arr
 
 
@@ -105,7 +112,7 @@ def total_cost_batch(p: AllocationProblem, batch: np.ndarray) -> np.ndarray:
     """C(W) for each row of an (m, n) batch."""
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != p.n:
-        raise LengthMismatchError(p.n, batch.shape[-1], "batch")
+        raise LengthMismatchError(p.n, batch.shape[1] if batch.ndim == 2 else batch.shape, "batch")
     return cost_values(p, batch).sum(axis=1)
 
 
@@ -130,6 +137,7 @@ def in_simplex(p: AllocationProblem, w) -> bool:
 # ---------------------------------------------------------------------------
 # problem files
 
+_FLOAT_MAX = sys.float_info.max
 _ROOT_KEYS = {"total", "graph", "agents"}
 _GRAPH_KEYS = {"n", "edges"}
 _AGENT_KEYS = {
@@ -153,13 +161,50 @@ def _require(obj: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, Infinity, or an int past the floats
+    if not abs(value) <= _FLOAT_MAX:  # NaN, Infinity, or an int past the floats
         raise ParseError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
+def _agent(k: int, aobj) -> tuple:
+    """Agent #k+1's columns (family, a, b, lower, upper) from the quick test,
+    or else the full checks, which raise the ParseError naming the fault."""
+    try:
+        family, a, lower, upper = aobj["family"], aobj["a"], aobj["lower"], aobj["upper"]
+        b = aobj["b"] if family == QUADRATIC else 0.0
+        # json.loads gives exact types (a bool is neither); ints compare exactly
+        if (type(aobj) is dict and len(aobj) == len(_AGENT_KEYS[family])
+                and {type(a), type(b), type(lower), type(upper)} <= {float, int}
+                and 0 < a <= _FLOAT_MAX and 0 <= lower <= upper <= _FLOAT_MAX
+                and (0 < b <= _FLOAT_MAX or family == EXPONENTIAL)):
+            a, b, lower, upper = float(a), float(b), float(lower), float(upper)
+            if family == QUADRATIC or lower < upper:
+                return family, a, b, lower, upper
+    except (KeyError, TypeError):
+        pass
+    where = f"agent #{k + 1}"
+    if not isinstance(aobj, dict):
+        raise ParseError(f"{where} must be an object")
+    family = _require(aobj, "family", where)
+    if not isinstance(family, str) or family not in _AGENT_KEYS:
+        raise ParseError(f"{where} has unknown family {family!r}")
+    _reject_unknown(aobj, _AGENT_KEYS[family], where)
+    kwargs = dict(
+        a=_number(_require(aobj, "a", where), f"{where} 'a'"),
+        lower=_number(_require(aobj, "lower", where), f"{where} 'lower'"),
+        upper=_number(_require(aobj, "upper", where), f"{where} 'upper'"),
+    )
+    if family == QUADRATIC:
+        kwargs["b"] = _number(_require(aobj, "b", where), f"{where} 'b'")
+    try:
+        m = CostModel(family=family, **kwargs)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    return family, m.a, 0.0 if m.b is None else m.b, m.lower, m.upper
+
+
 def parse_problem(text: str) -> AllocationProblem:
-    """Parse a problem file; errors name the offending field."""
+    """Parse a problem file in one pass; errors name the offending field."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -181,56 +226,37 @@ def parse_problem(text: str) -> AllocationProblem:
     raw_edges = _require(gobj, "edges", "graph")
     if not isinstance(raw_edges, list):
         raise ParseError("graph 'edges' must be a list of [i, j] pairs")
-    edges = []
     for k, pair in enumerate(raw_edges):
-        if not (isinstance(pair, list) and len(pair) == 2):
+        if not (type(pair) is list and len(pair) == 2):
             raise ParseError(f"edge #{k + 1} must be a pair [i, j]")
         i, j = pair
-        for node in (i, j):
+        if type(i) is int and type(j) is int and 0 < i <= n and 0 < j <= n and i != j:
+            continue  # the quick test; the full checks below name the fault
+        for node in pair:
             if not isinstance(node, int) or isinstance(node, bool):
                 raise ParseError(f"edge #{k + 1} has non-integer node {node!r}")
             if not 1 <= node <= n:
                 raise ParseError(
                     f"edge #{k + 1} node {node} outside 1..{n} (file labels are 1-based)"
                 )
-        if i == j:
-            raise ParseError(f"edge #{k + 1} is a self-loop at node {i}")
-        edges.append((i - 1, j - 1))
+        raise ParseError(f"edge #{k + 1} is a self-loop at node {i}")
 
     aobjs = _require(data, "agents", "problem")
     if not isinstance(aobjs, list):
         raise ParseError("'agents' must be a list")
     if len(aobjs) != n:
         raise ParseError(f"'agents' has {len(aobjs)} entries, graph 'n' is {n}")
-    agents = []
-    for k, aobj in enumerate(aobjs):
-        where = f"agent #{k + 1}"
-        if not isinstance(aobj, dict):
-            raise ParseError(f"{where} must be an object")
-        family = _require(aobj, "family", where)
-        if not isinstance(family, str) or family not in _AGENT_KEYS:
-            raise ParseError(f"{where} has unknown family {family!r}")
-        _reject_unknown(aobj, _AGENT_KEYS[family], where)
-        kwargs = dict(
-            a=_number(_require(aobj, "a", where), f"{where} 'a'"),
-            lower=_number(_require(aobj, "lower", where), f"{where} 'lower'"),
-            upper=_number(_require(aobj, "upper", where), f"{where} 'upper'"),
-        )
-        if family == QUADRATIC:
-            kwargs["b"] = _number(_require(aobj, "b", where), f"{where} 'b'")
-        try:
-            agents.append(CostModel(family=family, **kwargs))
-        except ValueError as exc:
-            raise ParseError(f"{where}: {exc}") from exc
+    rows = [_agent(k, aobj) for k, aobj in enumerate(aobjs)]
 
     try:
-        g = graphmod.from_edge_list(n, edges)
+        nodes = np.fromiter(itertools.chain.from_iterable(raw_edges), np.int64, 2 * len(raw_edges))
+        g = graphmod.from_edge_list(n, nodes.reshape(-1, 2) - 1)
     except DisconnectedError as exc:
         labels = [u + 1 for u in exc.unreachable]
         raise ParseError(f"graph is not connected; unreachable from node 1: {labels}") from exc
     except ValueError as exc:
         raise ParseError(f"graph: {exc}") from exc
-    return AllocationProblem(graph=g, agents=tuple(agents), total=total)
+    return AllocationProblem.__new__(AllocationProblem)._set(g, rows, total)
 
 
 def load_problem(path) -> AllocationProblem:
@@ -239,14 +265,11 @@ def load_problem(path) -> AllocationProblem:
 
 
 def problem_to_dict(p: AllocationProblem) -> dict:
-    agents = []
-    for a in p.agents:
-        entry = {"family": a.family, "a": a.a}
-        if a.family == QUADRATIC:
-            entry["b"] = a.b
-        entry["lower"] = a.lower
-        entry["upper"] = a.upper
-        agents.append(entry)
+    agents = [
+        {"family": family, "a": a, **({"b": b} if family == QUADRATIC else {}),
+         "lower": lower, "upper": upper}
+        for family, a, b, lower, upper in p._costs.rows()
+    ]
     return {
         "total": p.total,
         "graph": {

@@ -249,7 +249,8 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     # chunks; only the head axes before them loop in Python. Cells are
     # taken in C order, so the tie order is that of a per-row scan.
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
-    one_agent = [_CostTable((m,)) for m in p.agents]  # one table per agent, its own formula
+    # one table per agent, its own formula
+    one_agent = [_CostTable(*(col[i : i + 1] for col in p._costs.columns)) for i in range(n)]
     costs = [_axis_costs(one_agent[i], a) for i, a in enumerate(axes)]
     # n < 3 pads with one-point axes at 0 that cost 0, which move no bit
     # (w - 0.0 = w, 0.0 + c = c), so every n takes this block loop

@@ -1,14 +1,17 @@
 """Shared fixtures and random-instance helpers."""
 
 import copy
+import json
+import sys
 import time
 
 import numpy as np
 import pytest
 
 from taskalloc import AllocationProblem, DrdConfig, drd, get_instance
-from taskalloc.costs import exponential, quadratic
+from taskalloc.costs import EXPONENTIAL, QUADRATIC, CostModel, exponential, quadratic
 from taskalloc.drd import default_start, simulate
+from taskalloc.errors import DisconnectedError, ParseError
 from taskalloc.graph import from_edge_list
 from taskalloc.problem import marginals
 
@@ -146,3 +149,140 @@ def fig3_run(fig3):
     traj = simulate(p, default_start(p), DrdConfig(step=fig3.drd_step), reference=ref)
     elapsed = time.perf_counter() - t0
     return p, traj, elapsed
+
+
+# ---------------------------------------------------------------------------
+# references: the level-synchronous BFS and the per-agent parser that
+# graph._bfs and problem.parse_problem replaced, kept as they were so the
+# tests can require the same trees, problems and messages
+
+
+def bfs_reference(g, start):
+    """Distances from start (-1 if unreached) and BFS parents (-1 at start
+    and at unreached nodes), one frontier at a time, in O(n + m) work."""
+    rows, cols = g.adjacency.T
+    row_start = np.searchsorted(rows, np.arange(g.n + 1))
+    degree = np.diff(row_start)
+    dist = np.full(g.n, -1, dtype=np.int64)
+    parent = np.full(g.n, -1, dtype=np.int64)
+    dist[start] = 0
+    frontier = np.array([start])
+    level = 0
+    while frontier.size:
+        level += 1
+        # the adjacency pairs (u, v) of every u in the frontier
+        count = degree[frontier]
+        end = count.cumsum()
+        pair = np.repeat(row_start[frontier] + count - end, count) + np.arange(end[-1])
+        v = cols[pair]
+        new = dist[v] < 0
+        v, u = v[new], rows[pair[new]]
+        # a node reached from several frontier nodes keeps the one written last
+        parent[v] = u
+        frontier = v[parent[v] == u]
+        dist[frontier] = level
+    return dist, parent
+
+
+_ROOT_KEYS = {"total", "graph", "agents"}
+_GRAPH_KEYS = {"n", "edges"}
+_AGENT_KEYS = {
+    EXPONENTIAL: {"family", "a", "lower", "upper"},
+    QUADRATIC: {"family", "a", "b", "lower", "upper"},
+}
+
+
+def _reject_unknown(obj, allowed, where):
+    unknown = set(obj) - allowed
+    if unknown:
+        raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _require(obj, key, where):
+    if key not in obj:
+        raise ParseError(f"missing key {key!r} in {where}")
+    return obj[key]
+
+
+def _number(value, where):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, Infinity, or an int past the floats
+        raise ParseError(f"{where} must be finite, got {value!r}")
+    return float(value)
+
+
+def parse_reference(text):
+    """Parse a problem file, one CostModel per agent; errors name the
+    offending field."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("top level must be an object")
+    _reject_unknown(data, _ROOT_KEYS, "problem")
+    total = _number(_require(data, "total", "problem"), "'total'")
+    if not total > 0:
+        raise ParseError(f"'total' must be positive, got {total!r}")
+
+    gobj = _require(data, "graph", "problem")
+    if not isinstance(gobj, dict):
+        raise ParseError("'graph' must be an object")
+    _reject_unknown(gobj, _GRAPH_KEYS, "graph")
+    n = _require(gobj, "n", "graph")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ParseError(f"graph 'n' must be an integer, got {n!r}")
+    raw_edges = _require(gobj, "edges", "graph")
+    if not isinstance(raw_edges, list):
+        raise ParseError("graph 'edges' must be a list of [i, j] pairs")
+    edges = []
+    for k, pair in enumerate(raw_edges):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ParseError(f"edge #{k + 1} must be a pair [i, j]")
+        i, j = pair
+        for node in (i, j):
+            if not isinstance(node, int) or isinstance(node, bool):
+                raise ParseError(f"edge #{k + 1} has non-integer node {node!r}")
+            if not 1 <= node <= n:
+                raise ParseError(
+                    f"edge #{k + 1} node {node} outside 1..{n} (file labels are 1-based)"
+                )
+        if i == j:
+            raise ParseError(f"edge #{k + 1} is a self-loop at node {i}")
+        edges.append((i - 1, j - 1))
+
+    aobjs = _require(data, "agents", "problem")
+    if not isinstance(aobjs, list):
+        raise ParseError("'agents' must be a list")
+    if len(aobjs) != n:
+        raise ParseError(f"'agents' has {len(aobjs)} entries, graph 'n' is {n}")
+    agents = []
+    for k, aobj in enumerate(aobjs):
+        where = f"agent #{k + 1}"
+        if not isinstance(aobj, dict):
+            raise ParseError(f"{where} must be an object")
+        family = _require(aobj, "family", where)
+        if not isinstance(family, str) or family not in _AGENT_KEYS:
+            raise ParseError(f"{where} has unknown family {family!r}")
+        _reject_unknown(aobj, _AGENT_KEYS[family], where)
+        kwargs = dict(
+            a=_number(_require(aobj, "a", where), f"{where} 'a'"),
+            lower=_number(_require(aobj, "lower", where), f"{where} 'lower'"),
+            upper=_number(_require(aobj, "upper", where), f"{where} 'upper'"),
+        )
+        if family == QUADRATIC:
+            kwargs["b"] = _number(_require(aobj, "b", where), f"{where} 'b'")
+        try:
+            agents.append(CostModel(family=family, **kwargs))
+        except ValueError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
+
+    try:
+        g = from_edge_list(n, edges)
+    except DisconnectedError as exc:
+        labels = [u + 1 for u in exc.unreachable]
+        raise ParseError(f"graph is not connected; unreachable from node 1: {labels}") from exc
+    except ValueError as exc:
+        raise ParseError(f"graph: {exc}") from exc
+    return AllocationProblem(graph=g, agents=tuple(agents), total=total)

@@ -16,12 +16,12 @@ from conftest import replaced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc import verify
+from taskalloc import cli, verify
 from taskalloc.cli import main
 from taskalloc.lambda_solver import breakpoints, solve_lambda
 from taskalloc.errors import UnknownExampleError
 from taskalloc.instances import get_instance, instance_ids
-from taskalloc.problem import load_problem, serialize_problem
+from taskalloc.problem import load_problem, parse_problem, serialize_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -503,6 +503,33 @@ def test_parse_error_messages(tmp_path, capsys, path, value, message):
     bad.write_text(json.dumps(replaced(_PAIR, path, value)))
     assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error-code: parse exit=2", message]
+
+
+def test_commands_never_build_cost_models_of_a_parsed_problem(tmp_path, monkeypatch):
+    # a parsed problem keeps its cost-table columns: no command builds p.agents
+    parsed = []
+
+    def parse(text):
+        parsed.append(parse_problem(text))
+        return parsed[-1]
+
+    def bundled(iid):
+        inst = get_instance(iid)
+        return dataclasses.replace(inst, problem=parse(serialize_problem(inst.problem)))
+
+    monkeypatch.setattr(cli, "load_problem", lambda path: parse(Path(path).read_text()))
+    monkeypatch.setattr(cli, "get_instance", bundled)
+    mixed = replaced(_PAIR, ("agents", 0), {"family": "exponential", "a": 1.0, "lower": 0.0,
+                                            "upper": 1.0})
+    for k, doc in enumerate([_PAIR, mixed, json.loads(serialize_problem(get_instance("tab1").problem))]):
+        path = tmp_path / f"p{k}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["solve"], ["verify", "--samples", "200", "--seed", "0"]):
+            assert main([*argv, "--input", str(path), "--out", str(tmp_path / "o")]) == 0
+    for iid in ("tab1", "tab3"):
+        assert main(["reproduce", "--example", iid, "--out", str(tmp_path / "o")]) == 0
+    assert len(parsed) == 8
+    assert all("agents" not in vars(p) for p in parsed)
 
 
 def test_missing_input_file_exits_io(tmp_path, capsys):

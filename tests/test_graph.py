@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from conftest import adjacent, random_graph
+from conftest import adjacent, bfs_reference, random_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import graph
 from taskalloc.costs import exponential, quadratic
@@ -221,3 +223,43 @@ def test_select_final_on_1e5_node_path():
     skew = even + np.where(np.arange(n) % 2, -0.5, 0.5)  # costs 1.625 n against 1.5 n
     for first, second in ((even, skew), (skew, even)):
         np.testing.assert_array_equal(select_final(p, first, second), even)
+
+
+@st.composite
+def _edge_lists(draw):
+    """(n, pairs): a path, star, complete graph, chorded ring or random tree
+    on nodes relabelled at random, some pairs reversed and some repeated."""
+    n = draw(st.integers(1, 24))
+    shape = draw(st.sampled_from(["path", "star", "complete", "chorded ring", "tree"]))
+    if n == 1:
+        pairs = []
+    elif shape == "path":
+        pairs = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "star":
+        pairs = [(0, j) for j in range(1, n)]
+    elif shape == "complete":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    elif shape == "chorded ring":
+        pairs = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
+        chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+        pairs += [(i, j) for i, j in chords if i != j]
+    else:
+        pairs = [(draw(st.integers(0, j - 1)), j) for j in range(1, n)]
+    label = draw(st.permutations(range(n)))
+    pairs = [(label[j], label[i]) if draw(st.booleans()) else (label[i], label[j]) for i, j in pairs]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_edge_lists())
+def test_bfs_matches_level_synchronous_reference(case):
+    # bit for bit the tree of the level-synchronous search, from every start
+    n, pairs = case
+    g = from_edge_list(n, pairs)
+    for kept, ref in zip((g.depth, g.parent), bfs_reference(g, 0)):
+        assert kept.dtype == ref.dtype and np.array_equal(kept, ref)
+    for start in range(n):
+        for got, ref in zip(graph._bfs(g, start), bfs_reference(g, start)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)

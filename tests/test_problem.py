@@ -1,8 +1,11 @@
 import json
+import sys
 
 import numpy as np
 import pytest
-from conftest import random_problem, replaced
+from conftest import parse_reference, random_problem, replaced
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taskalloc import verify
 from taskalloc.costs import exponential, quadratic
@@ -10,6 +13,7 @@ from taskalloc.errors import InfeasibleError, LengthMismatchError, ParseError
 from taskalloc.graph import edge_list, from_edge_list
 from taskalloc.problem import (
     AllocationProblem,
+    as_allocation,
     in_feasible_set,
     in_simplex,
     load_problem,
@@ -51,6 +55,21 @@ def test_total_cost_length_mismatch(tab1):
         total_cost_batch(tab1.problem, np.ones(3))  # one allocation, not a batch
     with pytest.raises(LengthMismatchError):
         total_cost_batch(tab1.problem, np.ones((4, 2)))
+
+
+@pytest.mark.parametrize(
+    "check, value, message",
+    [
+        (total_cost_batch, np.ones(3), "batch has shape (3,), expected 3"),
+        (total_cost_batch, np.ones((2, 3, 3)), "batch has shape (2, 3, 3), expected 3"),
+        (total_cost_batch, np.float64(1.0), "batch has shape (), expected 3"),
+        (as_allocation, np.ones((2, 3)), "allocation has shape (2, 3), expected 3"),
+    ],
+)
+def test_wrong_shapes_name_the_shape(tab1, check, value, message):
+    with pytest.raises(LengthMismatchError) as exc:
+        check(tab1.problem, value)
+    assert str(exc.value) == message
 
 
 def test_in_feasible_set_reference_points(tab1):
@@ -261,3 +280,94 @@ def test_parse_survives_any_value_at_any_path():
             except Exception as exc:  # noqa: BLE001 - collected, then reported
                 failures.append((path, value, repr(exc)))
     assert failures == []
+
+
+_GOOD_AGENTS = [
+    {"family": "exponential", "a": 2.0, "lower": 1.0, "upper": 5.0},
+    {"family": "quadratic", "a": 0.5, "b": 1.5, "lower": 0.0, "upper": 4.0},
+    {"family": "quadratic", "a": 3, "b": 2, "lower": 2, "upper": 2},  # ints, a point box
+    {"family": "exponential", "a": 1e-300, "lower": 0, "upper": 1e300},
+]
+_MAX_INT = int(sys.float_info.max)
+# valid numbers of every sign and size, wrong types, bools, non-finite
+# numbers and ints past the floats (the first rounds to the largest float,
+# the second to inf)
+_FAULT_VALUES = [0.25, 2, 0.0, -1.0, 1e6, 5e-324, 1e300, True, None, "1", [], {},
+                 float("nan"), float("inf"), -float("inf"), _MAX_INT + 1, _MAX_INT + 2**970,
+                 -(10**400), sys.float_info.max, -0.0, False, "exponential", "quadratic", "cubic"]
+_PAIRS = [[1], [1, 2, 3], [], {}, "12", 7, None, [1.0, 2], [True, 2]]
+
+
+@st.composite
+def _faulty_docs(draw):
+    """A problem of 2-6 agents on a ring, then one or two changes in
+    different agents, edges or the total; many make the file invalid."""
+    agents = [dict(a) for a in draw(st.lists(st.sampled_from(_GOOD_AGENTS), min_size=2, max_size=6))]
+    n = len(agents)
+    edges = [[i, i % n + 1] for i in range(1, n + 1)]
+    lo, up = sum(a["lower"] for a in agents), sum(a["upper"] for a in agents)
+    doc = {"total": lo + 0.5 * (up - lo), "graph": {"n": n, "edges": edges}, "agents": agents}
+    targets = [("agent", k) for k in range(n)] + [("edge", k) for k in range(n)] + [("total", 0)]
+    for where, k in draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True)):
+        if where == "total":
+            doc["total"] = draw(st.sampled_from([lo, up, 0.5 * lo, 2 * up + 1, 0, 10**400]))
+        elif where == "edge":
+            end = draw(st.integers(0, 1))
+            fault = draw(st.sampled_from(["value", "loop", "reverse", "copy", "pair"]))
+            if fault == "value":
+                edges[k][end] = draw(st.sampled_from([0, n + 1, -1, n, True, 1.5, "1", None, 10**30]))
+            elif fault == "loop":
+                edges[k][end] = edges[k][1 - end]
+            elif fault == "reverse":
+                edges[k].reverse()
+            elif fault == "copy":  # two copies can cut the ring in two
+                edges[k] = list(edges[(k + 1) % n])
+            else:
+                edges[k] = draw(st.sampled_from(_PAIRS))
+        else:
+            fault = draw(st.sampled_from(["set", "delete", "replace", "box"]))
+            if fault == "set":
+                key = draw(st.sampled_from(["a", "b", "lower", "upper", "family", "c"]))
+                agents[k][key] = draw(st.sampled_from(_FAULT_VALUES))
+            elif fault == "delete":
+                agents[k].pop(draw(st.sampled_from(sorted(agents[k]))))
+            elif fault == "replace":
+                agents[k] = draw(st.sampled_from(_FAULT_VALUES))
+            else:
+                agents[k]["lower"], agents[k]["upper"] = agents[k]["upper"], agents[k]["lower"]
+    return doc
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference's
+        return type(exc), str(exc)
+
+
+def _assert_parses_as_reference(doc):
+    # the same exception and message as the per-agent parser, or an equal problem
+    text = json.dumps(doc)
+    got, ref = _outcome(parse_problem, text), _outcome(parse_reference, text)
+    if isinstance(ref, tuple):
+        assert got == ref
+        return
+    assert isinstance(got, AllocationProblem) and "agents" not in vars(got)
+    assert got.total == ref.total
+    assert np.array_equal(got.graph.adjacency, ref.graph.adjacency)
+    for column, expected in zip(got._costs.columns, ref._costs.columns, strict=True):
+        assert column.dtype == expected.dtype and np.array_equal(column, expected)
+    assert got.agents == ref.agents
+
+
+def test_parse_matches_reference_with_any_value_at_any_path():
+    extra = [("agents", 0, "b"), ("agents", 1, "c")]  # keys the entries lack
+    for path in [*_json_paths(_DOC), *extra]:
+        for value in _VALUES + _FAULT_VALUES:
+            _assert_parses_as_reference(replaced(_DOC, path, value))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_faulty_docs())
+def test_parse_matches_reference_on_faulty_docs(doc):
+    _assert_parses_as_reference(doc)

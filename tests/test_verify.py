@@ -8,7 +8,7 @@ from conftest import random_problem, spread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc.costs import _CostTable, exponential, quadratic
+from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import (
     DimensionTooLargeError,
     EmptyGridError,
@@ -466,7 +466,7 @@ def test_total_cost_batch_is_left_to_right_column_sum(n, family):
         total=float(0.5 * (lo + up).sum()),
     )
     batch = lo + (up - lo) * rng.random((20_000, n))
-    columns = [_CostTable((m,)).cost(batch[:, i]) for i, m in enumerate(p.agents)]
+    columns = [m.cost(batch[:, i]) for i, m in enumerate(agents)]
     left_to_right = columns[0]
     for col in columns[1:]:
         left_to_right = left_to_right + col
@@ -645,7 +645,7 @@ def test_grid_single_agent():
     res = grid_min(p, 0.5)
     np.testing.assert_array_equal(res.best, [60.0])
     assert res.samples == res.drawn == res.accepted == 1
-    assert res.best_cost.hex() == float(_CostTable((agent,)).cost(np.array([60.0]))[0]).hex()
+    assert res.best_cost.hex() == float(agent.cost(60.0)).hex()
 
 
 def test_grid_matches_solver(tab3):
