@@ -30,7 +30,6 @@ from .lambda_solver import (
     BreakpointTable,
     SolverResult,
     breakpoints,
-    compare_and_select,
     select_final,
     solve_lambda,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SolverResult",
     "Trajectory",
     "breakpoints",
-    "compare_and_select",
     "default_start",
     "edge_list",
     "exponential",

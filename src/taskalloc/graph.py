@@ -6,16 +6,16 @@ adjacency matrix in row-major order (its ``np.argwhere``): each of the m
 edges appears once in each direction, so memory is O(m). A Graph is built
 from (i, j) pairs in either direction and with repeats, and raises
 NodeOutOfRangeError, SelfLoopError or DisconnectedError (naming the
-nodes unreachable from node 0) otherwise.
+nodes unreachable from node 0) otherwise; pairs that are not an integer
+(k, 2) array raise ValueError rather than being cast.
 
-The breadth-first search from node 0 that checks connectivity is kept:
-``Graph.depth`` and ``Graph.parent`` are its spanning tree (each node's
-distance from node 0, and its parent one level shallower, -1 at the
-root), so a graph is traversed once in its life. The search is one Python
-pass over the CSR lists (see _bfs), O(n + m) however deep the tree.
+Connectivity is checked once, when the Graph is built, by a breadth-first
+search from node 0 (_bfs) that keeps distances only: one Python pass over
+the CSR lists, O(n + m) however deep the graph. ``diameter`` runs it from
+every node.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +28,19 @@ class Graph:
 
     n: int
     adjacency: np.ndarray
-    depth: np.ndarray = field(init=False, repr=False)
-    parent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n
         if n < 1:
             raise ValueError(f"need at least 1 agent, got {n}")
-        pairs = np.asarray(self.adjacency, dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(self.adjacency)
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.int64)
+        elif pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(
+                f"edges must be an integer (k, 2) array, got {pairs.dtype} of shape {pairs.shape}"
+            )
+        pairs = pairs.astype(np.int64)
         outside = (pairs < 0) | (pairs >= n)
         if outside.any():
             raise NodeOutOfRangeError(int(pairs[outside][0]), n)
@@ -48,13 +53,9 @@ class Graph:
         adj = np.stack(np.divmod(codes, n), axis=1)
         adj.setflags(write=False)
         object.__setattr__(self, "adjacency", adj)
-        depth, parent = _bfs(self, 0)
-        unreached = np.flatnonzero(depth < 0)
+        unreached = np.flatnonzero(_bfs(self, 0) < 0)
         if unreached.size:
             raise DisconnectedError(unreached.tolist())
-        for name, arr in (("depth", depth), ("parent", parent)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def from_edge_list(n: int, edges) -> Graph:
@@ -64,7 +65,7 @@ def from_edge_list(n: int, edges) -> Graph:
 
 def diameter(g: Graph) -> int:
     """Longest shortest-path distance over all node pairs."""
-    return max(int(_bfs(g, start)[0].max()) for start in range(g.n))
+    return max(int(_bfs(g, start).max()) for start in range(g.n))
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:
@@ -73,26 +74,17 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
     return [(i, j) for i, j in upper.tolist()]
 
 
-def _bfs(g: Graph, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distances from start (-1 if unreached) and BFS parents (-1 at start
-    and at unreached nodes). A node reached from several nodes of a frontier
-    takes as parent the one whose adjacency pair comes last in frontier
-    order: each level is walked backwards, so the first pair met wins, and
-    the next frontier lists the nodes in the order of those pairs."""
+def _bfs(g: Graph, start: int) -> np.ndarray:
+    """Distances from start, -1 at unreached nodes."""
     cols = g.adjacency[:, 1].tolist()
     row_start = np.searchsorted(g.adjacency[:, 0], np.arange(g.n + 1)).tolist()
-    dist, parent = [-1] * g.n, [-1] * g.n
+    dist = [-1] * g.n
     dist[start] = 0
-    frontier = [start]
-    while frontier:
-        level = dist[frontier[0]] + 1
-        reached = []
-        for u in reversed(frontier):
-            for v in reversed(cols[row_start[u] : row_start[u + 1]]):
-                if dist[v] < 0:
-                    dist[v] = level
-                    parent[v] = u
-                    reached.append(v)
-        reached.reverse()
-        frontier = reached
-    return np.array(dist, dtype=np.int64), np.array(parent, dtype=np.int64)
+    queue = [start]
+    for u in queue:  # the loop also visits the nodes appended while it runs
+        level = dist[u] + 1
+        for v in cols[row_start[u] : row_start[u + 1]]:
+            if dist[v] < 0:
+                dist[v] = level
+                queue.append(v)
+    return np.array(dist, dtype=np.int64)

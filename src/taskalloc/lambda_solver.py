@@ -25,11 +25,11 @@ last digits of the bundled reports. The reference tables use keys
 quantized to 3 decimals; `solve_lambda` always uses full precision.
 
 The final selection between a replicator limit and the water-filling
-optimum (`select_final`) compares their total costs, summed in float up the
-breadth-first spanning tree to node 0 that each Graph keeps from its
-connectivity check.
+optimum (`select_final`) compares their total costs, each summed exactly.
 """
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,28 +242,14 @@ def _result(key, lam, clamped, **fields) -> SolverResult:
     )
 
 
-def compare_and_select(p: AllocationProblem, wstar, wo) -> np.ndarray:
-    """Distributed cost comparison by a float sum up a spanning tree.
-
-    Each agent holds c_i(wstar_i) - c_i(wo_i). Over the breadth-first tree
-    rooted at node 0 that the graph keeps (Graph.depth, Graph.parent), each
-    round the nodes at the deepest remaining level add their partial sums
-    to their parents' (a convergecast), so after depth rounds node 0 holds
-    C(wstar) - C(wo). It keeps wstar when that total is <= 0, so ties go to
-    the first candidate. Each level is a slice of one stable sort by depth,
-    so its nodes add in ascending index order: O(n log n + depth) in all.
-    The sum is rounded, so near ties resolve by rounding.
-    """
-    a_star = as_allocation(p, wstar)
-    a_o = as_allocation(p, wo)
-    partial = cost_values(p, a_star) - cost_values(p, a_o)
-    depth, parent = p.graph.depth, p.graph.parent
-    order = np.argsort(depth, kind="stable")
-    ends = np.cumsum(np.bincount(depth))
-    for level in range(ends.size - 1, 0, -1):
-        nodes = order[ends[level - 1] : ends[level]]
-        np.add.at(partial, parent[nodes], partial[nodes])
-    return (a_star if partial[0] <= 0 else a_o).copy()
+def _exact_total(costs: np.ndarray):
+    """The exact sum of the costs as an int in units of 2**-1127 (each 53-bit
+    mantissa shifted by its exponent), or inf if any cost is not finite."""
+    if not np.isfinite(costs).all():
+        return math.inf
+    mant, exp = np.frexp(costs)
+    mant = (mant * 2.0**53).astype(np.int64).tolist()
+    return sum(map(operator.lshift, mant, (exp + 1074).tolist()))
 
 
 def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:
@@ -271,16 +257,18 @@ def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:
 
     A replicator limit outside the feasible set costs less than any
     feasible point (it ignores the boxes), so comparing costs alone would
-    always pick it; an infeasible candidate is discarded instead. Two
-    feasible candidates go to the tree-sum comparison, which keeps the one
-    with the smaller total cost (wstar on a tie).
+    always pick it; an infeasible candidate is discarded instead. Of two
+    feasible candidates it keeps wstar unless the exact sum of wo's costs
+    is smaller; two infinite totals tie, so wstar is kept. Exact addition
+    is associative, so a convergecast of exact partial sums up any spanning
+    tree would leave node 0 holding this same total.
     """
     a_star = as_allocation(p, wstar)
     a_o = as_allocation(p, wo)
     star_ok = in_feasible_set(p, a_star)
     o_ok = in_feasible_set(p, a_o)
     if star_ok and o_ok:
-        return compare_and_select(p, a_star, a_o)
+        star_ok = _exact_total(cost_values(p, a_star)) <= _exact_total(cost_values(p, a_o))
     if star_ok:
         return a_star.copy()
     if o_ok:

@@ -25,6 +25,7 @@ which raise the ParseError naming its first fault.
 
 import itertools
 import json
+import math
 import sys
 from functools import cached_property
 
@@ -89,8 +90,9 @@ def as_allocation(p: AllocationProblem, w) -> np.ndarray:
 
 
 def default_tol(p: AllocationProblem) -> float:
-    """Membership tolerance, relative to the total task."""
-    return 1e-6 * p.total
+    """Membership tolerance, relative to the total task, floored at n steps
+    of the float grid so a subnormal total keeps a nonzero tolerance."""
+    return max(1e-6 * p.total, p.n * math.ulp(0.0))
 
 
 def cost_values(p: AllocationProblem, w) -> np.ndarray:

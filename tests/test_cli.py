@@ -250,6 +250,31 @@ def test_small_total_solves_and_verifies(tmp_path):
     assert "verdict: VERIFIED" in report
 
 
+_QUAD = {"family": "quadratic", "a": 1.0, "b": 1.0, "lower": 0.0, "upper": 10.0}
+_EXPO = {"family": "exponential", "a": 1.0, "lower": 0.0, "upper": 10.0}
+
+
+@pytest.mark.parametrize("total", [5e-324, 1e-320, 1e-318])
+@pytest.mark.parametrize(
+    "agents", [[_QUAD] * 2, [_EXPO] * 2, [_QUAD, _EXPO, _QUAD]],
+    ids=["quadratic-pair", "exponential-pair", "mixed-triple"],
+)
+def test_subnormal_totals_solve_and_simulate(tmp_path, capsys, total, agents):
+    # 1e-6 * total underflows below the float grid, so the membership
+    # tolerance is floored at n steps of it: without the floor the solver's
+    # own point was outside the feasible set, and the start off the simplex
+    n = len(agents)
+    doc = {"total": total, "graph": {"n": n, "edges": [[k, k + 1] for k in range(1, n)]},
+           "agents": agents}
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert "kkt certificate: PASSED" in capsys.readouterr().out
+    rc = main(["simulate", "--input", str(path), "--dt", "1e-3", "--max-steps", "50",
+               "--out", str(tmp_path / "d")])
+    assert rc != 2, capsys.readouterr().err
+
+
 def test_reports_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import adjacent, bfs_reference, random_graph
@@ -63,10 +65,33 @@ def test_validation_of_raw_graph():
         Graph(n=2, adjacency=np.array([[0, 1], [1, 1]]))
     with pytest.raises(NodeOutOfRangeError):
         Graph(n=2, adjacency=np.array([[0, 1], [1, 2]]))
-    # node 2 isolated: a selection's tree sum from node 0 would never reach it
+    # node 2 isolated: the search from node 0 never reaches it
     with pytest.raises(DisconnectedError) as exc:
         Graph(n=3, adjacency=np.array([[0, 1], [1, 0]]))
     assert exc.value.unreachable == [2]
+
+
+@pytest.mark.parametrize(
+    "pairs, dtype, shape",
+    [
+        ([(0.9, 1)], "float64", (1, 2)),
+        ([("0", "1")], "<U1", (1, 2)),
+        ([(0, 1, 2)], "int64", (1, 3)),
+        ([(True, False)], "bool", (1, 2)),
+        (np.array([0, 1]), "int64", (2,)),
+    ],
+    ids=["float", "str", "triple", "bool", "flat"],
+)
+def test_non_integer_pairs_rejected(pairs, dtype, shape):
+    # a float label is not truncated, nor a string parsed
+    with pytest.raises(ValueError, match=re.escape(f"got {dtype} of shape {shape}")):
+        from_edge_list(2, pairs)
+
+
+def test_empty_and_int64_pairs_build():
+    assert from_edge_list(1, []).adjacency.shape == (0, 2)
+    g = from_edge_list(3, np.array([[0, 1], [2, 1]], dtype=np.int64))
+    assert edge_list(g) == [(0, 1), (1, 2)]
 
 
 def test_neighbor_reciprocity_random():
@@ -132,13 +157,13 @@ def test_bfs_tree_parents_are_one_level_up():
     graphs = [from_edge_list(1, []), from_edge_list(6, [(i, i + 1) for i in range(5)])]
     graphs += [random_graph(rng, int(rng.integers(2, 40))) for _ in range(30)]
     for g in graphs:
-        depth, parent = g.depth, g.parent
-        assert depth[0] == 0 and parent[0] == -1
+        depth = graph._bfs(g, 0)
+        assert depth[0] == 0 and depth.min() == 0
+        # every other node has a neighbour one level up, and neighbours are
+        # at most one level apart: the depths are the shortest-path
+        # distances, so the deepest is at most the diameter
         for v in range(1, g.n):
-            assert parent[v] in adjacent(g, v)
-            assert depth[parent[v]] == depth[v] - 1
-        # neighbours at most one level apart: the depths are the
-        # shortest-path distances, so the deepest is at most the diameter
+            assert depth[v] - 1 in depth[list(adjacent(g, v))]
         assert np.abs(np.diff(depth[g.adjacency], axis=1)).max(initial=0) <= 1
         assert depth.max() <= diameter(g)
 
@@ -154,13 +179,14 @@ def test_sparse_instance_with_1e5_agents():
     g = from_edge_list(n, np.concatenate([ring, chords]))
     assert g.adjacency.nbytes == 32 * len(edge_list(g)) < 5 * 2**20
 
-    depth, parent = g.depth, g.parent
-    assert depth[0] == 0 and parent[0] == -1 and depth.min() == 0
-    child = np.arange(1, n)
-    codes = g.adjacency[:, 0] * n + g.adjacency[:, 1]
-    assert np.isin(parent[child] * n + child, codes).all()
-    assert np.array_equal(depth[parent[child]], depth[child] - 1)
-    # with that, neighbours at most one level apart make depth the distance
+    depth = graph._bfs(g, 0)
+    assert depth[0] == 0 and depth.min() == 0
+    # every other node has a neighbour one level up, and neighbours are at
+    # most one level apart: depth is the distance
+    rows, cols = g.adjacency.T
+    up = np.zeros(n, dtype=bool)
+    up[rows[depth[cols] == depth[rows] - 1]] = True
+    assert up[1:].all()
     assert np.abs(np.diff(depth[g.adjacency], axis=1)).max() <= 1
 
     lower = rng.uniform(0.0, 10.0, size=n)
@@ -189,7 +215,7 @@ def test_sparse_instance_with_1e5_agents():
 
 
 def test_graph_is_traversed_once(monkeypatch):
-    # the connectivity check's BFS is the tree select_final sums over
+    # the connectivity check is the one BFS; select_final runs none
     calls = []
     bfs = graph._bfs
 
@@ -206,17 +232,13 @@ def test_graph_is_traversed_once(monkeypatch):
     skew = np.array([5.0, 1.0, 1.0, 1.0])
     np.testing.assert_array_equal(select_final(p, skew, even), even)
     assert calls == [0]
-    # the kept tree is that search's result, read-only
-    for kept, fresh in zip((g.depth, g.parent), bfs(g, 0)):
-        np.testing.assert_array_equal(kept, fresh)
-        assert not kept.flags.writeable
 
 
 def test_select_final_on_1e5_node_path():
-    # a tree 10^5 levels deep; no timing is asserted
+    # a graph 10^5 levels deep; no timing is asserted
     n = 100_000
     g = from_edge_list(n, np.stack([np.arange(n - 1), np.arange(1, n)], axis=1))
-    assert g.depth.max() == n - 1
+    np.testing.assert_array_equal(graph._bfs(g, 0), np.arange(n))
     agents = (quadratic(a=1.0, b=1.0, lower=0.0, upper=2.0),) * n
     p = AllocationProblem(graph=g, agents=agents, total=float(n))
     even = np.ones(n)
@@ -255,11 +277,9 @@ def _edge_lists(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_edge_lists())
 def test_bfs_matches_level_synchronous_reference(case):
-    # bit for bit the tree of the level-synchronous search, from every start
+    # the distances of the level-synchronous search, from every start
     n, pairs = case
     g = from_edge_list(n, pairs)
-    for kept, ref in zip((g.depth, g.parent), bfs_reference(g, 0)):
-        assert kept.dtype == ref.dtype and np.array_equal(kept, ref)
     for start in range(n):
-        for got, ref in zip(graph._bfs(g, start), bfs_reference(g, start)):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        got, ref = graph._bfs(g, start), bfs_reference(g, start)[0]
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)

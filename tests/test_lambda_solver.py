@@ -15,7 +15,6 @@ from taskalloc.lambda_solver import (
     _agent_keys,
     _clamp,
     breakpoints,
-    compare_and_select,
     select_final,
     solve_lambda,
 )
@@ -402,19 +401,18 @@ def test_solver_result_passes_kkt_random():
 
 
 # ---------------------------------------------------------------------------
-# distributed comparison
+# final selection
 
 
 def test_compare_and_select_identical(tab1):
     w = solve_lambda(tab1.problem).allocation
-    pick = compare_and_select(tab1.problem, w, w.copy())
+    pick = select_final(tab1.problem, w, w.copy())
     np.testing.assert_array_equal(pick, w)
 
 
 def test_compare_and_select_triangle_hand_expansion():
-    # complete graph on 3 nodes: node 0's tree is its two neighbours, so one
-    # round brings it the whole cost difference, and the evenly spread
-    # loads win in either argument order
+    # complete graph on 3 nodes: the evenly spread loads win in either
+    # argument order
     agents = tuple(
         quadratic(a=0.01, b=1.0, lower=0.0, upper=100.0) for _ in range(3)
     )
@@ -426,28 +424,11 @@ def test_compare_and_select_triangle_hand_expansion():
     c_even = [p.agents[i].cost(w_even[i]) for i in range(3)]
     c_skew = [p.agents[i].cost(w_skew[i]) for i in range(3)]
     assert c_even[1] + c_even[2] < c_skew[1] + c_skew[2]
-    pick = compare_and_select(p, w_even, w_skew)
+    pick = select_final(p, w_even, w_skew)
     np.testing.assert_array_equal(pick, w_even)
-    pick = compare_and_select(p, w_skew, w_even)
+    pick = select_final(p, w_skew, w_even)
     np.testing.assert_array_equal(pick, w_even)
     assert total_cost(p, w_even) < total_cost(p, w_skew)
-
-
-def test_compare_prefers_cheaper_even_when_infeasible(tab1):
-    # The unclamped equal-fitness point costs less than the clamped optimum
-    # (it ignores the boxes), so the raw distributed comparison picks it.
-    p = tab1.problem
-    lo, up = p.lower_bounds, p.upper_bounds
-    span = up - lo
-    lam_ln = (p.total - lo.sum() + (span * np.log([a.a for a in p.agents] / span)).sum()) / span.sum()
-    wstar = lo + span * (lam_ln - np.log(np.array([a.a for a in p.agents]) / span))
-    assert wstar.sum() == pytest.approx(p.total, rel=1e-12)
-    assert not in_feasible_set(p, wstar)
-
-    wo = solve_lambda(p).allocation
-    assert total_cost(p, wstar) < total_cost(p, wo)
-    pick = compare_and_select(p, wstar, wo)
-    np.testing.assert_array_equal(pick, wstar)
 
 
 def test_select_final_guards_feasibility(tab1):
@@ -484,7 +465,6 @@ def test_compare_and_select_path_picks_cheaper_in_both_orders():
     assert total_cost(p, even) == 36.0
     assert total_cost(p, skew) == 40.0
     for first, second in ((even, skew), (skew, even)):
-        np.testing.assert_array_equal(compare_and_select(p, first, second), even)
         np.testing.assert_array_equal(select_final(p, first, second), even)
 
 
@@ -552,28 +532,16 @@ def test_selection_keeps_cheaper_candidate(shape, caplog):
         a = _feasible_point(p, rng)
         b = _feasible_point(p, rng) if rng.random() < 0.7 else 0.5 * (a + _feasible_point(p, rng))
         assert in_feasible_set(p, a) and in_feasible_set(p, b)
-        np.testing.assert_array_equal(compare_and_select(p, a, a.copy()), a)
+        np.testing.assert_array_equal(select_final(p, a, a.copy()), a)
         ca, cb = total_cost(p, a), total_cost(p, b)
         if abs(ca - cb) <= 1e-9 * max(abs(ca), abs(cb)):
             continue
         cheaper = a if ca < cb else b
         for first, second in ((a, b), (b, a)):
-            np.testing.assert_array_equal(compare_and_select(p, first, second), cheaper)
             np.testing.assert_array_equal(select_final(p, first, second), cheaper)
         compared += 1
     assert compared >= 50
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
-
-
-def _per_level_pick(p, wstar, wo):
-    """Reference convergecast that scans all depths once per level
-    (O(n·depth)); compare_and_select must pick what this picks."""
-    partial = cost_values(p, wstar) - cost_values(p, wo)
-    depth, parent = p.graph.depth, p.graph.parent
-    for level in range(int(depth.max()), 0, -1):
-        nodes = np.flatnonzero(depth == level)
-        np.add.at(partial, parent[nodes], partial[nodes])
-    return wstar if partial[0] <= 0 else wo
 
 
 @st.composite
@@ -608,14 +576,31 @@ def _near_ties(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_near_ties())
 def test_selection_matches_per_level_sum_at_near_ties(case):
+    # the pick follows the sign of the exact C(a) - C(b), with no slack:
+    # fsum rounds the exact sum once, which keeps its sign
     p, a, b = case
     assert in_feasible_set(p, a) and in_feasible_set(p, b)
-    ca, cb = cost_values(p, a), cost_values(p, b)
-    diff = math.fsum(np.concatenate([ca, -cb]))  # C(a) - C(b), rounded once
-    # rounding of the n differences and of the n - 1 tree additions
-    slack = 2.0 * p.n * np.finfo(float).eps * math.fsum(np.abs(ca - cb))
+    diff = math.fsum(np.concatenate([cost_values(p, a), -cost_values(p, b)]))
     for first, second, sign in ((a, b, 1.0), (b, a, -1.0)):
-        pick = compare_and_select(p, first, second)
-        np.testing.assert_array_equal(pick, _per_level_pick(p, first, second))
-        if abs(diff) > slack:
-            np.testing.assert_array_equal(pick, first if sign * diff < 0 else second)
+        pick = select_final(p, first, second)
+        np.testing.assert_array_equal(pick, first if sign * diff <= 0 else second)
+
+
+def test_selection_at_the_edge_of_float_range():
+    # a*exp(w/10) on [0, 10] with a = 1e308: every cost is at least 1e308,
+    # so every float total overflows, and a cost is inf above w = 5.86
+    agents = (exponential(a=1e308, lower=0.0, upper=10.0),) * 2
+    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=10.0)
+    even, near = np.array([5.0, 5.0]), np.array([5.5, 4.5])
+    edge, other = np.array([10.0, 0.0]), np.array([0.0, 10.0])
+    with np.errstate(over="ignore"):
+        assert np.isfinite(cost_values(p, near)).all()
+        assert cost_values(p, even).sum() == cost_values(p, near).sum() == np.inf
+        assert not np.isfinite(cost_values(p, edge)).all()
+        # exact totals: even's is the smaller finite one, edge's is infinite
+        for cheaper, dearer in ((even, near), (even, edge)):
+            for first, second in ((cheaper, dearer), (dearer, cheaper)):
+                np.testing.assert_array_equal(select_final(p, first, second), cheaper)
+        # two infinite totals tie, so the first candidate is kept
+        np.testing.assert_array_equal(select_final(p, edge, other), edge)
+        np.testing.assert_array_equal(select_final(p, other, edge), other)
