@@ -4,14 +4,17 @@ Subcommands: solve (water-filling + certificate), simulate (replicator
 dynamics trace), verify (solver vs brute-force oracles), reproduce
 (bundled instances checked against their known solutions).
 
-Exit codes: 0 success/verified, 2 parse or configuration problem,
-3 infeasible instance, 4 numerical failure (no convergence, step
-overflow, starved sampler, a cost beyond float range, an infeasible
-solver point), 5 verification mismatch. Every failure prints a
-machine-parsable line ``error-code: <slug> exit=<n>`` on stderr before
-the human-readable message; a failed verdict (a FAILED certificate,
-MISMATCH, FAIL or no convergence) prints them after its report. Reports
-carry no timestamps, so identical runs produce byte-identical files.
+`main` is the one run frame: it loads the input, makes ``--out``, calls
+the subcommand for its report's name, lines and verdict, then writes and
+prints the report. Exit codes: 0 success/verified, 2 parse or config
+problem, 3 infeasible instance, 4 numerical failure, 5 verification
+mismatch. A raised error takes its slug and code from its class in
+`errors`; a ValueError is ``config`` and an OSError ``io``. Every
+failure, argparse's usage errors included, prints a line
+``error-code: <slug> exit=<n>`` on stderr before the message; a failed
+verdict (a FAILED certificate, MISMATCH, FAIL or no convergence) prints
+them after its report. Reports carry no timestamps, so identical runs
+produce byte-identical files.
 """
 
 import argparse
@@ -21,25 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import drd, verify
-from .errors import (
-    CostOverflowError,
-    DimensionTooLargeError,
-    EmptyGridError,
-    InfeasibleError,
-    NonpositiveLambdaError,
-    NotFeasibleError,
-    ParseError,
-    SamplerStarvedError,
-    StepOverflowError,
-    UnknownExampleError,
-)
+from .errors import CostOverflowError, ParseError, TaskAllocError
 from .instances import get_instance, instance_ids
 from .lambda_solver import breakpoints, solve_lambda
 from .problem import in_feasible_set, load_problem, total_cost
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 EXIT_MISMATCH = 5
 
@@ -49,37 +40,39 @@ def main(argv=None) -> int:
     try:
         # costs beyond float range show as inf or nan, or exit 4 via _finite
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
-    except ParseError as exc:
-        return _fail("parse", EXIT_CONFIG, exc)
-    except UnknownExampleError as exc:
-        return _fail("unknown-example", EXIT_CONFIG, exc)
-    except (ValueError, DimensionTooLargeError, EmptyGridError) as exc:
-        # option values the run configuration rejects: --dt, --max-steps,
-        # --tol, --samples, --grid (also a grid with no feasible point)
-        return _fail("config", EXIT_CONFIG, exc)
-    except InfeasibleError as exc:
-        return _fail("infeasible", EXIT_INFEASIBLE, exc)
-    except StepOverflowError as exc:
-        return _fail("step-overflow", EXIT_NUMERICAL, exc, hint="try halving --dt")
-    except (SamplerStarvedError, NonpositiveLambdaError, CostOverflowError,
-            NotFeasibleError) as exc:
-        return _fail("numerical", EXIT_NUMERICAL, exc)
+            p, inst, label = _load(args)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            name, lines, verdict = args.func(args, p, inst, label, out)
+        text = "\n".join(lines) + "\n"
+        (out / name).write_text(text, encoding="utf-8")
+        print(text, end="")
+    except TaskAllocError as exc:
+        slug, code, msg = exc.slug, exc.exit_code, f"{exc} ({exc.hint})" if exc.hint else exc
+    except ValueError as exc:
+        # an option value the run rejects: --dt, --max-steps, --tol, --samples, --grid
+        slug, code, msg = "config", EXIT_CONFIG, exc
     except OSError as exc:
-        return _fail("io", EXIT_CONFIG, exc)
-
-
-def _fail(slug: str, code: int, exc: Exception | str, hint: str | None = None) -> int:
+        slug, code, msg = "io", EXIT_CONFIG, exc
+    else:
+        if verdict is None:
+            return EXIT_OK
+        slug, code, failed = verdict
+        msg = f"{failed}; see {name}"
     print(f"error-code: {slug} exit={code}", file=sys.stderr)
-    msg = str(exc)
-    if hint:
-        msg += f" ({hint})"
     print(msg, file=sys.stderr)
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is a config error (subparsers use this class too)."""
+        print(f"error-code: config exit={EXIT_CONFIG}", file=sys.stderr)
+        super().error(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="taskalloc",
         description="Box-constrained task allocation on agent graphs.",
     )
@@ -98,8 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="replicator-dynamics simulation trace")
     add_common(sp)
     sp.add_argument("--dt", type=float, help="discretization step")
-    sp.add_argument("--max-steps", type=int, default=10_000_000)
-    sp.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
+    sp.add_argument("--max-steps", type=int, default=drd.DrdConfig.max_steps)
+    sp.add_argument(
+        "--tol", type=float, default=drd.DrdConfig.residual_tol, help="residual tolerance"
+    )
     sp.set_defaults(func=_run_simulate)
 
     sp = sub.add_parser("verify", help="solver vs Monte Carlo / grid oracles")
@@ -123,35 +118,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     """Return (problem, bundled_instance_or_None, label)."""
-    if getattr(args, "example", None):
+    if args.example:
         inst = get_instance(args.example)
         return inst.problem, inst, inst.instance_id
-    p = load_problem(args.input)
-    return p, None, args.input
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _emit(out: Path, name: str, lines: list[str], ok: bool, failed: str,
-          slug: str = "mismatch", code: int = EXIT_MISMATCH) -> int:
-    """Write and print a report; a failed verdict then exits like any failure."""
-    text = "\n".join(lines) + "\n"
-    (out / name).write_text(text, encoding="utf-8")
-    print(text, end="")
-    return EXIT_OK if ok else _fail(slug, code, f"{failed}; see {name}")
+    return load_problem(args.input), None, args.input
 
 
 # ---------------------------------------------------------------------------
 # solve
 
 
-def _run_solve(args) -> int:
-    p, inst, label = _load(args)
-    out = _out_dir(args)
+def _run_solve(args, p, inst, label, out):
     res = solve_lambda(p)
     cert = verify.kkt_check(p, res.allocation)
 
@@ -161,7 +138,8 @@ def _run_solve(args) -> int:
         lines += _table_lines(breakpoints(p, key_decimals=decimals), decimals)
     lines += _solution_lines(p, res)
     lines += _cert_lines(cert)
-    return _emit(out, "solver_report.txt", lines, cert.passed, "kkt certificate FAILED")
+    verdict = None if cert.passed else ("mismatch", EXIT_MISMATCH, "kkt certificate FAILED")
+    return "solver_report.txt", lines, verdict
 
 
 def _families(p) -> list[str]:
@@ -227,9 +205,7 @@ def _cert_lines(cert) -> list[str]:
 # simulate
 
 
-def _run_simulate(args) -> int:
-    p, inst, label = _load(args)
-    out = _out_dir(args)
+def _run_simulate(args, p, inst, label, out):
     dt = args.dt if args.dt is not None else (inst.drd_step if inst else None)
     if dt is None:
         raise ParseError("--dt is required (the instance suggests none)")
@@ -252,8 +228,8 @@ def _run_simulate(args) -> int:
         f"inside feasible set: {in_feasible_set(p, final)}",
         "trace: trajectory.csv",
     ]
-    return _emit(out, "simulate_report.txt", lines, traj.converged,
-                 f"no convergence in {traj.steps} steps", "not-converged", EXIT_NUMERICAL)
+    failed = ("not-converged", EXIT_NUMERICAL, f"no convergence in {traj.steps} steps")
+    return "simulate_report.txt", lines, None if traj.converged else failed
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +248,7 @@ def _finite(cost: float, what: str) -> float:
     return cost
 
 
-def _run_verify(args) -> int:
-    p, inst, label = _load(args)
-    out = _out_dir(args)
+def _run_verify(args, p, inst, label, out):
     res = solve_lambda(p)
     solver_cost = _finite(total_cost(p, res.allocation), "solver")
     cert = verify.kkt_check(p, res.allocation)
@@ -283,7 +257,7 @@ def _run_verify(args) -> int:
     # the grid runs first, so a rejected --grid fails before any sampling
     grid_ok = True
     grid_lines = []
-    if p.n <= 4:
+    if p.n <= 4 or args.grid is not None:
         resolution = args.grid if args.grid is not None else _auto_resolution(p)
         gr = verify.grid_min(p, resolution)
         _finite(gr.best_cost, "grid")
@@ -315,7 +289,8 @@ def _run_verify(args) -> int:
     ]
     ok = mc_ok and grid_ok and cert.passed
     lines.append("verdict: " + ("VERIFIED" if ok else "MISMATCH"))
-    return _emit(out, "verify_report.txt", lines, ok, "verdict MISMATCH")
+    verdict = None if ok else ("mismatch", EXIT_MISMATCH, "verdict MISMATCH")
+    return "verify_report.txt", lines, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +318,26 @@ class _Checks:
         self.lines.append(f"[{tag}] {name}{suffix}")
 
 
-def _run_reproduce(args) -> int:
-    inst = get_instance(args.example)
-    out = _out_dir(args)
-    if inst.table_decimals is not None:
-        lines, ok = _reproduce_table_instance(inst, out)
-    else:
-        lines, ok = _reproduce_simulation_instance(inst, out)
-    return _emit(out, f"reproduce_{inst.instance_id}.txt", lines, ok, "result FAIL")
-
-
-def _reproduce_table_instance(inst, out: Path):
-    p = inst.problem
-    ref = inst.reference
+def _run_reproduce(args, p, inst, label, out):
     checks = _Checks()
+    if inst.table_decimals is not None:
+        body = _reproduce_table_instance(p, inst, checks)
+    else:
+        body = _reproduce_simulation_instance(p, inst, checks, out)
+    lines = [
+        "command: reproduce",
+        f"instance: {inst.instance_id} ({inst.description})",
+        *_instance_lines(p),
+        *body,
+        *checks.lines,
+        "result: " + ("PASS" if checks.all_ok else "FAIL"),
+    ]
+    verdict = None if checks.all_ok else ("mismatch", EXIT_MISMATCH, "result FAIL")
+    return f"reproduce_{inst.instance_id}.txt", lines, verdict
+
+
+def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
+    ref = inst.reference
 
     tbl = breakpoints(p, key_decimals=inst.table_decimals)
     per_agent = dict(zip(zip(tbl.agents.tolist(), tbl.kinds.tolist()), tbl.keys.tolist()))
@@ -386,23 +367,12 @@ def _reproduce_table_instance(inst, out: Path):
     cert = verify.kkt_check(p, res.allocation)
     checks.add_bool("kkt certificate", cert.passed)
 
-    lines = [
-        "command: reproduce",
-        f"instance: {inst.instance_id} ({inst.description})",
-        *_instance_lines(p),
-        *_table_lines(tbl, inst.table_decimals),
-        *_solution_lines(p, res),
-        *checks.lines,
-        "result: " + ("PASS" if checks.all_ok else "FAIL"),
-    ]
-    return lines, checks.all_ok
+    return [*_table_lines(tbl, inst.table_decimals), *_solution_lines(p, res)]
 
 
-def _reproduce_simulation_instance(inst, out: Path):
-    p = inst.problem
+def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[str]:
     ref = inst.reference
     expected = np.asarray(ref["allocation"], dtype=float)
-    checks = _Checks()
 
     cfg = drd.DrdConfig(step=inst.drd_step)
     traj = drd.simulate(p, drd.default_start(p), cfg, reference=expected)
@@ -424,18 +394,12 @@ def _reproduce_simulation_instance(inst, out: Path):
         "load sum conserved", drift < 1e-6 * p.total, f"max drift {_g(drift)}"
     )
 
-    lines = [
-        "command: reproduce",
-        f"instance: {inst.instance_id} ({inst.description})",
-        *_instance_lines(p),
+    return [
         f"dt: {_g(inst.drd_step)}",
         f"steps: {traj.steps}",
         "final allocation: " + " ".join(_g(x) for x in traj.final),
         f"trace: trajectory_{inst.instance_id}.csv",
-        *checks.lines,
-        "result: " + ("PASS" if checks.all_ok else "FAIL"),
     ]
-    return lines, checks.all_ok
 
 
 def _g(x) -> str:

@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class carries the ``slug``, the ``exit_code`` and an optional
+``hint`` that the command line reports for it; the base class's pair
+marks a numerical failure.
+"""
 
 
 class TaskAllocError(Exception):
     """Base class for all taskalloc errors."""
+
+    slug, exit_code = "numerical", 4
+    hint = None
 
 
 class SelfLoopError(TaskAllocError):
@@ -45,6 +53,8 @@ class LengthMismatchError(TaskAllocError):
 class InfeasibleError(TaskAllocError):
     """The total task is outside the range the bounds admit."""
 
+    slug, exit_code = "infeasible", 3
+
 
 class NonpositiveLambdaError(TaskAllocError):
     """Inverse marginal of the exponential family needs a positive level."""
@@ -57,6 +67,9 @@ class NonpositiveLambdaError(TaskAllocError):
 class StepOverflowError(TaskAllocError):
     """The replicator step from state `step_index` produced a negative or
     non-finite load for `agents`."""
+
+    slug = "step-overflow"
+    hint = "try halving --dt"
 
     def __init__(self, agents: list[int], step_index: int):
         self.agents = list(agents)
@@ -82,17 +95,25 @@ class CostOverflowError(TaskAllocError):
 class DimensionTooLargeError(TaskAllocError):
     """The grid oracle only handles small agent counts."""
 
+    slug, exit_code = "config", 2
+
 
 class EmptyGridError(TaskAllocError):
     """No grid point satisfies the sum and box constraints."""
+
+    slug, exit_code = "config", 2
 
 
 class ParseError(TaskAllocError):
     """A problem file is malformed; the message names the offending field."""
 
+    slug, exit_code = "parse", 2
+
 
 class UnknownExampleError(TaskAllocError):
     """No bundled instance with the requested id."""
+
+    slug, exit_code = "unknown-example", 2
 
     def __init__(self, example_id: str, known: list[str]):
         self.example_id = example_id

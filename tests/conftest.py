@@ -110,6 +110,60 @@ def random_problem(rng, n=None, family=None, interior_total=True):
     )
 
 
+def evenly_chorded_ring(n, chords):
+    """0-based edge list: the ring 0..n-1 plus `chords` chords to the
+    opposite node, spread evenly round the ring."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(k * n // chords, (k * n // chords + n // 2) % n) for k in range(chords)]
+    return edges
+
+
+def stratified(rng, lo, hi, n, order):
+    """n uniform draws on [lo, hi], one inside each of n equal slices, the
+    slices in `order`: the law of each draw is uniform, but the spread of
+    the set is the same for every seed."""
+    return lo + (hi - lo) * (order + rng.uniform(size=n)) / n
+
+
+def interior_problem(rng, n, family, chords):
+    """Instance with a known interior optimum, built as the replicator
+    benchmark builds its inputs: the equal-marginal level is picked first
+    and the total derived from it, so the optimum lies strictly inside
+    every box at lower_i + t_i * span_i. Returns the problem and that
+    optimum.
+
+    * exponential (fig2-style): a_i = span_i * exp(-t_i), so the marginal
+      (a_i/span_i) exp((w - lower_i)/span_i) equals 1 at the optimum.
+    * quadratic (fig3-style): the marginal a_i (w - lower_i) + b_i equals
+      the level lam at the optimum, with b_i = lam - a_i t_i span_i > 0.
+    """
+    fixed = np.random.default_rng([n, 5])
+
+    def draw(lo, hi):
+        return stratified(rng, lo, hi, n, fixed.permutation(n))
+
+    t = draw(0.15, 0.85)
+    if family == EXPONENTIAL:
+        lower = np.zeros(n)
+        span = draw(700.0, 1800.0)
+        a = span * np.exp(-t)
+        agents = [exponential(a=float(a[i]), lower=0.0, upper=float(span[i])) for i in range(n)]
+    else:
+        lower = draw(40.0, 700.0)
+        span = draw(110.0, 600.0)
+        a = draw(0.0013, 0.0132)
+        lam = float((a * t * span).max()) + rng.uniform(0.2, 0.9)
+        b = lam - a * t * span
+        agents = [
+            quadratic(a=float(a[i]), b=float(b[i]), lower=float(lower[i]),
+                      upper=float(lower[i] + span[i]))
+            for i in range(n)
+        ]
+    optimum = lower + t * span
+    graph = from_edge_list(n, evenly_chorded_ring(n, chords))
+    return AllocationProblem(graph=graph, agents=tuple(agents), total=float(optimum.sum())), optimum
+
+
 @pytest.fixture(scope="session")
 def tab1():
     return get_instance("tab1")

@@ -19,7 +19,17 @@ from hypothesis import strategies as st
 from taskalloc import cli, verify
 from taskalloc.cli import main
 from taskalloc.lambda_solver import breakpoints, solve_lambda
-from taskalloc.errors import UnknownExampleError
+from taskalloc.errors import (
+    CostOverflowError,
+    DimensionTooLargeError,
+    EmptyGridError,
+    InfeasibleError,
+    NotFeasibleError,
+    ParseError,
+    SamplerStarvedError,
+    StepOverflowError,
+    UnknownExampleError,
+)
 from taskalloc.instances import get_instance, instance_ids
 from taskalloc.problem import load_problem, parse_problem, serialize_problem
 
@@ -429,6 +439,68 @@ def test_verify_checks_grid_before_sampling(tmp_path, capsys, monkeypatch, grid)
     rc = main(["verify", "--example", "tab1", "--grid", grid, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert capsys.readouterr().err.splitlines()[0] == "error-code: config exit=2"
+
+
+@pytest.mark.parametrize("grid", ["0.5", "inf"])
+def test_verify_grid_above_four_agents_exits_config(tmp_path, capsys, monkeypatch, grid):
+    # without --grid, thin5 (n = 5) skips the grid; with it, grid_min refuses
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the Monte Carlo oracle ran before --grid was checked")
+
+    monkeypatch.setattr(verify, "monte_carlo_min", no_sampling)
+    out = tmp_path / "o"
+    argv = ["verify", "--input", str(DATA / "thin5.json"), "--grid", grid, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error-code: config exit=2",
+        "grid oracle supports n <= 4, got 5",
+    ]
+    assert not (out / "verify_report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--example", "fig3", "--dt", "abc"],
+        ["solve", "--example", "fig9"],
+        ["solve"],
+    ],
+)
+def test_usage_errors_print_config_code(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error-code: config exit=2"
+
+
+# every error class that can reach main, with the slug and exit code it
+# must report
+_EXIT_TABLE = [
+    (ParseError("agent #1 'a' must be a number"), "parse", 2),
+    (UnknownExampleError("fig9", ["fig2", "fig3"]), "unknown-example", 2),
+    (DimensionTooLargeError("grid oracle supports n <= 4, got 5"), "config", 2),
+    (EmptyGridError("no grid point satisfies the sum and box constraints"), "config", 2),
+    (InfeasibleError("total 25 outside [0, 20]"), "infeasible", 3),
+    (StepOverflowError([0, 2], step_index=7), "step-overflow", 4),
+    (SamplerStarvedError("feasible region too thin"), "numerical", 4),
+    (CostOverflowError("solver cost is inf"), "numerical", 4),
+    (NotFeasibleError("allocation outside the feasible set"), "numerical", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "error, slug, code", _EXIT_TABLE, ids=[type(e).__name__ for e, _, _ in _EXIT_TABLE]
+)
+def test_error_classes_exit_with_their_code(tmp_path, capsys, monkeypatch, error, slug, code):
+    def raising(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "_run_solve", raising)
+    out = tmp_path / "o"
+    assert main(["solve", "--example", "tab1", "--out", str(out)]) == code
+    hint = " (try halving --dt)" if isinstance(error, StepOverflowError) else ""
+    assert capsys.readouterr().err == f"error-code: {slug} exit={code}\n{error}{hint}\n"
+    assert not (out / "solver_report.txt").exists()
 
 
 def test_verify_empty_grid_exit_config(tmp_path, capsys):

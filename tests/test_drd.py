@@ -1,13 +1,14 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
-from conftest import adjacent, one_step, spread
+from conftest import adjacent, interior_problem, one_step, spread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc import drd
-from taskalloc.costs import exponential, quadratic
+from taskalloc.costs import EXPONENTIAL, QUADRATIC, exponential, quadratic
 from taskalloc.drd import (
     MASS_FLOOR_REL,
     RECORD_EVERY,
@@ -20,6 +21,7 @@ from taskalloc.drd import (
 )
 from taskalloc.errors import StepOverflowError
 from taskalloc.graph import Graph, edge_list, from_edge_list
+from taskalloc.lambda_solver import select_final, solve_lambda
 from taskalloc.problem import (
     AllocationProblem,
     default_tol,
@@ -546,3 +548,43 @@ def test_simulate_float_step_cap(fig3):
     p = fig3.problem
     traj = simulate(p, default_start(p), DrdConfig(step=fig3.drd_step, max_steps=130.0))
     assert traj.steps == 130 and traj.stop == "max-steps"
+
+
+# ---------------------------------------------------------------------------
+# the paper's two theorems on instances whose optimum has a closed form
+
+
+def _interior(seed, n, family):
+    rng = np.random.default_rng(seed)
+    return interior_problem(rng, n, family, max(1, n // 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 30), st.sampled_from([EXPONENTIAL, QUADRATIC]))
+def test_theorem1_replicator_converges_to_the_optimum(seed, n, family):
+    # Theorem 1: a Nash equilibrium (equal marginals) inside every box is the
+    # optimum; the replicator converges to it and the solver finds it
+    p, optimum = _interior(seed, n, family)
+    cfg = DrdConfig(step=2.0 if family == EXPONENTIAL else 0.4, max_steps=20_000)
+    traj = simulate(p, default_start(p), cfg)
+    assert traj.converged
+    assert np.abs(traj.final - solve_lambda(p).allocation).max() <= 0.5
+    assert np.abs(traj.final - optimum).max() <= 0.5
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(6, 30))
+def test_theorem2_box_exit_keeps_the_solver_point(seed, n):
+    # Theorem 2: with agent 0's upper bound cut below its Nash load the
+    # replicator leaves the box, and the final selection keeps the solver's
+    # point with agent 0 at its upper bound. Quadratic costs only: an
+    # exponential cost depends on its span, so a cut would move the Nash point.
+    p, nash = _interior(seed, n, QUADRATIC)
+    lower = p.agents[0].lower
+    cut = dataclasses.replace(p.agents[0], upper=lower + 0.5 * (nash[0] - lower))
+    p = AllocationProblem(graph=p.graph, agents=(cut, *p.agents[1:]), total=p.total)
+    res = solve_lambda(p)
+    traj = simulate(p, default_start(p), DrdConfig(step=0.4, max_steps=20_000))
+    assert traj.box_exit_step is not None
+    np.testing.assert_array_equal(select_final(p, res.allocation, traj.final), res.allocation)
+    assert 0 in res.active_upper
