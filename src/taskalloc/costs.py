@@ -25,6 +25,10 @@ picks once as its `coordinate`: for a single family the aggregate clamped
 response is piecewise linear in it (log marginal-cost for the exponential
 family, the marginal cost itself for the quadratic one); mixed families
 use the marginal cost itself, the quadratic family's key.
+
+Below about 10^3 agents a call costs numpy's per-call overhead more than
+arithmetic, so hot paths use ndarray methods, not np.any, np.all,
+np.flatnonzero or np.broadcast_shapes.
 """
 
 from dataclasses import dataclass
@@ -38,7 +42,7 @@ QUADRATIC = "quadratic"
 
 
 def _require_positive(lam):
-    if np.any(np.asarray(lam) <= 0.0):
+    if (np.asarray(lam) <= 0.0).any():
         raise NonpositiveLambdaError(float(np.min(lam)))
 
 
@@ -159,11 +163,12 @@ class _CostTable:
     def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
         if self.family is not None:  # no scatter for a single family
             return getattr(self.family, formula)(self.groups[0], x)
-        shape = np.shape(x) if per_agent else np.broadcast_shapes(np.shape(x), (self.n,))
-        out = np.empty(shape)
+        shape = getattr(x, "shape", ())
+        out = np.empty(shape if per_agent else (*shape[:-1], self.n))
         for g in self.groups:
-            xg = x[..., g.idx] if per_agent else x
-            out[..., g.idx] = getattr(g.fam, formula)(g, xg)
+            # a bare index array takes numpy's fast path; (..., idx) does not
+            at = g.idx if out.ndim == 1 else (..., g.idx)
+            out[at] = getattr(g.fam, formula)(g, x[at] if per_agent else x)
         return out
 
     def cost(self, w) -> np.ndarray:

@@ -26,8 +26,13 @@ quantized to 3 decimals; `solve_lambda` always uses full precision.
 
 The final selection between a replicator limit and the water-filling
 optimum (`select_final`) compares their total costs, each summed exactly.
+
+Below about 10^3 agents a call costs numpy's per-call overhead more than
+arithmetic, so hot paths use ndarray methods, not np.any, np.all,
+np.flatnonzero or np.broadcast_shapes.
 """
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -78,6 +83,8 @@ class SolverResult:
     active_lower: list[int]
     active_upper: list[int]
     method: str  # "table-hit" | "interpolation" | "false-position"
+    probes: int  # distinct clamps made, one O(n) pass each
+    fp_iterations: int  # false-position passes after the first interpolation
 
 
 def _agent_keys(p: AllocationProblem, key_decimals: int | None):
@@ -101,9 +108,9 @@ def _clamp(p: AllocationProblem, key, kmin, kmax, respond):
     loads each. Returns (loads, at-lower mask, at-upper mask)."""
     at_lower = key <= kmin
     at_upper = (key >= kmax) & ~at_lower
-    loads = np.where(
-        at_lower, p.lower_bounds, np.where(at_upper, p.upper_bounds, respond(key))
-    )
+    loads = respond(key)
+    np.copyto(loads, p.upper_bounds, where=at_upper)
+    np.copyto(loads, p.lower_bounds, where=at_lower)
     return loads, at_lower, at_upper
 
 
@@ -176,7 +183,7 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
             lo = mid + 1
     m1 = mass(keys[j])
     if abs(m1 - w) <= hit_tol:
-        key, method = float(keys[j]), "table-hit"
+        key, method, fp = float(keys[j]), "table-hit", 0
         clamped = clamp(key)
     else:
         j -= 1
@@ -185,18 +192,20 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
         if k0 == k1:
             flat = (kmin == k1) & (kmax == k1)
             hi = (np.where(flat, p.upper_bounds, hi[0]), hi[1] & ~flat, hi[2] | flat)
-        key, clamped, method = _false_position(clamp, w, k0, k1, clamp(k0), hi)
+        key, clamped, method, fp = _false_position(clamp, w, k0, k1, clamp(k0), hi)
     lam = float(p._costs.coordinate.lambda_from_key(key))
-    return _result(key, lam, clamped, bracket=j, method=method)
+    return _result(
+        key, lam, clamped, bracket=j, method=method, probes=len(clamps), fp_iterations=fp
+    )
 
 
 def _false_position(clamp, w, k0, k1, c0, c1):
     """Illinois false position inside a bracket whose end clamps c0 and c1
     have masses m0 < w < m1, to a load sum within _SUM_TOL * w; returns
-    (level, clamp there, method). The first step is the linear
-    interpolation between the ends, reported as "interpolation" when it
-    lands. After that, an end kept twice in a
-    row has its miss halved. If no float is left inside the bracket (one
+    (level, clamp there, method, passes after the first). The first step
+    is the linear interpolation between the ends, reported as
+    "interpolation" when it lands. After that, an end kept twice in a row
+    has its miss halved. If no float is left inside the bracket (one
     ulp of lam can move a load by more, as near a large quadratic b), the
     loads of its two ends are blended to sum to w; every agent's marginal
     stays between the ends."""
@@ -204,17 +213,17 @@ def _false_position(clamp, w, k0, k1, c0, c1):
     m0, m1 = float(c0[0].sum()), float(c1[0].sum())
     g0, g1 = m0 - w, m1 - w  # true misses at the ends; m0, m1 get halved
     side, method = 0, "interpolation"  # side: which end the last step replaced
-    while True:
+    for fp in itertools.count():  # fp: passes after the first interpolation
         key = (k1 - k0) / (m1 - m0) * (w - m0) + k0
         if not k0 < key < k1:
             near, c = (k0, c0) if -g0 < g1 else (k1, c1)
             # shares of the mass gap times the miss: nothing overflows or is subnormal
             blend = c0[0] + (c1[0] - c0[0]) / (g1 - g0) * -g0
-            return near, (blend, *c[1:]), "false-position"
+            return near, (blend, *c[1:]), "false-position", fp
         clamped = clamp(key)
         m = float(clamped[0].sum())
         if abs(m - w) <= tol:
-            return key, clamped, method
+            return key, clamped, method, fp
         method = "false-position"
         if m < w:
             k0, g0, m0, c0 = key, m - w, m, clamped
@@ -235,9 +244,9 @@ def _result(key, lam, clamped, **fields) -> SolverResult:
         allocation=alloc,
         key=key,
         lam=lam,
-        interior=np.flatnonzero(~(at_lower | at_upper)).tolist(),
-        active_lower=np.flatnonzero(at_lower).tolist(),
-        active_upper=np.flatnonzero(at_upper).tolist(),
+        interior=(~(at_lower | at_upper)).nonzero()[0].tolist(),
+        active_lower=at_lower.nonzero()[0].tolist(),
+        active_upper=at_upper.nonzero()[0].tolist(),
         **fields,
     )
 

@@ -124,9 +124,7 @@ def in_feasible_set(p: AllocationProblem, w) -> bool:
     tol = default_tol(p)
     if abs(arr.sum() - p.total) > tol:
         return False
-    return bool(
-        np.all(arr >= p.lower_bounds - tol) and np.all(arr <= p.upper_bounds + tol)
-    )
+    return bool((arr >= p.lower_bounds - tol).all() and (arr <= p.upper_bounds + tol).all())
 
 
 def in_simplex(p: AllocationProblem, w) -> bool:

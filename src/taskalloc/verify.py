@@ -28,7 +28,6 @@ from .problem import (
     AllocationProblem,
     as_allocation,
     in_feasible_set,
-    marginals,
     total_cost_batch,
 )
 
@@ -108,7 +107,7 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     lo, up = p.lower_bounds, p.upper_bounds
     span = up - lo
     act = 1e-6 * span
-    marg = marginals(p, arr)
+    marg = p._costs.marginal(arr)
 
     pinned = span == 0
     low_mask = (np.abs(arr - lo) <= act) | pinned
@@ -116,9 +115,9 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     both = low_mask & up_mask
     interior_mask = ~(low_mask | up_mask)
 
-    k_idx = np.flatnonzero(interior_mask)
+    k_idx = interior_mask.nonzero()[0]
     if k_idx.size:
-        lam = float(marg[k_idx].mean())
+        lam = float(marg[k_idx].sum() / k_idx.size)  # the mean, without its wrapper
     else:
         strict_low = low_mask & ~both
         strict_up = up_mask & ~both
@@ -132,25 +131,26 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     # an agent at both bounds counts as lower-active when marginal >= lam
     at_lower = (low_mask & ~both) | (both & (marg >= lam))
     at_upper = up_mask & ~at_lower
-    lower_active = np.flatnonzero(at_lower).tolist()
-    upper_active = np.flatnonzero(at_upper).tolist()
+    lower_active = at_lower.nonzero()[0].tolist()
+    upper_active = at_upper.nonzero()[0].tolist()
 
     # multipliers from the marginals at the loads themselves: a load within
     # the activity band but off its bound is still stationary at lam
-    alphas = {i: float(marg[i]) - lam for i in lower_active}
-    betas = {j: lam - float(marg[j]) for j in upper_active}
+    margs = marg.tolist()
+    alphas = {i: margs[i] - lam for i in lower_active}
+    betas = {j: lam - margs[j] for j in upper_active}
     residual = float(np.abs(marg[k_idx] - lam).max()) if k_idx.size else 0.0
     # each agent's violation: its stationarity residual, or its negated multiplier
     violation = np.where(at_lower, lam - marg, np.where(at_upper, marg - lam, np.abs(marg - lam)))
     # each agent's resolution, the change of its marginal over one ulp of
     # its load, widens its tolerance: a steep agent cannot meet lam more closely
-    resolution = np.abs(marginals(p, np.nextafter(arr, np.inf)) - marg)
+    resolution = np.abs(p._costs.marginal(np.nextafter(arr, np.inf)) - marg)
     passed = bool((violation <= tol * abs(lam) + resolution).all())
     return KktCertificate(
         lam=lam,
         alphas=alphas,
         betas=betas,
-        interior=[int(i) for i in k_idx],
+        interior=k_idx.tolist(),
         lower_active=lower_active,
         upper_active=upper_active,
         stationarity_residual=residual,

@@ -11,9 +11,11 @@ import pytest
 from taskalloc import AllocationProblem, DrdConfig, drd, get_instance
 from taskalloc.costs import EXPONENTIAL, QUADRATIC, CostModel, exponential, quadratic
 from taskalloc.drd import default_start, simulate
-from taskalloc.errors import DisconnectedError, ParseError
+from taskalloc.errors import CostOverflowError, DisconnectedError, NotFeasibleError, ParseError
 from taskalloc.graph import from_edge_list
-from taskalloc.problem import marginals
+from taskalloc.lambda_solver import _EXACT_HIT_REL, _SUM_TOL, SolverResult
+from taskalloc.problem import as_allocation, default_tol, marginals
+from taskalloc.verify import KktCertificate
 
 
 def one_step(p, w, dt, step=0):
@@ -340,3 +342,199 @@ def parse_reference(text):
     except ValueError as exc:
         raise ParseError(f"graph: {exc}") from exc
     return AllocationProblem(graph=g, agents=tuple(agents), total=total)
+
+
+# ---------------------------------------------------------------------------
+# references: the solver and the certificate as they were before their hot
+# paths dropped numpy's per-call wrappers (np.any, np.all, np.flatnonzero,
+# np.broadcast_shapes, (..., idx) indexing), kept as they were so the tests
+# can require the same bits. solve_reference also counts its clamps and its
+# false-position passes, and appends its probe keys to `probe_log`.
+
+
+def _evaluate_reference(table, formula, x, per_agent):
+    if table.family is not None:
+        return getattr(table.family, formula)(table.groups[0], x)
+    shape = np.shape(x) if per_agent else np.broadcast_shapes(np.shape(x), (table.n,))
+    out = np.empty(shape)
+    for g in table.groups:
+        xg = x[..., g.idx] if per_agent else x
+        out[..., g.idx] = getattr(g.fam, formula)(g, xg)
+    return out
+
+
+def _marginals_reference(p, w):
+    return _evaluate_reference(p._costs, "marginal", np.asarray(w, dtype=float), True)
+
+
+def _agent_keys_reference(p):
+    lam_lo = _marginals_reference(p, p.lower_bounds)
+    lam_up = _marginals_reference(p, p.upper_bounds)
+    if not ((lam_lo > 0).all() and np.isfinite(lam_up).all()):
+        raise CostOverflowError("a marginal cost at a box bound is 0 or inf in floats")
+    coord = p._costs.coordinate
+    return coord.key_from_lambda(lam_lo), coord.key_from_lambda(lam_up)
+
+
+def _clamp_reference(p, key, kmin, kmax, respond):
+    at_lower = key <= kmin
+    at_upper = (key >= kmax) & ~at_lower
+    loads = np.where(
+        at_lower, p.lower_bounds, np.where(at_upper, p.upper_bounds, respond(key))
+    )
+    return loads, at_lower, at_upper
+
+
+def solve_reference(p, probe_log):
+    """solve_lambda's result, with probes the number of distinct clamps and
+    fp_iterations the false-position passes after the first."""
+    w = p.total
+    kmin, kmax = _agent_keys_reference(p)
+    keys = np.sort(np.concatenate([kmin, kmax]))
+    table = p._costs
+    formula = "inverse_marginal" if table.family is None else "response_from_key"
+
+    def respond(key):
+        return _evaluate_reference(table, formula, key, False)
+
+    clamps = {}
+
+    def clamp(key):
+        key = float(key)
+        if key not in clamps:
+            probe_log.append(key)
+            clamps[key] = _clamp_reference(p, key, kmin, kmax, respond)
+        return clamps[key]
+
+    def mass(key):
+        return float(clamp(key)[0].sum())
+
+    hit_tol = _EXACT_HIT_REL * w
+    lo, j = 0, keys.size - 1
+    while lo < j:
+        mid = (lo + j) // 2
+        if mass(keys[mid]) - w >= -hit_tol:
+            j = mid
+        else:
+            lo = mid + 1
+    m1 = mass(keys[j])
+    passes = 1
+    if abs(m1 - w) <= hit_tol:
+        key, method = float(keys[j]), "table-hit"
+        clamped = clamp(key)
+    else:
+        j -= 1
+        k0, k1 = float(keys[j]), float(keys[j + 1])
+        hi = clamp(k1)
+        if k0 == k1:
+            flat = (kmin == k1) & (kmax == k1)
+            hi = (np.where(flat, p.upper_bounds, hi[0]), hi[1] & ~flat, hi[2] | flat)
+        key, clamped, method, passes = _false_position_reference(
+            clamp, w, k0, k1, clamp(k0), hi
+        )
+    lam = float(table.coordinate.lambda_from_key(key))
+    alloc, at_lower, at_upper = clamped
+    return SolverResult(
+        allocation=alloc,
+        key=key,
+        lam=lam,
+        bracket=j,
+        interior=np.flatnonzero(~(at_lower | at_upper)).tolist(),
+        active_lower=np.flatnonzero(at_lower).tolist(),
+        active_upper=np.flatnonzero(at_upper).tolist(),
+        method=method,
+        probes=len(clamps),
+        fp_iterations=passes - 1,
+    )
+
+
+def _false_position_reference(clamp, w, k0, k1, c0, c1):
+    tol = _SUM_TOL * w
+    m0, m1 = float(c0[0].sum()), float(c1[0].sum())
+    g0, g1 = m0 - w, m1 - w
+    side, method, passes = 0, "interpolation", 0
+    while True:
+        passes += 1
+        key = (k1 - k0) / (m1 - m0) * (w - m0) + k0
+        if not k0 < key < k1:
+            near, c = (k0, c0) if -g0 < g1 else (k1, c1)
+            blend = c0[0] + (c1[0] - c0[0]) / (g1 - g0) * -g0
+            return near, (blend, *c[1:]), "false-position", passes
+        clamped = clamp(key)
+        m = float(clamped[0].sum())
+        if abs(m - w) <= tol:
+            return key, clamped, method, passes
+        method = "false-position"
+        if m < w:
+            k0, g0, m0, c0 = key, m - w, m, clamped
+            if side < 0:
+                m1 = w + 0.5 * (m1 - w)
+            side = -1
+        else:
+            k1, g1, m1, c1 = key, m - w, m, clamped
+            if side > 0:
+                m0 = w + 0.5 * (m0 - w)
+            side = 1
+
+
+def in_feasible_set_reference(p, w):
+    arr = as_allocation(p, w)
+    tol = default_tol(p)
+    if abs(arr.sum() - p.total) > tol:
+        return False
+    return bool(
+        np.all(arr >= p.lower_bounds - tol) and np.all(arr <= p.upper_bounds + tol)
+    )
+
+
+def kkt_reference(p, w, tol=1e-6):
+    arr = as_allocation(p, w)
+    if not in_feasible_set_reference(p, arr):
+        raise NotFeasibleError(
+            "allocation is outside the feasible set; certificate undefined"
+        )
+    lo, up = p.lower_bounds, p.upper_bounds
+    span = up - lo
+    act = 1e-6 * span
+    marg = _marginals_reference(p, arr)
+
+    pinned = span == 0
+    low_mask = (np.abs(arr - lo) <= act) | pinned
+    up_mask = (np.abs(arr - up) <= act) | pinned
+    both = low_mask & up_mask
+    interior_mask = ~(low_mask | up_mask)
+
+    k_idx = np.flatnonzero(interior_mask)
+    if k_idx.size:
+        lam = float(marg[k_idx].mean())
+    else:
+        strict_low = low_mask & ~both
+        strict_up = up_mask & ~both
+        edges = []
+        if strict_up.any():
+            edges.append(float(marg[strict_up].max()))
+        if strict_low.any():
+            edges.append(float(marg[strict_low].min()))
+        lam = 0.5 * sum(edges) if len(edges) == 2 else (edges[0] if edges else float(marg.mean()))
+
+    at_lower = (low_mask & ~both) | (both & (marg >= lam))
+    at_upper = up_mask & ~at_lower
+    lower_active = np.flatnonzero(at_lower).tolist()
+    upper_active = np.flatnonzero(at_upper).tolist()
+
+    alphas = {i: float(marg[i]) - lam for i in lower_active}
+    betas = {j: lam - float(marg[j]) for j in upper_active}
+    residual = float(np.abs(marg[k_idx] - lam).max()) if k_idx.size else 0.0
+    violation = np.where(at_lower, lam - marg, np.where(at_upper, marg - lam, np.abs(marg - lam)))
+    resolution = np.abs(_marginals_reference(p, np.nextafter(arr, np.inf)) - marg)
+    passed = bool((violation <= tol * abs(lam) + resolution).all())
+    return KktCertificate(
+        lam=lam,
+        alphas=alphas,
+        betas=betas,
+        interior=[int(i) for i in k_idx],
+        lower_active=lower_active,
+        upper_active=upper_active,
+        stationarity_residual=residual,
+        passed=passed,
+    )

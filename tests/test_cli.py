@@ -285,6 +285,44 @@ def test_subnormal_totals_solve_and_simulate(tmp_path, capsys, total, agents):
     assert rc != 2, capsys.readouterr().err
 
 
+def _write_pair(tmp_path, total):
+    doc = {"total": total, "graph": {"n": 2, "edges": [[1, 2]]}, "agents": [_QUAD] * 2}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("total", [20 * math.ulp(0.0), 1e-320, 1e-318, 1e-315])
+def test_subnormal_totals_verify(tmp_path, capsys, total):
+    # the sampled points miss a subnormal total by a few units of 2**-1074
+    # and cost that much less; verify credits each oracle's best point with
+    # lam times its shortfall, so the solver's optimum is not beaten
+    path = _write_pair(tmp_path, total)
+    rc = main(["verify", "--input", str(path), "--samples", "200", "--seed", "0",
+               "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert "verdict: VERIFIED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(("best_cost", "rc"), [(17, 0), (16, 5)])
+def test_verify_credits_no_more_than_the_shortfall(tmp_path, monkeypatch, best_cost, rc):
+    # at total 20 u (u = 2**-1074) the optimum (10 u, 10 u) costs 20 u at
+    # lam = 1; a best point (3 u, 14 u) is 3 u short of the total, so a cost
+    # of 17 u does not beat the optimum and 16 u does
+    u = math.ulp(0.0)
+    sample = verify.monte_carlo_min
+
+    def short_point(p, samples, seed, dump_path=None):
+        res = sample(p, samples, seed, dump_path)
+        return dataclasses.replace(res, best=np.array([3 * u, 14 * u]), best_cost=best_cost * u)
+
+    monkeypatch.setattr(verify, "monte_carlo_min", short_point)
+    path = _write_pair(tmp_path, 20 * u)
+    assert solve_lambda(load_problem(path)).lam == 1.0
+    assert main(["verify", "--input", str(path), "--samples", "200", "--seed", "0",
+                 "--out", str(tmp_path / "v")]) == rc
+
+
 def test_reports_byte_identical(tmp_path):
     outs = []
     for name in ("a", "b"):

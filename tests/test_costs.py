@@ -5,6 +5,7 @@ import pytest
 
 from taskalloc.costs import (
     CostModel,
+    _Exponential,
     exponential,
     quadratic,
     quadratic_from_vertex_form,
@@ -116,6 +117,35 @@ def test_nonpositive_lambda_rejected_for_exponential():
         EXP1.inverse_marginal(-3.0)
     # the quadratic inverse is defined for any level
     assert QUAD1.inverse_marginal(-1.0) < QUAD1.lower
+
+
+@pytest.mark.parametrize(
+    ("lam", "least"),
+    [(0.0, 0.0), (-0.0, -0.0), (-1.0, -1.0), (np.array([2.0, -1.0, 3.0]), -1.0),
+     ([2.0, -1.0, 3.0], -1.0)],
+    ids=["zero", "negative-zero", "negative", "array", "list"],
+)
+@pytest.mark.parametrize(
+    "call", [EXP1.inverse_marginal, _Exponential.key_from_lambda], ids=["inverse", "key"]
+)
+def test_nonpositive_level_guard(call, lam, least):
+    # a scalar, an array or a list holding one level <= 0 is refused and
+    # named by its least entry
+    with pytest.raises(NonpositiveLambdaError) as err:
+        call(lam)
+    assert math.copysign(1.0, err.value.lam) == math.copysign(1.0, least)
+    assert err.value.lam == least
+
+
+@pytest.mark.parametrize(
+    "call", [EXP1.inverse_marginal, _Exponential.key_from_lambda], ids=["inverse", "key"]
+)
+def test_nan_level_passes_the_guard(call):
+    # nan <= 0 is false: the guard lets nan through, and so does the log
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(call(math.nan))
+        out = call(np.array([1.0, math.nan]))
+    assert np.isnan(out[1]) and not np.isnan(out[0])
 
 
 def test_key_helpers_round_trip():

@@ -1,5 +1,6 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import random_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc import lambda_solver
+from taskalloc import get_instance, lambda_solver
 from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import CostOverflowError, InfeasibleError
 from taskalloc.graph import from_edge_list
@@ -22,6 +23,7 @@ from taskalloc.problem import (
     AllocationProblem,
     cost_values,
     in_feasible_set,
+    load_problem,
     marginals,
     total_cost,
 )
@@ -186,6 +188,28 @@ def test_solve_clamps_each_key_once(monkeypatch, tab1, tab3):
         methods.add(solve_lambda(p).method)
         assert len(keys) == len(set(keys)), keys
     assert methods == {"table-hit", "interpolation", "false-position"}
+
+
+@pytest.mark.parametrize(
+    ("source", "probes", "fp_iterations", "method"),
+    [
+        ("tab1", 4, 0, "interpolation"),
+        ("tab3", 4, 0, "interpolation"),
+        ("fig2", 3, 0, "interpolation"),
+        ("fig3", 4, 0, "interpolation"),
+        # bench/gen.py's waterfill_inputs(3, 100)[48]: mixed families, n = 11
+        ("waterfill_mixed11.json", 12, 6, "false-position"),
+    ],
+)
+def test_solver_counters(source, probes, fp_iterations, method):
+    # the counts of _clamp calls and false-position passes that the solver
+    # made before it counted them itself
+    if source.endswith(".json"):
+        p = load_problem(Path(__file__).parent / "data" / source)
+    else:
+        p = get_instance(source).problem
+    res = solve_lambda(p)
+    assert (res.probes, res.fp_iterations, res.method) == (probes, fp_iterations, method)
 
 
 def test_duplicate_breakpoints_are_tolerated():
