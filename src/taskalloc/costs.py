@@ -31,6 +31,7 @@ arithmetic, so hot paths use ndarray methods, not np.any, np.all,
 np.flatnonzero or np.broadcast_shapes.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,9 @@ class _CostTable:
     levels to the solver's keys: the single family, or _Quadratic (whose key
     is lam itself) when families mix. Per-agent inputs have shape (..., n);
     a shared level (key or lam) is a scalar or an array that broadcasts
-    against (n,), such as a column of keys.
+    against (n,), such as a column of keys. `cost(w)` and `marginal(w)` are
+    bound once: to a single family's formula and group, so that a call in
+    the replicator's step loop is one Python frame, or else to the scatter.
     """
 
     def __init__(self, families, a, b, lower, upper):
@@ -153,6 +156,12 @@ class _CostTable:
                 )
         self.family = self.groups[0].fam if len(self.groups) == 1 else None
         self.coordinate = self.family or _Quadratic
+        for formula in ("cost", "marginal"):
+            if self.family is None:
+                bound = functools.partial(self._evaluate, formula, per_agent=True)
+            else:
+                bound = functools.partial(getattr(self.family, formula), self.groups[0])
+            setattr(self, formula, bound)
         for col in self.columns:
             col.setflags(write=False)
 
@@ -170,12 +179,6 @@ class _CostTable:
             at = g.idx if out.ndim == 1 else (..., g.idx)
             out[at] = getattr(g.fam, formula)(g, x[at] if per_agent else x)
         return out
-
-    def cost(self, w) -> np.ndarray:
-        return self._evaluate("cost", w, per_agent=True)
-
-    def marginal(self, w) -> np.ndarray:
-        return self._evaluate("marginal", w, per_agent=True)
 
     def response_from_key(self, key) -> np.ndarray:
         """Each agent's unclamped load at a shared key in `coordinate`: lam

@@ -26,6 +26,11 @@ meets the stop rule; failing that, an overflow raises StepOverflowError
 with the first overflowing step and its agents, and the states stepped
 after it are discarded. So the trace and the error are the ones a check
 after every step would give.
+
+On a few dozen agents a step costs numpy's per-call overhead more than
+arithmetic, so the loop calls the cost table's bound marginal, writes the
+drift inline, and holds dt and w as 0-d arrays, which ufuncs take faster
+than Python floats (the values, and so the bits, are the same).
 """
 
 import math
@@ -105,21 +110,15 @@ def _spread(G: np.ndarray, W: np.ndarray, floor: float) -> np.ndarray:
     return np.where(spread > 0.0, spread, 0.0)
 
 
-def _drift(rows, cols, w: np.ndarray, g: np.ndarray, total: float) -> np.ndarray:
-    """Replicator drift dw/dt for loads w with marginals g; each bincount
-    over the adjacency pairs (rows, cols) gives every agent's neighbour sum."""
-    n = w.shape[0]
-    nbr_w = np.bincount(rows, weights=w[cols], minlength=n)
-    nbr_gw = np.bincount(rows, weights=(g * w)[cols], minlength=n)
-    return (w / total) * (nbr_gw - g * nbr_w)
-
-
 def _first_overflow(stepped: np.ndarray) -> int | None:
     """Row index of the first stepped state, in a (k, n) stack, with a
     negative or non-finite load; None when every row is a valid state."""
-    ok = stepped.min(axis=1) >= 0.0
-    ok &= np.isfinite(stepped.sum(axis=1))
-    bad = np.flatnonzero(~ok)
+    ok = np.isfinite(stepped.sum(axis=1))
+    # one minimum over the whole stack first; the row-wise one costs more
+    # and is needed only once some load is negative or nan
+    if not stepped.min(initial=0.0) >= 0.0:
+        ok &= stepped.min(axis=1) >= 0.0
+    bad = (~ok).nonzero()[0]
     return int(bad[0]) if bad.size else None
 
 
@@ -164,12 +163,13 @@ def simulate(
 
     n = p.n
     rows, cols = np.ascontiguousarray(p.graph.adjacency.T)
-    marginal = p._costs.marginal  # bound once: this loop runs millions of steps
-    total = p.total
+    marginal = p._costs.marginal
+    bincount, add = np.bincount, np.add
+    total = np.array(p.total, dtype=float)
     tol = cfg.residual_tol
-    dt = cfg.step
+    dt = np.array(cfg.step, dtype=float)
     max_steps = cfg.max_steps
-    floor = MASS_FLOOR_REL * total
+    floor = MASS_FLOOR_REL * p.total
     box_tol = default_tol(p)
     lo = p.lower_bounds - box_tol
     up = p.upper_bounds + box_tol
@@ -199,14 +199,19 @@ def simulate(
                 gs.append(g)
                 if j == cap:
                     break
-                np.add(w, dt * _drift(rows, cols, w, g, total), out=s_rows[j + 1])
+                # the drift; each bincount over the adjacency pairs gives
+                # every agent's neighbour sum. Arguments are positional
+                # (weights, minlength; out), which numpy parses faster.
+                nbr_w = bincount(rows, w[cols], n)
+                nbr_gw = bincount(rows, (g * w)[cols], n)
+                add(w, dt * ((w / total) * (nbr_gw - g * nbr_w)), s_rows[j + 1])
             stepped = len(gs) - (j == cap)
             bad = _first_overflow(S[1 : stepped + 1])
             m = len(gs) if bad is None else bad + 1  # S[:m] are valid states
             G = np.concatenate(gs[:m]).reshape(m, n)  # G[j]: marginals at S[j]
             residuals = _spread(G, S[:m], floor)
         residual_evals += 1
-        met = np.flatnonzero(residuals <= tol)
+        met = (residuals <= tol).nonzero()[0]
         last = int(met[0]) if met.size else m - 1
         done = met.size > 0 or start + last == max_steps
 
@@ -219,7 +224,7 @@ def simulate(
             rec_states.append(kept)
             rec_residuals.append(residuals[keep])
             if box_exit_step is None:
-                outside = np.flatnonzero(((kept < lo) | (kept > up)).any(axis=1))
+                outside = ((kept < lo) | (kept > up)).any(axis=1).nonzero()[0]
                 if outside.size:
                     box_exit_step = start + keep[outside[0]]
         if done:
@@ -244,7 +249,7 @@ def simulate(
         converged=met.size > 0,
         final=S[last].copy(),
         steps=start + last,
-        dt=dt,
+        dt=cfg.step,
         stop="residual" if met.size else "max-steps",
         box_exit_step=box_exit_step,
         residual_evals=residual_evals,

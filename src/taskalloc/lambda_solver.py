@@ -34,7 +34,6 @@ np.flatnonzero or np.broadcast_shapes.
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ import numpy as np
 from .errors import CostOverflowError, InfeasibleError
 from .problem import (
     AllocationProblem,
+    _exact_total,
     as_allocation,
     cost_values,
     in_feasible_set,
@@ -205,16 +205,19 @@ def _false_position(clamp, w, k0, k1, c0, c1):
     (level, clamp there, method, passes after the first). The first step
     is the linear interpolation between the ends, reported as
     "interpolation" when it lands. After that, an end kept twice in a row
-    has its miss halved. If no float is left inside the bracket (one
-    ulp of lam can move a load by more, as near a large quadratic b), the
-    loads of its two ends are blended to sum to w; every agent's marginal
-    stays between the ends."""
+    has its miss halved. A step whose key gap over mass gap underflows, so
+    that it lands on an end, takes the share of the mass gap first. If no
+    float is left inside the bracket (one ulp of lam can move a load by
+    more, as near a large quadratic b), the loads of its two ends are
+    blended to sum to w; every agent's marginal stays between the ends."""
     tol = _SUM_TOL * w
     m0, m1 = float(c0[0].sum()), float(c1[0].sum())
     g0, g1 = m0 - w, m1 - w  # true misses at the ends; m0, m1 get halved
     side, method = 0, "interpolation"  # side: which end the last step replaced
     for fp in itertools.count():  # fp: passes after the first interpolation
         key = (k1 - k0) / (m1 - m0) * (w - m0) + k0
+        if not k0 < key < k1 and math.nextafter(k0, k1) < k1:
+            key = (w - m0) / (m1 - m0) * (k1 - k0) + k0
         if not k0 < key < k1:
             near, c = (k0, c0) if -g0 < g1 else (k1, c1)
             # shares of the mass gap times the miss: nothing overflows or is subnormal
@@ -249,16 +252,6 @@ def _result(key, lam, clamped, **fields) -> SolverResult:
         active_upper=at_upper.nonzero()[0].tolist(),
         **fields,
     )
-
-
-def _exact_total(costs: np.ndarray):
-    """The exact sum of the costs as an int in units of 2**-1127 (each 53-bit
-    mantissa shifted by its exponent), or inf if any cost is not finite."""
-    if not np.isfinite(costs).all():
-        return math.inf
-    mant, exp = np.frexp(costs)
-    mant = (mant * 2.0**53).astype(np.int64).tolist()
-    return sum(map(operator.lshift, mant, (exp + 1074).tolist()))
 
 
 def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:

@@ -26,6 +26,7 @@ which raise the ParseError naming its first fault.
 import itertools
 import json
 import math
+import operator
 import sys
 from functools import cached_property
 
@@ -53,9 +54,9 @@ class AllocationProblem:
         if not total > 0:
             raise ValueError(f"total task must be positive, got {total}")
         lo, up = sum(costs.lower.tolist()), sum(costs.upper.tolist())
-        if total < lo:
+        if _past(total, costs.lower, lo, -1):
             raise InfeasibleError(f"total {total} is below the sum of lower bounds {lo}")
-        if total > up:
+        if _past(total, costs.upper, up, 1):
             raise InfeasibleError(f"total {total} exceeds the sum of upper bounds {up}")
         vars(self).update(graph=graph, total=total, _costs=costs)
         return self
@@ -79,6 +80,27 @@ class AllocationProblem:
     @property
     def upper_bounds(self) -> np.ndarray:
         return self._costs.upper
+
+
+def _exact_total(values):
+    """The exact sum of the float values as an int in units of 2**-1127 (each 53-bit
+    mantissa shifted by its exponent), or inf if any value is not finite."""
+    if not np.isfinite(values).all():
+        return math.inf
+    mant, exp = np.frexp(values)
+    mant = (mant * 2.0**53).astype(np.int64).tolist()
+    return sum(map(operator.lshift, mant, (exp + 1074).tolist()))
+
+
+def _past(total: float, bounds: np.ndarray, fsum: float, side: int) -> bool:
+    """Whether total lies below (side -1) or above (side 1) the sum of the
+    nonnegative bounds both by their float sum fsum and by their exact sum,
+    which is taken only within fsum's rounding error of n ulps."""
+    if not side * (total - fsum) > 0:
+        return False
+    if abs(total - fsum) > len(bounds) * 2.0**-52 * fsum:
+        return True
+    return side * (_exact_total([total]) - _exact_total(bounds)) > 0
 
 
 def as_allocation(p: AllocationProblem, w) -> np.ndarray:

@@ -11,22 +11,58 @@ import pytest
 from taskalloc import AllocationProblem, DrdConfig, drd, get_instance
 from taskalloc.costs import EXPONENTIAL, QUADRATIC, CostModel, exponential, quadratic
 from taskalloc.drd import default_start, simulate
-from taskalloc.errors import CostOverflowError, DisconnectedError, NotFeasibleError, ParseError
+from taskalloc.errors import (
+    CostOverflowError,
+    DisconnectedError,
+    NotFeasibleError,
+    ParseError,
+    StepOverflowError,
+)
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import _EXACT_HIT_REL, _SUM_TOL, SolverResult
 from taskalloc.problem import as_allocation, default_tol, marginals
 from taskalloc.verify import KktCertificate
 
 
+# ---------------------------------------------------------------------------
+# reference replicator step: the drift, the two family marginal formulas and
+# the overflow rule as simulate computed them one call at a time, before its
+# loop bound the formula and inlined the drift. They are kept as they were,
+# so that a loop of one_step is the reference simulate must match bit for bit.
+
+
+def step_marginals(p, w):
+    """Each agent's marginal cost at loads w (n,), scattered per family."""
+    out = np.empty(w.shape)
+    for g in p._costs.groups:
+        x = w[g.idx]
+        if g.name == EXPONENTIAL:
+            out[g.idx] = g.a_per_span * np.exp((x - g.lower) / g.span)
+        else:
+            out[g.idx] = g.a * (x - g.lower) + g.b
+    return out
+
+
+def step_drift(p, w):
+    """Replicator drift dw/dt at loads w; each bincount over the adjacency
+    pairs gives every agent's neighbour sum."""
+    rows, cols = p.graph.adjacency.T
+    g = step_marginals(p, w)
+    n = w.shape[0]
+    nbr_w = np.bincount(rows, weights=w[cols], minlength=n)
+    nbr_gw = np.bincount(rows, weights=(g * w)[cols], minlength=n)
+    return (w / p.total) * (nbr_gw - g * nbr_w)
+
+
 def one_step(p, w, dt, step=0):
-    """One synchronous replicator step from w, bit for bit the step simulate
-    takes; raises StepOverflowError at `step` if a load turns negative or
-    non-finite."""
+    """One synchronous replicator step from w; raises StepOverflowError at
+    `step`, naming the agents, if a load turns negative or non-finite."""
     w = np.asarray(w, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        nxt = w + dt * drd._drift(*p.graph.adjacency.T, w, marginals(p, w), p.total)
-        if drd._first_overflow(nxt[None]) is not None:
-            raise drd._overflow_error(nxt, step)
+        nxt = w + dt * step_drift(p, w)
+        if not (nxt.min() >= 0.0 and np.isfinite(nxt.sum())):
+            bad = ~np.isfinite(nxt) | (nxt < 0)
+            raise StepOverflowError(np.flatnonzero(bad).tolist(), step_index=step)
     return nxt
 
 

@@ -242,6 +242,39 @@ def test_flat_marginal_instance_solves_and_verifies(tmp_path):
     assert "verdict: VERIFIED" in (tmp_path / "v" / "verify_report.txt").read_text()
 
 
+def test_total_at_the_exact_lower_sum_solves_and_verifies(tmp_path, capsys):
+    # boundsum3's total is the exact sum of the three lowers; their float
+    # sum in file order rounds one ulp above it
+    path = DATA / "boundsum3.json"
+    assert main(["solve", "--input", str(path), "--out", str(tmp_path / "s")]) == 0
+    assert "kkt certificate: PASSED" in (tmp_path / "s" / "solver_report.txt").read_text()
+    rc = main(["verify", "--input", str(path), "--samples", "2000", "--seed", "0",
+               "--out", str(tmp_path / "v")])
+    assert rc == 0
+    assert "verdict: VERIFIED" in (tmp_path / "v" / "verify_report.txt").read_text()
+    doc = json.loads(path.read_text())
+    below = math.nextafter(doc["total"], 0.0)
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps(dict(doc, total=below)))
+    capsys.readouterr()
+    assert main(["solve", "--input", str(path), "--out", str(tmp_path / "b")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error-code: infeasible exit=3"
+    # the message still prints the float sum
+    assert err[1].endswith(f"total {below} is below the sum of lower bounds 14.654904138814093")
+
+
+def test_underflowing_interpolation_step_solves(tmp_path):
+    # agent 2's key gap over the bracket's mass gap, about 1e-200 / 1e220,
+    # underflows to 0; the step then lands on an end and the blend ran
+    path = DATA / "underflow2.json"
+    assert main(["solve", "--input", str(path), "--out", str(tmp_path / "s")]) == 0
+    report = (tmp_path / "s" / "solver_report.txt").read_text()
+    assert "kkt certificate: PASSED" in report
+    assert "lambda: 1.6487212707e-200" in report.splitlines()
+    assert re.search(r"^ +2 +\S+ +interior$", report, re.MULTILINE)
+
+
 def test_small_total_solves_and_verifies(tmp_path):
     # loads of ~1e-13: tolerances floored at 1 made the solver return the
     # infeasible (0, 0) and the sampler call that the only feasible point

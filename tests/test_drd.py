@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import adjacent, interior_problem, one_step, spread
+from conftest import adjacent, interior_problem, one_step, spread, step_drift, step_marginals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from taskalloc.drd import (
     DrdConfig,
     Trajectory,
     default_start,
-    _drift,
     simulate,
     write_trace_csv,
 )
@@ -54,18 +53,14 @@ def _spread_instance(f0, f1, total=200.0):
 # agent i's drift, (w_i / w) (f_i sum_{j in N_i} w_j - sum_{j in N_i} f_j w_j).
 
 
-def _drift_of(p, w):
-    return _drift(*p.graph.adjacency.T, w, marginals(p, w), p.total)
-
-
 def test_local_mean_fitness_symmetric_pair():
     p = _two_identical_agents()
     w = np.array([30.0, 70.0])
     f = -marginals(p, w)
     # the neighbor sums exclude the agent itself (no self-loop)
     expected = (w / p.total) * (f * w[::-1] - (f * w)[::-1])
-    np.testing.assert_allclose(_drift_of(p, w), expected, rtol=1e-12)
-    np.testing.assert_array_equal(_drift_of(p, np.array([50.0, 50.0])), [0.0, 0.0])
+    np.testing.assert_allclose(step_drift(p, w), expected, rtol=1e-12)
+    np.testing.assert_array_equal(step_drift(p, np.array([50.0, 50.0])), [0.0, 0.0])
 
 
 def test_local_mean_fitness_single_neighbor():
@@ -88,7 +83,7 @@ def test_local_mean_fitness_at_equal_fitness(fig2):
     p = fig2.problem
     wstar = np.asarray(fig2.reference["allocation"])
     lam = marginals(p, wstar).mean()
-    drift = _drift_of(p, wstar)
+    drift = step_drift(p, wstar)
     for i in range(p.n):
         nbr_mass = float(sum(wstar[j] for j in adjacent(p.graph, i)))
         assert abs(drift[i]) <= 1e-9 * lam * nbr_mass * wstar[i] / p.total
@@ -171,7 +166,7 @@ def _plain_loop(p, w0, cfg):
     w = np.asarray(w0, dtype=float)
     out = {"times": [], "states": [], "residuals": [], "box_exit_step": None}
     for step in itertools.count():
-        f = -marginals(p, w)
+        f = -step_marginals(p, w)
         mass = w > MASS_FLOOR_REL * p.total
         r = max(0.0, float(f.max()) - float(f[mass].min())) if mass.any() else 0.0
         done = r <= cfg.residual_tol or step == cfg.max_steps
@@ -354,6 +349,32 @@ def test_simulate_counts_block_reductions(fig2):
     p = fig2.problem
     traj = simulate(p, default_start(p), DrdConfig(step=fig2.drd_step, max_steps=1000))
     assert traj.residual_evals == 16
+
+
+@pytest.mark.parametrize("box_exit", [False, True])
+def test_trajectory_field_types(fig2, box_exit):
+    # the loop holds dt and the total as 0-d arrays; none of them leaks out
+    if box_exit:
+        p, w0, cfg, ref = _leaves_box(), np.array([50.0, 50.0]), DrdConfig(step=0.01), None
+    else:
+        p = fig2.problem
+        w0, cfg = default_start(p), DrdConfig(step=fig2.drd_step, max_steps=150)
+        ref = np.asarray(fig2.reference["allocation"])
+    traj = simulate(p, w0, cfg, reference=ref)
+    arrays = {"times": np.int64, "states": np.float64, "costs": np.float64,
+              "residuals": np.float64, "final": np.float64}
+    if ref is not None:
+        arrays["lyapunov"] = np.float64
+    for name, dtype in arrays.items():
+        value = getattr(traj, name)
+        assert type(value) is np.ndarray and value.dtype == dtype, name
+    assert traj.states.ndim == 2 and traj.final.shape == (p.n,)
+    assert ref is not None or traj.lyapunov is None
+    assert type(traj.converged) is bool and type(traj.stop) is str
+    assert type(traj.dt) is float and traj.dt == cfg.step
+    for name in ("steps", "residual_evals"):
+        assert type(getattr(traj, name)) is int, name
+    assert type(traj.box_exit_step) is (int if box_exit else type(None))
 
 
 def test_nash_residual_values():

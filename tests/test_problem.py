@@ -1,5 +1,7 @@
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +166,30 @@ def test_construction_rejects_infeasible_totals():
     # equality at either end is accepted
     AllocationProblem(graph=g, agents=agents, total=20.0)
     AllocationProblem(graph=g, agents=agents, total=40.0)
+
+
+def test_bound_sums_are_exact_near_the_float_sums():
+    # the float sum of these uppers in order, 27.853120757371805, lies two
+    # ulps below their exact sum; the float one ulp above it is feasible
+    uppers = (12.700160884818878, 13.011430170626193, 2.1415297019267374)
+    agents = tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=u) for u in uppers)
+    g = from_edge_list(3, [(0, 1), (1, 2)])
+    fsum = sum(uppers)
+    exact = sum(map(Fraction, uppers))
+    total = math.nextafter(fsum, math.inf)
+    assert fsum < total <= exact < Fraction(math.nextafter(total, math.inf))
+    AllocationProblem(graph=g, agents=agents, total=total)
+    with pytest.raises(InfeasibleError, match=f"exceeds the sum of upper bounds {fsum}$"):
+        AllocationProblem(graph=g, agents=agents, total=math.nextafter(total, math.inf))
+    # a total equal to the float sum in order stays feasible, though here the
+    # float sum of the lowers rounds above their exact sum
+    lowers = (5.452208631682969, 3.3937331252621785, 5.808962381868944)
+    agents = tuple(quadratic(a=1.0, b=1.0, lower=lo, upper=lo + 10.0) for lo in lowers)
+    assert sum(lowers) > sum(map(Fraction, lowers))
+    AllocationProblem(graph=g, agents=agents, total=sum(lowers))
+    AllocationProblem(graph=g, agents=agents, total=float(sum(map(Fraction, lowers))))
+    with pytest.raises(InfeasibleError, match="below"):
+        AllocationProblem(graph=g, agents=agents, total=math.nextafter(14.654904138814091, 0.0))
 
 
 def test_construction_rejects_nonpositive_total():
