@@ -135,7 +135,7 @@ def _run_solve(args, p, inst, label, out):
 
     lines = ["command: solve", f"instance: {label}", *_instance_lines(p)]
     decimals = inst.table_decimals if inst else None
-    if len(_families(p)) == 1 or decimals is not None:
+    if p._costs.family is not None or decimals is not None:
         lines += _table_lines(breakpoints(p, key_decimals=decimals), decimals)
     lines += _solution_lines(p, res)
     lines += _cert_lines(cert)

@@ -133,9 +133,11 @@ class _CostTable:
     levels to the solver's keys: the single family, or _Quadratic (whose key
     is lam itself) when families mix. Per-agent inputs have shape (..., n);
     a shared level (key or lam) is a scalar or an array that broadcasts
-    against (n,), such as a column of keys. `cost(w)` and `marginal(w)` are
-    bound once: to a single family's formula and group, so that a call in
-    the replicator's step loop is one Python frame, or else to the scatter.
+    against (n,), such as a column of keys. All three formulas are bound
+    once: `cost(w)`, `marginal(w)` and `response_from_key(key)`, the
+    unclamped loads at a key (each group's inverse marginal when families
+    mix). A single family binds its formula and group, so that a call in
+    the replicator's step loop is one Python frame; mixed ones the scatter.
     """
 
     def __init__(self, families, a, b, lower, upper):
@@ -156,9 +158,10 @@ class _CostTable:
                 )
         self.family = self.groups[0].fam if len(self.groups) == 1 else None
         self.coordinate = self.family or _Quadratic
-        for formula in ("cost", "marginal"):
+        for formula, mixed, per_agent in (("cost", "cost", True), ("marginal", "marginal", True),
+                                          ("response_from_key", "inverse_marginal", False)):
             if self.family is None:
-                bound = functools.partial(self._evaluate, formula, per_agent=True)
+                bound = functools.partial(self._evaluate, mixed, per_agent=per_agent)
             else:
                 bound = functools.partial(getattr(self.family, formula), self.groups[0])
             setattr(self, formula, bound)
@@ -170,8 +173,6 @@ class _CostTable:
         return zip(*(col.tolist() for col in self.columns))
 
     def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
-        if self.family is not None:  # no scatter for a single family
-            return getattr(self.family, formula)(self.groups[0], x)
         shape = getattr(x, "shape", ())
         out = np.empty(shape if per_agent else (*shape[:-1], self.n))
         for g in self.groups:
@@ -179,12 +180,6 @@ class _CostTable:
             at = g.idx if out.ndim == 1 else (..., g.idx)
             out[at] = getattr(g.fam, formula)(g, x[at] if per_agent else x)
         return out
-
-    def response_from_key(self, key) -> np.ndarray:
-        """Each agent's unclamped load at a shared key in `coordinate`: lam
-        itself, so each group's inverse marginal, when families are mixed."""
-        formula = "inverse_marginal" if self.family is None else "response_from_key"
-        return self._evaluate(formula, key, per_agent=False)
 
 
 @dataclass(frozen=True)

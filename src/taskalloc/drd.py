@@ -35,6 +35,7 @@ than Python floats (the values, and so the bits, are the same).
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,10 @@ class DrdConfig:
     residual_tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.step < math.inf:
+        # an int past the float range, such as 10**400, is not finite either
+        if not 0 < self.step <= sys.float_info.max:
             raise ValueError(f"step must be positive and finite, got {self.step}")
+        object.__setattr__(self, "step", float(self.step))
         cap = self.max_steps
         if not isinstance(cap, numbers.Integral):
             # a whole float such as 1e6 is a cap; nan, inf and 10.5 are not.

@@ -32,6 +32,7 @@ arithmetic, so hot paths use ndarray methods, not np.any, np.all,
 np.flatnonzero or np.broadcast_shapes.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -118,7 +119,7 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
     """Sorted 2n-entry table of clamp thresholds and aggregate responses.
     key_decimals rounds the keys; a mixed table is in lam, where rounding
     could turn a positive threshold into 0, so it refuses key_decimals."""
-    if key_decimals is not None and len(p._costs.groups) > 1:
+    if key_decimals is not None and p._costs.family is None:
         raise ValueError("key_decimals needs a single cost family; mixed tables are in lam")
     kmin, kmax = _agent_keys(p, key_decimals)
     n = p.n
@@ -159,13 +160,10 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     kmin, kmax = _agent_keys(p, None)
     keys = np.sort(np.concatenate([kmin, kmax]))
     respond = p._costs.response_from_key
-    clamps = {}  # float key -> its clamp; the search and the bracket share keys
 
+    @functools.cache  # a float64 key and its float share an entry, as do -0.0 and 0.0
     def clamp(key):
-        key = float(key)
-        if key not in clamps:
-            clamps[key] = _clamp(p, key, kmin, kmax, respond)
-        return clamps[key]
+        return _clamp(p, float(key), kmin, kmax, respond)
 
     def mass(key) -> float:
         return float(clamp(key)[0].sum())
@@ -194,9 +192,8 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
             hi = (np.where(flat, p.upper_bounds, hi[0]), hi[1] & ~flat, hi[2] | flat)
         key, clamped, method, fp = _false_position(clamp, w, k0, k1, clamp(k0), hi)
     lam = float(p._costs.coordinate.lambda_from_key(key))
-    return _result(
-        key, lam, clamped, bracket=j, method=method, probes=len(clamps), fp_iterations=fp
-    )
+    probes = clamp.cache_info().currsize
+    return _result(key, lam, clamped, bracket=j, method=method, probes=probes, fp_iterations=fp)
 
 
 def _false_position(clamp, w, k0, k1, c0, c1):

@@ -52,8 +52,9 @@ class KktCertificate:
     lam is the shared marginal-cost level; alphas/betas are the
     multipliers of active lower/upper bounds. passed means: multipliers
     nonnegative and the interior marginals agree with lam, both within
-    tol * |lam| plus the agent's resolution (how far its marginal moves
-    over one ulp of its load) — which certifies the global optimum.
+    tol * |estimate of lam| plus the agent's resolution (how far its
+    marginal moves over one ulp of its load) — which certifies the global
+    optimum.
     """
 
     lam: float
@@ -90,14 +91,20 @@ class OracleResult:
 
 
 def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
-    """Partition agents by bound activity, estimate the shared level, and
+    """Partition agents by bound activity, find a shared level, and
     evaluate the stationarity multipliers.
 
-    Activity is detected within 1e-6 of each box width. The level lam is
-    the mean marginal over interior agents; with no interior agent it is
-    the midpoint of the bracket [max marginal(upper) over upper-active,
-    min marginal(lower) over lower-active]. Raises NotFeasibleError when
-    w is not (tolerantly) inside the feasible set.
+    Activity is detected within 1e-6 of each box width. Each agent admits
+    the levels within tol * |estimate| plus its resolution (how far its
+    marginal moves over one ulp of its load) of its marginal: on both sides
+    when interior, below it when lower-active, above it when upper-active.
+    The certificate passes when some level lies in every agent's range, and
+    lam is the estimate clamped into them all. The estimate is the mean
+    interior marginal, or with no interior agent the midpoint of [max
+    marginal over upper-active, min marginal over lower-active]. An agent
+    whose box is a point admits any level; it counts as lower-active when
+    its marginal is >= lam. Raises NotFeasibleError when w is not
+    (tolerantly) inside the feasible set.
     """
     arr = as_allocation(p, w)
     if not in_feasible_set(p, arr):
@@ -109,28 +116,32 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     act = 1e-6 * span
     marg = p._costs.marginal(arr)
 
+    # a box of width > 0 cannot hold a load within 1e-6 of its width of both bounds
     pinned = span == 0
-    low_mask = (np.abs(arr - lo) <= act) | pinned
-    up_mask = (np.abs(arr - up) <= act) | pinned
-    both = low_mask & up_mask
-    interior_mask = ~(low_mask | up_mask)
-
-    k_idx = interior_mask.nonzero()[0]
+    at_lo = (np.abs(arr - lo) <= act) & ~pinned
+    at_up = (np.abs(arr - up) <= act) & ~pinned
+    k_idx = (~(at_lo | at_up | pinned)).nonzero()[0]
     if k_idx.size:
         lam = float(marg[k_idx].sum() / k_idx.size)  # the mean, without its wrapper
     else:
-        strict_low = low_mask & ~both
-        strict_up = up_mask & ~both
         edges = []
-        if strict_up.any():
-            edges.append(float(marg[strict_up].max()))
-        if strict_low.any():
-            edges.append(float(marg[strict_low].min()))
+        if at_up.any():
+            edges.append(float(marg[at_up].max()))
+        if at_lo.any():
+            edges.append(float(marg[at_lo].min()))
         lam = 0.5 * sum(edges) if len(edges) == 2 else (edges[0] if edges else float(marg.mean()))
 
-    # an agent at both bounds counts as lower-active when marginal >= lam
-    at_lower = (low_mask & ~both) | (both & (marg >= lam))
-    at_upper = up_mask & ~at_lower
+    # each agent's resolution, the change of its marginal over one ulp of
+    # its load, widens its allowance: a steep agent cannot meet lam more closely
+    allow = tol * abs(lam) + np.abs(p._costs.marginal(np.nextafter(arr, np.inf)) - marg)
+    floor = float((marg - allow)[~(at_lo | pinned)].max(initial=-np.inf))
+    ceil = float((marg + allow)[~(at_up | pinned)].min(initial=np.inf))
+    passed = floor <= ceil
+    if passed:
+        lam = min(max(lam, floor), ceil)
+
+    at_lower = at_lo | (pinned & (marg >= lam))
+    at_upper = (at_up | pinned) & ~at_lower
     lower_active = at_lower.nonzero()[0].tolist()
     upper_active = at_upper.nonzero()[0].tolist()
 
@@ -140,12 +151,6 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     alphas = {i: margs[i] - lam for i in lower_active}
     betas = {j: lam - margs[j] for j in upper_active}
     residual = float(np.abs(marg[k_idx] - lam).max()) if k_idx.size else 0.0
-    # each agent's violation: its stationarity residual, or its negated multiplier
-    violation = np.where(at_lower, lam - marg, np.where(at_upper, marg - lam, np.abs(marg - lam)))
-    # each agent's resolution, the change of its marginal over one ulp of
-    # its load, widens its tolerance: a steep agent cannot meet lam more closely
-    resolution = np.abs(p._costs.marginal(np.nextafter(arr, np.inf)) - marg)
-    passed = bool((violation <= tol * abs(lam) + resolution).all())
     return KktCertificate(
         lam=lam,
         alphas=alphas,

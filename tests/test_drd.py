@@ -375,6 +375,9 @@ def test_trajectory_field_types(fig2, box_exit):
     for name in ("steps", "residual_evals"):
         assert type(getattr(traj, name)) is int, name
     assert type(traj.box_exit_step) is (int if box_exit else type(None))
+    # an int step is stored as a float
+    traj = simulate(fig2.problem, default_start(fig2.problem), DrdConfig(step=1, max_steps=3))
+    assert type(traj.dt) is float and traj.dt == 1.0
 
 
 def test_nash_residual_values():
@@ -562,6 +565,8 @@ def test_config_validation():
     assert DrdConfig(step=1e-3, max_steps=1e3).max_steps == 1000
     huge = int("9" * 400)  # beyond float range: a cap, not an OverflowError
     assert DrdConfig(step=1e-3, max_steps=huge).max_steps == huge
+    with pytest.raises(ValueError):  # but not a step
+        DrdConfig(step=10**400)
 
 
 def test_simulate_float_step_cap(fig3):
