@@ -52,7 +52,7 @@ class KktCertificate:
     lam is the shared marginal-cost level; alphas/betas are the
     multipliers of active lower/upper bounds. passed means: multipliers
     nonnegative and the interior marginals agree with lam, both within
-    tol * |estimate of lam| plus the agent's resolution (how far its
+    tol * |the agent's marginal| plus its resolution (how far its
     marginal moves over one ulp of its load) — which certifies the global
     optimum.
     """
@@ -95,7 +95,7 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     evaluate the stationarity multipliers.
 
     Activity is detected within 1e-6 of each box width. Each agent admits
-    the levels within tol * |estimate| plus its resolution (how far its
+    the levels within tol * |its marginal| plus its resolution (how far its
     marginal moves over one ulp of its load) of its marginal: on both sides
     when interior, below it when lower-active, above it when upper-active.
     The certificate passes when some level lies in every agent's range, and
@@ -131,9 +131,10 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
             edges.append(float(marg[at_lo].min()))
         lam = 0.5 * sum(edges) if len(edges) == 2 else (edges[0] if edges else float(marg.mean()))
 
-    # each agent's resolution, the change of its marginal over one ulp of
-    # its load, widens its allowance: a steep agent cannot meet lam more closely
-    allow = tol * abs(lam) + np.abs(p._costs.marginal(np.nextafter(arr, np.inf)) - marg)
+    # each agent's allowance scales with its own marginal, so a steep agent
+    # cannot widen another's; its resolution, the change of its marginal over
+    # one ulp of its load, widens it: a steep agent cannot meet lam more closely
+    allow = tol * np.abs(marg) + np.abs(p._costs.marginal(np.nextafter(arr, np.inf)) - marg)
     floor = float((marg - allow)[~(at_lo | pinned)].max(initial=-np.inf))
     ceil = float((marg + allow)[~(at_up | pinned)].min(initial=np.inf))
     passed = floor <= ceil

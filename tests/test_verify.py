@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,13 @@ from taskalloc.errors import (
 from taskalloc.graph import from_edge_list
 from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
-from taskalloc.problem import AllocationProblem, in_feasible_set, total_cost, total_cost_batch
+from taskalloc.problem import (
+    AllocationProblem,
+    in_feasible_set,
+    parse_problem,
+    total_cost,
+    total_cost_batch,
+)
 from taskalloc.verify import (
     _CHAINS,
     _SWEEPS,
@@ -122,6 +129,43 @@ def test_kkt_resolution_floor_near_a_bound():
     assert cert.passed
     # the floor is one ulp's worth: a point off the optimum still fails
     assert not kkt_check(p, [1e5 + 0.01, 0.04]).passed
+
+
+@pytest.mark.parametrize("ulps, passed", [(-1, False), (0, True), (1, True), (2, False)])
+def test_kkt_steep_agent_meets_lam_within_its_resolution(ulps, passed):
+    # agent 0's marginal moves 5.2e-3 over one ulp of its load, so the mean
+    # interior marginal lies far from agent 1's: the level is taken within
+    # agent 1's tolerance whichever side the mean falls, and the point
+    # passes until agent 0 is more than its resolution off agent 1
+    p = parse_problem((Path(__file__).parent / "data" / "steep2.json").read_text())
+    load = solve_lambda(p).allocation[0]
+    load += ulps * np.spacing(load)
+    w = np.array([load, p.total - load])
+    cert = kkt_check(p, w)
+    assert cert.passed == passed
+    if passed:
+        marg = p._costs.marginal(w)
+        assert cert.lam == pytest.approx(marg[1], rel=1.01e-6)  # 1e-6 and a resolution
+        assert abs(cert.lam - marg[0]) > 1e-3  # the mean was inadmissible
+
+
+def test_kkt_steep_agent_does_not_widen_others():
+    # agent 0's marginal, 1e6, moves by 1e6 over one ulp of its load and
+    # pulls the mean interior marginal to 3.3e5; agents 1 and 2 must still
+    # agree within 1e-6 of their own marginals, 2.0 and 2.5
+    u = 2.0**-52
+    agents = (
+        quadratic(a=1e6 / u, b=1e-300, lower=1.0, upper=1.0 + 1e5 * u),
+        quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0),
+        quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0),
+    )
+    graph = from_edge_list(3, [(0, 1), (1, 2)])
+    for loads, passed in (([1.0, 1.5], False), ([1.25, 1.25], True)):
+        w = np.array([np.nextafter(1.0, 2.0), *loads])
+        p = AllocationProblem(graph=graph, agents=agents, total=float(w.sum()))
+        cert = kkt_check(p, w)
+        assert cert.passed == passed
+        assert cert.lam < 3 if passed else cert.lam > 3e5
 
 
 def test_kkt_not_feasible(tab3):

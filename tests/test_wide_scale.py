@@ -3,7 +3,7 @@ coefficients and boxes over 10^-300 .. 10^300, up to 3000 agents, boxes
 down to 1e-15 of their lower bound, and totals at the bound sums. Every
 valid draw is either refused with CostOverflowError, because a marginal
 at a bound is 0 or beyond float range, or solved to a feasible point
-whose certificate passes."""
+whose certificate passes, while a point moved well off it fails."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -79,3 +79,21 @@ def test_wide_scale_solve_is_feasible_and_certified(
             return
         assert in_feasible_set(p, res.allocation)
         assert kkt_check(p, res.allocation).passed
+        if len(res.interior) >= 2:
+            assert_moved_point_fails(p, res.allocation, *res.interior[:2])
+
+
+def assert_moved_point_fails(p, w, i, j):
+    """Move half the room between agents i and j from i to j: the
+    certificate must fail when their marginals then differ by twice the
+    sum of their allowances, 1e-6 of each marginal plus its resolution."""
+    moved = w.copy()
+    d = 0.5 * min(w[i] - p.lower_bounds[i], p.upper_bounds[j] - w[j])
+    moved[i] -= d
+    moved[j] += d
+    if not in_feasible_set(p, moved):
+        return
+    marg = p._costs.marginal(moved)
+    allow = 1e-6 * np.abs(marg) + np.abs(p._costs.marginal(np.nextafter(moved, np.inf)) - marg)
+    if marg[j] - marg[i] > 2 * (allow[i] + allow[j]):
+        assert not kkt_check(p, moved).passed
