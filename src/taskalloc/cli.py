@@ -5,8 +5,9 @@ dynamics trace), verify (solver vs brute-force oracles), reproduce
 (bundled instances checked against their known solutions).
 
 `main` is the one run frame: it loads the input, makes ``--out``, calls
-the subcommand for its report's name, lines and verdict, then writes and
-prints the report. Exit codes: 0 success/verified, 2 parse or config
+the subcommand for its report's name, body and verdict, then writes and
+prints the report, a header (command, instance, agents, families, total)
+above the body. Exit codes: 0 success/verified, 2 parse or config
 problem, 3 infeasible instance, 4 numerical failure, 5 verification
 mismatch. A raised error takes its slug and code from its class in
 `errors`; a ValueError is ``config`` and an OSError ``io``. Every
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import drd, verify
-from .errors import CostOverflowError, ParseError, TaskAllocError
+from .errors import CostOverflowError, EmptyGridError, ParseError, TaskAllocError
 from .instances import get_instance, instance_ids
 from .lambda_solver import breakpoints, solve_lambda
 from .problem import in_feasible_set, load_problem, total_cost
@@ -44,7 +45,15 @@ def main(argv=None) -> int:
             p, inst, label = _load(args)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            name, lines, verdict = args.func(args, p, inst, label, out)
+            name, body, verdict = args.func(args, p, inst, out)
+        lines = [
+            f"command: {args.command}",
+            f"instance: {label}",
+            f"agents: {p.n}",
+            f"families: {','.join(sorted(g.name for g in p._costs.groups))}",
+            f"total: {_g(p.total)}",
+            *body,
+        ]
         text = "\n".join(lines) + "\n"
         (out / name).write_text(text, encoding="utf-8")
         print(text, end="")
@@ -118,9 +127,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    """Return (problem, bundled_instance_or_None, label)."""
+    """Return (problem, bundled_instance_or_None, the report's instance line)."""
     if args.example:
         inst = get_instance(args.example)
+        if args.command == "reproduce":
+            return inst.problem, inst, f"{inst.instance_id} ({inst.description})"
         return inst.problem, inst, inst.instance_id
     return load_problem(args.input), None, args.input
 
@@ -129,52 +140,36 @@ def _load(args):
 # solve
 
 
-def _run_solve(args, p, inst, label, out):
+def _run_solve(args, p, inst, out):
+    _, _, cert, lines = _solve(p, inst.table_decimals if inst else None)
+    verdict = None if cert.passed else ("mismatch", EXIT_MISMATCH, "kkt certificate FAILED")
+    return "solver_report.txt", lines + _cert_lines(cert), verdict
+
+
+def _solve(p, decimals):
+    """The run that solve and reproduce share: the breakpoint table (for a
+    single family, or with keys quantized to `decimals`), the solution and
+    its certificate. Returns (table or None, result, certificate, lines)."""
+    tbl, lines = None, []
+    if p._costs.family is not None or decimals is not None:
+        tbl = breakpoints(p, key_decimals=decimals)
+        quant = f" (keys quantized to {decimals} decimals)" if decimals is not None else ""
+        lines += [
+            f"breakpoint coordinate: {tbl.coordinate}{quant}",
+            f"{'j':>3} {'agent':>6} {'kind':>6} {'key':>12} {'m_j':>14} {'slope[j->j+1]':>15}",
+        ]
+        for j, (agent, kind) in enumerate(zip(tbl.agents.tolist(), tbl.kinds.tolist())):
+            slope = f"{tbl.slopes[j]:.6e}" if j < len(tbl.slopes) else ""
+            lines.append(
+                f"{j + 1:>3} {agent + 1:>6} {kind:>6} {tbl.keys[j]:>12.6f} "
+                f"{tbl.masses[j]:>14.6f} {slope:>15}"
+            )
     res = solve_lambda(p)
     cert = verify.kkt_check(p, res.allocation)
-
-    lines = ["command: solve", f"instance: {label}", *_instance_lines(p)]
-    decimals = inst.table_decimals if inst else None
-    if p._costs.family is not None or decimals is not None:
-        lines += _table_lines(breakpoints(p, key_decimals=decimals), decimals)
-    lines += _solution_lines(p, res)
-    lines += _cert_lines(cert)
-    verdict = None if cert.passed else ("mismatch", EXIT_MISMATCH, "kkt certificate FAILED")
-    return "solver_report.txt", lines, verdict
-
-
-def _families(p) -> list[str]:
-    return sorted(g.name for g in p._costs.groups)
-
-
-def _instance_lines(p) -> list[str]:
-    return [
-        f"agents: {p.n}",
-        f"families: {','.join(_families(p))}",
-        f"total: {_g(p.total)}",
-    ]
-
-
-def _table_lines(tbl, decimals) -> list[str]:
-    quant = f" (keys quantized to {decimals} decimals)" if decimals is not None else ""
-    lines = [
-        f"breakpoint coordinate: {tbl.coordinate}{quant}",
-        f"{'j':>3} {'agent':>6} {'kind':>6} {'key':>12} {'m_j':>14} {'slope[j->j+1]':>15}",
-    ]
-    for j, (agent, kind) in enumerate(zip(tbl.agents.tolist(), tbl.kinds.tolist())):
-        slope = f"{tbl.slopes[j]:.6e}" if j < len(tbl.slopes) else ""
-        lines.append(
-            f"{j + 1:>3} {agent + 1:>6} {kind:>6} {tbl.keys[j]:>12.6f} "
-            f"{tbl.masses[j]:>14.6f} {slope:>15}"
-        )
-    return lines
-
-
-def _solution_lines(p, res) -> list[str]:
     status = dict.fromkeys(res.interior, "interior")
     status.update(dict.fromkeys(res.active_lower, "lower"))
     status.update(dict.fromkeys(res.active_upper, "upper"))
-    lines = [
+    lines += [
         f"method: {res.method}",
         f"bracket: {res.bracket + 1}",
         f"level key: {_g(res.key)}",
@@ -186,7 +181,7 @@ def _solution_lines(p, res) -> list[str]:
         lines.append(f"{i + 1:>6} {res.allocation[i]:>20.12f} {status[i]:>9}")
     lines.append(f"sum of loads: {_g(res.allocation.sum())}")
     lines.append(f"total cost: {_g(total_cost(p, res.allocation))}")
-    return lines
+    return tbl, res, cert, lines
 
 
 def _cert_lines(cert) -> list[str]:
@@ -206,7 +201,7 @@ def _cert_lines(cert) -> list[str]:
 # simulate
 
 
-def _run_simulate(args, p, inst, label, out):
+def _run_simulate(args, p, inst, out):
     dt = args.dt if args.dt is not None else (inst.drd_step if inst else None)
     if dt is None:
         raise ParseError("--dt is required (the instance suggests none)")
@@ -217,9 +212,6 @@ def _run_simulate(args, p, inst, label, out):
 
     final = traj.final
     lines = [
-        "command: simulate",
-        f"instance: {label}",
-        *_instance_lines(p),
         f"dt: {_g(dt)}",
         f"steps: {traj.steps}",
         f"converged: {traj.converged}",
@@ -249,35 +241,44 @@ def _finite(cost: float, what: str) -> float:
     return cost
 
 
-def _run_verify(args, p, inst, label, out):
+def _run_verify(args, p, inst, out):
     res = solve_lambda(p)
     solver_cost = _finite(total_cost(p, res.allocation), "solver")
     cert = verify.kkt_check(p, res.allocation)
 
-    slack = 1e-9 * abs(solver_cost)
+    def lagrangian(cost, x) -> float:
+        # KKT and convexity give C(x) - lam * (sum x - w) >= C(w*) for every x
+        # in the boxes; each point's offset from the plane is summed exactly,
+        # the solver's as well as an oracle's, so rounding off it is no gain
+        return cost + res.lam * math.fsum([p.total, *(-x).tolist()])
+
+    solver_l = lagrangian(solver_cost, res.allocation) - 1e-9 * abs(solver_cost)
 
     def beaten(oracle) -> bool:
-        # KKT and convexity give C(x) >= C(w*) + lam * (sum x - w) for every
-        # x in the boxes, so a point short of the total may undercut the
-        # optimum by lam times its shortfall, as sampled subnormal totals do
-        credit = res.lam * max(0.0, p.total - math.fsum(oracle.best.tolist()))
-        return solver_cost > oracle.best_cost + credit + slack
+        return solver_l > lagrangian(oracle.best_cost, oracle.best)
 
     # the grid runs first, so a rejected --grid fails before any sampling
     grid_ok = True
     grid_lines = []
     if p.n <= 4 or args.grid is not None:
         resolution = args.grid if args.grid is not None else _auto_resolution(p)
-        gr = verify.grid_min(p, resolution)
-        _finite(gr.best_cost, "grid")
-        grid_ok = not beaten(gr)
-        offset = float(np.abs(gr.best - res.allocation).max())
-        grid_lines = [
-            f"grid: resolution={_g(resolution)} points={gr.samples}",
-            f"  best cost: {_g(gr.best_cost)}",
-            f"  max |grid minimizer - solver|: {_g(offset)}",
-            f"  solver not beaten: {grid_ok}",
-        ]
+        try:
+            gr = verify.grid_min(p, resolution)
+        except EmptyGridError:
+            if args.grid is not None:
+                raise
+            # an automatic grid that lands no cell takes no part in the verdict
+            grid_lines = [f"grid: resolution={_g(resolution)} points=0"]
+        else:
+            _finite(gr.best_cost, "grid")
+            grid_ok = not beaten(gr)
+            offset = float(np.abs(gr.best - res.allocation).max())
+            grid_lines = [
+                f"grid: resolution={_g(resolution)} points={gr.samples}",
+                f"  best cost: {_g(gr.best_cost)}",
+                f"  max |grid minimizer - solver|: {_g(offset)}",
+                f"  solver not beaten: {grid_ok}",
+            ]
 
     dump = out / "oracle_samples.csv" if args.dump_oracle else None
     mc = verify.monte_carlo_min(p, args.samples, args.seed, dump_path=dump)
@@ -286,9 +287,6 @@ def _run_verify(args, p, inst, label, out):
     mc_gap = (mc.best_cost - solver_cost) / abs(solver_cost) if solver_cost else np.nan
 
     lines = [
-        "command: verify",
-        f"instance: {label}",
-        *_instance_lines(p),
         f"solver cost: {_g(solver_cost)}",
         f"monte carlo: samples={mc.samples} seed={mc.seed}",
         f"  best cost: {_g(mc.best_cost)}  relative gap: {_g(mc_gap)}",
@@ -312,12 +310,11 @@ class _Checks:
         self.all_ok = True
 
     def add(self, name: str, expected: float, computed: float, tol: float):
-        ok = abs(computed - expected) <= tol
-        self.all_ok &= ok
-        tag = "PASS" if ok else "FAIL"
-        self.lines.append(
-            f"[{tag}] {name}: expected={_g(expected)} computed={_g(computed)} "
-            f"|diff|={_g(abs(computed - expected))} tol={_g(tol)}"
+        diff = abs(computed - expected)
+        self.add_bool(
+            f"{name}: expected={_g(expected)} computed={_g(computed)} |diff|={_g(diff)} "
+            f"tol={_g(tol)}",
+            diff <= tol,
         )
 
     def add_bool(self, name: str, ok: bool, detail: str = ""):
@@ -327,28 +324,20 @@ class _Checks:
         self.lines.append(f"[{tag}] {name}{suffix}")
 
 
-def _run_reproduce(args, p, inst, label, out):
+def _run_reproduce(args, p, inst, out):
     checks = _Checks()
     if inst.table_decimals is not None:
         body = _reproduce_table_instance(p, inst, checks)
     else:
         body = _reproduce_simulation_instance(p, inst, checks, out)
-    lines = [
-        "command: reproduce",
-        f"instance: {inst.instance_id} ({inst.description})",
-        *_instance_lines(p),
-        *body,
-        *checks.lines,
-        "result: " + ("PASS" if checks.all_ok else "FAIL"),
-    ]
+    lines = [*body, *checks.lines, "result: " + ("PASS" if checks.all_ok else "FAIL")]
     verdict = None if checks.all_ok else ("mismatch", EXIT_MISMATCH, "result FAIL")
     return f"reproduce_{inst.instance_id}.txt", lines, verdict
 
 
 def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
     ref = inst.reference
-
-    tbl = breakpoints(p, key_decimals=inst.table_decimals)
+    tbl, res, cert, lines = _solve(p, inst.table_decimals)
     per_agent = dict(zip(zip(tbl.agents.tolist(), tbl.kinds.tolist()), tbl.keys.tolist()))
     for i in range(p.n):
         for kind in ("lower", "upper"):
@@ -363,8 +352,6 @@ def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
             float(tbl.slopes[j]),
             ref["slope_tol"],
         )
-
-    res = solve_lambda(p)
     for i in range(p.n):
         checks.add(
             f"allocation agent {i + 1}",
@@ -373,10 +360,8 @@ def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
             ref["allocation_tol"],
         )
     checks.add("sum of loads", p.total, float(res.allocation.sum()), 1e-6)
-    cert = verify.kkt_check(p, res.allocation)
     checks.add_bool("kkt certificate", cert.passed)
-
-    return [*_table_lines(tbl, inst.table_decimals), *_solution_lines(p, res)]
+    return lines
 
 
 def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[str]:

@@ -84,10 +84,6 @@ class NotFeasibleError(TaskAllocError):
     """An allocation expected to lie in the feasible set does not."""
 
 
-class SamplerStarvedError(TaskAllocError):
-    """The feasible region is too thin to sample."""
-
-
 class CostOverflowError(TaskAllocError):
     """A cost is not a finite float, or a marginal cost at a bound is 0 or inf."""
 

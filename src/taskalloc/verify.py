@@ -13,17 +13,13 @@ adds each cell's per-agent costs left to right: numpy's order for the rows
 of a (cells, n) batch when n < 8, so for n <= 4 the sums are the batch's.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import _CostTable
-from .errors import (
-    DimensionTooLargeError,
-    EmptyGridError,
-    NotFeasibleError,
-    SamplerStarvedError,
-)
+from .errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
 from .problem import (
     AllocationProblem,
     as_allocation,
@@ -176,8 +172,8 @@ def monte_carlo_min(
     points come from a hit-and-run walk of pair moves instead, whose law
     is also uniform (see _hit_and_run_stream). Deterministic for a fixed
     seed, and sample streams are prefix-stable across sample counts.
-    Raises SamplerStarvedError when fewer than two agents have a box of
-    nonzero width, so no pair move exists.
+    A total at a bound sum, or fewer than two agents with a box of nonzero
+    width, leaves a single feasible point: the "degenerate" mode.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -188,6 +184,11 @@ def monte_carlo_min(
     try:
         # Degenerate totals leave a single feasible point.
         single = next((b for b in (lo, up) if abs(float(b.sum()) - w) <= 1e-12 * w), None)
+        free = np.flatnonzero(up > lo)
+        if single is None and free.size < 2:
+            # the free agent, if any, takes what the lower bounds leave
+            single = lo.copy()
+            single[free] = w - math.fsum(np.delete(lo, free).tolist())
         if single is not None:
             sink.add(single.astype(float)[None])
         else:
@@ -365,14 +366,13 @@ def _plane_center(p: AllocationProblem) -> np.ndarray:
 def _hit_and_run_stream(p, rng, samples, lo, up, sink) -> int:
     """Feed `samples` walk points to the sink; returns the moves per chain.
 
-    A move picks, in each chain, two distinct free agents i and j and adds
+    A move picks, in each chain, two distinct free agents i and j (there
+    are two: fewer leave a single point, the degenerate mode) and adds
     t (e_i - e_j), t uniform on the chord that keeps both boxes: the sum
     is kept and the uniform law is invariant. Chain c's load i is x[c*n + i].
     """
     n = p.n
     free = np.flatnonzero(up > lo)
-    if free.size < 2:
-        raise SamplerStarvedError(f"{free.size} agent(s) with a nonzero box; no pair move exists")
     x = np.tile(_plane_center(p), _CHAINS)
     offset = np.arange(_CHAINS) * n
     moves, block = _SWEEPS * free.size, _BLOCK_ELEMENTS // _CHAINS

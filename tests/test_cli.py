@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import replaced
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from taskalloc import cli, verify
@@ -26,7 +26,6 @@ from taskalloc.errors import (
     InfeasibleError,
     NotFeasibleError,
     ParseError,
-    SamplerStarvedError,
     StepOverflowError,
     UnknownExampleError,
 )
@@ -553,7 +552,6 @@ _EXIT_TABLE = [
     (EmptyGridError("no grid point satisfies the sum and box constraints"), "config", 2),
     (InfeasibleError("total 25 outside [0, 20]"), "infeasible", 3),
     (StepOverflowError([0, 2], step_index=7), "step-overflow", 4),
-    (SamplerStarvedError("feasible region too thin"), "numerical", 4),
     (CostOverflowError("solver cost is inf"), "numerical", 4),
     (NotFeasibleError("allocation outside the feasible set"), "numerical", 4),
 ]
@@ -785,3 +783,51 @@ def test_exit_codes_on_option_values(argv):
     assert rc in (0, 2, 3, 4, 5), argv
     if rc:
         assert re.fullmatch(rf"error-code: [a-z-]+ exit={rc}", err.getvalue().splitlines()[0]), argv
+
+
+@st.composite
+def _small_verify_docs(draw):
+    """A path of 1-3 agents of mixed families, boxes from a point to a width
+    of 100 at lower bounds up to 1000, and a total at either bound sum or
+    between them. The numbers come from a generator seeded by the draw, so
+    their mantissas are random: a sum that rounds off the total needs them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 3))
+    agents = []
+    for _ in range(n):
+        family = draw(st.sampled_from(["exponential", "quadratic"]))
+        agent = {"family": family, "a": 10.0 ** rng.uniform(-3.0, 4.0)}
+        if family == "quadratic":
+            agent["b"] = 10.0 ** rng.uniform(-3.0, 3.0)
+        lower = draw(st.sampled_from([0.0, 10.0, 1000.0])) * rng.uniform()
+        widths = [1e-9, rng.uniform(0.01, 1.0), rng.uniform(1.0, 100.0)]
+        width = draw(st.sampled_from(widths + [0.0] * (family == "quadratic")))
+        agents.append({**agent, "lower": lower, "upper": lower + width})
+    lo, up = (sum(a[k] for a in agents) for k in ("lower", "upper"))
+    total = draw(st.sampled_from([lo, up, lo + rng.uniform() * (up - lo)]))
+    assume(total > 0)
+    edges = [[i, i + 1] for i in range(1, n)]
+    return {"total": total, "graph": {"n": n, "edges": edges}, "agents": agents}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_small_verify_docs())
+def test_verify_small_instances_verified(doc):
+    # every oracle point and the solver's point are compared by C(x) -
+    # lam * (sum x - w), which bounds the optimum from below on the boxes
+    stdout = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout):
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(doc))
+        argv = ["verify", "--input", str(path), "--samples", "300", "--seed", "1"]
+        assert main([*argv, "--out", str(Path(tmp) / "o")]) == 0, doc
+    assert stdout.getvalue().splitlines()[-1] == "verdict: VERIFIED"
+
+
+@pytest.mark.parametrize("name", ["steep_upper2", "steep_hit2", "pinned3", "single2"])
+def test_verify_edge_instances_verified(tmp_path, capsys, name):
+    # a steep agent at its upper bound, a table hit 2.2e-10 above the
+    # total, an automatic grid that lands no cell, and a single free agent
+    argv = ["verify", "--input", str(DATA / f"{name}.json"), "--samples", "2000", "--seed", "0"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: VERIFIED"

@@ -386,6 +386,23 @@ def _assert_parses_as_reference(doc):
     assert got.agents == ref.agents
 
 
+def test_problem_is_immutable(tab1):
+    with pytest.raises(AttributeError, match="immutable; cannot set 'total'"):
+        tab1.problem.total = 1.0
+    assert tab1.problem.total != 1.0
+
+
+def test_bounds_equal_only_as_floats_pass_the_full_checks():
+    # the int 2**53 + 1 is above the float 2**53, so the quick test falls
+    # through, but both bounds parse to 2**53: a valid point box
+    agent = {"family": "quadratic", "a": 1.0, "b": 1.0,
+             "lower": 2**53 + 1, "upper": float(2**53)}
+    doc = {"total": float(2**53), "graph": {"n": 1, "edges": []}, "agents": [agent]}
+    p = parse_problem(json.dumps(doc))
+    assert p.lower_bounds.tolist() == p.upper_bounds.tolist() == [2.0**53]
+    _assert_parses_as_reference(doc)
+
+
 def test_parse_matches_reference_with_any_value_at_any_path():
     extra = [("agents", 0, "b"), ("agents", 1, "c")]  # keys the entries lack
     for path in [*_json_paths(_DOC), *extra]:

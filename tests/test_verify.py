@@ -10,12 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc.costs import exponential, quadratic
-from taskalloc.errors import (
-    DimensionTooLargeError,
-    EmptyGridError,
-    NotFeasibleError,
-    SamplerStarvedError,
-)
+from taskalloc.errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
 from taskalloc.graph import from_edge_list
 from taskalloc.instances import get_instance
 from taskalloc.lambda_solver import solve_lambda
@@ -323,12 +318,14 @@ def test_oracle_chain_steps_count_walk_steps_only(tab1):
 
 def test_monte_carlo_starved_on_pointlike_set():
     # pinned boxes leave one free agent, which the sum constraint fixes:
-    # zero-measure for rejection, no pair of agents for the walker
+    # zero-measure for rejection and no pair of agents for the walker, but
+    # the feasible set is that single point
     one_pinned = _boxes([(50.0, 50.0), (0.0, 100.0)], 100.0)
     two_pinned = _boxes([(50.0, 50.0), (0.0, 100.0), (20.0, 20.0)], 120.0)
-    for p in (one_pinned, two_pinned):
-        with pytest.raises(SamplerStarvedError, match="no pair move"):
-            monte_carlo_min(p, 100, seed=0)
+    for p, point in ((one_pinned, [50.0, 50.0]), (two_pinned, [50.0, 50.0, 20.0])):
+        res = monte_carlo_min(p, 100, seed=0)
+        assert res.mode == "degenerate"
+        assert res.best.tolist() == point
 
 
 def test_monte_carlo_dump(tmp_path, tab1):
@@ -459,6 +456,25 @@ def test_oracles_on_a_small_total():
     np.testing.assert_array_equal(best, grid.best)
     solver_cost = total_cost(p, solve_lambda(p).allocation)
     assert solver_cost <= min(mc.best_cost, grid.best_cost) * (1.0 + 1e-9)
+
+
+def test_rejection_skips_refill_blocks_that_accept_nothing(monkeypatch):
+    # boxes of 0.505 on a total of 1 accept 1 % of the simplex draws, so
+    # about one 256-point refill block in 13 accepts no point at all
+    sizes = []
+    add = _Sink.add
+
+    def recording(sink, points):
+        sizes.append(len(points))
+        add(sink, points)
+
+    monkeypatch.setattr("taskalloc.verify._BLOCK_ELEMENTS", 512)
+    monkeypatch.setattr(_Sink, "add", recording)
+    p = _boxes([(0.0, 0.505), (0.0, 0.505)], 1.0)
+    res = monte_carlo_min(p, 1000, seed=0)
+    assert res.mode == "rejection" and res.drawn == 30_000 + 256 * (len(sizes) - 1)
+    assert 0 in sizes and sum(sizes) == 1000
+    assert in_feasible_set(p, res.best)
 
 
 def test_oracle_dump_matches_per_number_format(tmp_path):
