@@ -206,23 +206,26 @@ def _run_simulate(args, p, inst, out):
     if dt is None:
         raise ParseError("--dt is required (the instance suggests none)")
     cfg = drd.DrdConfig(step=dt, max_steps=args.max_steps, residual_tol=args.tol)
-    w0 = drd.default_start(p)
-    traj = drd.simulate(p, w0, cfg)
-    drd.write_trace_csv(traj, p, out / "trajectory.csv")
+    traj, lines = _simulate(p, cfg, out / "trajectory.csv")
+    failed = ("not-converged", EXIT_NUMERICAL, f"no convergence in {traj.steps} steps")
+    return "simulate_report.txt", lines, None if traj.converged else failed
 
-    final = traj.final
-    lines = [
-        f"dt: {_g(dt)}",
+
+def _simulate(p, cfg, trace: Path, reference=None):
+    """The run that simulate and reproduce share: the replicator from
+    default_start, its trace written to `trace`. Returns (trajectory, lines)."""
+    traj = drd.simulate(p, drd.default_start(p), cfg, reference=reference)
+    drd.write_trace_csv(traj, p, trace)
+    return traj, [
+        f"dt: {_g(cfg.step)}",
         f"steps: {traj.steps}",
         f"converged: {traj.converged}",
         f"final residual: {_g(traj.residuals[-1])}",
         f"final cost: {_g(traj.costs[-1])}",
-        "final allocation: " + " ".join(_g(x) for x in final),
-        f"inside feasible set: {in_feasible_set(p, final)}",
-        "trace: trajectory.csv",
+        "final allocation: " + " ".join(_g(x) for x in traj.final),
+        f"inside feasible set: {in_feasible_set(p, traj.final)}",
+        f"trace: {trace.name}",
     ]
-    failed = ("not-converged", EXIT_NUMERICAL, f"no convergence in {traj.steps} steps")
-    return "simulate_report.txt", lines, None if traj.converged else failed
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +370,8 @@ def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
 def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[str]:
     ref = inst.reference
     expected = np.asarray(ref["allocation"], dtype=float)
-
-    cfg = drd.DrdConfig(step=inst.drd_step)
-    traj = drd.simulate(p, drd.default_start(p), cfg, reference=expected)
-    drd.write_trace_csv(traj, p, out / f"trajectory_{inst.instance_id}.csv")
-
+    trace = out / f"trajectory_{inst.instance_id}.csv"
+    traj, lines = _simulate(p, drd.DrdConfig(step=inst.drd_step), trace, reference=expected)
     checks.add_bool("converged", traj.converged, f"steps={traj.steps}")
     for i in range(p.n):
         checks.add(
@@ -384,16 +384,8 @@ def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[
     monotone = bool(np.all(costs[1:] <= costs[:-1] + 1e-9 * np.abs(costs[:-1])))
     checks.add_bool("total cost nonincreasing", monotone)
     drift = float(np.abs(traj.states.sum(axis=1) - p.total).max())
-    checks.add_bool(
-        "load sum conserved", drift < 1e-6 * p.total, f"max drift {_g(drift)}"
-    )
-
-    return [
-        f"dt: {_g(inst.drd_step)}",
-        f"steps: {traj.steps}",
-        "final allocation: " + " ".join(_g(x) for x in traj.final),
-        f"trace: trajectory_{inst.instance_id}.csv",
-    ]
+    checks.add_bool("load sum conserved", drift < 1e-6 * p.total, f"max drift {_g(drift)}")
+    return lines
 
 
 def _g(x) -> str:

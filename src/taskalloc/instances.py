@@ -14,18 +14,18 @@ simulation, and the verifiers can be exercised without input files:
   reference data includes the breakpoint table, built from 3-decimal keys.
 * ``tab3``: same shape with quadratic costs; reference table included.
 
-Reference entries carry the expected values and the tolerances the
-``reproduce`` command checks them at.
+Each instance is the document a problem file holds (1-based edges, one
+object per agent), built by the checks an ``--input`` file passes
+(``problem._from_document``). Reference entries carry the expected
+values and the tolerances the ``reproduce`` command checks them at.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import exponential, quadratic_from_vertex_form
 from .errors import UnknownExampleError
-from .graph import from_edge_list
-from .problem import AllocationProblem
+from .problem import AllocationProblem, _from_document
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,26 @@ class BundledInstance:
     reference: dict
 
 
-_RING6_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)]
-_PATH3_EDGES = [(0, 1), (1, 2)]
+_RING6 = {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1], [1, 4]]}
+_PATH3 = {"n": 3, "edges": [[1, 2], [2, 3]]}
+
+
+def _problem(total: float, graph: dict, agents: list) -> AllocationProblem:
+    return _from_document({"total": total, "graph": graph, "agents": agents})
+
+
+def _exponential(a: float, lower: float, upper: float) -> dict:
+    return {"family": "exponential", "a": a, "lower": lower, "upper": upper}
+
+
+def _quadratic(a: float, b: float, lower: float, upper: float) -> dict:
+    return {"family": "quadratic", "a": a, "b": b, "lower": lower, "upper": upper}
 
 
 def _fig2() -> BundledInstance:
     uppers = [750.0, 800.0, 1400.0, 1000.0, 900.0, 1700.0]
     total = 2800.0
-    agents = tuple(exponential(a=u, lower=0.0, upper=u) for u in uppers)
-    p = AllocationProblem(
-        graph=from_edge_list(6, _RING6_EDGES), agents=agents, total=total
-    )
+    p = _problem(total, _RING6, [_exponential(u, 0.0, u) for u in uppers])
     # equal fitness <=> equal w_i/upper_i, so the optimum is proportional
     expected = np.array(uppers) * total / sum(uppers)
     return BundledInstance(
@@ -62,21 +71,14 @@ def _fig2() -> BundledInstance:
 
 
 def _fig3() -> BundledInstance:
-    lowers = np.array([700.0, 350.0, 200.0, 50.0, 40.0, 200.0])
-    uppers = np.array([980.0, 580.0, 350.0, 170.0, 150.0, 790.0])
-    a = np.array([0.006, 0.008, 0.01, 0.012, 0.0132, 0.00136])
-    b = np.array([0.4, 0.2, 0.5, 0.56, 0.828, 0.88])
+    lowers = [700.0, 350.0, 200.0, 50.0, 40.0, 200.0]
+    uppers = [980.0, 580.0, 350.0, 170.0, 150.0, 790.0]
+    a = [0.006, 0.008, 0.01, 0.012, 0.0132, 0.00136]
+    b = [0.4, 0.2, 0.5, 0.56, 0.828, 0.88]
     total = 2800.0
-    agents = tuple(
-        quadratic_from_vertex_form(
-            coeff=a[i] / 2.0, linear=b[i], lower=lowers[i], upper=uppers[i]
-        )
-        for i in range(6)
-    )
-    p = AllocationProblem(
-        graph=from_edge_list(6, _RING6_EDGES), agents=agents, total=total
-    )
+    p = _problem(total, _RING6, [_quadratic(*agent) for agent in zip(a, b, lowers, uppers)])
     # equal marginal lam: sum(lo_i + (lam - b_i)/a_i) = w
+    lowers, a, b = np.array(lowers), np.array(a), np.array(b)
     lam = (total - lowers.sum() + (b / a).sum()) / (1.0 / a).sum()
     expected = lowers + (lam - b) / a
     return BundledInstance(
@@ -90,18 +92,15 @@ def _fig3() -> BundledInstance:
 
 
 def _tab1() -> BundledInstance:
-    agents = (
-        exponential(a=1000.0, lower=200.0, upper=350.0),
-        exponential(a=1900.0, lower=350.0, upper=480.0),
-        exponential(a=2300.0, lower=410.0, upper=540.0),
-    )
-    p = AllocationProblem(
-        graph=from_edge_list(3, _PATH3_EDGES), agents=agents, total=1150.0
-    )
+    agents = [
+        _exponential(1000.0, 200.0, 350.0),
+        _exponential(1900.0, 350.0, 480.0),
+        _exponential(2300.0, 410.0, 540.0),
+    ]
     return BundledInstance(
         instance_id="tab1",
         description="three agents, exponential costs, clamped optimum",
-        problem=p,
+        problem=_problem(1150.0, _PATH3, agents),
         drd_step=None,
         table_decimals=3,
         reference={
@@ -120,18 +119,16 @@ def _tab1() -> BundledInstance:
 
 
 def _tab3() -> BundledInstance:
-    agents = (
-        quadratic_from_vertex_form(coeff=0.003, linear=5.0, lower=200.0, upper=350.0),
-        quadratic_from_vertex_form(coeff=0.004, linear=5.4, lower=350.0, upper=480.0),
-        quadratic_from_vertex_form(coeff=0.005, linear=5.6, lower=410.0, upper=540.0),
-    )
-    p = AllocationProblem(
-        graph=from_edge_list(3, _PATH3_EDGES), agents=agents, total=1150.0
-    )
+    # the paper's vertex form coeff*(w - lower)^2 + linear*w has a = 2*coeff
+    agents = [
+        _quadratic(2 * 0.003, 5.0, 200.0, 350.0),
+        _quadratic(2 * 0.004, 5.4, 350.0, 480.0),
+        _quadratic(2 * 0.005, 5.6, 410.0, 540.0),
+    ]
     return BundledInstance(
         instance_id="tab3",
         description="three agents, quadratic costs, interior optimum at clamp edge",
-        problem=p,
+        problem=_problem(1150.0, _PATH3, agents),
         drd_step=None,
         table_decimals=3,
         reference={

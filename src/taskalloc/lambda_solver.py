@@ -74,7 +74,7 @@ class BreakpointTable:
 
 @dataclass
 class SolverResult:
-    """Box-clamped, sum-exact optimum with its level and active sets."""
+    """Box-clamped optimum (loads sum to w within 1e-12·w), its level and active sets."""
 
     allocation: np.ndarray
     key: float  # level in the cost table's key coordinate
@@ -123,10 +123,10 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
         raise ValueError("key_decimals needs a single cost family; mixed tables are in lam")
     kmin, kmax = _agent_keys(p, key_decimals)
     n = p.n
-    agents = np.tile(np.arange(n), 2)
-    is_upper = np.arange(2 * n) >= n
-    keys = np.concatenate([kmin, kmax])
-    order = np.lexsort((is_upper, agents, keys))
+    # entry 2i is agent i's lower threshold and 2i+1 its upper one, so a
+    # stable sort breaks key ties by agent, then lower before upper
+    keys = np.stack([kmin, kmax], axis=1).ravel()
+    order = keys.argsort(kind="stable")
     keys = keys[order]
     masses = np.empty(2 * n)
     rows = max(1, _BLOCK_ELEMENTS // n)
@@ -138,8 +138,8 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
     slopes = np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
     return BreakpointTable(
         coordinate=p._costs.coordinate.key_coordinate,
-        agents=agents[order],
-        kinds=np.where(is_upper[order], "upper", "lower"),
+        agents=order >> 1,
+        kinds=np.where(order & 1, "upper", "lower"),
         keys=keys,
         masses=masses,
         slopes=slopes,
@@ -252,7 +252,8 @@ def _result(key, lam, clamped, **fields) -> SolverResult:
 
 
 def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:
-    """Feasibility-guarded final selection used by the pipeline.
+    """Feasibility-guarded choice of a replicator limit or the water-filling
+    optimum, for library callers (no CLI command runs it).
 
     A replicator limit outside the feasible set costs less than any
     feasible point (it ignores the boxes), so comparing costs alone would

@@ -20,7 +20,8 @@ API. Unknown keys are rejected so typos cannot silently change a run.
 parse_problem reads a file in one pass: each edge and agent passes a quick
 test that formats no message, and the agents' columns go straight to the
 cost table. The first entry that fails the test gets the full checks,
-which raise the ParseError naming its first fault.
+which raise the ParseError naming its first fault. The bundled instances
+are documents too and pass the same checks (_from_document).
 """
 
 import itertools
@@ -94,13 +95,8 @@ def _exact_total(values):
 
 def _past(total: float, bounds: np.ndarray, fsum: float, side: int) -> bool:
     """Whether total lies below (side -1) or above (side 1) the sum of the
-    nonnegative bounds both by their float sum fsum and by their exact sum,
-    which is taken only within fsum's rounding error of n ulps."""
-    if not side * (total - fsum) > 0:
-        return False
-    if abs(total - fsum) > len(bounds) * 2.0**-52 * fsum:
-        return True
-    return side * (_exact_total([total]) - _exact_total(bounds)) > 0
+    nonnegative bounds both by their float sum fsum and by their exact sum."""
+    return side * (total - fsum) > 0 and side * (_exact_total([total]) - _exact_total(bounds)) > 0
 
 
 def as_allocation(p: AllocationProblem, w) -> np.ndarray:
@@ -231,6 +227,11 @@ def parse_problem(text: str) -> AllocationProblem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    return _from_document(data)
+
+
+def _from_document(data) -> AllocationProblem:
+    """The problem a file's parsed JSON document holds, by parse_problem's checks."""
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     _reject_unknown(data, _ROOT_KEYS, "problem")

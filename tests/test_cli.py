@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import re
@@ -444,6 +445,29 @@ def test_reproduce_fig3(tmp_path):
     assert (out / "trajectory_fig3.csv").exists()
 
 
+def test_reproduce_replicator_body_is_simulates(tmp_path, capsys):
+    # reproduce on a replicator instance runs simulate's run at the
+    # instance's step: the same report body and, but for V (which reproduce
+    # takes against the closed-form optimum), the same trace
+    assert main(["reproduce", "--example", "fig3", "--out", str(tmp_path / "r")]) == 0
+    assert main(["simulate", "--example", "fig3", "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    reproduced = (tmp_path / "r" / "reproduce_fig3.txt").read_text().splitlines()[5:]
+    body = list(itertools.takewhile(lambda line: not line.startswith(("[PASS]", "[FAIL]")),
+                                    reproduced))
+    simulated = (tmp_path / "s" / "simulate_report.txt").read_text().splitlines()[5:]
+    assert simulated[-1] == "trace: trajectory.csv"
+    assert body == [*simulated[:-1], "trace: trajectory_fig3.csv"]
+
+    def without_v(path):
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        v = rows[0].index("V")
+        return [row[:v] + row[v + 1:] for row in rows]
+
+    assert without_v(tmp_path / "r" / "trajectory_fig3.csv") == without_v(
+        tmp_path / "s" / "trajectory.csv")
+
+
 def test_solve_mixed_family_file(tmp_path):
     doc = {
         "total": 140.0,
@@ -680,8 +704,9 @@ def test_commands_never_build_cost_models_of_a_parsed_problem(tmp_path, monkeypa
         return parsed[-1]
 
     def bundled(iid):
-        inst = get_instance(iid)
-        return dataclasses.replace(inst, problem=parse(serialize_problem(inst.problem)))
+        inst = get_instance(iid)  # a bundled instance is parsed from its document too
+        parsed.append(inst.problem)
+        return inst
 
     monkeypatch.setattr(cli, "load_problem", lambda path: parse(Path(path).read_text()))
     monkeypatch.setattr(cli, "get_instance", bundled)

@@ -13,6 +13,7 @@ from taskalloc import verify
 from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import InfeasibleError, LengthMismatchError, ParseError
 from taskalloc.graph import edge_list, from_edge_list
+from taskalloc.instances import get_instance, instance_ids
 from taskalloc.problem import (
     AllocationProblem,
     as_allocation,
@@ -217,6 +218,20 @@ def test_round_trip_through_file(tmp_path, tab1, tab3):
         assert p2.total == inst.problem.total
         assert np.array_equal(p2.graph.adjacency, inst.problem.graph.adjacency)
         assert p2.agents == inst.problem.agents
+
+
+def test_bundled_instances_are_parsed_documents():
+    # a bundled instance comes in as a file's document does: its cost table
+    # is built from the columns, and a round trip through its file keeps
+    # every bit
+    for iid in instance_ids():
+        p = get_instance(iid).problem
+        assert "agents" not in vars(p)
+        p2 = parse_problem(serialize_problem(p))
+        assert p2.total.hex() == p.total.hex()
+        assert np.array_equal(p2.graph.adjacency, p.graph.adjacency)
+        for col, col2 in zip(p._costs.columns, p2._costs.columns):
+            assert col.dtype == col2.dtype and col.tobytes() == col2.tobytes()
 
 
 def test_parse_uses_one_based_edge_labels():
