@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import drd, verify
-from .errors import CostOverflowError, EmptyGridError, ParseError, TaskAllocError
+from .errors import CostOverflowError, ParseError, TaskAllocError
 from .instances import get_instance, instance_ids
 from .lambda_solver import breakpoints, solve_lambda
 from .problem import in_feasible_set, load_problem, total_cost
@@ -261,27 +261,19 @@ def _run_verify(args, p, inst, out):
         return solver_l > lagrangian(oracle.best_cost, oracle.best)
 
     # the grid runs first, so a rejected --grid fails before any sampling
-    grid_ok = True
-    grid_lines = []
+    grid_ok, grid_lines = True, []
     if p.n <= 4 or args.grid is not None:
         resolution = args.grid if args.grid is not None else _auto_resolution(p)
-        try:
-            gr = verify.grid_min(p, resolution)
-        except EmptyGridError:
-            if args.grid is not None:
-                raise
-            # an automatic grid that lands no cell takes no part in the verdict
-            grid_lines = [f"grid: resolution={_g(resolution)} points=0"]
-        else:
-            _finite(gr.best_cost, "grid")
-            grid_ok = not beaten(gr)
-            offset = float(np.abs(gr.best - res.allocation).max())
-            grid_lines = [
-                f"grid: resolution={_g(resolution)} points={gr.samples}",
-                f"  best cost: {_g(gr.best_cost)}",
-                f"  max |grid minimizer - solver|: {_g(offset)}",
-                f"  solver not beaten: {grid_ok}",
-            ]
+        gr = verify.grid_min(p, resolution)
+        _finite(gr.best_cost, "grid")
+        grid_ok = not beaten(gr)
+        offset = float(np.abs(gr.best - res.allocation).max())
+        grid_lines = [
+            f"grid: resolution={_g(resolution)} points={gr.samples}",
+            f"  best cost: {_g(gr.best_cost)}",
+            f"  max |grid minimizer - solver|: {_g(offset)}",
+            f"  solver not beaten: {grid_ok}",
+        ]
 
     dump = out / "oracle_samples.csv" if args.dump_oracle else None
     mc = verify.monte_carlo_min(p, args.samples, args.seed, dump_path=dump)

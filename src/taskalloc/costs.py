@@ -32,6 +32,7 @@ np.flatnonzero or np.broadcast_shapes.
 """
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ from .errors import NonpositiveLambdaError
 
 EXPONENTIAL = "exponential"
 QUADRATIC = "quadratic"
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require_positive(lam):
@@ -199,6 +201,10 @@ class CostModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown cost family {self.family!r}")
+        for name in ("a", "b", "lower", "upper"):  # NaN, inf and ints past the floats fail
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= _FLOAT_MAX:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.a > 0:
             raise ValueError(f"coefficient a must be positive, got {self.a}")
         if self.lower < 0:

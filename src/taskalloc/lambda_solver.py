@@ -49,8 +49,7 @@ from .problem import (
     marginals,
 )
 
-_EXACT_HIT_REL = 1e-12  # |w - m_j| below this (relative) skips interpolation
-_SUM_TOL = 1e-12  # load sum miss (relative to w) that false position solves to
+_SUM_TOL = 1e-12  # load sum miss (relative to w) of a table hit, and of false position's stop
 _BLOCK_ELEMENTS = 1 << 17  # agents x keys clamped at once while building a table
 
 
@@ -171,7 +170,7 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     # First threshold whose mass reaches w - hit_tol: w lies between the
     # bound sums, so the last qualifies unless a flat agent is still at
     # lower there, and the first (all at lower) only as a hit.
-    hit_tol = _EXACT_HIT_REL * w
+    hit_tol = _SUM_TOL * w
     lo, j = 0, keys.size - 1
     while lo < j:
         mid = (lo + j) // 2
@@ -206,7 +205,8 @@ def _false_position(clamp, w, k0, k1, c0, c1):
     that it lands on an end, takes the share of the mass gap first. If no
     float is left inside the bracket (one ulp of lam can move a load by
     more, as near a large quadratic b), the loads of its two ends are
-    blended to sum to w; every agent's marginal stays between the ends."""
+    blended to sum to w, each clipped between its ends (rounded end masses
+    can push the share past 1); every marginal stays between the ends."""
     tol = _SUM_TOL * w
     m0, m1 = float(c0[0].sum()), float(c1[0].sum())
     g0, g1 = m0 - w, m1 - w  # true misses at the ends; m0, m1 get halved
@@ -219,6 +219,7 @@ def _false_position(clamp, w, k0, k1, c0, c1):
             near, c = (k0, c0) if -g0 < g1 else (k1, c1)
             # shares of the mass gap times the miss: nothing overflows or is subnormal
             blend = c0[0] + (c1[0] - c0[0]) / (g1 - g0) * -g0
+            blend = np.clip(blend, np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0]))
             return near, (blend, *c[1:]), "false-position", fp
         clamped = clamp(key)
         m = float(clamped[0].sum())

@@ -28,13 +28,12 @@ import itertools
 import json
 import math
 import operator
-import sys
 from functools import cached_property
 
 import numpy as np
 
 from . import graph as graphmod
-from .costs import EXPONENTIAL, QUADRATIC, CostModel, _CostTable
+from .costs import _FLOAT_MAX, EXPONENTIAL, QUADRATIC, CostModel, _CostTable
 from .errors import DisconnectedError, InfeasibleError, LengthMismatchError, ParseError
 from .graph import Graph
 
@@ -155,7 +154,6 @@ def in_simplex(p: AllocationProblem, w) -> bool:
 # ---------------------------------------------------------------------------
 # problem files
 
-_FLOAT_MAX = sys.float_info.max
 _ROOT_KEYS = {"total", "graph", "agents"}
 _GRAPH_KEYS = {"n", "edges"}
 _AGENT_KEYS = {

@@ -9,8 +9,8 @@ samples by rejection, or by a walk of pair moves on too thin a set.
 Monte Carlo hands every sampled point to one sink, which prices it with
 total_cost_batch, keeps the cheapest and writes its dump row. The grid
 keeps one cost table per free axis instead, as the cost is separable, and
-adds each cell's per-agent costs left to right: numpy's order for the rows
-of a (cells, n) batch when n < 8, so for n <= 4 the sums are the batch's.
+adds each cell's costs left to right, the solved agent's last: numpy sums
+a (cells, n) batch's rows the same way when n < 8 and that column is last.
 """
 
 import math
@@ -220,25 +220,30 @@ def monte_carlo_min(
 
 
 def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
-    """Exhaustive scan of the feasible slice: the first n-1 coordinates run
-    over box grids at `resolution`, the last is solved from the sum
-    constraint and box-checked. Deterministic small-instance oracle.
+    """Exhaustive scan of the feasible slice, a deterministic small-instance
+    oracle: the last agent whose box is at least `resolution` wide (else
+    the last agent) is solved from the sum and box-checked, the others run
+    over box grids at `resolution`. Their sums leave no gap wider than a
+    step, so a feasible instance lands cells when some box is a step wide.
 
     The total cost is separable, so each free axis gets a cost table,
     evaluated once per axis value by that agent's own formula, and a cell
-    evaluates only its solved last coordinate. A cell's total adds its
-    agents' costs left to right; numpy sums a row shorter than 8 left to
-    right as well, so for n <= 4 the costs, the tie order and the chosen
-    point are bit for bit those of total_cost_batch on the feasible cells.
-    Memory grows with the axes and their cost tables only.
+    evaluates only its solved coordinate. A cell's total adds its agents'
+    costs left to right, the solved agent's last; numpy sums a row shorter
+    than 8 left to right as well, so for n <= 4 the costs, the tie order and
+    the chosen point are bit for bit those of total_cost_batch on the
+    feasible cells with the solved agent's column last. Memory grows with
+    the axes and their cost tables only.
     """
     if p.n > 4:
         raise DimensionTooLargeError(f"grid oracle supports n <= 4, got {p.n}")
     if not 0 < resolution < np.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution}")
-    n, w = p.n, p.total
-    lo, up = p.lower_bounds, p.upper_bounds
-    eps = 1e-9 * w
+    n, w, eps = p.n, p.total, 1e-9 * p.total
+    wide = (p.upper_bounds - p.lower_bounds >= resolution).nonzero()[0]
+    s = int(wide[-1]) if wide.size else n - 1
+    order = [*range(s), *range(s + 1, n), s]  # the solved agent last
+    lo, up = p.lower_bounds[order], p.upper_bounds[order]
 
     # Count the points from the spans before any axis is built, stopping
     # past the cap; Python floats saturate at inf without a warning. Rounding
@@ -256,8 +261,7 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     # chunks; only the head axes before them loop in Python. Cells are
     # taken in C order, so the tie order is that of a per-row scan.
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
-    # one table per agent, its own formula
-    one_agent = [_CostTable(*(col[i : i + 1] for col in p._costs.columns)) for i in range(n)]
+    one_agent = [_CostTable(*(col[i : i + 1] for col in p._costs.columns)) for i in order]
     costs = [_axis_costs(one_agent[i], a) for i, a in enumerate(axes)]
     # n < 3 pads with one-point axes at 0 that cost 0, which move no bit
     # (w - 0.0 = w, 0.0 + c = c), so every n takes this block loop
@@ -291,9 +295,8 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
                     best = np.array((*head_point, inner[start + i], last[col + j], solved[k])[-n:])
     if feasible == 0:
         raise EmptyGridError("no grid point satisfies the sum and box constraints")
-    return OracleResult(
-        best, best_cost, feasible, None, mode="grid", drawn=drawn, accepted=feasible
-    )
+    return OracleResult(best[np.argsort(order)], best_cost, feasible, None,  # in agent order
+                        mode="grid", drawn=drawn, accepted=feasible)
 
 
 # ---------------------------------------------------------------------------

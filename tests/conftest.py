@@ -19,7 +19,7 @@ from taskalloc.errors import (
     StepOverflowError,
 )
 from taskalloc.graph import from_edge_list
-from taskalloc.lambda_solver import _EXACT_HIT_REL, _SUM_TOL, SolverResult
+from taskalloc.lambda_solver import _SUM_TOL, SolverResult
 from taskalloc.problem import as_allocation, default_tol, marginals
 from taskalloc.verify import KktCertificate
 
@@ -445,7 +445,7 @@ def solve_reference(p, probe_log):
     def mass(key):
         return float(clamp(key)[0].sum())
 
-    hit_tol = _EXACT_HIT_REL * w
+    hit_tol = _SUM_TOL * w
     lo, j = 0, keys.size - 1
     while lo < j:
         mid = (lo + j) // 2
@@ -495,6 +495,7 @@ def _false_position_reference(clamp, w, k0, k1, c0, c1):
         if not k0 < key < k1:
             near, c = (k0, c0) if -g0 < g1 else (k1, c1)
             blend = c0[0] + (c1[0] - c0[0]) / (g1 - g0) * -g0
+            blend = np.clip(blend, np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0]))
             return near, (blend, *c[1:]), "false-position", passes
         clamped = clamp(key)
         m = float(clamped[0].sum())

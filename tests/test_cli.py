@@ -597,13 +597,14 @@ def test_error_classes_exit_with_their_code(tmp_path, capsys, monkeypatch, error
 
 
 def test_verify_empty_grid_exit_config(tmp_path, capsys):
-    # the grid on the first box is 0, 3, 6, 9, 10, so the second load is
-    # never inside [4.5, 4.6]
+    # no box is 3 wide, so the last agent is solved from the sum: the grid
+    # on the first box is 0, 2.9, and the second load, 6 or 3.1, is never
+    # inside [4.5, 4.6]
     doc = {
-        "total": 10.0,
+        "total": 6.0,
         "graph": {"n": 2, "edges": [[1, 2]]},
         "agents": [
-            {"family": "exponential", "a": 1.0, "lower": 0.0, "upper": 10.0},
+            {"family": "exponential", "a": 1.0, "lower": 0.0, "upper": 2.9},
             {"family": "exponential", "a": 1.0, "lower": 4.5, "upper": 4.6},
         ],
     }
@@ -852,7 +853,10 @@ def test_verify_small_instances_verified(doc):
 @pytest.mark.parametrize("name", ["steep_upper2", "steep_hit2", "pinned3", "single2"])
 def test_verify_edge_instances_verified(tmp_path, capsys, name):
     # a steep agent at its upper bound, a table hit 2.2e-10 above the
-    # total, an automatic grid that lands no cell, and a single free agent
+    # total, a pinned last agent (the grid solves the second from the sum),
+    # and a single free agent; every automatic grid lands cells
     argv = ["verify", "--input", str(DATA / f"{name}.json"), "--samples", "2000", "--seed", "0"]
     assert main([*argv, "--out", str(tmp_path / "o")]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "verdict: VERIFIED"
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "verdict: VERIFIED"
+    assert re.search(r"^grid: resolution=\S+ points=[1-9]", out, re.MULTILINE)

@@ -182,6 +182,22 @@ def test_construction_validation():
     assert pinned.marginal(5.0) == 1.0
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "int-past-floats"])
+@pytest.mark.parametrize("name", ["a", "b", "lower", "upper"])
+def test_construction_rejects_what_a_problem_file_rejects(name, value):
+    # the parser's test, abs(x) <= the largest float: a NaN or infinite
+    # field would otherwise surface later as a solver or replicator error
+    # that names neither the agent nor the field
+    fields = {"a": 1.0, "b": 1.0, "lower": 0.0, "upper": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        quadratic(**fields)
+    if name != "b":
+        del fields["b"]
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            exponential(**fields)
+
+
 def test_evaluation_outside_box_extends_smoothly():
     assert np.isfinite(EXP1.cost(500.0))
     assert np.isfinite(QUAD1.cost(-50.0))

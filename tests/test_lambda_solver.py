@@ -212,6 +212,18 @@ def test_solver_counters(source, probes, fp_iterations, method):
     assert (res.probes, res.fp_iterations, res.method) == (probes, fp_iterations, method)
 
 
+def test_blended_loads_stay_in_their_boxes():
+    # 50 quadratic agents at a total equal to the float sum of the uppers,
+    # which overshoots the upper end's pairwise mass: no float lies inside
+    # the bracket, and the unclipped blend put a load 64 ulps above its box
+    p = load_problem(Path(__file__).parent / "data" / "box_upper50.json")
+    res = solve_lambda(p)
+    assert (res.method, res.fp_iterations) == ("false-position", 0)
+    assert (res.allocation >= p.lower_bounds).all()
+    assert (res.allocation <= p.upper_bounds).all()
+    assert kkt_check(p, res.allocation).passed
+
+
 def test_duplicate_breakpoints_are_tolerated():
     twin = quadratic(a=0.01, b=1.0, lower=10.0, upper=20.0)
     p = AllocationProblem(

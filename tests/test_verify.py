@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_problem, spread
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from taskalloc.cli import _auto_resolution
 from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
 from taskalloc.graph import from_edge_list
@@ -539,9 +540,16 @@ def test_total_cost_batch_is_left_to_right_column_sum(n, family):
 
 
 def _grid_per_row(p, resolution):
-    """grid_min as one Python iteration per grid row: the reference."""
+    """grid_min as one Python iteration per grid row: the reference. The
+    last agent whose box is a step wide (else the last agent) is solved
+    from the sum, and cells are priced by total_cost_batch on the problem
+    with that agent moved last."""
     n, w = p.n, p.total
-    lo, up = p.lower_bounds, p.upper_bounds
+    width = p.upper_bounds - p.lower_bounds
+    solved = max((i for i in range(n) if width[i] >= resolution), default=n - 1)
+    order = [i for i in range(n) if i != solved] + [solved]
+    q = AllocationProblem(graph=p.graph, agents=[p.agents[i] for i in order], total=w)
+    lo, up = q.lower_bounds, q.upper_bounds
     eps = 1e-9 * w
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
     vec = axes[-1]
@@ -557,14 +565,16 @@ def _grid_per_row(p, resolution):
             batch[:, col] = val
         batch[:, n - 2] = vec[mask]
         batch[:, n - 1] = np.clip(w_last[mask], lo[-1], up[-1])
-        costs = total_cost_batch(p, batch)
+        costs = total_cost_batch(q, batch)
         k = int(np.argmin(costs))
         if costs[k] < best_cost:
             best, best_cost = batch[k].copy(), float(costs[k])
         feasible += m
     if feasible == 0:
         raise EmptyGridError("empty")
-    return best, best_cost, feasible
+    in_place = np.empty(n)
+    in_place[order] = best
+    return in_place, best_cost, feasible
 
 
 def _boxes(bounds, total, family="quadratic"):
@@ -619,6 +629,12 @@ def _grid_cases():
             agents=tuple(quadratic(a=1.0, b=1.0, lower=0.0, upper=10.0) for _ in range(4)),
             total=13.5,
         ), 1.0),
+        # the sum lands between the grid points of every axis but a box a
+        # step wide, which is solved from the sum
+        (_boxes([(0.0, 10.0), (9.9, 10.1)], 10.5), 1.0),
+        (_boxes([(0.0, 2.0), (0.0, 2.0), (0.4, 0.6)], 2.2), 1.0),
+        (_boxes([(0.0, 2.0), (0.0, 2.0), (0.0, 2.0), (0.4, 0.6)], 3.2), 1.0),
+        (_boxes([(0.0, 10.0), (4.5, 4.6)], 10.0, "exponential"), 3.0),
     ]
     return cases
 
@@ -660,15 +676,50 @@ def _grid_problems(draw):
 @given(_grid_problems())
 def test_grid_matches_per_row_reference_on_random_problems(case):
     p, resolution = case
-    try:
-        best, best_cost, feasible = _grid_per_row(p, resolution)
-    except EmptyGridError:
-        with pytest.raises(EmptyGridError):
-            grid_min(p, resolution)
-        return
+    best, best_cost, feasible = _grid_per_row(p, resolution)
     res = grid_min(p, resolution)
     assert res.best.tobytes() == best.tobytes()
     assert res.best_cost == best_cost and res.samples == feasible
+
+
+@st.composite
+def _feasible_small_problems(draw):
+    """A path of 1-4 agents of mixed families at box scales 1e-6...1e12:
+    boxes a point (quadratic), 1e-9 wide, an ulp wide (exponential) or wide,
+    totals at either bound sum or between. The numbers come from a
+    generator seeded by the draw, so their mantissas are random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-6, 12))
+    agents = []
+    for _ in range(n):
+        quad = draw(st.booleans())
+        lower = draw(st.sampled_from([0.0, 1.0, 1000.0])) * scale * rng.uniform()
+        widths = [1e-9, 1e-9 * scale, rng.uniform(0.01, 1.0) * scale,
+                  rng.uniform(1.0, 100.0) * scale] + [0.0] * quad
+        upper = lower + draw(st.sampled_from(widths))
+        a = 10.0 ** rng.uniform(-3.0, 4.0)
+        if quad:
+            b = 10.0 ** rng.uniform(-3.0, 3.0)
+            agents.append(quadratic(a=a, b=b, lower=lower, upper=upper))
+        else:
+            upper = max(upper, np.nextafter(lower, np.inf))
+            agents.append(exponential(a=a, lower=lower, upper=upper))
+    lo, up = sum(m.lower for m in agents), sum(m.upper for m in agents)
+    total = draw(st.sampled_from([lo, up, min(lo + rng.uniform() * (up - lo), up)]))
+    assume(total > 0)
+    return AllocationProblem(
+        graph=from_edge_list(n, [(i, i + 1) for i in range(n - 1)]), agents=agents, total=total
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_feasible_small_problems())
+def test_automatic_grid_always_lands_cells(p):
+    # the widest box is 300 automatic steps wide, so a box a step wide is
+    # solved from the sum, and the other axes' sums leave it no gap
+    res = grid_min(p, _auto_resolution(p))
+    assert res.samples >= 1 and in_feasible_set(p, res.best)
 
 
 def test_grid_memory_bounded_by_axes():
@@ -686,11 +737,12 @@ def test_grid_memory_bounded_by_axes():
 
 
 def test_grid_empty_matches_per_row_reference():
-    # the sum lands between grid points of every axis
+    # no box is a step wide, so each axis is its two bounds and the last
+    # agent, solved from the sum, never lands inside [0.4, 0.6]
     cases = [
-        (_boxes([(0.0, 10.0), (9.9, 10.1)], 10.5), 1.0),
-        (_boxes([(0.0, 2.0), (0.0, 2.0), (0.4, 0.6)], 2.2), 1.0),
-        (_boxes([(0.0, 2.0), (0.0, 2.0), (0.0, 2.0), (0.4, 0.6)], 3.2), 1.0),
+        (_boxes([(0.0, 0.9), (0.4, 0.6)], 1.0), 1.0),
+        (_boxes([(0.0, 0.9), (0.0, 0.9), (0.4, 0.6)], 1.0), 1.0),
+        (_boxes([(0.0, 0.9), (0.0, 0.9), (0.0, 0.9), (0.4, 0.6)], 2.0), 1.0),
     ]
     for p, resolution in cases:
         with pytest.raises(EmptyGridError):
@@ -723,11 +775,12 @@ def test_grid_requires_small_instances(fig2):
 
 def test_grid_empty_when_resolution_skips_feasible_window():
     agents = (
-        quadratic(a=0.01, b=1.0, lower=0.0, upper=10.0),
+        quadratic(a=0.01, b=1.0, lower=0.0, upper=0.9),
         quadratic(a=0.01, b=1.0, lower=9.9, upper=10.1),
     )
     p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=10.5)
-    # feasible w_1 lies in [0.4, 0.6]; the unit grid has no point there
+    # feasible w_1 lies in [0.4, 0.6]; on the unit grid neither box is a
+    # step wide, so w_1 takes only its bounds 0 and 0.9
     with pytest.raises(EmptyGridError):
         grid_min(p, 1.0)
     fine = grid_min(p, 0.1)

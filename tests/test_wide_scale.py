@@ -3,7 +3,8 @@ coefficients and boxes over 10^-300 .. 10^300, up to 3000 agents, boxes
 down to 1e-15 of their lower bound, and totals at the bound sums. Every
 valid draw is either refused with CostOverflowError, because a marginal
 at a bound is 0 or beyond float range, or solved to a feasible point
-whose certificate passes, while a point moved well off it fails."""
+with every load in its box whose certificate passes, while a point moved
+well off it fails."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -78,6 +79,8 @@ def test_wide_scale_solve_is_feasible_and_certified(
         except CostOverflowError:
             return
         assert in_feasible_set(p, res.allocation)
+        assert (res.allocation >= p.lower_bounds).all()
+        assert (res.allocation <= p.upper_bounds).all()
         assert kkt_check(p, res.allocation).passed
         if len(res.interior) >= 2:
             assert_moved_point_fails(p, res.allocation, *res.interior[:2])
