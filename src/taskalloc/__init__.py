@@ -15,7 +15,6 @@ from .costs import (
     CostModel,
     exponential,
     quadratic,
-    quadratic_from_vertex_form,
 )
 from .drd import (
     DrdConfig,
@@ -73,7 +72,6 @@ __all__ = [
     "monte_carlo_min",
     "parse_problem",
     "quadratic",
-    "quadratic_from_vertex_form",
     "save_problem",
     "select_final",
     "serialize_problem",

@@ -11,10 +11,10 @@ coordinate. The marginal is strictly increasing on the box, so the
 inverse is well defined; it is intentionally NOT clamped to the box —
 clamping is the water-filling solver's job.
 
-The formulas take any object with ``a``, ``b``, ``lower``, ``span`` and
-``a_per_span`` (a / span) attributes: a single :class:`CostModel`
-(scalars) or one family group of the :class:`_CostTable` that every
-:class:`AllocationProblem` builds once (arrays over that family's agents).
+The formulas take one :class:`_Group`: a family group of the
+:class:`_CostTable` that every :class:`AllocationProblem` builds once
+(arrays over that family's agents), or the one-agent group of a
+:class:`CostModel` (scalars).
 Everything that evaluates many agents at once (problem costs and
 marginals, the replicator step, the breakpoint table, the KKT check)
 goes through that table. The replicator reads the marginals themselves;
@@ -114,7 +114,8 @@ _FAMILIES = {EXPONENTIAL: _Exponential, QUADRATIC: _Quadratic}
 
 @dataclass(frozen=True, eq=False)
 class _Group:
-    """One family's agents: their positions and coefficients as arrays."""
+    """One family's agents: their positions and coefficients as arrays, or
+    one CostModel's coefficients as scalars (idx None)."""
 
     name: str
     fam: type
@@ -221,46 +222,36 @@ class CostModel:
         else:
             if self.b is None or not self.b > 0:
                 raise ValueError(f"quadratic family needs b > 0, got {self.b}")
-
-    @property
-    def span(self) -> float:
-        return self.upper - self.lower
-
-    @property
-    def a_per_span(self) -> float:
-        return self.a / self.span
-
-    @property
-    def _fam(self):
-        return _FAMILIES[self.family]
+        # the agent's one-agent group, which every method below evaluates; only
+        # the exponential family reads a / span, and its box is never a point
+        span = self.upper - self.lower
+        group = _Group(self.family, _FAMILIES[self.family], None, self.a, self.b, self.lower,
+                       span, self.a / span if span else np.inf)
+        object.__setattr__(self, "_group", group)
 
     # All evaluations accept scalars or arrays and extend smoothly outside
     # the box; trajectories on the simplex may legitimately leave it.
 
     def cost(self, w):
-        return self._fam.cost(self, w)
+        return self._group.fam.cost(self._group, w)
 
     def marginal(self, w):
-        return self._fam.marginal(self, w)
+        return self._group.fam.marginal(self._group, w)
 
     def fitness(self, w):
-        return -self._fam.marginal(self, w)
+        return -self._group.fam.marginal(self._group, w)
 
     def inverse_marginal(self, lam):
         """The unique w with marginal(w) = lam, unclamped."""
-        return self._fam.inverse_marginal(self, lam)
+        return self._group.fam.inverse_marginal(self._group, lam)
 
-    # Breakpoint-coordinate helpers used by the water-filling solver.
-
-    @property
-    def key_coordinate(self) -> str:
-        return self._fam.key_coordinate
+    # Breakpoint-coordinate helpers, in the family's key coordinate.
 
     def key_from_lambda(self, lam: float) -> float:
-        return self._fam.key_from_lambda(lam)
+        return self._group.fam.key_from_lambda(lam)
 
     def lambda_from_key(self, key: float) -> float:
-        return self._fam.lambda_from_key(key)
+        return self._group.fam.lambda_from_key(key)
 
     def key_at_lower(self) -> float:
         return self.key_from_lambda(float(self.marginal(self.lower)))
@@ -270,7 +261,7 @@ class CostModel:
 
     def response_from_key(self, key: float) -> float:
         """Interior inverse marginal in the key coordinate, unclamped."""
-        return self._fam.response_from_key(self, key)
+        return self._group.fam.response_from_key(self._group, key)
 
 
 def exponential(a: float, lower: float, upper: float) -> CostModel:
@@ -279,10 +270,3 @@ def exponential(a: float, lower: float, upper: float) -> CostModel:
 
 def quadratic(a: float, b: float, lower: float, upper: float) -> CostModel:
     return CostModel(family=QUADRATIC, a=a, lower=lower, upper=upper, b=b)
-
-
-def quadratic_from_vertex_form(
-    coeff: float, linear: float, lower: float, upper: float
-) -> CostModel:
-    """Quadratic given as coeff*(w - lower)^2 + linear*w, i.e. a = 2*coeff."""
-    return quadratic(a=2.0 * coeff, b=linear, lower=lower, upper=upper)

@@ -39,6 +39,7 @@ _SWEEPS = 5  # pair moves per free agent between recorded hit-and-run samples
 _REJECTION_MIN_RATE = 1e-3  # below this, switch to hit-and-run
 _GRID_EVAL_CAP = 200_000_000
 _GRID_BLOCK_CELLS = 4096  # grid cells evaluated per array pass
+_KKT_TOL = 1e-6  # each agent's allowance, relative to its own marginal
 
 
 @dataclass
@@ -48,7 +49,7 @@ class KktCertificate:
     lam is the shared marginal-cost level; alphas/betas are the
     multipliers of active lower/upper bounds. passed means: multipliers
     nonnegative and the interior marginals agree with lam, both within
-    tol * |the agent's marginal| plus its resolution (how far its
+    _KKT_TOL * |the agent's marginal| plus its resolution (how far its
     marginal moves over one ulp of its load) — which certifies the global
     optimum.
     """
@@ -86,14 +87,15 @@ class OracleResult:
     chain_steps: int = 0
 
 
-def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
+def kkt_check(p: AllocationProblem, w) -> KktCertificate:
     """Partition agents by bound activity, find a shared level, and
     evaluate the stationarity multipliers.
 
     Activity is detected within 1e-6 of each box width. Each agent admits
-    the levels within tol * |its marginal| plus its resolution (how far its
-    marginal moves over one ulp of its load) of its marginal: on both sides
-    when interior, below it when lower-active, above it when upper-active.
+    the levels within _KKT_TOL (1e-6) * |its marginal| plus its resolution
+    (how far its marginal moves over one ulp of its load) of its marginal:
+    on both sides when interior, below it when lower-active, above it when
+    upper-active.
     The certificate passes when some level lies in every agent's range, and
     lam is the estimate clamped into them all. The estimate is the mean
     interior marginal, or with no interior agent the midpoint of [max
@@ -130,7 +132,7 @@ def kkt_check(p: AllocationProblem, w, tol: float = 1e-6) -> KktCertificate:
     # each agent's allowance scales with its own marginal, so a steep agent
     # cannot widen another's; its resolution, the change of its marginal over
     # one ulp of its load, widens it: a steep agent cannot meet lam more closely
-    allow = tol * np.abs(marg) + np.abs(p._costs.marginal(np.nextafter(arr, np.inf)) - marg)
+    allow = _KKT_TOL * np.abs(marg) + np.abs(p._costs.marginal(np.nextafter(arr, np.inf)) - marg)
     floor = float((marg - allow)[~(at_lo | pinned)].max(initial=-np.inf))
     ceil = float((marg + allow)[~(at_up | pinned)].min(initial=np.inf))
     passed = floor <= ceil

@@ -204,7 +204,7 @@ def test_criterion_8_property_suite():
         quadratic(a=0.0132, b=0.828, lower=40.0, upper=150.0),
     ]
     for m in models:
-        h = 1e-4 * m.span
+        h = 1e-4 * (m.upper - m.lower)
         for w in np.linspace(m.lower, m.upper, 11):
             fd = (m.cost(w + h) - m.cost(w - h)) / (2.0 * h)
             assert abs(fd - m.marginal(w)) <= 1e-6 * abs(m.marginal(w))

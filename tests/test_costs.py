@@ -8,7 +8,6 @@ from taskalloc.costs import (
     _Exponential,
     exponential,
     quadratic,
-    quadratic_from_vertex_form,
 )
 from taskalloc.errors import NonpositiveLambdaError
 
@@ -29,13 +28,6 @@ def test_exponential_cost_at_upper_is_coefficient_times_e():
 
 def test_quadratic_cost_at_lower_is_linear_term():
     assert QUAD1.cost(200.0) == pytest.approx(5.0 * 200.0, abs=1e-12)
-
-
-def test_vertex_form_doubles_curvature():
-    m = quadratic_from_vertex_form(coeff=0.003, linear=5.0, lower=200.0, upper=350.0)
-    assert m.a == pytest.approx(0.006)
-    assert m.b == pytest.approx(5.0)
-    assert m.cost(300.0) == pytest.approx(0.003 * 100.0**2 + 5.0 * 300.0, rel=1e-12)
 
 
 def test_exponential_marginal_at_lower():
@@ -104,7 +96,7 @@ def test_marginal_strictly_increasing():
 
 def test_marginal_matches_finite_difference():
     for m in (EXP1, EXP2, QUAD1, QUAD2):
-        h = 1e-4 * m.span
+        h = 1e-4 * (m.upper - m.lower)
         for w in np.linspace(m.lower, m.upper, 9):
             fd = (m.cost(w + h) - m.cost(w - h)) / (2.0 * h)
             assert abs(fd - m.marginal(w)) <= 1e-6 * abs(m.marginal(w))
@@ -156,8 +148,6 @@ def test_key_helpers_round_trip():
             assert m.response_from_key(key) == pytest.approx(
                 m.inverse_marginal(lam), rel=1e-9
             )
-    assert EXP1.key_coordinate == "log-marginal"
-    assert QUAD1.key_coordinate == "marginal"
 
 
 def test_construction_validation():

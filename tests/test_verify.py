@@ -173,13 +173,13 @@ def test_kkt_nash_equivalence_for_interior_points(fig3):
     # strictly inside every box, the two optimality views must agree
     p = fig3.problem
     wstar = np.asarray(fig3.reference["allocation"])
-    cert = kkt_check(p, wstar, tol=1e-6)
+    cert = kkt_check(p, wstar)
     assert cert.passed and not cert.lower_active and not cert.upper_active
     assert spread(p, wstar) <= 1e-6
 
     off = wstar + np.array([2.0, -2.0, 0.0, 0.0, 0.0, 0.0])
     assert in_feasible_set(p, off)
-    assert not kkt_check(p, off, tol=1e-3).passed
+    assert not kkt_check(p, off).passed
     assert spread(p, off) > 1e-3
 
 
