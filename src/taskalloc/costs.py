@@ -5,6 +5,9 @@ Two closed families are supported:
 * exponential: c(w) = a * exp((w - lower) / (upper - lower))
 * quadratic:   c(w) = a/2 * (w - lower)^2 + b * w
 
+:func:`_agent_fault` is the one rule for whether an agent's coefficients
+define such a cost: CostModel and the problem-file parser both apply it.
+
 Each family writes its formulas once: value, marginal cost, the inverse
 of the marginal, key <-> level, and the interior response in the key
 coordinate. The marginal is strictly increasing on the box, so the
@@ -171,10 +174,6 @@ class _CostTable:
         for col in self.columns:
             col.setflags(write=False)
 
-    def rows(self):
-        """(family, a, b, lower, upper) of each agent, as Python values."""
-        return zip(*(col.tolist() for col in self.columns))
-
     def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
         shape = getattr(x, "shape", ())
         out = np.empty(shape if per_agent else (*shape[:-1], self.n))
@@ -185,12 +184,35 @@ class _CostTable:
         return out
 
 
+def _agent_fault(family: str, a, b, lower, upper) -> str | None:
+    """The first fault of one agent's coefficients (b None for an exponential agent),
+    or None if they define its family's cost on [lower, upper]; ints compare exactly."""
+    for name, value in (("a", a), ("b", b), ("lower", lower), ("upper", upper)):
+        if value is not None and not abs(value) <= _FLOAT_MAX:  # NaN, inf, ints past the floats
+            return f"{name} must be finite, got {value!r}"
+    if not a > 0:
+        return f"coefficient a must be positive, got {a}"
+    if lower < 0:
+        return f"lower bound must be >= 0, got {lower}"
+    if lower > upper:
+        return f"bounds must satisfy lower <= upper, got [{lower}, {upper}]"
+    if family == EXPONENTIAL:
+        if not float(upper) > float(lower):  # as floats: the table's span must not round to 0
+            return "exponential family needs upper > lower strictly"
+        if b is not None:
+            return "exponential family takes no b coefficient"
+    elif b is None or not b > 0:
+        return f"quadratic family needs b > 0, got {b}"
+    return None
+
+
 @dataclass(frozen=True)
 class CostModel:
     """One agent's cost curve plus its box [lower, upper].
 
     a is the positive coefficient of either family; b is the quadratic
-    linear coefficient (unused by the exponential family).
+    linear coefficient (None for the exponential family). Coefficients
+    that break :func:`_agent_fault`'s rule raise its fault as a ValueError.
     """
 
     family: str
@@ -202,26 +224,8 @@ class CostModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown cost family {self.family!r}")
-        for name in ("a", "b", "lower", "upper"):  # NaN, inf and ints past the floats fail
-            value = getattr(self, name)
-            if value is not None and not abs(value) <= _FLOAT_MAX:
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not self.a > 0:
-            raise ValueError(f"coefficient a must be positive, got {self.a}")
-        if self.lower < 0:
-            raise ValueError(f"lower bound must be >= 0, got {self.lower}")
-        if self.lower > self.upper:
-            raise ValueError(
-                f"bounds must satisfy lower <= upper, got [{self.lower}, {self.upper}]"
-            )
-        if self.family == EXPONENTIAL:
-            if not self.upper > self.lower:
-                raise ValueError("exponential family needs upper > lower strictly")
-            if self.b is not None:
-                raise ValueError("exponential family takes no b coefficient")
-        else:
-            if self.b is None or not self.b > 0:
-                raise ValueError(f"quadratic family needs b > 0, got {self.b}")
+        if fault := _agent_fault(self.family, self.a, self.b, self.lower, self.upper):
+            raise ValueError(fault)
         # the agent's one-agent group, which every method below evaluates; only
         # the exponential family reads a / span, and its box is never a point
         span = self.upper - self.lower

@@ -4,8 +4,8 @@ An instance couples an interaction graph, the agents' costs and the total
 task w. Allocations are plain float vectors of length n. The costs live in
 one cost table (see :mod:`taskalloc.costs`) of five columns (family, a, b,
 lower, upper), built with the instance; per-agent costs, marginals and the
-bounds are all read from it. ``agents``, one CostModel per agent, is built
-from the columns only when something reads it.
+bounds are all read from it, and it is the instance's only per-agent
+record: a file's agents go into it without a CostModel.
 
 The on-disk format is JSON::
 
@@ -19,21 +19,22 @@ Node labels in files are 1-based; indices are 0-based everywhere in the
 API. Unknown keys are rejected so typos cannot silently change a run.
 parse_problem reads a file in one pass: each edge and agent passes a quick
 test that formats no message, and the agents' columns go straight to the
-cost table. The first entry that fails the test gets the full checks,
-which raise the ParseError naming its first fault. The bundled instances
-are documents too and pass the same checks (_from_document).
+cost table. The test checks JSON shapes and types; an agent's values pass
+costs._agent_fault, the rule CostModel applies too. The first entry that
+fails the test gets the full checks, which raise the ParseError naming its
+first fault. The bundled instances are documents too and pass the same
+checks (_from_document).
 """
 
 import itertools
 import json
 import math
 import operator
-from functools import cached_property
 
 import numpy as np
 
 from . import graph as graphmod
-from .costs import _FLOAT_MAX, EXPONENTIAL, QUADRATIC, CostModel, _CostTable
+from .costs import _FLOAT_MAX, EXPONENTIAL, QUADRATIC, _agent_fault, _CostTable
 from .errors import DisconnectedError, InfeasibleError, LengthMismatchError, ParseError
 from .graph import Graph
 
@@ -42,7 +43,7 @@ class AllocationProblem:
     """Graph + per-agent costs + total task; everything downstream consumes this."""
 
     def __init__(self, graph: Graph, agents, total: float):
-        vars(self)["agents"] = agents = tuple(agents)
+        agents = tuple(agents)
         if len(agents) != graph.n:
             raise LengthMismatchError(graph.n, len(agents), "agents")
         rows = [(m.family, m.a, 0.0 if m.b is None else m.b, m.lower, m.upper) for m in agents]
@@ -50,7 +51,7 @@ class AllocationProblem:
 
     def _set(self, graph: Graph, rows, total: float) -> "AllocationProblem":
         """Check the total, then keep the graph and the table of these agent rows."""
-        costs = _CostTable(*([row[c] for row in rows] for c in range(5)))
+        costs = _CostTable(*zip(*rows))
         if not total > 0:
             raise ValueError(f"total task must be positive, got {total}")
         lo, up = sum(costs.lower.tolist()), sum(costs.upper.tolist())
@@ -63,11 +64,6 @@ class AllocationProblem:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"AllocationProblem is immutable; cannot set {name!r}")
-
-    @cached_property
-    def agents(self) -> tuple[CostModel, ...]:
-        return tuple(CostModel(f, a, lo, up, b if f == QUADRATIC else None)
-                     for f, a, b, lo, up in self._costs.rows())
 
     @property
     def n(self) -> int:
@@ -187,15 +183,13 @@ def _agent(k: int, aobj) -> tuple:
     or else the full checks, which raise the ParseError naming the fault."""
     try:
         family, a, lower, upper = aobj["family"], aobj["a"], aobj["lower"], aobj["upper"]
-        b = aobj["b"] if family == QUADRATIC else 0.0
-        # json.loads gives exact types (a bool is neither); ints compare exactly
+        b = aobj["b"] if family == QUADRATIC else None
+        # json.loads gives exact types (a bool is neither)
         if (type(aobj) is dict and len(aobj) == len(_AGENT_KEYS[family])
-                and {type(a), type(b), type(lower), type(upper)} <= {float, int}
-                and 0 < a <= _FLOAT_MAX and 0 <= lower <= upper <= _FLOAT_MAX
-                and (0 < b <= _FLOAT_MAX or family == EXPONENTIAL)):
-            a, b, lower, upper = float(a), float(b), float(lower), float(upper)
-            if family == QUADRATIC or lower < upper:
-                return family, a, b, lower, upper
+                and {type(a), type(lower), type(upper)} <= {float, int}
+                and (b is None or type(b) in (float, int))
+                and _agent_fault(family, a, b, lower, upper) is None):
+            return family, float(a), float(b or 0.0), float(lower), float(upper)
     except (KeyError, TypeError):
         pass
     where = f"agent #{k + 1}"
@@ -205,18 +199,12 @@ def _agent(k: int, aobj) -> tuple:
     if not isinstance(family, str) or family not in _AGENT_KEYS:
         raise ParseError(f"{where} has unknown family {family!r}")
     _reject_unknown(aobj, _AGENT_KEYS[family], where)
-    kwargs = dict(
-        a=_number(_require(aobj, "a", where), f"{where} 'a'"),
-        lower=_number(_require(aobj, "lower", where), f"{where} 'lower'"),
-        upper=_number(_require(aobj, "upper", where), f"{where} 'upper'"),
-    )
-    if family == QUADRATIC:
-        kwargs["b"] = _number(_require(aobj, "b", where), f"{where} 'b'")
-    try:
-        m = CostModel(family=family, **kwargs)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-    return family, m.a, 0.0 if m.b is None else m.b, m.lower, m.upper
+    a, lower, upper = (_number(_require(aobj, key, where), f"{where} {key!r}")
+                       for key in ("a", "lower", "upper"))
+    b = _number(_require(aobj, "b", where), f"{where} 'b'") if family == QUADRATIC else None
+    if fault := _agent_fault(family, a, b, lower, upper):
+        raise ParseError(f"{where}: {fault}")
+    return family, a, b or 0.0, lower, upper
 
 
 def parse_problem(text: str) -> AllocationProblem:
@@ -285,24 +273,15 @@ def load_problem(path) -> AllocationProblem:
         return parse_problem(fh.read())
 
 
-def problem_to_dict(p: AllocationProblem) -> dict:
+def serialize_problem(p: AllocationProblem) -> str:
     agents = [
         {"family": family, "a": a, **({"b": b} if family == QUADRATIC else {}),
          "lower": lower, "upper": upper}
-        for family, a, b, lower, upper in p._costs.rows()
+        for family, a, b, lower, upper in zip(*(col.tolist() for col in p._costs.columns))
     ]
-    return {
-        "total": p.total,
-        "graph": {
-            "n": p.n,
-            "edges": [[i + 1, j + 1] for i, j in graphmod.edge_list(p.graph)],
-        },
-        "agents": agents,
-    }
-
-
-def serialize_problem(p: AllocationProblem) -> str:
-    return json.dumps(problem_to_dict(p), indent=2) + "\n"
+    edges = [[i + 1, j + 1] for i, j in graphmod.edge_list(p.graph)]
+    doc = {"total": p.total, "graph": {"n": p.n, "edges": edges}, "agents": agents}
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def save_problem(p: AllocationProblem, path):

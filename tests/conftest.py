@@ -20,7 +20,7 @@ from taskalloc.errors import (
 )
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import _SUM_TOL, SolverResult
-from taskalloc.problem import as_allocation, default_tol, marginals
+from taskalloc.problem import as_allocation, default_tol, marginals, serialize_problem
 from taskalloc.verify import KktCertificate
 
 
@@ -76,6 +76,12 @@ def spread(p, w):
 def adjacent(g, i):
     """The agents adjacent to i, read from the adjacency pairs (i, j)."""
     return set(g.adjacency[g.adjacency[:, 0] == i, 1].tolist())
+
+
+def document(p):
+    """p's problem file as a JSON document: each agent's coefficients are in
+    its "agents" list, and an edited copy parses back with parse_problem."""
+    return json.loads(serialize_problem(p))
 
 
 def replaced(doc, path, value):

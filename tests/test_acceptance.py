@@ -5,10 +5,11 @@ assertion marks the criterion FAIL via the usual pytest report.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import one_step, random_problem, spread
+from conftest import document, one_step, random_problem, spread
 
 from taskalloc.costs import exponential, quadratic
 from taskalloc.drd import DrdConfig, simulate
@@ -29,14 +30,18 @@ def _report(name: str, detail: str):
     print(f"PASS {name}: {detail}")
 
 
+def _keys_by_agent(tbl):
+    """The breakpoint table's keys in agent order, each agent's lower then upper."""
+    keys = np.empty(tbl.keys.size)
+    keys[2 * tbl.agents + (tbl.kinds == "upper")] = tbl.keys
+    return keys
+
+
 def test_criterion_1_exponential_breakpoint_table(tab1):
     t0 = time.perf_counter()
     p = tab1.problem
     exact = breakpoints(p)
-    flat_exact = []
-    for i, agent in enumerate(p.agents):
-        flat_exact += [agent.key_at_lower(), agent.key_at_upper()]
-    np.testing.assert_allclose(flat_exact, TAB1_KEYS_BY_AGENT, atol=1e-3)
+    np.testing.assert_allclose(_keys_by_agent(exact), TAB1_KEYS_BY_AGENT, atol=1e-3)
     assert np.all(np.diff(exact.masses) >= 0)
 
     tbl = breakpoints(p, key_decimals=tab1.table_decimals)
@@ -66,10 +71,7 @@ def test_criterion_2_exponential_allocation(tab1):
 def test_criterion_3_quadratic_table_and_allocation(tab3):
     t0 = time.perf_counter()
     p = tab3.problem
-    flat = []
-    for agent in p.agents:
-        flat += [agent.key_at_lower(), agent.key_at_upper()]
-    np.testing.assert_allclose(flat, TAB3_KEYS_BY_AGENT, atol=0.01)
+    np.testing.assert_allclose(_keys_by_agent(breakpoints(p)), TAB3_KEYS_BY_AGENT, atol=0.01)
 
     tbl = breakpoints(p, key_decimals=tab3.table_decimals)
     np.testing.assert_allclose(tbl.masses, TAB3_MASSES, atol=0.01)
@@ -87,7 +89,7 @@ def test_criterion_3_quadratic_table_and_allocation(tab3):
 
 def test_criterion_4_drd_convergence_exponential(fig2, fig2_run):
     p, traj, elapsed = fig2_run
-    uppers = np.array([a.upper for a in p.agents])
+    uppers = p.upper_bounds
     closed_form = uppers * p.total / uppers.sum()  # equal-fitness limit
     assert traj.converged
     assert spread(p, traj.final) < 1e-6
@@ -105,9 +107,8 @@ def test_criterion_4_drd_convergence_exponential(fig2, fig2_run):
 
 def test_criterion_5_drd_convergence_quadratic(fig3, fig3_run):
     p, traj, elapsed = fig3_run
-    lo = np.array([a.lower for a in p.agents])
-    a = np.array([m.a for m in p.agents])
-    b = np.array([m.b for m in p.agents])
+    lo = p.lower_bounds
+    a, b = (np.array([agent[key] for agent in document(p)["agents"]]) for key in ("a", "b"))
     lam = (p.total - lo.sum() + (b / a).sum()) / (1.0 / a).sum()
     closed_form = lo + (lam - b) / a
     # cross-check the derivation against the known level and coordinates
@@ -242,3 +243,11 @@ def test_criterion_8_property_suite():
         f"convexity, finite differences, inverses, replicator faces/fixed point, "
         f"50 grid dominances in {elapsed:.1f}s",
     )
+
+
+def test_readme_library_example_runs():
+    # the README's library example, run as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from taskalloc import cli, verify
 from taskalloc.cli import main
+from taskalloc.costs import CostModel
 from taskalloc.lambda_solver import breakpoints, solve_lambda
 from taskalloc.errors import (
     CostOverflowError,
@@ -31,7 +32,7 @@ from taskalloc.errors import (
     UnknownExampleError,
 )
 from taskalloc.instances import get_instance, instance_ids
-from taskalloc.problem import load_problem, parse_problem, serialize_problem
+from taskalloc.problem import load_problem, serialize_problem
 
 DATA = Path(__file__).parent / "data"
 
@@ -688,32 +689,30 @@ def test_parse_error_messages(tmp_path, capsys, path, value, message):
     assert capsys.readouterr().err.splitlines() == ["error-code: parse exit=2", message]
 
 
-def test_commands_never_build_cost_models_of_a_parsed_problem(tmp_path, monkeypatch):
-    # a parsed problem keeps its cost-table columns: no command builds p.agents
-    parsed = []
+def test_commands_never_build_cost_models_of_a_parsed_problem(tmp_path, monkeypatch, capsys):
+    # files and bundled instances go to the cost table without a CostModel,
+    # and a file's agent fault is worded by the agent rule without one
+    def refuse(model):
+        raise AssertionError(f"a command built {model!r}")
 
-    def parse(text):
-        parsed.append(parse_problem(text))
-        return parsed[-1]
-
-    def bundled(iid):
-        inst = get_instance(iid)  # a bundled instance is parsed from its document too
-        parsed.append(inst.problem)
-        return inst
-
-    monkeypatch.setattr(cli, "load_problem", lambda path: parse(Path(path).read_text()))
-    monkeypatch.setattr(cli, "get_instance", bundled)
+    monkeypatch.setattr(CostModel, "__post_init__", refuse)
+    out = str(tmp_path / "o")
     mixed = replaced(_PAIR, ("agents", 0), {"family": "exponential", "a": 1.0, "lower": 0.0,
                                             "upper": 1.0})
     for k, doc in enumerate([_PAIR, mixed, json.loads(serialize_problem(get_instance("tab1").problem))]):
         path = tmp_path / f"p{k}.json"
         path.write_text(json.dumps(doc))
         for argv in (["solve"], ["verify", "--samples", "200", "--seed", "0"]):
-            assert main([*argv, "--input", str(path), "--out", str(tmp_path / "o")]) == 0
-    for iid in ("tab1", "tab3"):
-        assert main(["reproduce", "--example", iid, "--out", str(tmp_path / "o")]) == 0
-    assert len(parsed) == 8
-    assert all("agents" not in vars(p) for p in parsed)
+            assert main([*argv, "--input", str(path), "--out", out]) == 0
+    for argv in (["solve"], ["verify", "--samples", "200", "--seed", "0"], ["reproduce"]):
+        for iid in ("tab1", "tab3"):
+            assert main([*argv, "--example", iid, "--out", out]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(replaced(_PAIR, ("agents", 0, "a"), -1)))
+    capsys.readouterr()
+    assert main(["solve", "--input", str(bad), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error-code: parse exit=2", "agent #1: coefficient a must be positive, got -1.0"]
 
 
 def test_missing_input_file_exits_io(tmp_path, capsys):
@@ -921,3 +920,19 @@ def test_bundled_instance_solves_like_its_file(tmp_path):
         report = (tmp_path / "o" / "solver_report.txt").read_text().splitlines()
         reports.append([line for line in report if not line.startswith("instance:")])
     assert reports[0] == reports[1]
+
+
+def test_deep_tree_file_solves(tmp_path):
+    # a 10^5-agent path is a BFS 10^5 levels deep; mixed families
+    # skip the printed breakpoint table, which is O(n^2)
+    n = 10**5
+    agents = [{"family": "exponential", "a": 1.0, "lower": 0.0, "upper": 2.0} if k % 2 else
+              {"family": "quadratic", "a": 1.0, "b": 1.0, "lower": 0.0, "upper": 2.0}
+              for k in range(n)]
+    edges = [[k, k + 1] for k in range(1, n)]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"total": float(n), "graph": {"n": n, "edges": edges},
+                                "agents": agents}))
+    assert main(["solve", "--input", str(path), "--out", str(tmp_path / "p")]) == 0
+    report = (tmp_path / "p" / "solver_report.txt").read_text().splitlines()
+    assert "kkt certificate: PASSED" in report

@@ -1,9 +1,17 @@
-import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
-from conftest import adjacent, interior_problem, one_step, spread, step_drift, step_marginals
+from conftest import (
+    adjacent,
+    document,
+    interior_problem,
+    one_step,
+    spread,
+    step_drift,
+    step_marginals,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,13 +27,14 @@ from taskalloc.drd import (
     write_trace_csv,
 )
 from taskalloc.errors import StepOverflowError
-from taskalloc.graph import Graph, edge_list, from_edge_list
+from taskalloc.graph import edge_list, from_edge_list
 from taskalloc.lambda_solver import select_final, solve_lambda
 from taskalloc.problem import (
     AllocationProblem,
     default_tol,
     in_simplex,
     marginals,
+    parse_problem,
     total_cost,
 )
 
@@ -97,18 +106,18 @@ def test_step_fixed_point_at_equal_fitness(fig2):
 
 
 def test_step_matches_dense_formula():
-    # the graph comes from pairs with reversed repeats; A is built here
+    # the file's edges repeat some pairs reversed; A is built here
     from conftest import random_problem
 
     rng = np.random.default_rng(31)
     for _ in range(30):
         n = int(rng.integers(2, 30))
-        base = random_problem(rng, n=n, family="mixed")
-        edges = edge_list(base.graph)
-        g = Graph(n, edges + [(j, i) for i, j in edges[::2]])
-        p = AllocationProblem(graph=g, agents=base.agents, total=base.total)
+        doc = document(random_problem(rng, n=n, family="mixed"))
+        edges = doc["graph"]["edges"]
+        edges += [[j, i] for i, j in edges[::2]]
+        p = parse_problem(json.dumps(doc))
         adj = np.zeros((n, n))
-        for i, j in edge_list(g):
+        for i, j in edge_list(p.graph):
             adj[i, j] = adj[j, i] = 1.0
         w = p.total * rng.dirichlet(np.ones(n))
         f = -marginals(p, w)
@@ -493,7 +502,7 @@ def test_simulate_limit_matches_all_interior_solver(fig3_run):
     p, traj, _ = fig3_run
     res = solve_lambda(p)
     assert res.interior == list(range(p.n))
-    slopes = np.array([a.a for a in p.agents])  # quadratic marginal slope
+    slopes = np.array([agent["a"] for agent in document(p)["agents"]])  # quadratic marginal slope
     coord_tol = 10.0 * 1e-6 / slopes.min()
     assert np.abs(traj.final - res.allocation).max() <= coord_tol
 
@@ -606,9 +615,10 @@ def test_theorem2_box_exit_keeps_the_solver_point(seed, n):
     # point with agent 0 at its upper bound. Quadratic costs only: an
     # exponential cost depends on its span, so a cut would move the Nash point.
     p, nash = _interior(seed, n, QUADRATIC)
-    lower = p.agents[0].lower
-    cut = dataclasses.replace(p.agents[0], upper=lower + 0.5 * (nash[0] - lower))
-    p = AllocationProblem(graph=p.graph, agents=(cut, *p.agents[1:]), total=p.total)
+    lower = p.lower_bounds[0]
+    doc = document(p)
+    doc["agents"][0]["upper"] = float(lower + 0.5 * (nash[0] - lower))
+    p = parse_problem(json.dumps(doc))
     res = solve_lambda(p)
     traj = simulate(p, default_start(p), DrdConfig(step=0.4, max_steps=20_000))
     assert traj.box_exit_step is not None

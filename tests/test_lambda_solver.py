@@ -1,10 +1,11 @@
+import json
 import logging
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_problem
+from conftest import document, random_problem, replaced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from taskalloc.problem import (
     in_feasible_set,
     load_problem,
     marginals,
+    parse_problem,
     total_cost,
 )
 from taskalloc.verify import kkt_check
@@ -169,7 +171,7 @@ def test_solve_clamps_each_key_once(monkeypatch, tab1, tab3):
     for p in (tab1.problem, tab3.problem):
         # each threshold's mass as the total makes a table hit
         problems += [
-            AllocationProblem(graph=p.graph, agents=p.agents, total=float(m))
+            parse_problem(json.dumps(replaced(document(p), ("total",), float(m))))
             for m in breakpoints(p).masses
         ]
     rng = np.random.default_rng(43)
@@ -457,8 +459,8 @@ def test_compare_and_select_triangle_hand_expansion():
     )
     w_even = np.array([40.0, 40.0, 40.0])
     w_skew = np.array([40.0, 70.0, 10.0])
-    c_even = [p.agents[i].cost(w_even[i]) for i in range(3)]
-    c_skew = [p.agents[i].cost(w_skew[i]) for i in range(3)]
+    c_even = [agents[i].cost(w_even[i]) for i in range(3)]
+    c_skew = [agents[i].cost(w_skew[i]) for i in range(3)]
     assert c_even[1] + c_even[2] < c_skew[1] + c_skew[2]
     pick = select_final(p, w_even, w_skew)
     np.testing.assert_array_equal(pick, w_even)
@@ -471,7 +473,7 @@ def test_select_final_guards_feasibility(tab1):
     p = tab1.problem
     lo, up = p.lower_bounds, p.upper_bounds
     span = up - lo
-    a = np.array([m.a for m in p.agents])
+    a = np.array([agent["a"] for agent in document(p)["agents"]])
     lam_ln = (p.total - lo.sum() + (span * np.log(a / span)).sum()) / span.sum()
     wstar = lo + span * (lam_ln - np.log(a / span))
     wo = solve_lambda(p).allocation

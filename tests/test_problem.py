@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import parse_reference, random_problem, replaced
+from conftest import document, parse_reference, random_problem, replaced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,14 +28,10 @@ from taskalloc.problem import (
 )
 
 
-def _single_agent_problem(w=120.0):
-    agent = exponential(a=50.0, lower=0.0, upper=200.0)
-    return AllocationProblem(graph=from_edge_list(1, []), agents=(agent,), total=w)
-
-
 def test_total_cost_single_agent():
-    p = _single_agent_problem()
-    assert total_cost(p, [120.0]) == pytest.approx(p.agents[0].cost(120.0), rel=1e-15)
+    agent = exponential(a=50.0, lower=0.0, upper=200.0)
+    p = AllocationProblem(graph=from_edge_list(1, []), agents=(agent,), total=120.0)
+    assert total_cost(p, [120.0]) == pytest.approx(agent.cost(120.0), rel=1e-15)
 
 
 def test_total_cost_at_zero_loads_sums_coefficients(fig2):
@@ -217,7 +213,7 @@ def test_round_trip_through_file(tmp_path, tab1, tab3):
         p2 = load_problem(path)
         assert p2.total == inst.problem.total
         assert np.array_equal(p2.graph.adjacency, inst.problem.graph.adjacency)
-        assert p2.agents == inst.problem.agents
+        assert document(p2)["agents"] == document(inst.problem)["agents"]
 
 
 def test_bundled_instances_are_parsed_documents():
@@ -226,7 +222,6 @@ def test_bundled_instances_are_parsed_documents():
     # every bit
     for iid in instance_ids():
         p = get_instance(iid).problem
-        assert "agents" not in vars(p)
         p2 = parse_problem(serialize_problem(p))
         assert p2.total.hex() == p.total.hex()
         assert np.array_equal(p2.graph.adjacency, p.graph.adjacency)
@@ -393,12 +388,11 @@ def _assert_parses_as_reference(doc):
     if isinstance(ref, tuple):
         assert got == ref
         return
-    assert isinstance(got, AllocationProblem) and "agents" not in vars(got)
+    assert isinstance(got, AllocationProblem)
     assert got.total == ref.total
     assert np.array_equal(got.graph.adjacency, ref.graph.adjacency)
     for column, expected in zip(got._costs.columns, ref._costs.columns, strict=True):
         assert column.dtype == expected.dtype and np.array_equal(column, expected)
-    assert got.agents == ref.agents
 
 
 def test_problem_is_immutable(tab1):
@@ -416,6 +410,19 @@ def test_bounds_equal_only_as_floats_pass_the_full_checks():
     p = parse_problem(json.dumps(doc))
     assert p.lower_bounds.tolist() == p.upper_bounds.tolist() == [2.0**53]
     _assert_parses_as_reference(doc)
+
+
+def test_exponential_bounds_apart_only_as_ints_fail():
+    # 2**54 + 1 and 2**54 + 2 both round to the float 2**54, where an
+    # exponential agent's span would be 0
+    lower, upper = 2**54 + 1, 2**54 + 2
+    agent = {"family": "exponential", "a": 1.0, "lower": lower, "upper": upper}
+    doc = {"total": float(2**54), "graph": {"n": 1, "edges": []}, "agents": [agent]}
+    with pytest.raises(ParseError, match="^agent #1: exponential family needs upper > lower"):
+        parse_problem(json.dumps(doc))
+    _assert_parses_as_reference(doc)
+    with pytest.raises(ValueError, match="^exponential family needs upper > lower strictly$"):
+        exponential(a=1.0, lower=lower, upper=upper)
 
 
 def test_parse_matches_reference_with_any_value_at_any_path():

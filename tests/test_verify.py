@@ -1,11 +1,11 @@
-import dataclasses
 import itertools
+import json
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_problem, spread
+from conftest import document, random_problem, spread
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +18,7 @@ from taskalloc.lambda_solver import solve_lambda
 from taskalloc.problem import (
     AllocationProblem,
     in_feasible_set,
+    marginals,
     parse_problem,
     total_cost,
     total_cost_batch,
@@ -71,7 +72,7 @@ def test_kkt_clamped_certificate(tab1):
     assert cert.alphas == {}
     assert cert.betas[0] >= 0.0
     # beta_1 = level - marginal at the clamped upper bound
-    expected_beta = cert.lam - float(p.agents[0].marginal(350.0))
+    expected_beta = cert.lam - float(marginals(p, p.upper_bounds)[0])
     assert cert.betas[0] == pytest.approx(expected_beta, rel=1e-9)
 
 
@@ -187,12 +188,12 @@ def test_kkt_nash_equivalence_for_interior_points(fig3):
 @pytest.mark.parametrize("iid", ["tab1", "tab3", "fig2", "fig3"])
 def test_kkt_tolerance_scales_with_level(iid, scale):
     # every a and b times scale: the optimum stays, the level scales
-    base = get_instance(iid).problem
-    agents = tuple(
-        dataclasses.replace(m, a=m.a * scale, b=None if m.b is None else m.b * scale)
-        for m in base.agents
-    )
-    p = AllocationProblem(graph=base.graph, agents=agents, total=base.total)
+    doc = document(get_instance(iid).problem)
+    for agent in doc["agents"]:
+        agent["a"] *= scale
+        if "b" in agent:
+            agent["b"] *= scale
+    p = parse_problem(json.dumps(doc))
     res = solve_lambda(p)
     assert kkt_check(p, res.allocation).passed
     i, j = res.interior[:2]
@@ -209,14 +210,11 @@ def test_kkt_multiplier_formulas_random():
         res = solve_lambda(p)
         cert = kkt_check(p, res.allocation)
         assert cert.passed
+        at_lower, at_upper = marginals(p, p.lower_bounds), marginals(p, p.upper_bounds)
         for i, alpha in cert.alphas.items():
-            assert alpha == pytest.approx(
-                float(p.agents[i].marginal(p.agents[i].lower)) - cert.lam, rel=1e-9, abs=1e-9
-            )
+            assert alpha == pytest.approx(at_lower[i] - cert.lam, rel=1e-9, abs=1e-9)
         for j, beta in cert.betas.items():
-            assert beta == pytest.approx(
-                cert.lam - float(p.agents[j].marginal(p.agents[j].upper)), rel=1e-9, abs=1e-9
-            )
+            assert beta == pytest.approx(cert.lam - at_upper[j], rel=1e-9, abs=1e-9)
         partition = sorted(cert.interior + cert.lower_active + cert.upper_active)
         assert partition == list(range(p.n))
 
@@ -548,7 +546,9 @@ def _grid_per_row(p, resolution):
     width = p.upper_bounds - p.lower_bounds
     solved = max((i for i in range(n) if width[i] >= resolution), default=n - 1)
     order = [i for i in range(n) if i != solved] + [solved]
-    q = AllocationProblem(graph=p.graph, agents=[p.agents[i] for i in order], total=w)
+    doc = document(p)
+    doc["agents"] = [doc["agents"][i] for i in order]
+    q = parse_problem(json.dumps(doc))
     lo, up = q.lower_bounds, q.upper_bounds
     eps = 1e-9 * w
     axes = [_axis(lo[i], up[i], resolution) for i in range(n - 1)]
