@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--example", choices=instance_ids(), help="bundled instance id")
         sp.add_argument("--out", default=".", help="output directory")
 
-    sp = sub.add_parser("solve", help="clamped optimum via breakpoint interpolation")
+    sp = sub.add_parser("solve", help="clamped optimum by Newton steps on the level")
     add_common(sp)
     sp.set_defaults(func=_run_solve)
 

@@ -8,11 +8,13 @@ Two closed families are supported:
 :func:`_agent_fault` is the one rule for whether an agent's coefficients
 define such a cost: CostModel and the problem-file parser both apply it.
 
-Each family writes its formulas once: value, marginal cost, the inverse
-of the marginal, key <-> level, and the interior response in the key
-coordinate. The marginal is strictly increasing on the box, so the
-inverse is well defined; it is intentionally NOT clamped to the box —
-clamping is the water-filling solver's job.
+Each family writes its formulas once: value, marginal cost, curvature
+(the marginal's derivative c''), the inverse of the marginal, key <->
+level with d(level)/d(key), and the interior response in the key
+coordinate; an interior load moves with the key at d(level)/d(key) / c''.
+The marginal is strictly increasing on the box, so the inverse is well
+defined; it is intentionally NOT clamped to the box — clamping is the
+water-filling solver's job.
 
 The formulas take one :class:`_Group`: a family group of the
 :class:`_CostTable` that every :class:`AllocationProblem` builds once
@@ -66,6 +68,10 @@ class _Exponential:
         return m.a_per_span * np.exp((w - m.lower) / m.span)
 
     @staticmethod
+    def curvature(m, w):
+        return _Exponential.marginal(m, w) / m.span
+
+    @staticmethod
     def inverse_marginal(m, lam):
         _require_positive(lam)
         # marginal = (a/u) e^{(w-lo)/u}  =>  w = lo + u (ln lam - ln(a/u))
@@ -76,7 +82,7 @@ class _Exponential:
         _require_positive(lam)
         return np.log(lam)
 
-    lambda_from_key = staticmethod(np.exp)
+    lambda_from_key = lambda_per_key = staticmethod(np.exp)
 
     @staticmethod
     def response_from_key(m, key):
@@ -99,6 +105,10 @@ class _Quadratic:
         return m.a * (w - m.lower) + m.b
 
     @staticmethod
+    def curvature(m, w):
+        return m.a + 0.0 * w
+
+    @staticmethod
     def inverse_marginal(m, lam):
         return m.lower + (lam - m.b) / m.a
 
@@ -107,6 +117,7 @@ class _Quadratic:
         return lam
 
     lambda_from_key = key_from_lambda
+    lambda_per_key = staticmethod(np.ones_like)  # d(level)/d(key) = 1
 
     # the key is the level itself
     response_from_key = inverse_marginal
@@ -139,9 +150,9 @@ class _CostTable:
     levels to the solver's keys: the single family, or _Quadratic (whose key
     is lam itself) when families mix. Per-agent inputs have shape (..., n);
     a shared level (key or lam) is a scalar or an array that broadcasts
-    against (n,), such as a column of keys. All three formulas are bound
-    once: `cost(w)`, `marginal(w)` and `response_from_key(key)`, the
-    unclamped loads at a key (each group's inverse marginal when families
+    against (n,), such as a column of keys. All four formulas are bound
+    once: `cost(w)`, `marginal(w)`, `curvature(w)` and `response_from_key(key)`,
+    the unclamped loads at a key (each group's inverse marginal when families
     mix). A single family binds its formula and group, so that a call in
     the replicator's step loop is one Python frame; mixed ones the scatter.
     """
@@ -165,6 +176,7 @@ class _CostTable:
         self.family = self.groups[0].fam if len(self.groups) == 1 else None
         self.coordinate = self.family or _Quadratic
         for formula, mixed, per_agent in (("cost", "cost", True), ("marginal", "marginal", True),
+                                          ("curvature", "curvature", True),
                                           ("response_from_key", "inverse_marginal", False)):
             if self.family is None:
                 bound = functools.partial(self._evaluate, mixed, per_agent=per_agent)

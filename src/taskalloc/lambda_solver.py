@@ -1,4 +1,4 @@
-"""Water-filling solver: one bracket search over the sorted clamp thresholds.
+"""Water-filling solver: one safeguarded Newton loop finds the level.
 
 Every agent's box-clamped response to a marginal-cost level lam is
 
@@ -8,33 +8,26 @@ Every agent's box-clamped response to a marginal-cost level lam is
 
 so the aggregate response is nondecreasing, and between two consecutive
 clamp thresholds no agent changes its active set. The cost table picks
-the key coordinate the thresholds are sorted in (log lam for exponential
-costs, lam for quadratic or mixed ones). `solve_lambda` binary-searches
-the 2n sorted thresholds for the bracket holding the total, one O(n)
-clamp per probe, and solves inside it by Illinois false position. Its
-first step is the linear interpolation between the bracket ends, which is
-exact when every interior response is linear in the key, as for a single
-family.
+the key coordinate the level is sought in (log lam for exponential costs,
+lam for quadratic or mixed ones); for a single family every interior
+response is linear in it. `solve_lambda` finds the level by semismooth
+Newton steps on the key (as Cominetti, Mascarenhas & Silva, Math. Prog.
+Comp. 6, 2014, do for the continuous quadratic knapsack), one O(n) clamp
+each, inside a bracket that every step shrinks; it sorts nothing.
 
 One vectorized clamp, `_clamp`, applies the rule above (lower wins a tie
-with upper) for every probe, the final allocation and active sets, and the
-masses of the printed table `breakpoints(p, key_decimals)`. Each table
-mass is the plain sum of the clamped loads at its key, over blocks of keys
-so memory stays O(n); prefix sums would round differently and move the
-last digits of the bundled reports. The reference tables use keys
-quantized to 3 decimals; `solve_lambda` always uses full precision.
-
-The final selection between a replicator limit and the water-filling
-optimum (`select_final`) compares their total costs, each summed exactly.
+with upper) for every solver step, the final active sets, and the masses
+of the printed table `breakpoints(p, key_decimals)`: each the plain sum of
+the clamped loads at its key, over blocks of keys so memory stays O(n).
+The reference tables use keys quantized to 3 decimals.
 
 Below about 10^3 agents a call costs numpy's per-call overhead more than
 arithmetic, so hot paths use ndarray methods, not np.any, np.all,
 np.flatnonzero or np.broadcast_shapes.
 """
 
-import functools
-import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +42,7 @@ from .problem import (
     marginals,
 )
 
-_SUM_TOL = 1e-12  # load sum miss (relative to w) of a table hit, and of false position's stop
+_SUM_TOL = 1e-12  # load sum miss (relative to w) of a bound sum, and of a Newton landing
 _BLOCK_ELEMENTS = 1 << 17  # agents x keys clamped at once while building a table
 
 
@@ -78,13 +71,12 @@ class SolverResult:
     allocation: np.ndarray
     key: float  # level in the cost table's key coordinate
     lam: float  # marginal-cost level itself
-    bracket: int  # 0-based threshold hit, or the interval it starts
+    bracket: int  # 0-based sorted threshold at the key, or the one starting its interval
     interior: list[int]
     active_lower: list[int]
     active_upper: list[int]
-    method: str  # "table-hit" | "interpolation" | "false-position"
+    method: str  # "bound" | "newton" | "blend"
     probes: int  # distinct clamps made, one O(n) pass each
-    fp_iterations: int  # false-position passes after the first interpolation
 
 
 def _agent_keys(p: AllocationProblem, key_decimals: int | None):
@@ -146,123 +138,100 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
 
 
 def solve_lambda(p: AllocationProblem) -> SolverResult:
-    """Find the level whose clamped responses sum exactly to the total.
+    """Find the level whose clamped responses sum to the total.
 
-    A binary search finds the first threshold whose mass reaches the
-    total; within 1e-12 * w it is a table hit. Otherwise the level lies in
-    the bracket that threshold closes, solved by false position
-    ("interpolation" when its first step lands). Bracket ends that share a
-    key hold agents whose marginal is flat to rounding (kmin == kmax, where
-    lower wins the clamp's tie); the upper end counts them at upper.
+    The bracket starts at the least lower threshold and the float past the
+    greatest upper one; a total within 1e-12 * w of a bound sum takes that
+    end ("bound"). Each step clamps once inside the bracket, moves the end
+    on its side of w and takes a Newton step; a step out of the bracket
+    takes the ends' secant, and one that fails to halve the miss makes the
+    next a bisection in float order (at most 64 isolate a jump). Within
+    1e-12 * w, Newton steps go on while they shrink the miss ("newton").
+    With no float left in the bracket, its ends' loads are blended ("blend").
     """
     w = p.total
-    kmin, kmax = _agent_keys(p, None)
-    keys = np.sort(np.concatenate([kmin, kmax]))
-    respond = p._costs.response_from_key
-
-    @functools.cache  # a float64 key and its float share an entry, as do -0.0 and 0.0
-    def clamp(key):
-        return _clamp(p, float(key), kmin, kmax, respond)
-
-    def mass(key) -> float:
-        return float(clamp(key)[0].sum())
-
-    # First threshold whose mass reaches w - hit_tol: w lies between the
-    # bound sums, so the last qualifies unless a flat agent is still at
-    # lower there, and the first (all at lower) only as a hit.
-    hit_tol = _SUM_TOL * w
-    lo, j = 0, keys.size - 1
-    while lo < j:
-        mid = (lo + j) // 2
-        if mass(keys[mid]) - w >= -hit_tol:
-            j = mid
-        else:
-            lo = mid + 1
-    m1 = mass(keys[j])
-    if abs(m1 - w) <= hit_tol:
-        key, method, fp = float(keys[j]), "table-hit", 0
-        clamped = clamp(key)
-    else:
-        j -= 1
-        k0, k1 = float(keys[j]), float(keys[j + 1])
-        hi = clamp(k1)
-        if k0 == k1:
-            flat = (kmin == k1) & (kmax == k1)
-            hi = (np.where(flat, p.upper_bounds, hi[0]), hi[1] & ~flat, hi[2] | flat)
-        key, clamped, method, fp = _false_position(clamp, w, k0, k1, clamp(k0), hi)
-    lam = float(p._costs.coordinate.lambda_from_key(key))
-    probes = clamp.cache_info().currsize
-    return _result(key, lam, clamped, bracket=j, method=method, probes=probes, fp_iterations=fp)
-
-
-def _false_position(clamp, w, k0, k1, c0, c1):
-    """Illinois false position inside a bracket whose end clamps c0 and c1
-    have masses m0 < w < m1, to a load sum within _SUM_TOL * w; returns
-    (level, clamp there, method, passes after the first). The first step
-    is the linear interpolation between the ends, reported as
-    "interpolation" when it lands. After that, an end kept twice in a row
-    has its miss halved. A step whose key gap over mass gap underflows, so
-    that it lands on an end, takes the share of the mass gap first. If no
-    float is left inside the bracket (one ulp of lam can move a load by
-    more, as near a large quadratic b), the loads of its two ends are
-    blended to sum to w, each clipped between its ends (rounded end masses
-    can push the share past 1); every marginal stays between the ends."""
     tol = _SUM_TOL * w
+    costs = p._costs
+    kmin, kmax = _agent_keys(p, None)
+    none, every = np.zeros(p.n, bool), np.ones(p.n, bool)
+    k0, c0 = float(kmin.min()), (p.lower_bounds.copy(), every, none)
+    k1, c1 = math.nextafter(float(kmax.max()), math.inf), (p.upper_bounds.copy(), none, every)
     m0, m1 = float(c0[0].sum()), float(c1[0].sum())
-    g0, g1 = m0 - w, m1 - w  # true misses at the ends; m0, m1 get halved
-    side, method = 0, "interpolation"  # side: which end the last step replaced
-    for fp in itertools.count():  # fp: passes after the first interpolation
-        key = (k1 - k0) / (m1 - m0) * (w - m0) + k0
-        if not k0 < key < k1 and math.nextafter(k0, k1) < k1:
-            key = (w - m0) / (m1 - m0) * (k1 - k0) + k0
-        if not k0 < key < k1:
-            near, c = (k0, c0) if -g0 < g1 else (k1, c1)
-            # shares of the mass gap times the miss: nothing overflows or is subnormal
-            blend = c0[0] + (c1[0] - c0[0]) / (g1 - g0) * -g0
-            blend = np.clip(blend, np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0]))
-            return near, (blend, *c[1:]), "false-position", fp
-        clamped = clamp(key)
-        m = float(clamped[0].sum())
-        if abs(m - w) <= tol:
-            return key, clamped, method, fp
-        method = "false-position"
-        if m < w:
-            k0, g0, m0, c0 = key, m - w, m, clamped
-            if side < 0:
-                m1 = w + 0.5 * (m1 - w)
-            side = -1
-        else:
-            k1, g1, m1, c1 = key, m - w, m, clamped
-            if side > 0:
-                m0 = w + 0.5 * (m0 - w)
-            side = 1
-
-
-def _result(key, lam, clamped, **fields) -> SolverResult:
-    """SolverResult whose allocation and active sets come from one clamp."""
-    alloc, at_lower, at_upper = clamped
+    key, c = (k0, c0) if w - m0 <= m1 - w else (k1, c1)
+    method, probes = "bound", 0
+    if min(w - m0, m1 - w) > tol:
+        method, goal, best, bisect = "newton", math.inf, None, False
+        # slopes d(load)/d(key) at the lower thresholds, at every key for one family
+        with np.errstate(all="ignore"):
+            rate = costs.coordinate.lambda_per_key(kmin) / costs.curvature(c0[0])
+            key = float(((rate * kmin).sum() + (w - m0)) / rate.sum())
+        while True:
+            if not (bisect or k0 < key < k1):
+                # share of the mass gap first, so nothing underflows
+                key = (w - m0) / (m1 - m0) * (k1 - k0) + k0
+                if key == k0 or key == k1:
+                    key = math.nextafter(key, k1 if key == k0 else k0)
+            if bisect or not k0 < key < k1:
+                key = _midpoint(k0, k1)
+                if not k0 < key < k1:  # blend the ends' loads, each between its ends
+                    blend = c0[0] + (c1[0] - c0[0]) / ((m1 - w) - (m0 - w)) * (w - m0)
+                    lo, hi = np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0])
+                    key, c = (k0, c0) if w - m0 <= m1 - w else (k1, c1)
+                    method, c = "blend", (np.clip(blend, lo, hi), *c[1:])
+                    break
+            c = _clamp(p, key, kmin, kmax, costs.response_from_key)
+            probes += 1
+            m = float(c[0].sum())
+            miss = abs(m - w)
+            if best is not None and miss >= best[2]:
+                break
+            if miss <= tol:
+                best = key, c, miss
+            bisect = miss > max(goal, tol)  # goal: half the miss of the last step that halved it
+            if not bisect:
+                goal = 0.5 * miss
+            if m < w:
+                k0, m0, c0 = key, m, c
+            else:
+                k1, m1, c1 = key, m, c
+            if costs.family is None:  # a mixed table's slopes move with the level
+                with np.errstate(all="ignore"):
+                    rate = costs.coordinate.lambda_per_key(key) / costs.curvature(c[0])
+            s = float(rate[~(c[1] | c[2])].sum())
+            key = key + (w - m) / s if s > 0 else math.nan
+            if best is not None and not k0 < key < k1:
+                break
+        key, c = (key, c) if best is None else best[:2]  # a blend has no landing
+    alloc, at_lower, at_upper = c
+    below = np.count_nonzero(kmin < key) + np.count_nonzero(kmax < key)
     return SolverResult(
-        allocation=alloc,
-        key=key,
-        lam=lam,
+        allocation=alloc, key=key, lam=float(costs.coordinate.lambda_from_key(key)),
+        bracket=int(below) - 1 + bool((kmin == key).any() or (kmax == key).any()),
         interior=(~(at_lower | at_upper)).nonzero()[0].tolist(),
-        active_lower=at_lower.nonzero()[0].tolist(),
-        active_upper=at_upper.nonzero()[0].tolist(),
-        **fields,
+        active_lower=at_lower.nonzero()[0].tolist(), active_upper=at_upper.nonzero()[0].tolist(),
+        method=method, probes=probes,
     )
+
+
+def _midpoint(a: float, b: float) -> float:
+    """The float halfway between a and b in float order."""
+    i, j = map(_rank, struct.unpack("<2q", struct.pack("<2d", a, b)))
+    return struct.unpack("<d", struct.pack("<q", _rank((i + j) // 2)))[0]
+
+
+def _rank(bits: int) -> int:
+    """A float's bits, read as an int, as its rank among the floats, and back."""
+    return bits if bits >= 0 else -bits - (1 << 63)
 
 
 def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:
     """Feasibility-guarded choice of a replicator limit or the water-filling
-    optimum, for library callers (no CLI command runs it).
-
-    A replicator limit outside the feasible set costs less than any
-    feasible point (it ignores the boxes), so comparing costs alone would
-    always pick it; an infeasible candidate is discarded instead. Of two
-    feasible candidates it keeps wstar unless the exact sum of wo's costs
-    is smaller; two infinite totals tie, so wstar is kept. Exact addition
-    is associative, so a convergecast of exact partial sums up any spanning
-    tree would leave node 0 holding this same total.
+    optimum, for library callers (no CLI command runs it). An infeasible
+    candidate is discarded: a limit that ignores the boxes costs less than
+    any feasible point. Of two feasible candidates it keeps wstar unless
+    the exact sum of wo's costs is smaller (two infinite totals tie). Exact
+    addition is associative, so a convergecast of exact partial sums up
+    any spanning tree would leave node 0 holding this same total.
     """
     a_star = as_allocation(p, wstar)
     a_o = as_allocation(p, wo)

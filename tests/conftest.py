@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import sys
 import time
 
@@ -387,11 +388,11 @@ def parse_reference(text):
 
 
 # ---------------------------------------------------------------------------
-# references: the solver and the certificate as they were before their hot
-# paths dropped numpy's per-call wrappers (np.any, np.all, np.flatnonzero,
-# np.broadcast_shapes, (..., idx) indexing), kept as they were so the tests
-# can require the same bits. solve_reference also counts its clamps and its
-# false-position passes, and appends its probe keys to `probe_log`.
+# references: the solver and the certificate with numpy's per-call wrappers
+# (np.any, np.all, np.flatnonzero, np.broadcast_shapes, (..., idx)
+# indexing) that their hot paths dropped, so the tests can require the
+# same bits. solve_reference is a copy of solve_lambda's Newton loop over
+# these helpers; it also appends its probe keys to `probe_log`.
 
 
 def _evaluate_reference(table, formula, x, per_agent):
@@ -427,97 +428,95 @@ def _clamp_reference(p, key, kmin, kmax, respond):
     return loads, at_lower, at_upper
 
 
+def _midpoint_reference(a, b):
+    """The float halfway between a and b in float order: a float's int64
+    bits count up from 0.0 for x >= 0 and down from -0.0 for x <= 0."""
+    def rank(x):
+        bits = int(np.float64(x).view(np.int64))
+        return bits if bits >= 0 else -(bits + 2**63)
+
+    mid = (rank(a) + rank(b)) // 2
+    return float(np.int64(mid if mid >= 0 else -mid - 2**63).view(np.float64))
+
+
 def solve_reference(p, probe_log):
-    """solve_lambda's result, with probes the number of distinct clamps and
-    fp_iterations the false-position passes after the first."""
+    """solve_lambda's result, with probes the number of clamps; appends
+    each clamp's key to probe_log."""
     w = p.total
-    kmin, kmax = _agent_keys_reference(p)
-    keys = np.sort(np.concatenate([kmin, kmax]))
+    tol = _SUM_TOL * w
     table = p._costs
+    kmin, kmax = _agent_keys_reference(p)
     formula = "inverse_marginal" if table.family is None else "response_from_key"
 
     def respond(key):
         return _evaluate_reference(table, formula, key, False)
 
-    clamps = {}
+    def curvature(loads):
+        return _evaluate_reference(table, "curvature", loads, True)
 
-    def clamp(key):
-        key = float(key)
-        if key not in clamps:
+    n = p.n
+    k0, c0 = float(kmin.min()), (p.lower_bounds.copy(), np.ones(n, bool), np.zeros(n, bool))
+    k1 = math.nextafter(float(kmax.max()), math.inf)
+    c1 = (p.upper_bounds.copy(), np.zeros(n, bool), np.ones(n, bool))
+    m0, m1 = float(c0[0].sum()), float(c1[0].sum())
+    key, c = (k0, c0) if w - m0 <= m1 - w else (k1, c1)
+    method, probes = "bound", 0
+    if min(w - m0, m1 - w) > tol:
+        method, goal, best, bisect = "newton", math.inf, None, False
+        with np.errstate(all="ignore"):
+            rate = table.coordinate.lambda_per_key(kmin) / curvature(c0[0])
+            key = float(((rate * kmin).sum() + (w - m0)) / rate.sum())
+        while True:
+            if not (bisect or k0 < key < k1):
+                key = (w - m0) / (m1 - m0) * (k1 - k0) + k0
+                if key == k0 or key == k1:
+                    key = math.nextafter(key, k1 if key == k0 else k0)
+            if bisect or not k0 < key < k1:
+                key = _midpoint_reference(k0, k1)
+                if not k0 < key < k1:
+                    blend = c0[0] + (c1[0] - c0[0]) / ((m1 - w) - (m0 - w)) * (w - m0)
+                    lo, hi = np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0])
+                    key, c = (k0, c0) if w - m0 <= m1 - w else (k1, c1)
+                    method, c = "blend", (np.clip(blend, lo, hi), *c[1:])
+                    break
             probe_log.append(key)
-            clamps[key] = _clamp_reference(p, key, kmin, kmax, respond)
-        return clamps[key]
-
-    def mass(key):
-        return float(clamp(key)[0].sum())
-
-    hit_tol = _SUM_TOL * w
-    lo, j = 0, keys.size - 1
-    while lo < j:
-        mid = (lo + j) // 2
-        if mass(keys[mid]) - w >= -hit_tol:
-            j = mid
-        else:
-            lo = mid + 1
-    m1 = mass(keys[j])
-    passes = 1
-    if abs(m1 - w) <= hit_tol:
-        key, method = float(keys[j]), "table-hit"
-        clamped = clamp(key)
-    else:
-        j -= 1
-        k0, k1 = float(keys[j]), float(keys[j + 1])
-        hi = clamp(k1)
-        if k0 == k1:
-            flat = (kmin == k1) & (kmax == k1)
-            hi = (np.where(flat, p.upper_bounds, hi[0]), hi[1] & ~flat, hi[2] | flat)
-        key, clamped, method, passes = _false_position_reference(
-            clamp, w, k0, k1, clamp(k0), hi
-        )
-    lam = float(table.coordinate.lambda_from_key(key))
-    alloc, at_lower, at_upper = clamped
+            c = _clamp_reference(p, key, kmin, kmax, respond)
+            probes += 1
+            m = float(c[0].sum())
+            miss = abs(m - w)
+            if best is not None and miss >= best[2]:
+                break
+            if miss <= tol:
+                best = key, c, miss
+            bisect = miss > max(goal, tol)
+            if not bisect:
+                goal = 0.5 * miss
+            if m < w:
+                k0, m0, c0 = key, m, c
+            else:
+                k1, m1, c1 = key, m, c
+            if table.family is None:
+                with np.errstate(all="ignore"):
+                    rate = table.coordinate.lambda_per_key(key) / curvature(c[0])
+            s = float(rate[~(c[1] | c[2])].sum())
+            key = key + (w - m) / s if s > 0 else math.nan
+            if best is not None and not k0 < key < k1:
+                break
+        if best is not None:
+            key, c = best[:2]
+    alloc, at_lower, at_upper = c
+    below = int(np.sum(kmin < key) + np.sum(kmax < key))
     return SolverResult(
         allocation=alloc,
         key=key,
-        lam=lam,
-        bracket=j,
+        lam=float(table.coordinate.lambda_from_key(key)),
+        bracket=below - 1 + bool(np.any(kmin == key) or np.any(kmax == key)),
         interior=np.flatnonzero(~(at_lower | at_upper)).tolist(),
         active_lower=np.flatnonzero(at_lower).tolist(),
         active_upper=np.flatnonzero(at_upper).tolist(),
         method=method,
-        probes=len(clamps),
-        fp_iterations=passes - 1,
+        probes=probes,
     )
-
-
-def _false_position_reference(clamp, w, k0, k1, c0, c1):
-    tol = _SUM_TOL * w
-    m0, m1 = float(c0[0].sum()), float(c1[0].sum())
-    g0, g1 = m0 - w, m1 - w
-    side, method, passes = 0, "interpolation", 0
-    while True:
-        passes += 1
-        key = (k1 - k0) / (m1 - m0) * (w - m0) + k0
-        if not k0 < key < k1:
-            near, c = (k0, c0) if -g0 < g1 else (k1, c1)
-            blend = c0[0] + (c1[0] - c0[0]) / (g1 - g0) * -g0
-            blend = np.clip(blend, np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0]))
-            return near, (blend, *c[1:]), "false-position", passes
-        clamped = clamp(key)
-        m = float(clamped[0].sum())
-        if abs(m - w) <= tol:
-            return key, clamped, method, passes
-        method = "false-position"
-        if m < w:
-            k0, g0, m0, c0 = key, m - w, m, clamped
-            if side < 0:
-                m1 = w + 0.5 * (m1 - w)
-            side = -1
-        else:
-            k1, g1, m1, c1 = key, m - w, m, clamped
-            if side > 0:
-                m0 = w + 0.5 * (m0 - w)
-            side = 1
 
 
 def in_feasible_set_reference(p, w):

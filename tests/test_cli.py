@@ -259,8 +259,8 @@ def test_total_at_the_exact_lower_sum_solves_and_verifies(tmp_path, capsys):
 
 def test_underflowing_interpolation_step_solves(tmp_path):
     # agent 2's key gap over the bracket's mass gap, about 1e-200 / 1e220,
-    # underflows to 0; the step then lands on an end and the blend ran (its
-    # certificate is a repro row)
+    # underflows to 0, so a secant step takes the share of the mass gap
+    # first (its certificate is a repro row)
     path = DATA / "underflow2.json"
     assert main(["solve", "--input", str(path), "--out", str(tmp_path / "s")]) == 0
     report = (tmp_path / "s" / "solver_report.txt").read_text()
@@ -477,8 +477,8 @@ def test_solve_mixed_family_file(tmp_path):
     rc = main(["solve", "--input", str(path), "--out", str(out)])
     assert rc == 0
     report = (out / "solver_report.txt").read_text()
-    # the bracket's interior agent is quadratic, so the first step is exact
-    assert "method: interpolation" in report
+    # the only interior agent is quadratic, so a Newton step lands exactly
+    assert "method: newton" in report
     assert "kkt certificate: PASSED" in report
     assert "breakpoint coordinate" not in report
 
@@ -863,7 +863,7 @@ _REPROS = [
     ("subnormal_mc2", ["verify", "--samples", "200", "--seed", "0"], 0, _VERIFIED),
     # the exact sum of the lowers, which their float sum rounds one ulp above
     ("boundsum3", ["solve"], 0, _PASSED),
-    # an interpolation step of 1e-200 over 1e220 underflows
+    # a secant step of 1e-200 over 1e220 would underflow
     ("underflow2", ["solve"], 0, _PASSED),
     # a steep agent (its marginal moves 5e-3 over one ulp of its load) pulls
     # the interior mean off the flat agent
@@ -871,18 +871,19 @@ _REPROS = [
     ("steep2", ["verify", *_SAMPLED], 0, _VERIFIED),
     # verify exits 0 only on its VERIFIED verdict, so these four rows check
     # the grid instead. A point above the total under a steep lam: a steep
-    # agent at its upper bound, and a table hit 2.2e-10 above the total
+    # agent at its upper bound, and a Newton landing 2.2e-10 above the total
     ("steep_upper2", ["verify", *_SAMPLED], 0, _GRID),
     ("steep_hit2", ["verify", *_SAMPLED], 0, _GRID),
     # a pinned last agent: the grid solves the second agent from the sum
     ("pinned3", ["verify", *_SAMPLED], 0, _GRID),
-    # one free agent leaves a single point
+    # one free agent leaves a single point, and its load sums to w exactly
     ("single2", ["verify", *_SAMPLED], 0, _GRID),
+    ("single2", ["solve"], 0, "sum of loads: 7"),
     # a box too thin for rejection: the hit-and-run walker draws the samples
     ("thin5", ["verify", *_SAMPLED], 0, _VERIFIED),
-    # a blend whose rounded share passes 1 keeps every load in its box
+    # a total at the float sum of the uppers, above their pairwise sum
     ("box_upper50", ["solve"], 0, _PASSED),
-    # a mixed table that takes false-position passes
+    # a mixed table that takes several Newton steps
     ("waterfill_mixed11", ["solve"], 0, _PASSED),
     # costs beyond float range, an agent whose family is a JSON list, and a
     # total above the sum of the upper bounds

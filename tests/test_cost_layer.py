@@ -68,6 +68,13 @@ def ref_marginal(m, w):
     return m.a * (w - m.lower) + m.b
 
 
+def ref_curvature(m, w):
+    if m.family == "exponential":
+        u = m.upper - m.lower
+        return m.a / u / u * math.exp((w - m.lower) / u)
+    return m.a
+
+
 def ref_inverse(m, lam):
     if m.family == "exponential":
         u = m.upper - m.lower
@@ -108,13 +115,17 @@ def test_problem_costs_and_marginals_match_closed_forms(family, seed):
     for w in (_loads(rng, agents), _loads(rng, agents, rows=5)):
         costs = cost_values(p, w)
         margs = marginals(p, w)
-        assert costs.shape == w.shape and margs.shape == w.shape
-        for row_w, row_c, row_m in zip(np.atleast_2d(w), np.atleast_2d(costs), np.atleast_2d(margs)):
-            for m, x, c, g in zip(agents, row_w, row_c, row_m):
+        curvs = p._costs.curvature(w)
+        assert costs.shape == w.shape and margs.shape == w.shape and curvs.shape == w.shape
+        rows = zip(*map(np.atleast_2d, (w, costs, margs, curvs)))
+        for row_w, row_c, row_m, row_k in rows:
+            for m, x, c, g, k in zip(agents, row_w, row_c, row_m, row_k):
                 want_c = ref_cost(m, float(x))
                 want_g = ref_marginal(m, float(x))
+                want_k = ref_curvature(m, float(x))
                 _close(c, want_c, abs(want_c))
                 _close(g, want_g, abs(want_g))
+                _close(k, want_k, abs(want_k))
 
 
 @pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])

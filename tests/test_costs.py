@@ -10,6 +10,16 @@ from taskalloc.costs import (
     quadratic,
 )
 from taskalloc.errors import NonpositiveLambdaError
+from taskalloc.graph import from_edge_list
+from taskalloc.problem import AllocationProblem
+
+def _table(models):
+    """The cost table of a path of these agents."""
+    n = len(models)
+    lo, up = sum(m.lower for m in models), sum(m.upper for m in models)
+    graph = from_edge_list(n, [(k, k + 1) for k in range(n - 1)])
+    return AllocationProblem(graph=graph, agents=tuple(models), total=0.5 * (lo + up))._costs
+
 
 EXP1 = exponential(a=1000.0, lower=200.0, upper=350.0)
 EXP2 = exponential(a=1900.0, lower=350.0, upper=480.0)
@@ -100,6 +110,20 @@ def test_marginal_matches_finite_difference():
         for w in np.linspace(m.lower, m.upper, 9):
             fd = (m.cost(w + h) - m.cost(w - h)) / (2.0 * h)
             assert abs(fd - m.marginal(w)) <= 1e-6 * abs(m.marginal(w))
+    # the curvature against a central difference of the marginal, for both
+    # families in one mixed table and in each single-family table
+    models = (EXP1, EXP2, QUAD1, QUAD2)
+    mixed = _table(models)
+    lo, up = mixed.lower, mixed.upper
+    h = 1e-4 * (up - lo)
+    w = lo + np.linspace(0.0, 1.0, 9)[:, None] * (up - lo)
+    fd = (mixed.marginal(w + h) - mixed.marginal(w - h)) / (2.0 * h)
+    np.testing.assert_allclose(mixed.curvature(w), fd, rtol=1e-6)
+    # the mixed table scatters each group's curvature to its agents
+    for idx in ([0, 1], [2, 3]):
+        single = _table([models[i] for i in idx])
+        assert single.family is not None
+        assert mixed.curvature(w)[:, idx].tobytes() == single.curvature(w[:, idx]).tobytes()
 
 
 def test_nonpositive_lambda_rejected_for_exponential():

@@ -202,7 +202,7 @@ def test_sparse_instance_with_1e5_agents():
     total = float(lower.sum() + 0.5 * (upper - lower).sum())
     p = AllocationProblem(graph=g, agents=agents, total=total)
     res = solve_lambda(p)
-    assert res.method == "false-position"
+    assert res.method == "newton"
     assert abs(res.allocation.sum() - p.total) <= 1e-9 * p.total
 
     traj = simulate(p, default_start(p), DrdConfig(step=1e-3, max_steps=20))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from taskalloc import get_instance, lambda_solver
 from taskalloc.costs import exponential, quadratic
-from taskalloc.errors import CostOverflowError, InfeasibleError
+from taskalloc.errors import CostOverflowError, InfeasibleError, ParseError
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import (
     _agent_keys,
@@ -118,7 +118,7 @@ def test_solve_exponential_reference(tab1):
     assert res.active_lower == []
     assert res.bracket == 3
     assert res.key == pytest.approx(2.9314, abs=1e-3)
-    assert res.method == "interpolation"
+    assert res.method == "newton"
 
 
 def test_solve_quadratic_reference(tab3):
@@ -138,7 +138,7 @@ def test_solve_at_bound_totals():
     low = AllocationProblem(graph=g, agents=agents, total=15.0)
     res = solve_lambda(low)
     np.testing.assert_allclose(res.allocation, [10.0, 5.0], atol=1e-12)
-    assert res.method == "table-hit"
+    assert res.method == "bound"
     high = AllocationProblem(graph=g, agents=agents, total=45.0)
     np.testing.assert_allclose(solve_lambda(high).allocation, [20.0, 25.0], atol=1e-12)
 
@@ -165,11 +165,11 @@ def test_sum_exactness_random_instances():
 
 
 def test_solve_clamps_each_key_once(monkeypatch, tab1, tab3):
-    # the search's last probe, the threshold it lands on, a table hit and
-    # the bracket ends share one clamp per key
+    # every step clamps at a new key strictly inside the bracket, and a
+    # bound sum takes its end without a clamp
     problems = []
     for p in (tab1.problem, tab3.problem):
-        # each threshold's mass as the total makes a table hit
+        # each threshold's mass as the total, the bound sums among them
         problems += [
             parse_problem(json.dumps(replaced(document(p), ("total",), float(m))))
             for m in breakpoints(p).masses
@@ -189,41 +189,69 @@ def test_solve_clamps_each_key_once(monkeypatch, tab1, tab3):
         keys.clear()
         methods.add(solve_lambda(p).method)
         assert len(keys) == len(set(keys)), keys
-    assert methods == {"table-hit", "interpolation", "false-position"}
+    assert methods == {"bound", "newton"}
 
 
 @pytest.mark.parametrize(
-    ("source", "probes", "fp_iterations", "method"),
+    ("source", "probes", "method"),
     [
-        ("tab1", 4, 0, "interpolation"),
-        ("tab3", 4, 0, "interpolation"),
-        ("fig2", 3, 0, "interpolation"),
-        ("fig3", 4, 0, "interpolation"),
+        # a single family starts at its unconstrained Nash level: tab3 and
+        # fig3 land there exactly, tab1 (agent 1 at its upper bound) takes
+        # one Newton step more, and fig2 lands within 1e-12 * w and tries one
+        # step more, which does not shrink the miss
+        ("tab1", 2, "newton"),
+        ("tab3", 1, "newton"),
+        ("fig2", 2, "newton"),
+        ("fig3", 1, "newton"),
         # bench/gen.py's waterfill_inputs(3, 100)[48]: mixed families, n = 11
-        ("waterfill_mixed11.json", 12, 6, "false-position"),
+        ("waterfill_mixed11.json", 8, "newton"),
+        # totals below one ulp of a load: the secant rounds onto the lower
+        # end and moves one float inside, which leaves no float in the bracket
+        ("subnormal2.json", 1, "blend"),
+        ("subnormal_mc2.json", 1, "blend"),
     ],
+    ids=["tab1", "tab3", "fig2", "fig3", "waterfill_mixed11.json", "subnormal2.json",
+         "subnormal_mc2.json"],
 )
-def test_solver_counters(source, probes, fp_iterations, method):
-    # the counts of _clamp calls and false-position passes that the solver
-    # made before it counted them itself
+def test_solver_counters(monkeypatch, source, probes, method):
+    # probes counts the solve's _clamp calls
     if source.endswith(".json"):
         p = load_problem(Path(__file__).parent / "data" / source)
     else:
         p = get_instance(source).problem
+    calls = []
+    monkeypatch.setattr(lambda_solver, "_clamp", lambda *args: calls.append(args) or _clamp(*args))
     res = solve_lambda(p)
-    assert (res.probes, res.fp_iterations, res.method) == (probes, fp_iterations, method)
+    assert (res.probes, res.method) == (probes, method)
+    assert len(calls) == probes
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "data").glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_every_data_file_solves_within_the_clamp_bound(path):
+    # at most 64 bisections in float order isolate a jump in the mass
+    try:
+        p = load_problem(path)
+        res = solve_lambda(p)
+    except (ParseError, InfeasibleError, CostOverflowError):
+        return
+    assert res.probes <= 80
+    assert (res.allocation >= p.lower_bounds).all() and (res.allocation <= p.upper_bounds).all()
 
 
 def test_blended_loads_stay_in_their_boxes():
-    # 50 quadratic agents at a total equal to the float sum of the uppers,
-    # which overshoots the upper end's pairwise mass: no float lies inside
-    # the bracket, and the unclipped blend put a load 64 ulps above its box
-    p = load_problem(Path(__file__).parent / "data" / "box_upper50.json")
-    res = solve_lambda(p)
-    assert (res.method, res.fp_iterations) == ("false-position", 0)
-    assert (res.allocation >= p.lower_bounds).all()
-    assert (res.allocation <= p.upper_bounds).all()
-    assert kkt_check(p, res.allocation).passed
+    # box_upper50: 50 quadratic agents at a total equal to the float sum of
+    # the uppers, which overshoots their pairwise sum by less than 1e-12 * w,
+    # so the solve takes the all-upper end. The other three leave no float
+    # inside the bracket
+    for name, method in [("box_upper50", "bound"), ("flat2", "blend"),
+                         ("subnormal2", "blend"), ("subnormal_mc2", "blend")]:
+        p = load_problem(Path(__file__).parent / "data" / f"{name}.json")
+        res = solve_lambda(p)
+        assert res.method == method
+        assert (res.allocation >= p.lower_bounds).all()
+        assert (res.allocation <= p.upper_bounds).all()
+        assert kkt_check(p, res.allocation).passed
 
 
 def test_duplicate_breakpoints_are_tolerated():
@@ -259,25 +287,25 @@ def _mixed_instance(total):
     )
 
 
-def test_mixed_families_use_false_position():
+def test_mixed_families_take_newton_steps():
     # the exponential agent is the interior one, so the loads are not
-    # linear in lam across the bracket and the first step misses
+    # linear in lam and the first step misses
     p = _mixed_instance(180.0)
     res = solve_lambda(p)
     assert res.interior == [0]
-    assert res.method == "false-position"
+    assert res.method == "newton" and res.probes > 1
     assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
     assert in_feasible_set(p, res.allocation)
     assert kkt_check(p, res.allocation).passed
 
 
 def test_mixed_families_with_quadratic_interior_interpolate_exactly():
-    # the bracket's only interior agent is quadratic, whose load is linear
-    # in lam, so the first false-position step is the exact level
+    # the only interior agent is quadratic, whose load is linear in lam,
+    # so a Newton step from a key with the same active sets is exact
     p = _mixed_instance(140.0)
     res = solve_lambda(p)
     assert res.active_lower == [0] and res.interior == [1] and res.active_upper == [2]
-    assert res.method == "interpolation"
+    assert res.method == "newton"
     assert res.key == res.lam == pytest.approx(2.0 + 0.05 * 40.0, rel=1e-12)
     np.testing.assert_array_equal(res.allocation, [10.0, 60.0, 70.0])
     assert kkt_check(p, res.allocation).passed
@@ -324,10 +352,10 @@ def test_non_finite_threshold_raises_cost_overflow():
 
 def test_small_total_is_not_a_table_hit():
     # the loads are ~1e-13: a hit tolerance floored at 1e-12 took the
-    # all-lower threshold (0, 0) as the answer
+    # all-lower end (0, 0) as the answer
     p = _two_quadratics(3e-13, (1.0, 1.0), (2.0, 1.0), upper=1e-12)
     res = solve_lambda(p)
-    assert res.method != "table-hit"
+    assert res.method != "bound"
     np.testing.assert_allclose(res.allocation, [2e-13, 1e-13], rtol=1e-3)
     assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
     assert in_feasible_set(p, res.allocation)
@@ -347,22 +375,18 @@ def test_mixed_table_rejects_quantized_keys():
     assert breakpoints(p).coordinate == "marginal"
 
 
-def _interpolate_table(p):
-    """Level and bracket read off the full breakpoint table: the first
-    entry within 1e-12 of the total (relative, at least 1e-12), else one
-    linear interpolation between the two entries around it."""
-    tbl = breakpoints(p)
-    w = p.total
-    hits = np.flatnonzero(np.abs(tbl.masses - w) <= 1e-12 * max(1.0, w))
-    if hits.size:
-        return float(tbl.keys[hits[0]]), int(hits[0])
-    j = int(np.searchsorted(tbl.masses, w)) - 1
-    slope = (tbl.keys[j + 1] - tbl.keys[j]) / (tbl.masses[j + 1] - tbl.masses[j])
-    return float(slope * (w - tbl.masses[j]) + tbl.keys[j]), j
+def _table_bracket(p):
+    """The bracket read off the full breakpoint table: the first entry
+    within 1e-12 of the total (relative, at least 1e-12), else the last
+    entry below it."""
+    masses = breakpoints(p).masses
+    hits = np.flatnonzero(np.abs(masses - p.total) <= 1e-12 * max(1.0, p.total))
+    return int(hits[0]) if hits.size else int(np.searchsorted(masses, p.total)) - 1
 
 
 @pytest.mark.parametrize("family", ["exponential", "quadratic"])
 def test_single_family_solve_matches_table_interpolation(family):
+    # the bracket is the table's, and the loads are the clamp at the level
     rng = np.random.default_rng(["exponential", "quadratic"].index(family) + 61)
     for k in range(60):
         if k % 2:
@@ -371,10 +395,33 @@ def test_single_family_solve_matches_table_interpolation(family):
             p = random_problem(
                 rng, n=int(rng.integers(1, 40)), family=family, interior_total=k % 6 != 0
             )
-        key, bracket = _interpolate_table(p)
         res = solve_lambda(p)
-        assert res.key == key and res.bracket == bracket
-        np.testing.assert_array_equal(res.allocation, _loads_at(p, key))
+        assert res.bracket == _table_bracket(p)
+        np.testing.assert_array_equal(res.allocation, _loads_at(p, res.key))
+
+
+@pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])
+def test_wide_scale_solve_of_1e5_agents_takes_at_most_20_clamps(family):
+    # bench/gen.py's wide-scale draw at n = 10^5: one coefficient scale and
+    # one box scale, log-uniform on 1e-3..1e6, agents within a decade. The
+    # Newton loop's clamp count barely grows with n; no clock is read
+    rng = np.random.default_rng(["exponential", "quadratic", "mixed"].index(family) + 7)
+    n = 10**5
+    coeff, box = 10.0 ** rng.uniform(-3.0, 6.0, 2)
+    fams = rng.choice(["exponential", "quadratic"], n) if family == "mixed" else np.full(n, family)
+    expo = fams == "exponential"
+    lower = box * rng.uniform(size=n)
+    span = box * 10.0 ** rng.uniform(-1.0, 0.0, n)
+    a = np.where(expo, coeff * box * span, coeff) * 10.0 ** rng.uniform(-0.5, 0.5, n)
+    b = np.where(expo, 0.0, coeff * box * 10.0 ** rng.uniform(-1.0, 0.0, n))
+    total = float(lower.sum() + rng.uniform(0.1, 0.9) * span.sum())
+    rows = zip(fams.tolist(), a.tolist(), b.tolist(), lower.tolist(), (lower + span).tolist())
+    graph = from_edge_list(n, [(k, k + 1) for k in range(n - 1)])
+    p = AllocationProblem.__new__(AllocationProblem)._set(graph, rows, total)
+    res = solve_lambda(p)
+    assert res.probes <= 20
+    assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
+    assert kkt_check(p, res.allocation).passed
 
 
 _LOG_SCALE = st.floats(-3.0, 6.0).map(lambda x: 10.0**x)

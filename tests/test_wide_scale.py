@@ -2,9 +2,9 @@
 coefficients and boxes over 10^-300 .. 10^300, up to 3000 agents, boxes
 down to 1e-15 of their lower bound, and totals at the bound sums. Every
 valid draw is either refused with CostOverflowError, because a marginal
-at a bound is 0 or beyond float range, or solved to a feasible point
-with every load in its box whose certificate passes, while a point moved
-well off it fails."""
+at a bound is 0 or beyond float range, or solved in at most 80 clamps to
+a feasible point with every load in its box whose certificate passes,
+while a point moved well off it fails."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -82,6 +82,7 @@ def test_wide_scale_solve_is_feasible_and_certified(
         assert (res.allocation >= p.lower_bounds).all()
         assert (res.allocation <= p.upper_bounds).all()
         assert kkt_check(p, res.allocation).passed
+        assert res.probes <= 80
         if len(res.interior) >= 2:
             assert_moved_point_fails(p, res.allocation, *res.interior[:2])
 
