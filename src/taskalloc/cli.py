@@ -148,22 +148,20 @@ def _run_solve(args, p, inst, out):
 
 def _solve(p, decimals):
     """The run that solve and reproduce share: the breakpoint table (for a
-    single family, or with keys quantized to `decimals`), the solution and
+    single family, with keys quantized to `decimals`), the solution and
     its certificate. Returns (table or None, result, certificate, lines)."""
     tbl, lines = None, []
-    if p._costs.family is not None or decimals is not None:
+    if p._costs.family is not None:
         tbl = breakpoints(p, key_decimals=decimals)
         quant = f" (keys quantized to {decimals} decimals)" if decimals is not None else ""
         lines += [
             f"breakpoint coordinate: {tbl.coordinate}{quant}",
             f"{'j':>3} {'agent':>6} {'kind':>6} {'key':>12} {'m_j':>14} {'slope[j->j+1]':>15}",
         ]
-        for j, (agent, kind) in enumerate(zip(tbl.agents.tolist(), tbl.kinds.tolist())):
-            slope = f"{tbl.slopes[j]:.6e}" if j < len(tbl.slopes) else ""
-            lines.append(
-                f"{j + 1:>3} {agent + 1:>6} {kind:>6} {tbl.keys[j]:>12.6f} "
-                f"{tbl.masses[j]:>14.6f} {slope:>15}"
-            )
+        slopes = [f"{s:.6e}" for s in tbl.slopes.tolist()] + [""]
+        cols = tbl.agents.tolist(), tbl.kinds.tolist(), tbl.keys.tolist(), tbl.masses.tolist()
+        lines += [f"{j:>3} {agent + 1:>6} {kind:>6} {key:>12.6f} {mass:>14.6f} {slope:>15}"
+                  for j, (agent, kind, key, mass, slope) in enumerate(zip(*cols, slopes), 1)]
     res = solve_lambda(p)
     cert = verify.kkt_check(p, res.allocation)
     status = dict.fromkeys(res.interior, "interior")
@@ -177,8 +175,8 @@ def _solve(p, decimals):
         "allocation:",
         f"{'agent':>6} {'load':>20} {'status':>9}",
     ]
-    for i in range(p.n):
-        lines.append(f"{i + 1:>6} {res.allocation[i]:>20.12f} {status[i]:>9}")
+    lines += [f"{i + 1:>6} {load:>20.12f} {status[i]:>9}"
+              for i, load in enumerate(res.allocation.tolist())]
     lines.append(f"sum of loads: {_g(res.allocation.sum())}")
     lines.append(f"total cost: {_g(total_cost(p, res.allocation))}")
     return tbl, res, cert, lines

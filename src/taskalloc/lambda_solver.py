@@ -13,20 +13,22 @@ lam for quadratic or mixed ones); for a single family every interior
 response is linear in it. `solve_lambda` finds the level by semismooth
 Newton steps on the key (as Cominetti, Mascarenhas & Silva, Math. Prog.
 Comp. 6, 2014, do for the continuous quadratic knapsack), one O(n) clamp
-each, inside a bracket that every step shrinks; it sorts nothing.
+each, inside a bracket that every step shrinks; it sorts nothing. One
+vectorized clamp, `_clamp`, applies the rule above (lower wins a tie with
+upper) for every solver step and the final active sets.
 
-One vectorized clamp, `_clamp`, applies the rule above (lower wins a tie
-with upper) for every solver step, the final active sets, and the masses
-of the printed table `breakpoints(p, key_decimals)`: each the plain sum of
-the clamped loads at its key, over blocks of keys so memory stays O(n).
-The reference tables use keys quantized to 3 decimals.
+The printed table `breakpoints(p, key_decimals)` takes one sorted O(n log n)
+sweep of exact int prefix sums (Patriksson, EJOR 185, 2008), for a single
+family only. The reference tables use keys quantized to 3 decimals.
 
 Below about 10^3 agents a call costs numpy's per-call overhead more than
 arithmetic, so hot paths use ndarray methods, not np.any, np.all,
 np.flatnonzero or np.broadcast_shapes.
 """
 
+import itertools
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -36,6 +38,7 @@ from .errors import CostOverflowError, InfeasibleError
 from .problem import (
     AllocationProblem,
     _exact_total,
+    _float_ints,
     as_allocation,
     cost_values,
     in_feasible_set,
@@ -43,13 +46,12 @@ from .problem import (
 )
 
 _SUM_TOL = 1e-12  # load sum miss (relative to w) of a bound sum, and of a Newton landing
-_BLOCK_ELEMENTS = 1 << 17  # agents x keys clamped at once while building a table
 
 
 @dataclass
 class BreakpointTable:
-    """The 2n clamp thresholds, sorted by key, then agent, then lower before
-    upper, with the aggregate response at each key.
+    """The 2n clamp thresholds of one cost family, sorted by key, then agent,
+    then lower before upper, with the aggregate response at each key.
 
     Entry j is agent agents[j]'s threshold of kind kinds[j] ("lower" or
     "upper"). slopes[j] is d(key)/d(mass) between entries j and j+1 (the
@@ -79,25 +81,26 @@ class SolverResult:
     probes: int  # distinct clamps made, one O(n) pass each
 
 
-def _agent_keys(p: AllocationProblem, key_decimals: int | None):
+def _agent_keys(p: AllocationProblem):
     """Each agent's clamp thresholds (key at lower, key at upper); raises
     CostOverflowError when a marginal at a bound is 0 or inf in floats."""
     lam_lo, lam_up = marginals(p, p.lower_bounds), marginals(p, p.upper_bounds)
     if not ((lam_lo > 0).all() and np.isfinite(lam_up).all()):
         raise CostOverflowError("a marginal cost at a box bound is 0 or inf in floats")
     coord = p._costs.coordinate
-    kmin, kmax = coord.key_from_lambda(lam_lo), coord.key_from_lambda(lam_up)
-    if key_decimals is not None:
-        kmin = np.round(kmin, key_decimals)
-        kmax = np.round(kmax, key_decimals)
-    return kmin, kmax
+    return coord.key_from_lambda(lam_lo), coord.key_from_lambda(lam_up)
+
+
+def _rates(p: AllocationProblem, kmin):
+    """d(level)/d(key) at kmin, and c'' at the lower bound: their ratio is d(load)/d(key)."""
+    with np.errstate(all="ignore"):
+        return p._costs.coordinate.lambda_per_key(kmin), p._costs.curvature(p.lower_bounds)
 
 
 def _clamp(p: AllocationProblem, key, kmin, kmax, respond):
     """The box clamp at a level: key <= kmin gives the lower bound, then
     key >= kmax the upper bound, otherwise the interior response
-    respond(key). key is a scalar, or a column of keys giving one row of
-    loads each. Returns (loads, at-lower mask, at-upper mask)."""
+    respond(key). Returns (loads, at-lower mask, at-upper mask)."""
     at_lower = key <= kmin
     at_upper = (key >= kmax) & ~at_lower
     loads = respond(key)
@@ -107,24 +110,48 @@ def _clamp(p: AllocationProblem, key, kmin, kmax, respond):
 
 
 def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> BreakpointTable:
-    """Sorted 2n-entry table of clamp thresholds and aggregate responses.
-    key_decimals rounds the keys; a mixed table is in lam, where rounding
-    could turn a positive threshold into 0, so it refuses key_decimals."""
-    if key_decimals is not None and p._costs.family is None:
-        raise ValueError("key_decimals needs a single cost family; mixed tables are in lam")
-    kmin, kmax = _agent_keys(p, key_decimals)
-    n = p.n
+    """Sorted 2n-entry table of clamp thresholds and aggregate responses of one
+    cost family (mixed raises ValueError); key_decimals rounds the thresholds.
+    Each mass is sum(lower) + sum(upper - lower) over the agents at upper +
+    sum(rate * (key - anchor)) over the interior ones, anchor the unrounded
+    lower threshold: exact int prefix sums, rounded once (inf past the floats)."""
+    if p._costs.family is None:
+        raise ValueError("a breakpoint table needs a single cost family")
+    n, (anchor, top) = p.n, _agent_keys(p)
+    kmin, kmax = (anchor, top) if key_decimals is None else np.round([anchor, top], key_decimals)
     # entry 2i is agent i's lower threshold and 2i+1 its upper one, so a
     # stable sort breaks key ties by agent, then lower before upper
     keys = np.stack([kmin, kmax], axis=1).ravel()
     order = keys.argsort(kind="stable")
     keys = keys[order]
-    masses = np.empty(2 * n)
-    rows = max(1, _BLOCK_ELEMENTS // n)
-    respond = p._costs.response_from_key
-    for s in range(0, 2 * n, rows):
-        loads, _, _ = _clamp(p, keys[s : s + rows, None], kmin, kmax, respond)
-        masses[s : s + rows] = loads.sum(axis=1)
+    # each rate num / den as an int to 60 bits or more, in one unit; where
+    # either leaves the floats, the secant over the box (0 if flat)
+    num, den = _rates(p, anchor)
+    bad = ~(np.isfinite(num) & np.isfinite(den) & (den > 0))
+    num, den = np.where(bad, p.upper_bounds - p.lower_bounds, num), np.where(bad, top - anchor, den)
+    (nums, un), (dens, ud) = _float_ints(num * (den > 0)), _float_ints(np.where(den > 0, den, 1.0))
+    shift = 60 + max((d.bit_length() - m.bit_length() for m, d in zip(nums, dens) if m), default=0)
+    r, ur = [(m << shift) // d for m, d in zip(nums, dens)], un - ud - shift
+    bounds, ub = _float_ints(np.concatenate([p.lower_bounds, p.upper_bounds]))
+    ka, uk = _float_ints(np.concatenate([keys, anchor]))
+    ra = list(map(operator.mul, r, ka[2 * n :]))
+    span = list(map(operator.sub, bounds[n:], bounds[:n]))
+    # at lower while key <= kmin, at upper from kmax on (past it if flat)
+    kup = np.where(kmin < kmax, kmax, np.nextafter(kmax, math.inf))
+    by_lo, by_up = kmin.argsort(), kup.argsort()
+    r_lo, ra_lo, r_up, ra_up, span_up = (
+        list(itertools.accumulate(map(v.__getitem__, by.tolist()), initial=0))
+        for v, by in ((r, by_lo), (ra, by_lo), (r, by_up), (ra, by_up), (span, by_up))
+    )
+    free = np.searchsorted(kmin[by_lo], keys).tolist()
+    high = np.searchsorted(kup[by_up], keys, "right").tolist()
+    unit = min(ub, ur + uk, 0)
+    base, sb, sf, scale = sum(bounds[:n]), ub - unit, ur + uk - unit, 1 << -unit
+    limit, masses = ((1 << 1024) - (1 << 970)) * scale, []  # the least mass rounding to inf
+    for k, i, j in zip(ka[: 2 * n], free, high):
+        m = ((base + span_up[j]) << sb) + ((k * (r_lo[i] - r_up[j]) - ra_lo[i] + ra_up[j]) << sf)
+        masses.append(m / scale if m < limit else math.inf)
+    masses = np.array(masses)
     dm = np.diff(masses)
     slopes = np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
     return BreakpointTable(
@@ -152,7 +179,7 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     w = p.total
     tol = _SUM_TOL * w
     costs = p._costs
-    kmin, kmax = _agent_keys(p, None)
+    kmin, kmax = _agent_keys(p)
     none, every = np.zeros(p.n, bool), np.ones(p.n, bool)
     k0, c0 = float(kmin.min()), (p.lower_bounds.copy(), every, none)
     k1, c1 = math.nextafter(float(kmax.max()), math.inf), (p.upper_bounds.copy(), none, every)
@@ -163,7 +190,7 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
         method, goal, best, bisect = "newton", math.inf, None, False
         # slopes d(load)/d(key) at the lower thresholds, at every key for one family
         with np.errstate(all="ignore"):
-            rate = costs.coordinate.lambda_per_key(kmin) / costs.curvature(c0[0])
+            rate = np.divide(*_rates(p, kmin))
             key = float(((rate * kmin).sum() + (w - m0)) / rate.sum())
         while True:
             if not (bisect or k0 < key < k1):
@@ -173,11 +200,10 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
                     key = math.nextafter(key, k1 if key == k0 else k0)
             if bisect or not k0 < key < k1:
                 key = _midpoint(k0, k1)
-                if not k0 < key < k1:  # blend the ends' loads, each between its ends
+                if not k0 < key < k1:  # blend the ends' loads; a bound holds at both ends
                     blend = c0[0] + (c1[0] - c0[0]) / ((m1 - w) - (m0 - w)) * (w - m0)
-                    lo, hi = np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0])
-                    key, c = (k0, c0) if w - m0 <= m1 - w else (k1, c1)
-                    method, c = "blend", (np.clip(blend, lo, hi), *c[1:])
+                    key = k0 if w - m0 <= m1 - w else k1
+                    method, c = "blend", (blend, c0[1] & c1[1], c0[2] & c1[2])
                     break
             c = _clamp(p, key, kmin, kmax, costs.response_from_key)
             probes += 1

@@ -79,13 +79,19 @@ class AllocationProblem:
 
 
 def _exact_total(values):
-    """The exact sum of the float values as an int in units of 2**-1127 (each 53-bit
-    mantissa shifted by its exponent), or inf if any value is not finite."""
-    if not np.isfinite(values).all():
-        return math.inf
+    """The exact sum of the float values as an int in units of 2**-1127, or inf if
+    any value is not finite."""
+    return sum(_float_ints(values, -1127)[0]) if np.isfinite(values).all() else math.inf
+
+
+def _float_ints(values, unit=None):
+    """Each finite float of values exactly as an int in units of 2**unit (by default
+    the least that keeps them all whole), and the unit."""
     mant, exp = np.frexp(values)
+    exp -= 53
+    unit = int(exp[mant != 0].min(initial=0)) if unit is None else unit
     mant = (mant * 2.0**53).astype(np.int64).tolist()
-    return sum(map(operator.lshift, mant, (exp + 1074).tolist()))
+    return list(map(operator.lshift, mant, np.maximum(exp - unit, 0).tolist())), unit
 
 
 def _past(total: float, bounds: np.ndarray, fsum: float, side: int) -> bool:

@@ -475,9 +475,8 @@ def solve_reference(p, probe_log):
                 key = _midpoint_reference(k0, k1)
                 if not k0 < key < k1:
                     blend = c0[0] + (c1[0] - c0[0]) / ((m1 - w) - (m0 - w)) * (w - m0)
-                    lo, hi = np.minimum(c0[0], c1[0]), np.maximum(c0[0], c1[0])
-                    key, c = (k0, c0) if w - m0 <= m1 - w else (k1, c1)
-                    method, c = "blend", (np.clip(blend, lo, hi), *c[1:])
+                    key = k0 if w - m0 <= m1 - w else k1
+                    method, c = "blend", (blend, c0[1] & c1[1], c0[2] & c1[2])
                     break
             probe_log.append(key)
             c = _clamp_reference(p, key, kmin, kmax, respond)

@@ -224,13 +224,14 @@ def test_solve_reports_overflowing_cost_as_inf(tmp_path, capsys):
 def test_flat_marginal_instance_solves_and_verifies(tmp_path):
     # flat2's first agent has a * span = 1 below one ulp of b = 1e16, so
     # both its thresholds are one key; the solver divided by zero there (its
-    # certificate is a repro row)
+    # certificate is a repro row). Its load is blended between the ends,
+    # lower at one and upper at the other, so it is tagged interior
     path = DATA / "flat2.json"
     rc = main(["solve", "--input", str(path), "--out", str(tmp_path / "s")])
     assert rc == 0
     report = (tmp_path / "s" / "solver_report.txt").read_text()
-    assert "     1       0.500000000000" in report
-    assert "     2       1.000000000000" in report
+    assert "     1       0.500000000000  interior" in report
+    assert "     2       1.000000000000     upper" in report
     rc = main(["verify", "--input", str(path), "--samples", "2000", "--seed", "0",
                "--out", str(tmp_path / "v")])
     assert rc == 0

@@ -12,7 +12,6 @@ import math
 import numpy as np
 import pytest
 
-from taskalloc import lambda_solver
 from taskalloc.costs import exponential, quadratic
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import breakpoints
@@ -89,10 +88,6 @@ def ref_key(m, lam):
 def ref_response(m, key):
     lam = math.exp(key) if m.family == "exponential" else key
     return ref_inverse(m, lam)
-
-
-def _identity(m, lam):
-    return lam
 
 
 def _close(got, want, scale):
@@ -177,7 +172,7 @@ def test_cost_model_methods_match_closed_forms(seed):
 # --- breakpoint masses against a scalar loop over the documented clamp ------
 
 
-def ref_masses(agents, keys, kmin, kmax, respond=ref_response):
+def ref_masses(agents, keys, kmin, kmax):
     """For each key: sum over agents of lower if key <= kmin, else upper if
     key >= kmax, else the interior response."""
     out = []
@@ -189,7 +184,7 @@ def ref_masses(agents, keys, kmin, kmax, respond=ref_response):
             elif key >= up_k:
                 total += m.upper
             else:
-                total += respond(m, key)
+                total += ref_response(m, key)
         out.append(total)
     return np.array(out)
 
@@ -197,22 +192,17 @@ def ref_masses(agents, keys, kmin, kmax, respond=ref_response):
 _TABLES = [("exponential", 7, 0.0), ("quadratic", 9, 0.3), ("exponential", 400, 0.0), ("quadratic", 400, 0.2)]
 
 
-# mixed tables are in lam itself, where breakpoints refuses quantized keys
+# a table is built for a single cost family only
 @pytest.mark.parametrize(
-    "family, n, pinned_frac, decimals",
-    [(*t, d) for d in (None, 3) for t in _TABLES] + [("mixed", 11, 0.3, None), ("mixed", 400, 0.2, None)],
+    "family, n, pinned_frac, decimals", [(*t, d) for d in (None, 3) for t in _TABLES]
 )
 def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     rng = np.random.default_rng(n + (decimals or 0))
     agents = _random_agents(rng, n, family, pinned_frac)
     p = _problem(agents)
-    if n > 100:  # the table is built in several key blocks
-        assert 2 * n > 2 * (lambda_solver._BLOCK_ELEMENTS // n)
 
-    # a single family's key, or lam itself (the quadratic key) when mixed
-    key_of, respond = (ref_key, ref_response) if family != "mixed" else (_identity, ref_inverse)
-    kmin = [key_of(m, ref_marginal(m, m.lower)) for m in agents]
-    kmax = [key_of(m, ref_marginal(m, m.upper)) for m in agents]
+    kmin = [ref_key(m, ref_marginal(m, m.lower)) for m in agents]
+    kmax = [ref_key(m, ref_marginal(m, m.upper)) for m in agents]
     if decimals is not None:
         kmin = [float(np.round(k, decimals)) for k in kmin]
         kmax = [float(np.round(k, decimals)) for k in kmax]
@@ -232,6 +222,6 @@ def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     want_keys = np.where(tbl.kinds == "lower", kmin_of, kmax_of)
     np.testing.assert_allclose(tbl.keys, want_keys, rtol=REL, atol=1e-15)
 
-    want = ref_masses(agents, tbl.keys.tolist(), kmin, kmax, respond)
+    want = ref_masses(agents, tbl.keys.tolist(), kmin, kmax)
     scale = sum(m.upper for m in agents)
     assert np.abs(tbl.masses - want).max() <= 1e-12 * scale

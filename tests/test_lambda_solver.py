@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -69,8 +70,11 @@ def test_breakpoint_table_quadratic(tab3):
 
 def _loads_at(p, key, key_decimals=None):
     """Reference clamp of every agent at one key of the cost table's
-    coordinate; saturates outside the table range."""
-    kmin, kmax = _agent_keys(p, key_decimals)
+    coordinate, its thresholds rounded to key_decimals; saturates outside
+    the table range."""
+    kmin, kmax = _agent_keys(p)
+    if key_decimals is not None:
+        kmin, kmax = np.round(kmin, key_decimals), np.round(kmax, key_decimals)
     return _clamp(p, key, kmin, kmax, p._costs.response_from_key)[0]
 
 
@@ -323,7 +327,7 @@ def test_flat_marginal_agent_takes_the_remaining_load():
     # last threshold's mass (1.0) misses the total and the bracket's ends
     # share that key
     p = _two_quadratics(1.5, (1.0, 1e16), (1.0, 1.0))
-    kmin, kmax = _agent_keys(p, None)
+    kmin, kmax = _agent_keys(p)
     assert kmin[0] == kmax[0] == 1e16
     res = solve_lambda(p)
     np.testing.assert_array_equal(res.allocation, [0.5, 1.0])
@@ -363,23 +367,23 @@ def test_small_total_is_not_a_table_hit():
 
 
 def test_mixed_table_rejects_quantized_keys():
-    # rounded to 3 decimals, the exponential agent's lower threshold
-    # (lam = 1e-4) would become 0, outside its inverse marginal's domain
+    # a mixed table has no piecewise-linear mass to sweep (the exponential
+    # agent's load is not linear in lam), with or without quantized keys
     agents = (
         exponential(a=1e-3, lower=0.0, upper=10.0),
         quadratic(a=1.0, b=1.0, lower=0.0, upper=5.0),
     )
     p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=6.0)
-    with pytest.raises(ValueError, match="single cost family"):
-        breakpoints(p, key_decimals=3)
-    assert breakpoints(p).coordinate == "marginal"
+    for decimals in (3, None):
+        with pytest.raises(ValueError, match="single cost family"):
+            breakpoints(p, key_decimals=decimals)
 
 
-def _table_bracket(p):
-    """The bracket read off the full breakpoint table: the first entry
-    within 1e-12 of the total (relative, at least 1e-12), else the last
-    entry below it."""
-    masses = breakpoints(p).masses
+def _table_bracket(p, masses=None):
+    """The bracket read off the full breakpoint table (its masses, or
+    breakpoints(p)'s): the first entry within 1e-12 of the total
+    (relative, at least 1e-12), else the last entry below it."""
+    masses = breakpoints(p).masses if masses is None else masses
     hits = np.flatnonzero(np.abs(masses - p.total) <= 1e-12 * max(1.0, p.total))
     return int(hits[0]) if hits.size else int(np.searchsorted(masses, p.total)) - 1
 
@@ -400,12 +404,10 @@ def test_single_family_solve_matches_table_interpolation(family):
         np.testing.assert_array_equal(res.allocation, _loads_at(p, res.key))
 
 
-@pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])
-def test_wide_scale_solve_of_1e5_agents_takes_at_most_20_clamps(family):
-    # bench/gen.py's wide-scale draw at n = 10^5: one coefficient scale and
-    # one box scale, log-uniform on 1e-3..1e6, agents within a decade. The
-    # Newton loop's clamp count barely grows with n; no clock is read
-    rng = np.random.default_rng(["exponential", "quadratic", "mixed"].index(family) + 7)
+def _wide_scale_1e5(family, seed):
+    """bench/gen.py's wide-scale draw at n = 10^5 on a path: one coefficient
+    scale and one box scale, log-uniform on 1e-3..1e6, agents within a decade."""
+    rng = np.random.default_rng(seed)
     n = 10**5
     coeff, box = 10.0 ** rng.uniform(-3.0, 6.0, 2)
     fams = rng.choice(["exponential", "quadratic"], n) if family == "mixed" else np.full(n, family)
@@ -417,14 +419,90 @@ def test_wide_scale_solve_of_1e5_agents_takes_at_most_20_clamps(family):
     total = float(lower.sum() + rng.uniform(0.1, 0.9) * span.sum())
     rows = zip(fams.tolist(), a.tolist(), b.tolist(), lower.tolist(), (lower + span).tolist())
     graph = from_edge_list(n, [(k, k + 1) for k in range(n - 1)])
-    p = AllocationProblem.__new__(AllocationProblem)._set(graph, rows, total)
+    return AllocationProblem.__new__(AllocationProblem)._set(graph, rows, total)
+
+
+@pytest.mark.parametrize("family", ["exponential", "quadratic", "mixed"])
+def test_wide_scale_solve_of_1e5_agents_takes_at_most_20_clamps(family):
+    # the Newton loop's clamp count barely grows with n; no clock is read
+    p = _wide_scale_1e5(family, ["exponential", "quadratic", "mixed"].index(family) + 7)
     res = solve_lambda(p)
     assert res.probes <= 20
     assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
     assert kkt_check(p, res.allocation).passed
 
 
+@pytest.mark.parametrize("family", ["exponential", "quadratic"])
+def test_breakpoint_table_of_1e5_agents(family):
+    # the sweep's end masses are the correctly rounded bound sums, its
+    # masses never fall, and the solver's bracket is read off it; no clock
+    p = _wide_scale_1e5(family, ["exponential", "quadratic"].index(family) + 17)
+    tbl = breakpoints(p)
+    assert tbl.masses[0] == math.fsum(p.lower_bounds.tolist())
+    assert tbl.masses[-1] == math.fsum(p.upper_bounds.tolist())
+    assert (np.diff(tbl.masses) >= 0).all()
+    assert solve_lambda(p).bracket == _table_bracket(p, tbl.masses)
+
+
+def test_table_masses_where_a_float_slope_leaves_the_floats():
+    # agent 1's d(load)/d(key) is beyond the floats: 1 / a for a = 5e-324,
+    # or a c'' that underflows to 0 (a / span**2 below 5e-324); agent 2's
+    # threshold lies inside agent 1's interior. The exponential thresholds
+    # are logs of subnormal marginals, so they carry about 5 digits
+    quad = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), total=1.0, agents=(
+        quadratic(a=5e-324, b=1e-300, lower=0.0, upper=1e10),
+        quadratic(a=1.0, b=1.00000000000002e-300, lower=0.0, upper=1.0),
+    ))
+    expo = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), total=1.0, agents=(
+        exponential(a=1e-300, lower=0.0, upper=1e20),
+        exponential(a=2e-323, lower=0.0, upper=1e-3),
+    ))
+    for p, rtol in ((quad, 1e-12), (expo, 1e-4)):
+        tbl = breakpoints(p)
+        with np.errstate(over="ignore"):  # the clamp overwrites agent 1's inf load
+            want = [_mass_at(p, key) for key in tbl.keys.tolist()]
+        assert 0 < want[1] < want[-1]
+        np.testing.assert_allclose(tbl.masses, want, rtol=rtol)
+
+
 _LOG_SCALE = st.floats(-3.0, 6.0).map(lambda x: 10.0**x)
+
+
+@st.composite
+def _quadratic_tables(draw):
+    """Quadratic agents on a scale of 1e-3..1e6, a third of them with b / a
+    up to 2**70 times their box (flat marginals among them); some boxes after
+    the first are points."""
+    agents = []
+    for _ in range(draw(st.integers(1, 10))):
+        a, span = draw(_LOG_SCALE), draw(_LOG_SCALE)
+        lower = draw(st.one_of(st.just(0.0), _LOG_SCALE))
+        b = draw(st.one_of(_LOG_SCALE, _LOG_SCALE,
+                           st.integers(0, 70).map(lambda k, a=a, span=span: a * span * 2.0**k)))
+        span = draw(st.sampled_from([span, span, 0.0])) if agents else span
+        agents.append(quadratic(a=a, b=b, lower=lower, upper=lower + span))
+    n = len(agents)
+    graph = from_edge_list(n, [(k, k + 1) for k in range(n - 1)])
+    return AllocationProblem(graph=graph, agents=tuple(agents), total=sum(m.upper for m in agents))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_quadratic_tables())
+def test_quadratic_table_masses_within_half_an_ulp_of_exact(p):
+    # the exact mass at each key: lower, upper, or lower + (key - b) / a
+    # as a Fraction, by the clamp's rule at the thresholds. The sweep rounds
+    # once, and its rates 1 / a carry 60 bits, hence the 2 % over half an ulp
+    kmin, kmax = _agent_keys(p)
+    a, b = (p._costs.columns[k].tolist() for k in (1, 2))
+    lo, up = p.lower_bounds.tolist(), p.upper_bounds.tolist()
+    tbl = breakpoints(p)
+    for key, mass in zip(tbl.keys.tolist(), tbl.masses.tolist()):
+        exact = sum(
+            Fraction(lo[i]) if key <= kmin[i] else Fraction(up[i]) if key >= kmax[i]
+            else Fraction(lo[i]) + (Fraction(key) - Fraction(b[i])) / Fraction(a[i])
+            for i in range(p.n)
+        )
+        assert abs(Fraction(mass) - exact) <= Fraction(math.ulp(mass)) * Fraction(51, 100), key
 
 
 @st.composite
