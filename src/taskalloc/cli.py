@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import drd, verify
-from .errors import CostOverflowError, ParseError, TaskAllocError
+from .errors import CostOverflowError, TaskAllocError
 from .instances import get_instance, instance_ids
-from .lambda_solver import breakpoints, solve_lambda
+from .lambda_solver import _agent_keys, _clamp, breakpoints, solve_lambda
 from .problem import in_feasible_set, load_problem, total_cost
 
 EXIT_OK = 0
@@ -141,21 +141,19 @@ def _load(args):
 
 
 def _run_solve(args, p, inst, out):
-    _, _, cert, lines = _solve(p, inst.table_decimals if inst else None)
+    _, cert, lines = _solve(p)
     verdict = None if cert.passed else ("mismatch", EXIT_MISMATCH, "kkt certificate FAILED")
     return "solver_report.txt", lines + _cert_lines(cert), verdict
 
 
-def _solve(p, decimals):
-    """The run that solve and reproduce share: the breakpoint table (for a
-    single family, with keys quantized to `decimals`), the solution and
-    its certificate. Returns (table or None, result, certificate, lines)."""
-    tbl, lines = None, []
+def _solve(p):
+    """The run that solve and reproduce share: the breakpoint table (single
+    family only), the solution and its certificate; returns (result, cert, lines)."""
+    lines = []
     if p._costs.family is not None:
-        tbl = breakpoints(p, key_decimals=decimals)
-        quant = f" (keys quantized to {decimals} decimals)" if decimals is not None else ""
+        tbl = breakpoints(p)
         lines += [
-            f"breakpoint coordinate: {tbl.coordinate}{quant}",
+            f"breakpoint coordinate: {tbl.coordinate}",
             f"{'j':>3} {'agent':>6} {'kind':>6} {'key':>12} {'m_j':>14} {'slope[j->j+1]':>15}",
         ]
         slopes = [f"{s:.6e}" for s in tbl.slopes.tolist()] + [""]
@@ -179,7 +177,7 @@ def _solve(p, decimals):
               for i, load in enumerate(res.allocation.tolist())]
     lines.append(f"sum of loads: {_g(res.allocation.sum())}")
     lines.append(f"total cost: {_g(total_cost(p, res.allocation))}")
-    return tbl, res, cert, lines
+    return res, cert, lines
 
 
 def _cert_lines(cert) -> list[str]:
@@ -202,7 +200,7 @@ def _cert_lines(cert) -> list[str]:
 def _run_simulate(args, p, inst, out):
     dt = args.dt if args.dt is not None else (inst.drd_step if inst else None)
     if dt is None:
-        raise ParseError("--dt is required (the instance suggests none)")
+        raise ValueError("--dt is required (the instance suggests none)")
     cfg = drd.DrdConfig(step=dt, max_steps=args.max_steps, residual_tol=args.tol)
     traj, lines = _simulate(p, cfg, out / "trajectory.csv")
     failed = ("not-converged", EXIT_NUMERICAL, f"no convergence in {traj.steps} steps")
@@ -319,7 +317,7 @@ class _Checks:
 
 def _run_reproduce(args, p, inst, out):
     checks = _Checks()
-    if inst.table_decimals is not None:
+    if "decimals" in inst.reference:
         body = _reproduce_table_instance(p, inst, checks)
     else:
         body = _reproduce_simulation_instance(p, inst, checks, out)
@@ -330,31 +328,29 @@ def _run_reproduce(args, p, inst, out):
 
 def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
     ref = inst.reference
-    tbl, res, cert, lines = _solve(p, inst.table_decimals)
-    per_agent = dict(zip(zip(tbl.agents.tolist(), tbl.kinds.tolist()), tbl.keys.tolist()))
+    res, cert, lines = _solve(p)
+    kmin, kmax, masses, slopes = _paper_table(p, ref["decimals"])
     for i in range(p.n):
-        for kind in ("lower", "upper"):
-            key = per_agent[(i, kind)]
+        for kind, key in (("lower", kmin[i]), ("upper", kmax[i])):
             checks.add(f"key {kind} agent {i + 1}", ref[f"keys_{kind}"][i], key, ref["key_tol"])
-    for j in range(2 * p.n):
-        checks.add(f"m_{j + 1}", ref["masses"][j], float(tbl.masses[j]), ref["mass_tol"])
-    for j in range(2 * p.n - 1):
-        checks.add(
-            f"slope {j + 1}->{j + 2}",
-            ref["slopes"][j],
-            float(tbl.slopes[j]),
-            ref["slope_tol"],
-        )
-    for i in range(p.n):
-        checks.add(
-            f"allocation agent {i + 1}",
-            float(ref["allocation"][i]),
-            float(res.allocation[i]),
-            ref["allocation_tol"],
-        )
+    for j, mass in enumerate(masses.tolist()):
+        checks.add(f"m_{j + 1}", ref["masses"][j], mass, ref["mass_tol"])
+    for j, slope in enumerate(slopes.tolist()):
+        checks.add(f"slope {j + 1}->{j + 2}", ref["slopes"][j], slope, ref["slope_tol"])
+    for i, load in enumerate(res.allocation.tolist()):
+        checks.add(f"allocation agent {i + 1}", ref["allocation"][i], load, ref["allocation_tol"])
     checks.add("sum of loads", p.total, float(res.allocation.sum()), 1e-6)
     checks.add_bool("kkt certificate", cert.passed)
     return lines
+
+
+def _paper_table(p, decimals: int):
+    """The paper's table at thresholds rounded to `decimals`: (kmin, kmax, the
+    clamped masses at the sorted thresholds, the slopes d(key)/d(mass))."""
+    kmin, kmax = (np.round(k, decimals) for k in _agent_keys(p))
+    keys = np.sort(np.concatenate([kmin, kmax]))
+    masses = _clamp(p, keys[:, None], kmin, kmax, p._costs.response_from_key)[0].sum(axis=1)
+    return kmin, kmax, masses, np.diff(keys) / np.diff(masses)
 
 
 def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[str]:

@@ -11,7 +11,8 @@ simulation, and the verifiers can be exercised without input files:
   equal-marginal point is interior and solvable in closed form.
 * ``tab1``: three agents on a path, exponential costs. The equal-fitness
   point violates agent 1's upper bound, so the optimum clamps it; the
-  reference data includes the breakpoint table, built from 3-decimal keys.
+  reference data includes the paper's breakpoint table, tabulated at keys
+  rounded to 3 decimals.
 * ``tab3``: same shape with quadratic costs; reference table included.
 
 Each instance is the document a problem file holds (1-based edges, one
@@ -34,7 +35,6 @@ class BundledInstance:
     description: str
     problem: AllocationProblem
     drd_step: float | None  # suggested simulation step, where meaningful
-    table_decimals: int | None  # key quantization the reference table was built with
     reference: dict
 
 
@@ -65,7 +65,6 @@ def _fig2() -> BundledInstance:
         description="six agents, exponential costs, interior optimum",
         problem=p,
         drd_step=1e-4,
-        table_decimals=None,
         reference={"allocation": expected, "allocation_tol": 0.5},
     )
 
@@ -86,7 +85,6 @@ def _fig3() -> BundledInstance:
         description="six agents, quadratic costs, interior optimum",
         problem=p,
         drd_step=1e-3,
-        table_decimals=None,
         reference={"allocation": expected, "allocation_tol": 0.5, "level": lam},
     )
 
@@ -102,8 +100,8 @@ def _tab1() -> BundledInstance:
         description="three agents, exponential costs, clamped optimum",
         problem=_problem(1150.0, _PATH3, agents),
         drd_step=None,
-        table_decimals=3,
         reference={
+            "decimals": 3,
             # per-agent clamp thresholds in the log coordinate
             "keys_lower": [1.897, 2.682, 2.873],
             "keys_upper": [2.897, 3.682, 3.873],
@@ -130,8 +128,8 @@ def _tab3() -> BundledInstance:
         description="three agents, quadratic costs, interior optimum at clamp edge",
         problem=_problem(1150.0, _PATH3, agents),
         drd_step=None,
-        table_decimals=3,
         reference={
+            "decimals": 3,
             "keys_lower": [5.0, 5.4, 5.6],
             "keys_upper": [5.9, 6.44, 6.9],
             "masses": [960.0, 1026.667, 1085.0, 1202.5, 1324.0, 1370.0],

@@ -17,9 +17,9 @@ each, inside a bracket that every step shrinks; it sorts nothing. One
 vectorized clamp, `_clamp`, applies the rule above (lower wins a tie with
 upper) for every solver step and the final active sets.
 
-The printed table `breakpoints(p, key_decimals)` takes one sorted O(n log n)
-sweep of exact int prefix sums (Patriksson, EJOR 185, 2008), for a single
-family only. The reference tables use keys quantized to 3 decimals.
+The printed table `breakpoints(p)`, a function of the problem alone, takes
+one sorted O(n log n) sweep of exact int prefix sums (Patriksson, EJOR 185,
+2008), for a single family only.
 
 Below about 10^3 agents a call costs numpy's per-call overhead more than
 arithmetic, so hot paths use ndarray methods, not np.any, np.all,
@@ -109,16 +109,15 @@ def _clamp(p: AllocationProblem, key, kmin, kmax, respond):
     return loads, at_lower, at_upper
 
 
-def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> BreakpointTable:
+def breakpoints(p: AllocationProblem) -> BreakpointTable:
     """Sorted 2n-entry table of clamp thresholds and aggregate responses of one
-    cost family (mixed raises ValueError); key_decimals rounds the thresholds.
-    Each mass is sum(lower) + sum(upper - lower) over the agents at upper +
-    sum(rate * (key - anchor)) over the interior ones, anchor the unrounded
-    lower threshold: exact int prefix sums, rounded once (inf past the floats)."""
+    cost family (mixed raises ValueError). Each mass is sum(lower) +
+    sum(upper - lower) over the agents at upper + sum(rate * (key - kmin))
+    over the interior ones: exact int prefix sums, rounded once (inf past
+    the floats)."""
     if p._costs.family is None:
         raise ValueError("a breakpoint table needs a single cost family")
-    n, (anchor, top) = p.n, _agent_keys(p)
-    kmin, kmax = (anchor, top) if key_decimals is None else np.round([anchor, top], key_decimals)
+    n, (kmin, kmax) = p.n, _agent_keys(p)
     # entry 2i is agent i's lower threshold and 2i+1 its upper one, so a
     # stable sort breaks key ties by agent, then lower before upper
     keys = np.stack([kmin, kmax], axis=1).ravel()
@@ -126,14 +125,14 @@ def breakpoints(p: AllocationProblem, key_decimals: int | None = None) -> Breakp
     keys = keys[order]
     # each rate num / den as an int to 60 bits or more, in one unit; where
     # either leaves the floats, the secant over the box (0 if flat)
-    num, den = _rates(p, anchor)
+    num, den = _rates(p, kmin)
     bad = ~(np.isfinite(num) & np.isfinite(den) & (den > 0))
-    num, den = np.where(bad, p.upper_bounds - p.lower_bounds, num), np.where(bad, top - anchor, den)
+    num, den = np.where(bad, p.upper_bounds - p.lower_bounds, num), np.where(bad, kmax - kmin, den)
     (nums, un), (dens, ud) = _float_ints(num * (den > 0)), _float_ints(np.where(den > 0, den, 1.0))
     shift = 60 + max((d.bit_length() - m.bit_length() for m, d in zip(nums, dens) if m), default=0)
     r, ur = [(m << shift) // d for m, d in zip(nums, dens)], un - ud - shift
     bounds, ub = _float_ints(np.concatenate([p.lower_bounds, p.upper_bounds]))
-    ka, uk = _float_ints(np.concatenate([keys, anchor]))
+    ka, uk = _float_ints(np.concatenate([keys, kmin]))
     ra = list(map(operator.mul, r, ka[2 * n :]))
     span = list(map(operator.sub, bounds[n:], bounds[:n]))
     # at lower while key <= kmin, at upper from kmax on (past it if flat)
@@ -170,11 +169,13 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     The bracket starts at the least lower threshold and the float past the
     greatest upper one; a total within 1e-12 * w of a bound sum takes that
     end ("bound"). Each step clamps once inside the bracket, moves the end
-    on its side of w and takes a Newton step; a step out of the bracket
-    takes the ends' secant, and one that fails to halve the miss makes the
-    next a bisection in float order (at most 64 isolate a jump). Within
-    1e-12 * w, Newton steps go on while they shrink the miss ("newton").
-    With no float left in the bracket, its ends' loads are blended ("blend").
+    on its side of w and takes a Newton step, or, with every agent at a
+    bound, one float past the nearest threshold on w's side; a step out of
+    the bracket takes the ends' secant, and one that fails to halve the
+    miss makes the next a bisection in float order (at most 64 isolate a
+    jump). Within 1e-12 * w, Newton steps go on while they shrink the miss
+    ("newton"). With no float left in the bracket, its ends' loads are
+    blended ("blend").
     """
     w = p.total
     tol = _SUM_TOL * w
@@ -223,8 +224,13 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
             if costs.family is None:  # a mixed table's slopes move with the level
                 with np.errstate(all="ignore"):
                     rate = costs.coordinate.lambda_per_key(key) / costs.curvature(c[0])
-            s = float(rate[~(c[1] | c[2])].sum())
+            inside = ~(c[1] | c[2])
+            s = float(rate[inside].sum())
             key = key + (w - m) / s if s > 0 else math.nan
+            if s == 0 and not inside.any():  # every agent at a bound: past the nearest jump
+                edge = float(kmin[c[1]].min() if m < w else kmax[c[2]].max())
+                key = math.nextafter(edge, math.inf if m < w else -math.inf)
+                key, bisect = key if k0 < key < k1 else edge, False
             if best is not None and not k0 < key < k1:
                 break
         key, c = (key, c) if best is None else best[:2]  # a blend has no landing

@@ -497,8 +497,17 @@ def solve_reference(p, probe_log):
             if table.family is None:
                 with np.errstate(all="ignore"):
                     rate = table.coordinate.lambda_per_key(key) / curvature(c[0])
-            s = float(rate[~(c[1] | c[2])].sum())
+            inside = ~(c[1] | c[2])
+            s = float(rate[inside].sum())
             key = key + (w - m) / s if s > 0 else math.nan
+            if not np.any(inside):
+                # every agent at a bound: one float past the nearest
+                # threshold on w's side, or that threshold itself
+                edge = float(np.min(kmin[c[1]]) if m < w else np.max(kmax[c[2]]))
+                key = math.nextafter(edge, math.inf if m < w else -math.inf)
+                if not k0 < key < k1:
+                    key = edge
+                bisect = False
             if best is not None and not k0 < key < k1:
                 break
         if best is not None:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import document, one_step, random_problem, spread
 
+from taskalloc.cli import _paper_table
 from taskalloc.costs import exponential, quadratic
 from taskalloc.drd import DrdConfig, simulate
 from taskalloc.graph import from_edge_list
@@ -44,9 +45,11 @@ def test_criterion_1_exponential_breakpoint_table(tab1):
     np.testing.assert_allclose(_keys_by_agent(exact), TAB1_KEYS_BY_AGENT, atol=1e-3)
     assert np.all(np.diff(exact.masses) >= 0)
 
-    tbl = breakpoints(p, key_decimals=tab1.table_decimals)
-    np.testing.assert_allclose(tbl.masses, TAB1_MASSES, atol=0.01)
-    np.testing.assert_allclose(tbl.slopes, TAB1_SLOPES, atol=1e-6)
+    # the paper's table, at the reference's rounded keys, as reproduce builds it
+    kmin, kmax, masses, slopes = _paper_table(p, tab1.reference["decimals"])
+    np.testing.assert_allclose(np.stack([kmin, kmax], 1).ravel(), TAB1_KEYS_BY_AGENT, atol=1e-3)
+    np.testing.assert_allclose(masses, TAB1_MASSES, atol=0.01)
+    np.testing.assert_allclose(slopes, TAB1_SLOPES, atol=1e-6)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(
@@ -73,9 +76,10 @@ def test_criterion_3_quadratic_table_and_allocation(tab3):
     p = tab3.problem
     np.testing.assert_allclose(_keys_by_agent(breakpoints(p)), TAB3_KEYS_BY_AGENT, atol=0.01)
 
-    tbl = breakpoints(p, key_decimals=tab3.table_decimals)
-    np.testing.assert_allclose(tbl.masses, TAB3_MASSES, atol=0.01)
-    np.testing.assert_allclose(tbl.slopes, TAB3_SLOPES, atol=1e-6)
+    kmin, kmax, masses, slopes = _paper_table(p, tab3.reference["decimals"])
+    np.testing.assert_allclose(np.stack([kmin, kmax], 1).ravel(), TAB3_KEYS_BY_AGENT, atol=0.01)
+    np.testing.assert_allclose(masses, TAB3_MASSES, atol=0.01)
+    np.testing.assert_allclose(slopes, TAB3_SLOPES, atol=1e-6)
 
     res = solve_lambda(p)
     np.testing.assert_allclose(res.allocation, [327.7, 395.7, 426.6], atol=0.1)

@@ -64,10 +64,10 @@ def test_solve_builtin_reproduces_table(tmp_path, capsys):
     rc = main(["solve", "--example", "tab1", "--out", str(out)])
     assert rc == 0
     report = (out / "solver_report.txt").read_text()
-    # quantized keys and the reference aggregates appear in the table block
-    for needle in ("1.897000", "2.682000", "1077.732002", "1131.202289"):
+    # the exact keys and aggregates appear in the table block
+    for needle in ("1.897120", "2.682075", "1077.743209", "1131.238676"):
         assert needle in report
-    assert "keys quantized to 3 decimals" in report
+    assert "breakpoint coordinate: log-marginal" in report.splitlines()
 
 
 def test_solve_builtin_tab3(tmp_path):
@@ -129,7 +129,7 @@ def test_simulate_accepts_step_cap_beyond_float_range(tmp_path):
 def test_simulate_requires_dt_for_files(tmp_path, tab1_file, capsys):
     rc = main(["simulate", "--input", str(tab1_file), "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "error-code: parse exit=2" in capsys.readouterr().err
+    assert "error-code: config exit=2" in capsys.readouterr().err
 
 
 def test_verify_builtin(tmp_path):
@@ -913,20 +913,21 @@ def test_every_data_file_has_a_repro_row():
 
 def test_bundled_instance_solves_like_its_file(tmp_path):
     # a bundled instance is a problem document: solve on it and on its file
-    # write the same report but for the instance line
-    path = tmp_path / "fig3.json"
-    path.write_text(serialize_problem(get_instance("fig3").problem))
-    reports = []
-    for source in (["--example", "fig3"], ["--input", str(path)]):
-        assert main(["solve", *source, "--out", str(tmp_path / "o")]) == 0
-        report = (tmp_path / "o" / "solver_report.txt").read_text().splitlines()
-        reports.append([line for line in report if not line.startswith("instance:")])
-    assert reports[0] == reports[1]
+    # write the same report but for the instance line, breakpoint table included
+    for iid in instance_ids():
+        path = tmp_path / f"{iid}.json"
+        path.write_text(serialize_problem(get_instance(iid).problem))
+        reports = []
+        for source in (["--example", iid], ["--input", str(path)]):
+            assert main(["solve", *source, "--out", str(tmp_path / "o")]) == 0
+            report = (tmp_path / "o" / "solver_report.txt").read_text().splitlines()
+            reports.append([line for line in report if not line.startswith("instance:")])
+        assert reports[0] == reports[1], iid
 
 
 def test_deep_tree_file_solves(tmp_path):
-    # a 10^5-agent path is a BFS 10^5 levels deep; mixed families
-    # skip the printed breakpoint table, which is O(n^2)
+    # a 10^5-agent path is a BFS 10^5 levels deep; mixed families print
+    # no breakpoint table, since breakpoints() raises for them
     n = 10**5
     agents = [{"family": "exponential", "a": 1.0, "lower": 0.0, "upper": 2.0} if k % 2 else
               {"family": "quadratic", "a": 1.0, "b": 1.0, "lower": 0.0, "upper": 2.0}

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from taskalloc.cli import _paper_table
 from taskalloc.costs import exponential, quadratic
 from taskalloc.graph import from_edge_list
 from taskalloc.lambda_solver import breakpoints
@@ -192,7 +193,8 @@ def ref_masses(agents, keys, kmin, kmax):
 _TABLES = [("exponential", 7, 0.0), ("quadratic", 9, 0.3), ("exponential", 400, 0.0), ("quadratic", 400, 0.2)]
 
 
-# a table is built for a single cost family only
+# a table is built for a single cost family only; with decimals, it is the
+# paper's table that reproduce builds at the thresholds rounded to them
 @pytest.mark.parametrize(
     "family, n, pinned_frac, decimals", [(*t, d) for d in (None, 3) for t in _TABLES]
 )
@@ -203,11 +205,21 @@ def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
 
     kmin = [ref_key(m, ref_marginal(m, m.lower)) for m in agents]
     kmax = [ref_key(m, ref_marginal(m, m.upper)) for m in agents]
+    scale = sum(m.upper for m in agents)
     if decimals is not None:
         kmin = [float(np.round(k, decimals)) for k in kmin]
         kmax = [float(np.round(k, decimals)) for k in kmax]
+        # a mass that does not move between two keys gives a slope of x/0 (0/0
+        # at a tie of rounded keys); this test reads no slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got_kmin, got_kmax, masses, _ = _paper_table(p, decimals)
+        np.testing.assert_allclose(got_kmin, kmin, rtol=REL, atol=1e-15)
+        np.testing.assert_allclose(got_kmax, kmax, rtol=REL, atol=1e-15)
+        want = ref_masses(agents, sorted(kmin + kmax), kmin, kmax)
+        assert np.abs(masses - want).max() <= 1e-12 * scale
+        return
 
-    tbl = breakpoints(p, key_decimals=decimals)
+    tbl = breakpoints(p)
     assert tbl.coordinate == ("log-marginal" if family == "exponential" else "marginal")
     assert tbl.keys.shape == (2 * n,)
     np.testing.assert_allclose(tbl.keys, np.sort(kmin + kmax), rtol=REL, atol=1e-15)
@@ -223,5 +235,4 @@ def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     np.testing.assert_allclose(tbl.keys, want_keys, rtol=REL, atol=1e-15)
 
     want = ref_masses(agents, tbl.keys.tolist(), kmin, kmax)
-    scale = sum(m.upper for m in agents)
     assert np.abs(tbl.masses - want).max() <= 1e-12 * scale

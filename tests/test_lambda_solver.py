@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc import get_instance, lambda_solver
+from taskalloc.cli import _paper_table
 from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import CostOverflowError, InfeasibleError, ParseError
 from taskalloc.graph import from_edge_list
@@ -42,11 +43,12 @@ TAB3_SLOPES = [6.0e-3, 3.4286e-3, 2.5532e-3, 4.4444e-3, 10.0e-3]
 
 
 def test_breakpoint_table_exponential_quantized(tab1):
-    tbl = breakpoints(tab1.problem, key_decimals=3)
-    np.testing.assert_allclose(tbl.keys, TAB1_KEYS, atol=1e-12)
-    np.testing.assert_allclose(tbl.masses, TAB1_MASSES, atol=0.01)
-    np.testing.assert_allclose(tbl.slopes, TAB1_SLOPES, atol=1e-6)
-    assert tbl.coordinate == "log-marginal"
+    # the paper's table, at keys rounded to 3 decimals, as reproduce builds it
+    kmin, kmax, masses, slopes = _paper_table(tab1.problem, tab1.reference["decimals"])
+    np.testing.assert_allclose(np.sort(np.concatenate([kmin, kmax])), TAB1_KEYS, atol=1e-12)
+    np.testing.assert_allclose(masses, TAB1_MASSES, atol=0.01)
+    np.testing.assert_allclose(slopes, TAB1_SLOPES, atol=1e-6)
+    assert breakpoints(tab1.problem).coordinate == "log-marginal"
 
 
 def test_breakpoint_table_exponential_exact_keys(tab1):
@@ -58,14 +60,16 @@ def test_breakpoint_table_exponential_exact_keys(tab1):
 
 
 def test_breakpoint_table_quadratic(tab3):
-    tbl = breakpoints(tab3.problem, key_decimals=3)
-    np.testing.assert_allclose(tbl.keys, TAB3_KEYS, atol=1e-12)
-    np.testing.assert_allclose(tbl.masses, TAB3_MASSES, atol=0.01)
-    np.testing.assert_allclose(tbl.slopes, TAB3_SLOPES, atol=1e-6)
-    assert tbl.coordinate == "marginal"
-    # quantization is a no-op here: the exact keys already have <= 3 decimals
+    # the paper's table, at keys rounded to 3 decimals, as reproduce builds it
+    kmin, kmax, masses, slopes = _paper_table(tab3.problem, tab3.reference["decimals"])
+    keys = np.sort(np.concatenate([kmin, kmax]))
+    np.testing.assert_allclose(keys, TAB3_KEYS, atol=1e-12)
+    np.testing.assert_allclose(masses, TAB3_MASSES, atol=0.01)
+    np.testing.assert_allclose(slopes, TAB3_SLOPES, atol=1e-6)
+    # rounding is a no-op here: the exact keys already have <= 3 decimals
     exact = breakpoints(tab3.problem)
-    np.testing.assert_allclose(exact.keys, tbl.keys, atol=1e-12)
+    assert exact.coordinate == "marginal"
+    np.testing.assert_allclose(exact.keys, keys, atol=1e-12)
 
 
 def _loads_at(p, key, key_decimals=None):
@@ -213,9 +217,13 @@ def test_solve_clamps_each_key_once(monkeypatch, tab1, tab3):
         # end and moves one float inside, which leaves no float in the bracket
         ("subnormal2.json", 1, "blend"),
         ("subnormal_mc2.json", 1, "blend"),
+        # both agents sit at a bound below w at the first Newton key, so the
+        # step goes onto agent 1's flat jump at 1e16, which no float splits
+        # (a walk of float midpoints took 53 clamps)
+        ("flat2.json", 2, "blend"),
     ],
     ids=["tab1", "tab3", "fig2", "fig3", "waterfill_mixed11.json", "subnormal2.json",
-         "subnormal_mc2.json"],
+         "subnormal_mc2.json", "flat2.json"],
 )
 def test_solver_counters(monkeypatch, source, probes, method):
     # probes counts the solve's _clamp calls
@@ -368,15 +376,14 @@ def test_small_total_is_not_a_table_hit():
 
 def test_mixed_table_rejects_quantized_keys():
     # a mixed table has no piecewise-linear mass to sweep (the exponential
-    # agent's load is not linear in lam), with or without quantized keys
+    # agent's load is not linear in lam)
     agents = (
         exponential(a=1e-3, lower=0.0, upper=10.0),
         quadratic(a=1.0, b=1.0, lower=0.0, upper=5.0),
     )
     p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=6.0)
-    for decimals in (3, None):
-        with pytest.raises(ValueError, match="single cost family"):
-            breakpoints(p, key_decimals=decimals)
+    with pytest.raises(ValueError, match="single cost family"):
+        breakpoints(p)
 
 
 def _table_bracket(p, masses=None):
