@@ -28,7 +28,7 @@ import numpy as np
 from . import drd, verify
 from .errors import CostOverflowError, TaskAllocError
 from .instances import get_instance, instance_ids
-from .lambda_solver import _agent_keys, _clamp, breakpoints, solve_lambda
+from .lambda_solver import _agent_keys, _clamp, _slopes, breakpoints, solve_lambda
 from .problem import in_feasible_set, load_problem, total_cost
 
 EXIT_OK = 0
@@ -350,7 +350,7 @@ def _paper_table(p, decimals: int):
     kmin, kmax = (np.round(k, decimals) for k in _agent_keys(p))
     keys = np.sort(np.concatenate([kmin, kmax]))
     masses = _clamp(p, keys[:, None], kmin, kmax, p._costs.response_from_key)[0].sum(axis=1)
-    return kmin, kmax, masses, np.diff(keys) / np.diff(masses)
+    return kmin, kmax, masses, _slopes(keys, masses)
 
 
 def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[str]:

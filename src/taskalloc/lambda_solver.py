@@ -18,15 +18,14 @@ vectorized clamp, `_clamp`, applies the rule above (lower wins a tie with
 upper) for every solver step and the final active sets.
 
 The printed table `breakpoints(p)`, a function of the problem alone, takes
-one sorted O(n log n) sweep of exact int prefix sums (Patriksson, EJOR 185,
-2008), for a single family only.
+O(n log n) sorts and one merge sweep of exact int running sums (Patriksson,
+EJOR 185, 2008), for a single family only.
 
 Below about 10^3 agents a call costs numpy's per-call overhead more than
 arithmetic, so hot paths use ndarray methods, not np.any, np.all,
 np.flatnonzero or np.broadcast_shapes.
 """
 
-import itertools
 import math
 import operator
 import struct
@@ -113,7 +112,7 @@ def breakpoints(p: AllocationProblem) -> BreakpointTable:
     """Sorted 2n-entry table of clamp thresholds and aggregate responses of one
     cost family (mixed raises ValueError). Each mass is sum(lower) +
     sum(upper - lower) over the agents at upper + sum(rate * (key - kmin))
-    over the interior ones: exact int prefix sums, rounded once (inf past
+    over the interior ones: exact int running sums, rounded once (inf past
     the floats)."""
     if p._costs.family is None:
         raise ValueError("a breakpoint table needs a single cost family")
@@ -130,37 +129,37 @@ def breakpoints(p: AllocationProblem) -> BreakpointTable:
     num, den = np.where(bad, p.upper_bounds - p.lower_bounds, num), np.where(bad, kmax - kmin, den)
     (nums, un), (dens, ud) = _float_ints(num * (den > 0)), _float_ints(np.where(den > 0, den, 1.0))
     shift = 60 + max((d.bit_length() - m.bit_length() for m, d in zip(nums, dens) if m), default=0)
-    r, ur = [(m << shift) // d for m, d in zip(nums, dens)], un - ud - shift
     bounds, ub = _float_ints(np.concatenate([p.lower_bounds, p.upper_bounds]))
-    ka, uk = _float_ints(np.concatenate([keys, kmin]))
-    ra = list(map(operator.mul, r, ka[2 * n :]))
-    span = list(map(operator.sub, bounds[n:], bounds[:n]))
-    # at lower while key <= kmin, at upper from kmax on (past it if flat)
-    kup = np.where(kmin < kmax, kmax, np.nextafter(kmax, math.inf))
-    by_lo, by_up = kmin.argsort(), kup.argsort()
-    r_lo, ra_lo, r_up, ra_up, span_up = (
-        list(itertools.accumulate(map(v.__getitem__, by.tolist()), initial=0))
-        for v, by in ((r, by_lo), (ra, by_lo), (r, by_up), (ra, by_up), (span, by_up))
-    )
-    free = np.searchsorted(kmin[by_lo], keys).tolist()
-    high = np.searchsorted(kup[by_up], keys, "right").tolist()
+    (ka, uk), ur = _float_ints(np.concatenate([keys, kmin])), un - ud - shift
     unit = min(ub, ur + uk, 0)
-    base, sb, sf, scale = sum(bounds[:n]), ub - unit, ur + uk - unit, 1 << -unit
+    sb, sf, scale = ub - unit, ur + uk - unit, 1 << -unit
+    r = [((m << shift) // d) << sf for m, d in zip(nums, dens)]
+    ra = list(map(operator.mul, r, ka[2 * n :]))
     limit, masses = ((1 << 1024) - (1 << 970)) * scale, []  # the least mass rounding to inf
-    for k, i, j in zip(ka[: 2 * n], free, high):
-        m = ((base + span_up[j]) << sb) + ((k * (r_lo[i] - r_up[j]) - ra_lo[i] + ra_up[j]) << sf)
+    # one merge of the sorted keys with the agents by kmin and by kup (kmax, past it if flat)
+    kup, end = np.where(kmin < kmax, kmax, np.nextafter(kmax, math.inf)), (math.inf, 0)
+    lo, up = (zip(np.sort(t).tolist(), t.argsort().tolist()) for t in (kmin, kup))
+    (t_lo, i), (t_up, j), rs, ras, base = next(lo, end), next(up, end), 0, 0, sum(bounds[:n]) << sb
+    for key, k in zip(keys.tolist(), ka):
+        while t_lo < key:  # interior: rs and ras gain the agent's r and r * kmin
+            rs, ras, (t_lo, i) = rs + r[i], ras + ra[i], next(lo, end)
+        while t_up <= key:  # at upper: they lose them, and base gains its span
+            rs, ras, base = rs - r[j], ras - ra[j], base + ((bounds[n + j] - bounds[j]) << sb)
+            t_up, j = next(up, end)
+        m = base + k * rs - ras
         masses.append(m / scale if m < limit else math.inf)
     masses = np.array(masses)
-    dm = np.diff(masses)
-    slopes = np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
     return BreakpointTable(
-        coordinate=p._costs.coordinate.key_coordinate,
-        agents=order >> 1,
-        kinds=np.where(order & 1, "upper", "lower"),
-        keys=keys,
-        masses=masses,
-        slopes=slopes,
+        coordinate=p._costs.coordinate.key_coordinate, agents=order >> 1,
+        kinds=np.where(order & 1, "upper", "lower"), keys=keys, masses=masses,
+        slopes=_slopes(keys, masses),
     )
+
+
+def _slopes(keys, masses):
+    """d(key)/d(mass) between consecutive table entries; inf where the mass does not move."""
+    dm = np.diff(masses)
+    return np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
 
 
 def solve_lambda(p: AllocationProblem) -> SolverResult:
@@ -170,12 +169,12 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     greatest upper one; a total within 1e-12 * w of a bound sum takes that
     end ("bound"). Each step clamps once inside the bracket, moves the end
     on its side of w and takes a Newton step, or, with every agent at a
-    bound, one float past the nearest threshold on w's side; a step out of
-    the bracket takes the ends' secant, and one that fails to halve the
-    miss makes the next a bisection in float order (at most 64 isolate a
-    jump). Within 1e-12 * w, Newton steps go on while they shrink the miss
-    ("newton"). With no float left in the bracket, its ends' loads are
-    blended ("blend").
+    bound, one float past the nearest threshold on w's side (else onto it,
+    a new lower end if short of w); a step out of the bracket takes the
+    ends' secant, and one that fails to halve the miss makes the next a
+    bisection in float order (at most 64 isolate a jump). Within 1e-12 * w,
+    Newton steps go on while they shrink the miss ("newton"). With no float
+    left in the bracket, its ends' loads are blended ("blend").
     """
     w = p.total
     tol = _SUM_TOL * w
@@ -228,9 +227,10 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
             s = float(rate[inside].sum())
             key = key + (w - m) / s if s > 0 else math.nan
             if s == 0 and not inside.any():  # every agent at a bound: past the nearest jump
-                edge = float(kmin[c[1]].min() if m < w else kmax[c[2]].max())
+                edge, bisect = float(kmin[c[1]].min() if m < w else kmax[c[2]].max()), False
                 key = math.nextafter(edge, math.inf if m < w else -math.inf)
-                key, bisect = key if k0 < key < k1 else edge, False
+                if not k0 < key < k1:  # onto edge; short of w the loads hold up to it: the new k0
+                    key, k0 = edge, edge if m < w else k0
             if best is not None and not k0 < key < k1:
                 break
         key, c = (key, c) if best is None else best[:2]  # a blend has no landing

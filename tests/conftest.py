@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,16 @@ def document(p):
     """p's problem file as a JSON document: each agent's coefficients are in
     its "agents" list, and an edited copy parses back with parse_problem."""
     return json.loads(serialize_problem(p))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak, in bytes, of the memory that
+    tracemalloc traced during the call."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def replaced(doc, path, value):
@@ -502,10 +513,13 @@ def solve_reference(p, probe_log):
             key = key + (w - m) / s if s > 0 else math.nan
             if not np.any(inside):
                 # every agent at a bound: one float past the nearest
-                # threshold on w's side, or that threshold itself
+                # threshold on w's side, or that threshold itself; short of
+                # w, no agent moves up to it, so it becomes the lower end
                 edge = float(np.min(kmin[c[1]]) if m < w else np.max(kmax[c[2]]))
                 key = math.nextafter(edge, math.inf if m < w else -math.inf)
                 if not k0 < key < k1:
+                    if m < w:
+                        k0 = edge
                     key = edge
                 bisect = False
             if best is not None and not k0 < key < k1:

@@ -209,10 +209,7 @@ def test_breakpoint_masses_match_scalar_clamp(family, n, pinned_frac, decimals):
     if decimals is not None:
         kmin = [float(np.round(k, decimals)) for k in kmin]
         kmax = [float(np.round(k, decimals)) for k in kmax]
-        # a mass that does not move between two keys gives a slope of x/0 (0/0
-        # at a tie of rounded keys); this test reads no slope
-        with np.errstate(divide="ignore", invalid="ignore"):
-            got_kmin, got_kmax, masses, _ = _paper_table(p, decimals)
+        got_kmin, got_kmax, masses, _ = _paper_table(p, decimals)
         np.testing.assert_allclose(got_kmin, kmin, rtol=REL, atol=1e-15)
         np.testing.assert_allclose(got_kmax, kmax, rtol=REL, atol=1e-15)
         want = ref_masses(agents, sorted(kmin + kmax), kmin, kmax)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import document, random_problem, replaced
+from conftest import document, random_problem, replaced, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +70,22 @@ def test_breakpoint_table_quadratic(tab3):
     exact = breakpoints(tab3.problem)
     assert exact.coordinate == "marginal"
     np.testing.assert_allclose(exact.keys, keys, atol=1e-12)
+
+
+def test_paper_table_slope_is_inf_on_tied_rounded_keys():
+    # b = 1.0001 and 1.0002 round to one 3-decimal key at each bound, so the
+    # mass does not move across either tie; a bare quotient there is 0/0,
+    # which the RuntimeWarning filter turns into an error
+    p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), total=1.0, agents=(
+        quadratic(a=1.0, b=1.0001, lower=0.0, upper=1.0),
+        quadratic(a=1.0, b=1.0002, lower=0.0, upper=1.0),
+    ))
+    kmin, kmax, masses, slopes = _paper_table(p, 3)
+    assert kmin.tolist() == [1.0, 1.0] and kmax.tolist() == [2.0, 2.0]
+    assert masses.tolist() == [0.0, 0.0, 2.0, 2.0]
+    assert slopes.tolist() == [math.inf, 0.5, math.inf]
+    # the exact table has no tie, and both tables take the one slope rule
+    assert np.isfinite(breakpoints(p).slopes).all()
 
 
 def _loads_at(p, key, key_decimals=None):
@@ -217,10 +233,11 @@ def test_solve_clamps_each_key_once(monkeypatch, tab1, tab3):
         # end and moves one float inside, which leaves no float in the bracket
         ("subnormal2.json", 1, "blend"),
         ("subnormal_mc2.json", 1, "blend"),
-        # both agents sit at a bound below w at the first Newton key, so the
-        # step goes onto agent 1's flat jump at 1e16, which no float splits
-        # (a walk of float midpoints took 53 clamps)
-        ("flat2.json", 2, "blend"),
+        # both agents sit at a bound below w at the first Newton key, and no
+        # float splits agent 1's flat jump at 1e16, so that threshold ends
+        # the bracket unclamped and the ends blend (a walk of float
+        # midpoints took 53 clamps, a clamp at the threshold 2)
+        ("flat2.json", 1, "blend"),
     ],
     ids=["tab1", "tab3", "fig2", "fig3", "waterfill_mixed11.json", "subnormal2.json",
          "subnormal_mc2.json", "flat2.json"],
@@ -442,13 +459,16 @@ def test_wide_scale_solve_of_1e5_agents_takes_at_most_20_clamps(family):
 @pytest.mark.parametrize("family", ["exponential", "quadratic"])
 def test_breakpoint_table_of_1e5_agents(family):
     # the sweep's end masses are the correctly rounded bound sums, its
-    # masses never fall, and the solver's bracket is read off it; no clock
+    # masses never fall, and the solver's bracket is read off it; no clock.
+    # The memory bound lies between the running-sum sweep's traced peak
+    # (about 70 MiB) and the 101 MiB that prefix-sum and index lists take
     p = _wide_scale_1e5(family, ["exponential", "quadratic"].index(family) + 17)
-    tbl = breakpoints(p)
+    tbl, peak = traced_peak(breakpoints, p)
     assert tbl.masses[0] == math.fsum(p.lower_bounds.tolist())
     assert tbl.masses[-1] == math.fsum(p.upper_bounds.tolist())
     assert (np.diff(tbl.masses) >= 0).all()
     assert solve_lambda(p).bracket == _table_bracket(p, tbl.masses)
+    assert peak < 86 * 2**20
 
 
 def test_table_masses_where_a_float_slope_leaves_the_floats():

@@ -1,11 +1,10 @@
 import itertools
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import document, random_problem, spread
+from conftest import document, random_problem, spread, traced_peak
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -347,12 +346,7 @@ def test_monte_carlo_memory_flat_in_n():
     p = AllocationProblem(
         graph=from_edge_list(n, [(i, i + 1) for i in range(n - 1)]), agents=agents, total=1.0
     )
-    tracemalloc.start()
-    try:
-        res = monte_carlo_min(p, 1000, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(monte_carlo_min, p, 1000, seed=0)
     assert res.mode == "rejection" and res.accepted == res.drawn > 1000
     assert peak < 32 * 2**20
 
@@ -726,12 +720,7 @@ def test_grid_memory_bounded_by_axes():
     # n = 2 at 1e-4 on a width of 100: one row of 10^6 + 1 cells, which
     # runs in column chunks; the axis and its cost table take 8 MB each
     p = _boxes([(0.0, 100.0), (0.0, 100.0)], 100.0)
-    tracemalloc.start()
-    try:
-        res = grid_min(p, 1e-4)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    res, peak = traced_peak(grid_min, p, 1e-4)
     assert res.drawn == res.accepted == 1_000_001
     assert peak < 32 * 2**20
 
