@@ -4,13 +4,14 @@ Subcommands: solve (water-filling + certificate), simulate (replicator
 dynamics trace), verify (solver vs brute-force oracles), reproduce
 (bundled instances checked against their known solutions).
 
-`main` is the one run frame: it loads the input, makes ``--out``, calls
-the subcommand for its report's name, body and verdict, then writes and
-prints the report, a header (command, instance, agents, families, total)
-above the body. Exit codes: 0 success/verified, 2 parse or config
-problem, 3 infeasible instance, 4 numerical failure, 5 verification
-mismatch. A raised error takes its slug and code from its class in
-`errors`; a ValueError is ``config`` and an OSError ``io``. Every
+`main` is the one run frame: it parses with the parser built once per
+process, loads the input, makes ``--out``, calls ``_run_<command>``
+(looked up by name on each call) for its report's name, body and verdict,
+then writes and prints the report, a header (command, instance, agents,
+families, total) above the body. Exit codes: 0 success/verified, 2 parse
+or config problem, 3 infeasible instance, 4 numerical failure, 5
+verification mismatch. A raised error takes its slug and code from its
+class in `errors`; a ValueError is ``config`` and an OSError ``io``. Every
 failure, argparse's usage errors included, prints a line
 ``error-code: <slug> exit=<n>`` on stderr before the message; a failed
 verdict (a FAILED certificate, MISMATCH, FAIL or no convergence) prints
@@ -19,6 +20,7 @@ produce byte-identical files.
 """
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -45,7 +47,7 @@ def main(argv=None) -> int:
             p, inst, label = _load(args)
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            name, body, verdict = args.func(args, p, inst, out)
+            name, body, verdict = globals()[f"_run_{args.command}"](args, p, inst, out)
         lines = [
             f"command: {args.command}",
             f"instance: {label}",
@@ -81,6 +83,7 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="taskalloc",
@@ -96,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="clamped optimum by Newton steps on the level")
     add_common(sp)
-    sp.set_defaults(func=_run_solve)
 
     sp = sub.add_parser("simulate", help="replicator-dynamics simulation trace")
     add_common(sp)
@@ -105,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--tol", type=float, default=drd.DrdConfig.residual_tol, help="residual tolerance"
     )
-    sp.set_defaults(func=_run_simulate)
 
     sp = sub.add_parser("verify", help="solver vs Monte Carlo / grid oracles")
     add_common(sp)
@@ -115,14 +116,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--dump-oracle", action="store_true", help="write oracle_samples.csv"
     )
-    sp.set_defaults(func=_run_verify)
 
     sp = sub.add_parser("reproduce", help="check a bundled instance's known solution")
     sp.add_argument(
         "--example", choices=instance_ids(), required=True, help="bundled instance id"
     )
     sp.add_argument("--out", default=".", help="output directory")
-    sp.set_defaults(func=_run_reproduce)
     return parser
 
 

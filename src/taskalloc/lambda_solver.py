@@ -135,6 +135,7 @@ def breakpoints(p: AllocationProblem) -> BreakpointTable:
     sb, sf, scale = ub - unit, ur + uk - unit, 1 << -unit
     r = [((m << shift) // d) << sf for m, d in zip(nums, dens)]
     ra = list(map(operator.mul, r, ka[2 * n :]))
+    del nums, dens
     limit, masses = ((1 << 1024) - (1 << 970)) * scale, []  # the least mass rounding to inf
     # one merge of the sorted keys with the agents by kmin and by kup (kmax, past it if flat)
     kup, end = np.where(kmin < kmax, kmax, np.nextafter(kmax, math.inf)), (math.inf, 0)

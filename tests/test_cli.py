@@ -561,6 +561,24 @@ def test_usage_errors_print_config_code(tmp_path, capsys, argv):
     assert capsys.readouterr().err.splitlines()[0] == "error-code: config exit=2"
 
 
+def test_one_parser_per_process_and_no_state_between_calls(tmp_path):
+    # repeated main calls, a usage error among them, reuse the first parser;
+    # an option given to one call is not a default of the next. No clock
+    cli._build_parser.cache_clear()
+    out = str(tmp_path / "o")
+    assert main(["solve", "--example", "tab1", "--out", out]) == 0
+    assert main(["verify", "--example", "tab1", "--samples", "2000", "--grid", "5",
+                 "--out", out]) == 0
+    assert "grid: resolution=5 points=" in (tmp_path / "o" / "verify_report.txt").read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--out", out])
+    assert exc.value.code == 2
+    assert main(["verify", "--example", "tab1", "--samples", "2000", "--out", out]) == 0
+    assert "grid: resolution=0.5 points=" in (tmp_path / "o" / "verify_report.txt").read_text()
+    assert main(["reproduce", "--example", "tab1", "--out", out]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
 # every error class that can reach main, with the slug and exit code it
 # must report
 _EXIT_TABLE = [

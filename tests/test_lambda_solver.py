@@ -461,7 +461,7 @@ def test_breakpoint_table_of_1e5_agents(family):
     # the sweep's end masses are the correctly rounded bound sums, its
     # masses never fall, and the solver's bracket is read off it; no clock.
     # The memory bound lies between the running-sum sweep's traced peak
-    # (about 70 MiB) and the 101 MiB that prefix-sum and index lists take
+    # (about 62 MiB) and the 101 MiB that prefix-sum and index lists take
     p = _wide_scale_1e5(family, ["exponential", "quadratic"].index(family) + 17)
     tbl, peak = traced_peak(breakpoints, p)
     assert tbl.masses[0] == math.fsum(p.lower_bounds.tolist())
