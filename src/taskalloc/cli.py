@@ -7,21 +7,22 @@ dynamics trace), verify (solver vs brute-force oracles), reproduce
 `main` is the one run frame: it parses with the parser built once per
 process, loads the input, makes ``--out``, calls ``_run_<command>``
 (looked up by name on each call) for its report's name, body and verdict,
-then writes and prints the report, a header (command, instance, agents,
-families, total) above the body. Exit codes: 0 success/verified, 2 parse
-or config problem, 3 infeasible instance, 4 numerical failure, 5
-verification mismatch. A raised error takes its slug and code from its
-class in `errors`; a ValueError is ``config`` and an OSError ``io``. Every
-failure, argparse's usage errors included, prints a line
-``error-code: <slug> exit=<n>`` on stderr before the message; a failed
-verdict (a FAILED certificate, MISMATCH, FAIL or no convergence) prints
-them after its report. Reports carry no timestamps, so identical runs
-produce byte-identical files.
+writes the report (a header of command, instance, agents, families and
+total above the body) a line or a slice of rows at a time as it formats
+it, then copies the finished file to stdout. Exit codes: 0 success/verified,
+2 parse or config problem, 3 infeasible, 4 numerical failure, 5 mismatch.
+A raised error takes its slug and code from its class in `errors`; a
+ValueError is ``config`` and an OSError ``io``. Every failure, argparse's
+usage errors included, prints ``error-code: <slug> exit=<n>`` on stderr
+before the message; a failed verdict (a FAILED certificate, MISMATCH,
+FAIL or no convergence) prints them after its report. Reports carry no
+timestamps, so identical runs produce byte-identical files.
 """
 
 import argparse
 import functools
 import math
+import shutil
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from . import drd, verify
 from .errors import CostOverflowError, TaskAllocError
 from .instances import get_instance, instance_ids
 from .lambda_solver import _agent_keys, _clamp, _slopes, breakpoints, solve_lambda
-from .problem import in_feasible_set, load_problem, total_cost
+from .problem import _format_rows, in_feasible_set, load_problem, total_cost
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -48,7 +49,7 @@ def main(argv=None) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             name, body, verdict = globals()[f"_run_{args.command}"](args, p, inst, out)
-        lines = [
+        parts = [
             f"command: {args.command}",
             f"instance: {label}",
             f"agents: {p.n}",
@@ -56,9 +57,11 @@ def main(argv=None) -> int:
             f"total: {_g(p.total)}",
             *body,
         ]
-        text = "\n".join(lines) + "\n"
-        (out / name).write_text(text, encoding="utf-8")
-        print(text, end="")
+        with open(out / name, "w", encoding="utf-8") as fh:
+            for part in parts:
+                fh.writelines([part + "\n"] if isinstance(part, str) else part)
+        with open(out / name, encoding="utf-8") as fh:
+            shutil.copyfileobj(fh, sys.stdout)
     except TaskAllocError as exc:
         slug, code, msg = exc.slug, exc.exit_code, f"{exc} ({exc.hint})" if exc.hint else exc
     except ValueError as exc:
@@ -147,36 +150,35 @@ def _run_solve(args, p, inst, out):
 
 def _solve(p):
     """The run that solve and reproduce share: the breakpoint table (single
-    family only), the solution and its certificate; returns (result, cert, lines)."""
-    lines = []
+    family only), the solution and its certificate; returns (result, cert, parts)."""
+    parts = []
     if p._costs.family is not None:
         tbl = breakpoints(p)
-        lines += [
+        row = "%3d %6d %6s %12.6f %14.6f "
+        cols = np.arange(1, len(tbl.keys) + 1), tbl.agents + 1, tbl.kinds, tbl.keys, tbl.masses
+        parts += [
             f"breakpoint coordinate: {tbl.coordinate}",
             f"{'j':>3} {'agent':>6} {'kind':>6} {'key':>12} {'m_j':>14} {'slope[j->j+1]':>15}",
+            _format_rows(row + "%15.6e\n", *(c[:-1] for c in cols), tbl.slopes),
+            row % tuple(c[-1] for c in cols) + " " * 15,  # the last slope is blank
         ]
-        slopes = [f"{s:.6e}" for s in tbl.slopes.tolist()] + [""]
-        cols = tbl.agents.tolist(), tbl.kinds.tolist(), tbl.keys.tolist(), tbl.masses.tolist()
-        lines += [f"{j:>3} {agent + 1:>6} {kind:>6} {key:>12.6f} {mass:>14.6f} {slope:>15}"
-                  for j, (agent, kind, key, mass, slope) in enumerate(zip(*cols, slopes), 1)]
     res = solve_lambda(p)
     cert = verify.kkt_check(p, res.allocation)
-    status = dict.fromkeys(res.interior, "interior")
-    status.update(dict.fromkeys(res.active_lower, "lower"))
-    status.update(dict.fromkeys(res.active_upper, "upper"))
-    lines += [
+    status = np.full(p.n, "interior")
+    status.put(res.active_lower, "lower")
+    status.put(res.active_upper, "upper")
+    parts += [
         f"method: {res.method}",
         f"bracket: {res.bracket + 1}",
         f"level key: {_g(res.key)}",
         f"lambda: {_g(res.lam)}",
         "allocation:",
         f"{'agent':>6} {'load':>20} {'status':>9}",
+        _format_rows("%6d %20.12f %9s\n", np.arange(1, p.n + 1), res.allocation, status),
+        f"sum of loads: {_g(res.allocation.sum())}",
+        f"total cost: {_g(total_cost(p, res.allocation))}",
     ]
-    lines += [f"{i + 1:>6} {load:>20.12f} {status[i]:>9}"
-              for i, load in enumerate(res.allocation.tolist())]
-    lines.append(f"sum of loads: {_g(res.allocation.sum())}")
-    lines.append(f"total cost: {_g(total_cost(p, res.allocation))}")
-    return res, cert, lines
+    return res, cert, parts
 
 
 def _cert_lines(cert) -> list[str]:

@@ -43,6 +43,7 @@ import numpy as np
 from .errors import StepOverflowError
 from .problem import (
     AllocationProblem,
+    _format_rows,
     as_allocation,
     default_tol,
     in_simplex,
@@ -262,18 +263,15 @@ def simulate(
 def write_trace_csv(traj: Trajectory, p: AllocationProblem, path) -> None:
     """CSV trace: step,t,w_1,...,w_n,C,V,residual with full precision.
 
-    When the run had no Lyapunov reference, V is reported relative to the
-    smallest recorded cost (same shape, shifted zero).
+    Without a Lyapunov reference, V is relative to the smallest recorded
+    cost (same shape, shifted zero); rows go out via problem._format_rows.
     """
     lyap = traj.lyapunov
     if lyap is None:
         lyap = traj.costs - traj.costs.min()
     header = "step,t," + ",".join(f"w_{i + 1}" for i in range(p.n)) + ",C,V,residual"
     fmt = "%d," + "%.15g," * (p.n + 3) + "%.15g\n"
-    table = np.column_stack((traj.times * traj.dt, traj.states, traj.costs, lyap, traj.residuals))
-    rows = max(1, _BLOCK_ELEMENTS // table.shape[1])  # bounds the Python floats tolist makes
+    cols = traj.times, traj.times * traj.dt, *traj.states.T, traj.costs, lyap, traj.residuals
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for s in range(0, len(table), rows):
-            block = zip(traj.times[s : s + rows].tolist(), table[s : s + rows].tolist())
-            fh.write("".join(fmt % (step, *r) for step, r in block))
+        fh.writelines(_format_rows(fmt, *cols))

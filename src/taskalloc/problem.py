@@ -38,6 +38,8 @@ from .costs import _FLOAT_MAX, EXPONENTIAL, QUADRATIC, _agent_fault, _CostTable
 from .errors import DisconnectedError, InfeasibleError, LengthMismatchError, ParseError
 from .graph import Graph
 
+_ROW_ELEMENTS = 1 << 17  # numbers that _format_rows formats per slice
+
 
 class AllocationProblem:
     """Graph + per-agent costs + total task; everything downstream consumes this."""
@@ -98,6 +100,14 @@ def _past(total: float, bounds: np.ndarray, fsum: float, side: int) -> bool:
     """Whether total lies below (side -1) or above (side 1) the sum of the
     nonnegative bounds both by their float sum fsum and by their exact sum."""
     return side * (total - fsum) > 0 and side * (_exact_total([total]) - _exact_total(bounds)) > 0
+
+
+def _format_rows(fmt: str, *cols):
+    """Yield `fmt % row` for the rows of 1-D cols, joined a slice of about _ROW_ELEMENTS
+    numbers at a time from .tolist(), which bounds the Python objects made at once."""
+    rows = max(1, _ROW_ELEMENTS // len(cols))
+    for s in range(0, len(cols[0]), rows):
+        yield "".join(fmt % row for row in zip(*(c[s : s + rows].tolist() for c in cols)))
 
 
 def as_allocation(p: AllocationProblem, w) -> np.ndarray:

@@ -22,6 +22,7 @@ from .costs import _CostTable
 from .errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
 from .problem import (
     AllocationProblem,
+    _format_rows,
     as_allocation,
     in_feasible_set,
     total_cost_batch,
@@ -308,8 +309,8 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
 class _Sink:
     """Takes every sampled point: prices it with total_cost_batch, keeps
     the strictly cheapest (the earliest wins ties, and the first stands
-    when no cost is finite), writes the `sample_index,w_1,...,w_n,C` dump
-    row (every number %.15g) when a dump path is given, and counts it."""
+    when no cost is finite), writes its `sample_index,w_1,...,w_n,C` dump
+    row through problem._format_rows when a dump path is given, and counts it."""
 
     def __init__(self, p: AllocationProblem, dump_path=None):
         self.p = p
@@ -329,9 +330,8 @@ class _Sink:
             self.cost = float(costs[k])
             self.best = points[k].copy()
         if self.fh is not None:
-            fmt = self.row_format
-            rows = np.column_stack((points, costs)).tolist()
-            self.fh.write("".join(fmt % (i, *r) for i, r in enumerate(rows, self.count)))
+            index = np.arange(self.count, self.count + len(points))
+            self.fh.writelines(_format_rows(self.row_format, index, *points.T, costs))
         self.count += len(points)
 
     def close(self):

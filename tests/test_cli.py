@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,11 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import replaced
+from conftest import random_problem, replaced
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from taskalloc import cli, verify
+from taskalloc import cli, problem, verify
 from taskalloc.cli import main
 from taskalloc.costs import CostModel
 from taskalloc.lambda_solver import breakpoints, solve_lambda
@@ -361,6 +362,74 @@ def test_reports_byte_identical(tmp_path):
         assert rc == 0
         outs.append((out / "verify_report.txt").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.fixture
+def wide_file(tmp_path):
+    """A 700-agent quadratic problem, whose solve report is over 100 kB."""
+    path = tmp_path / "wide.json"
+    path.write_text(serialize_problem(random_problem(np.random.default_rng(3), 700, "quadratic")))
+    return path
+
+
+def test_solve_report_is_written_a_slice_at_a_time(tmp_path, monkeypatch, wide_file):
+    # 60 numbers a slice: 10 table rows or 20 allocation rows at a time
+    monkeypatch.setattr(problem, "_ROW_ELEMENTS", 60)
+    writes, shown = [], []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+        def writelines(self, texts):
+            for text in texts:
+                self.write(text)
+
+    def recording_open(file, mode="r", **kwargs):
+        fh = open(file, mode, **kwargs)
+        return Recording(fh) if "w" in mode else fh
+
+    class Shown:
+        def write(self, text):
+            shown.append(text)
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(sys, "stdout", Shown())
+    out = tmp_path / "out"
+    assert main(["solve", "--input", str(wide_file), "--out", str(out)]) == 0
+    report = (out / "solver_report.txt").read_text()
+    assert report.count("\n") > 2000
+    assert max(text.count("\n") for text in writes) == 20  # one slice of allocation rows
+    assert "".join(writes) == report
+    assert len(shown) > 1 and max(map(len, shown)) <= shutil.COPY_BUFSIZE
+    assert "".join(shown) == report
+
+
+def test_report_file_is_complete_before_stdout(tmp_path, monkeypatch, capsys, wide_file):
+    # a report file teed to stdout would stop at the first failed write
+    argv = ["solve", "--input", str(wide_file), "--out"]
+    assert main([*argv, str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main([*argv, str(tmp_path / "closed")]) == 2
+    assert capsys.readouterr().err.splitlines()[0] == "error-code: io exit=2"
+    report = (tmp_path / "closed" / "solver_report.txt").read_bytes()
+    assert report == (tmp_path / "ok" / "solver_report.txt").read_bytes()
 
 
 @pytest.mark.parametrize("grid", [[], ["--grid", "0.5"]], ids=["auto", "0.5"])

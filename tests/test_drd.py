@@ -15,13 +15,11 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc import drd
 from taskalloc.costs import EXPONENTIAL, QUADRATIC, exponential, quadratic
 from taskalloc.drd import (
     MASS_FLOOR_REL,
     RECORD_EVERY,
     DrdConfig,
-    Trajectory,
     default_start,
     simulate,
     write_trace_csv,
@@ -518,41 +516,6 @@ def test_trace_csv_layout(tmp_path, fig3_run):
     assert int(first[0]) == traj.times[0]
     # 12+ significant digits survive a round trip
     assert float(first[8]) == pytest.approx(traj.costs[0], rel=1e-12)
-
-
-@pytest.mark.parametrize("with_reference", [False, True])
-def test_trace_csv_matches_per_number_format(tmp_path, monkeypatch, tab1, with_reference):
-    # two rows formatted at a time, so the five rows span three blocks
-    monkeypatch.setattr(drd, "_BLOCK_ELEMENTS", 2 * 7)
-    states = np.array(
-        [[1e16, 1e-5, 0.1], [3.0, 100.0, -0.0], [1.0 / 3.0, 2.0**-1074, 1.2345678901234567e17],
-         [350.0, 382.4, 417.6], [np.inf, -1e-300, 7.0]]
-    )
-    costs = np.array([0.1, 1e16, 7.0, 2.0 / 3.0, 5e-324])
-    traj = Trajectory(
-        times=np.array([0, 100, 200, 10**7, 2**53 + 1], dtype=np.int64),
-        states=states,
-        costs=costs,
-        residuals=np.array([1.0, 0.5, 1e-7, 0.0, 3.0]),
-        lyapunov=costs - 0.5 if with_reference else None,
-        converged=False,
-        final=states[-1],
-        steps=2**53 + 1,
-        dt=0.1,
-        stop="max-steps",
-        box_exit_step=None,
-        residual_evals=1,
-    )
-    path = tmp_path / "trace.csv"
-    write_trace_csv(traj, tab1.problem, path)
-    lyap = traj.lyapunov if with_reference else costs - costs.min()
-    expected = ["step,t,w_1,w_2,w_3,C,V,residual\n"]
-    for k, step in enumerate(traj.times):
-        row = [str(int(step)), f"{step * traj.dt:.15g}"]
-        row += [f"{x:.15g}" for x in states[k]]
-        row += [f"{x:.15g}" for x in (costs[k], lyap[k], traj.residuals[k])]
-        expected.append(",".join(row) + "\n")
-    assert path.read_bytes() == "".join(expected).encode()
 
 
 def test_config_validation():

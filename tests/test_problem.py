@@ -9,11 +9,13 @@ from conftest import document, parse_reference, random_problem, replaced
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taskalloc import verify
+from taskalloc import cli, problem, verify
 from taskalloc.costs import exponential, quadratic
+from taskalloc.drd import Trajectory, write_trace_csv
 from taskalloc.errors import InfeasibleError, LengthMismatchError, ParseError
 from taskalloc.graph import edge_list, from_edge_list
 from taskalloc.instances import get_instance, instance_ids
+from taskalloc.lambda_solver import BreakpointTable, SolverResult
 from taskalloc.problem import (
     AllocationProblem,
     as_allocation,
@@ -436,3 +438,102 @@ def test_parse_matches_reference_with_any_value_at_any_path():
 @given(_faulty_docs())
 def test_parse_matches_reference_on_faulty_docs(doc):
     _assert_parses_as_reference(doc)
+
+
+# Each row writer's rows against the per-number formatting they replaced:
+# inf, -0.0, 5e-324, 1e16 and, in an int column, 2**53 + 1; five rows,
+# formatted two at a time, so they span three slices.
+_STATES = np.array(
+    [[1e16, 1e-5, 0.1], [3.0, 100.0, -0.0], [1.0 / 3.0, 2.0**-1074, 1.2345678901234567e17],
+     [350.0, 382.4, 417.6], [np.inf, -1e-300, 7.0]]
+)
+_COSTS = np.array([0.1, 1e16, 7.0, 2.0 / 3.0, 5e-324])
+_SPECIALS = np.array([1e16, -0.0, 5e-324, np.inf, 1.0 / 3.0])
+
+
+def _trace_rows(tmp_path, p, with_reference):
+    traj = Trajectory(
+        times=np.array([0, 100, 200, 10**7, 2**53 + 1], dtype=np.int64),
+        states=_STATES,
+        costs=_COSTS,
+        residuals=np.array([1.0, 0.5, 1e-7, 0.0, 3.0]),
+        lyapunov=_COSTS - 0.5 if with_reference else None,
+        converged=False,
+        final=_STATES[-1],
+        steps=2**53 + 1,
+        dt=0.1,
+        stop="max-steps",
+        box_exit_step=None,
+        residual_evals=1,
+    )
+    write_trace_csv(traj, p, tmp_path / "trace.csv")
+    lyap = traj.lyapunov if with_reference else _COSTS - _COSTS.min()
+    expected = ["step,t,w_1,w_2,w_3,C,V,residual\n"]
+    for k, step in enumerate(traj.times):
+        row = [str(int(step)), f"{step * traj.dt:.15g}"]
+        row += [f"{x:.15g}" for x in _STATES[k]]
+        row += [f"{x:.15g}" for x in (_COSTS[k], lyap[k], traj.residuals[k])]
+        expected.append(",".join(row) + "\n")
+    return (tmp_path / "trace.csv").read_bytes(), "".join(expected).encode()
+
+
+def _dump_rows(tmp_path, monkeypatch, p):
+    monkeypatch.setattr(verify, "total_cost_batch", lambda p, points: _COSTS)
+    sink = verify._Sink(p, tmp_path / "dump.csv")
+    sink.count = 2**53 - 1
+    sink.add(_STATES)
+    sink.close()
+    expected = ["sample_index,w_1,w_2,w_3,C\n"]
+    for k, point in enumerate(_STATES):
+        numbers = [f"{x:.15g}" for x in (*point, _COSTS[k])]
+        expected.append(",".join([str(2**53 - 1 + k), *numbers]) + "\n")
+    return (tmp_path / "dump.csv").read_bytes(), "".join(expected).encode()
+
+
+def _solve_rows(monkeypatch, allocation):
+    """cli._solve's table rows, or its allocation rows, of a made-up table
+    and solution."""
+    table = BreakpointTable(
+        coordinate="marginal",
+        agents=np.array([0, 2**53, 1, 4, 2]),
+        kinds=np.array(["lower", "upper", "lower", "upper", "upper"]),
+        keys=_SPECIALS,
+        masses=_SPECIALS[::-1].copy(),
+        slopes=np.array([np.inf, -0.0, 5e-324, 1e16]),
+    )
+    res = SolverResult(allocation=_SPECIALS, key=1.0, lam=1.0, bracket=0, interior=[0, 2, 4],
+                       active_lower=[1], active_upper=[3], method="newton", probes=1)
+    monkeypatch.setattr(cli, "breakpoints", lambda p: table)
+    monkeypatch.setattr(cli, "solve_lambda", lambda p: res)
+    monkeypatch.setattr(cli, "total_cost", lambda p, w: 0.0)
+    monkeypatch.setattr(verify, "kkt_check", lambda p, w: None)
+    parts = cli._solve(random_problem(np.random.default_rng(0), n=5, family="quadratic"))[2]
+    table_rows, load_rows = [part for part in parts if not isinstance(part, str)]
+    if not allocation:  # four rows in two slices; the fifth, with its blank slope, is a line
+        chunks = list(table_rows)
+        assert len(chunks) == 2
+        text = "".join(chunks) + parts[parts.index(table_rows) + 1] + "\n"
+        slopes = [f"{x:.6e}" for x in table.slopes] + [""]
+        cols = zip(table.agents.tolist(), table.kinds, table.keys, table.masses, slopes)
+        expected = [f"{j:>3} {agent + 1:>6} {kind:>6} {key:>12.6f} {mass:>14.6f} {slope:>15}"
+                    for j, (agent, kind, key, mass, slope) in enumerate(cols, 1)]
+    else:
+        chunks = list(load_rows)
+        assert len(chunks) == 3
+        text = "".join(chunks)
+        status = ["interior", "lower", "interior", "upper", "interior"]
+        expected = [f"{i + 1:>6} {load:>20.12f} {status[i]:>9}" for i, load in enumerate(_SPECIALS)]
+    return text.encode(), "".join(line + "\n" for line in expected).encode()
+
+
+@pytest.mark.parametrize("writer", ["trace", "trace-reference", "dump", "table", "allocation"])
+def test_rows_match_per_number_format(tmp_path, monkeypatch, tab1, writer):
+    fields = {"dump": 5, "table": 6, "allocation": 3}.get(writer, 8)  # numbers per row
+    monkeypatch.setattr(problem, "_ROW_ELEMENTS", 2 * fields)
+    if writer.startswith("trace"):
+        written, expected = _trace_rows(tmp_path, tab1.problem, writer == "trace-reference")
+    elif writer == "dump":
+        written, expected = _dump_rows(tmp_path, monkeypatch, tab1.problem)
+    else:
+        written, expected = _solve_rows(monkeypatch, writer == "allocation")
+    assert written == expected
