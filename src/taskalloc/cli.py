@@ -31,7 +31,7 @@ import numpy as np
 from . import drd, verify
 from .errors import CostOverflowError, TaskAllocError
 from .instances import get_instance, instance_ids
-from .lambda_solver import _agent_keys, _clamp, _slopes, breakpoints, solve_lambda
+from .lambda_solver import _paper_table, breakpoints, solve_lambda
 from .problem import _format_rows, in_feasible_set, load_problem, total_cost
 
 EXIT_OK = 0
@@ -345,28 +345,13 @@ def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
     return lines
 
 
-def _paper_table(p, decimals: int):
-    """The paper's table at thresholds rounded to `decimals`: (kmin, kmax, the
-    clamped masses at the sorted thresholds, the slopes d(key)/d(mass))."""
-    kmin, kmax = (np.round(k, decimals) for k in _agent_keys(p))
-    keys = np.sort(np.concatenate([kmin, kmax]))
-    masses = _clamp(p, keys[:, None], kmin, kmax, p._costs.response_from_key)[0].sum(axis=1)
-    return kmin, kmax, masses, _slopes(keys, masses)
-
-
 def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[str]:
     ref = inst.reference
-    expected = np.asarray(ref["allocation"], dtype=float)
     trace = out / f"trajectory_{inst.instance_id}.csv"
-    traj, lines = _simulate(p, drd.DrdConfig(step=inst.drd_step), trace, reference=expected)
+    traj, lines = _simulate(p, drd.DrdConfig(step=inst.drd_step), trace, ref["allocation"])
     checks.add_bool("converged", traj.converged, f"steps={traj.steps}")
-    for i in range(p.n):
-        checks.add(
-            f"limit agent {i + 1}",
-            float(expected[i]),
-            float(traj.final[i]),
-            float(ref["allocation_tol"]),
-        )
+    for i, load in enumerate(traj.final.tolist()):
+        checks.add(f"limit agent {i + 1}", ref["allocation"][i], load, ref["allocation_tol"])
     costs = traj.costs
     monotone = bool(np.all(costs[1:] <= costs[:-1] + 1e-9 * np.abs(costs[:-1])))
     checks.add_bool("total cost nonincreasing", monotone)
@@ -377,7 +362,3 @@ def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[
 
 def _g(x) -> str:
     return f"{float(x):.12g}"
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -155,6 +155,7 @@ class _CostTable:
     the unclamped loads at a key (each group's inverse marginal when families
     mix). A single family binds its formula and group, so that a call in
     the replicator's step loop is one Python frame; mixed ones the scatter.
+    Every array the table holds, columns and group fields alike, is read-only.
     """
 
     def __init__(self, families, a, b, lower, upper):
@@ -183,8 +184,9 @@ class _CostTable:
             else:
                 bound = functools.partial(getattr(self.family, formula), self.groups[0])
             setattr(self, formula, bound)
-        for col in self.columns:
-            col.setflags(write=False)
+        for arr in (*self.columns, *(v for g in self.groups for v in vars(g).values())):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
 
     def _evaluate(self, formula: str, x, per_agent: bool) -> np.ndarray:
         shape = getattr(x, "shape", ())

@@ -95,7 +95,7 @@ class Trajectory:
     states: np.ndarray  # (k, n) allocations at those steps
     costs: np.ndarray  # total cost at each recorded state
     residuals: np.ndarray  # fitness spread at each recorded state
-    lyapunov: np.ndarray | None  # C(W) - C(reference), when a reference was given
+    lyapunov: np.ndarray  # V: C(W) - C(reference), or less the least recorded cost without one
     converged: bool
     final: np.ndarray
     steps: int  # index of the last simulated state
@@ -158,8 +158,9 @@ def simulate(
 
     w0 must lie on the simplex (nonnegative, summing to w); a strictly
     positive start is needed to reach the interior equilibrium, since
-    zero-mass coordinates never move. When `reference` is given, the
-    recorded trace carries C(W) - C(reference) as a Lyapunov diagnostic.
+    zero-mass coordinates never move. The recorded trace carries V, the
+    Lyapunov diagnostic: C(W) - C(reference) when `reference` is given,
+    else C(W) less the least recorded cost (same shape, shifted zero).
     """
     state = as_allocation(p, w0).copy()
     if not in_simplex(p, state):
@@ -241,15 +242,13 @@ def simulate(
 
     states = np.concatenate(rec_states)
     costs = total_cost_batch(p, states)
-    lyap = None
-    if reference is not None:
-        lyap = costs - total_cost(p, reference)
+    least = costs.min() if reference is None else total_cost(p, reference)
     return Trajectory(
         times=np.array(rec_steps, dtype=np.int64),
         states=states,
         costs=costs,
         residuals=np.concatenate(rec_residuals),
-        lyapunov=lyap,
+        lyapunov=costs - least,
         converged=met.size > 0,
         final=S[last].copy(),
         steps=start + last,
@@ -261,17 +260,12 @@ def simulate(
 
 
 def write_trace_csv(traj: Trajectory, p: AllocationProblem, path) -> None:
-    """CSV trace: step,t,w_1,...,w_n,C,V,residual with full precision.
-
-    Without a Lyapunov reference, V is relative to the smallest recorded
-    cost (same shape, shifted zero); rows go out via problem._format_rows.
-    """
-    lyap = traj.lyapunov
-    if lyap is None:
-        lyap = traj.costs - traj.costs.min()
+    """CSV trace: step,t,w_1,...,w_n,C,V,residual with full precision, V
+    being traj.lyapunov; rows go out via problem._format_rows."""
     header = "step,t," + ",".join(f"w_{i + 1}" for i in range(p.n)) + ",C,V,residual"
     fmt = "%d," + "%.15g," * (p.n + 3) + "%.15g\n"
-    cols = traj.times, traj.times * traj.dt, *traj.states.T, traj.costs, lyap, traj.residuals
+    cols = (traj.times, traj.times * traj.dt, *traj.states.T,
+            traj.costs, traj.lyapunov, traj.residuals)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         fh.writelines(_format_rows(fmt, *cols))

@@ -17,11 +17,15 @@ simulation, and the verifiers can be exercised without input files:
 
 Each instance is the document a problem file holds (1-based edges, one
 object per agent), built by the checks an ``--input`` file passes
-(``problem._from_document``). Reference entries carry the expected
-values and the tolerances the ``reproduce`` command checks them at.
+(``problem._from_document``) once per process and then shared read-only.
+Reference entries, a read-only mapping of numbers, tuples and a read-only
+expected allocation, carry the expected values and the tolerances the
+``reproduce`` command checks them at.
 """
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +39,7 @@ class BundledInstance:
     description: str
     problem: AllocationProblem
     drd_step: float | None  # suggested simulation step, where meaningful
-    reference: dict
+    reference: MappingProxyType
 
 
 _RING6 = {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 1], [1, 4]]}
@@ -54,6 +58,13 @@ def _quadratic(a: float, b: float, lower: float, upper: float) -> dict:
     return {"family": "quadratic", "a": a, "b": b, "lower": lower, "upper": upper}
 
 
+def _reference(allocation, **entries) -> MappingProxyType:
+    """The read-only reference entries, the expected allocation a read-only array."""
+    allocation = np.array(allocation, dtype=float)
+    allocation.setflags(write=False)
+    return MappingProxyType({"allocation": allocation, **entries})
+
+
 def _fig2() -> BundledInstance:
     uppers = [750.0, 800.0, 1400.0, 1000.0, 900.0, 1700.0]
     total = 2800.0
@@ -65,7 +76,7 @@ def _fig2() -> BundledInstance:
         description="six agents, exponential costs, interior optimum",
         problem=p,
         drd_step=1e-4,
-        reference={"allocation": expected, "allocation_tol": 0.5},
+        reference=_reference(expected, allocation_tol=0.5),
     )
 
 
@@ -85,7 +96,7 @@ def _fig3() -> BundledInstance:
         description="six agents, quadratic costs, interior optimum",
         problem=p,
         drd_step=1e-3,
-        reference={"allocation": expected, "allocation_tol": 0.5, "level": lam},
+        reference=_reference(expected, allocation_tol=0.5, level=lam),
     )
 
 
@@ -100,19 +111,19 @@ def _tab1() -> BundledInstance:
         description="three agents, exponential costs, clamped optimum",
         problem=_problem(1150.0, _PATH3, agents),
         drd_step=None,
-        reference={
-            "decimals": 3,
+        reference=_reference(
+            [350.0, 382.4, 417.6],
+            decimals=3,
             # per-agent clamp thresholds in the log coordinate
-            "keys_lower": [1.897, 2.682, 2.873],
-            "keys_upper": [2.897, 3.682, 3.873],
-            "masses": [960.0, 1077.732, 1131.202, 1141.043, 1345.153, 1370.0],
-            "slopes": [6.6677e-3, 3.5721e-3, 2.4388e-3, 3.8460e-3, 7.6870e-3],
-            "allocation": np.array([350.0, 382.4, 417.6]),
-            "key_tol": 1e-3,
-            "mass_tol": 0.01,
-            "slope_tol": 1e-6,
-            "allocation_tol": 0.1,
-        },
+            keys_lower=(1.897, 2.682, 2.873),
+            keys_upper=(2.897, 3.682, 3.873),
+            masses=(960.0, 1077.732, 1131.202, 1141.043, 1345.153, 1370.0),
+            slopes=(6.6677e-3, 3.5721e-3, 2.4388e-3, 3.8460e-3, 7.6870e-3),
+            key_tol=1e-3,
+            mass_tol=0.01,
+            slope_tol=1e-6,
+            allocation_tol=0.1,
+        ),
     )
 
 
@@ -128,18 +139,18 @@ def _tab3() -> BundledInstance:
         description="three agents, quadratic costs, interior optimum at clamp edge",
         problem=_problem(1150.0, _PATH3, agents),
         drd_step=None,
-        reference={
-            "decimals": 3,
-            "keys_lower": [5.0, 5.4, 5.6],
-            "keys_upper": [5.9, 6.44, 6.9],
-            "masses": [960.0, 1026.667, 1085.0, 1202.5, 1324.0, 1370.0],
-            "slopes": [6.0e-3, 3.4286e-3, 2.5532e-3, 4.4444e-3, 10.0e-3],
-            "allocation": np.array([327.7, 395.7, 426.6]),
-            "key_tol": 0.01,
-            "mass_tol": 0.01,
-            "slope_tol": 1e-6,
-            "allocation_tol": 0.1,
-        },
+        reference=_reference(
+            [327.7, 395.7, 426.6],
+            decimals=3,
+            keys_lower=(5.0, 5.4, 5.6),
+            keys_upper=(5.9, 6.44, 6.9),
+            masses=(960.0, 1026.667, 1085.0, 1202.5, 1324.0, 1370.0),
+            slopes=(6.0e-3, 3.4286e-3, 2.5532e-3, 4.4444e-3, 10.0e-3),
+            key_tol=0.01,
+            mass_tol=0.01,
+            slope_tol=1e-6,
+            allocation_tol=0.1,
+        ),
     )
 
 
@@ -150,7 +161,9 @@ def instance_ids() -> list[str]:
     return sorted(_BUILDERS)
 
 
+@functools.cache
 def get_instance(instance_id: str) -> BundledInstance:
+    """The instance of this id, built on the first call and shared read-only after it."""
     try:
         builder = _BUILDERS[instance_id]
     except KeyError:

@@ -157,6 +157,15 @@ def breakpoints(p: AllocationProblem) -> BreakpointTable:
     )
 
 
+def _paper_table(p, decimals: int):
+    """The paper's table at thresholds rounded to `decimals`: (kmin, kmax, the
+    clamped masses at the sorted thresholds, the slopes d(key)/d(mass))."""
+    kmin, kmax = (np.round(k, decimals) for k in _agent_keys(p))
+    keys = np.sort(np.concatenate([kmin, kmax]))
+    masses = _clamp(p, keys[:, None], kmin, kmax, p._costs.response_from_key)[0].sum(axis=1)
+    return kmin, kmax, masses, _slopes(keys, masses)
+
+
 def _slopes(keys, masses):
     """d(key)/d(mass) between consecutive table entries; inf where the mass does not move."""
     dm = np.diff(masses)

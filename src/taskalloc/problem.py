@@ -42,7 +42,8 @@ _ROW_ELEMENTS = 1 << 17  # numbers that _format_rows formats per slice
 
 
 class AllocationProblem:
-    """Graph + per-agent costs + total task; everything downstream consumes this."""
+    """Graph + per-agent costs + total task; everything downstream consumes this.
+    Immutable: no attribute can be set, and every array it holds is read-only."""
 
     def __init__(self, graph: Graph, agents, total: float):
         agents = tuple(agents)

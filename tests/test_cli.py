@@ -18,7 +18,7 @@ from conftest import random_problem, replaced
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from taskalloc import cli, problem, verify
+from taskalloc import cli, instances, problem, verify
 from taskalloc.cli import main
 from taskalloc.costs import CostModel
 from taskalloc.lambda_solver import breakpoints, solve_lambda
@@ -49,6 +49,20 @@ def test_instance_registry():
     assert instance_ids() == ["fig2", "fig3", "tab1", "tab3"]
     with pytest.raises(UnknownExampleError):
         get_instance("fig9")
+
+
+def test_example_runs_build_the_instance_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counting(doc):
+        calls.append(doc)
+        return original(doc)
+
+    original = instances._from_document
+    monkeypatch.setattr(instances, "_from_document", counting)
+    for _ in range(2):
+        assert main(["solve", "--example", "tab3", "--out", str(tmp_path)]) == 0
+    assert len(calls) <= 1
 
 
 def test_solve_from_file(tmp_path, tab1_file):

@@ -369,14 +369,14 @@ def test_trajectory_field_types(fig2, box_exit):
         ref = np.asarray(fig2.reference["allocation"])
     traj = simulate(p, w0, cfg, reference=ref)
     arrays = {"times": np.int64, "states": np.float64, "costs": np.float64,
-              "residuals": np.float64, "final": np.float64}
-    if ref is not None:
-        arrays["lyapunov"] = np.float64
+              "residuals": np.float64, "lyapunov": np.float64, "final": np.float64}
     for name, dtype in arrays.items():
         value = getattr(traj, name)
         assert type(value) is np.ndarray and value.dtype == dtype, name
     assert traj.states.ndim == 2 and traj.final.shape == (p.n,)
-    assert ref is not None or traj.lyapunov is None
+    # without a reference, V is C less the least recorded cost
+    least = traj.costs.min() if ref is None else total_cost(p, ref)
+    assert np.array_equal(traj.lyapunov, traj.costs - least)
     assert type(traj.converged) is bool and type(traj.stop) is str
     assert type(traj.dt) is float and traj.dt == cfg.step
     for name in ("steps", "residual_evals"):

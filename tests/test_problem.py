@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from taskalloc import cli, problem, verify
 from taskalloc.costs import exponential, quadratic
-from taskalloc.drd import Trajectory, write_trace_csv
+from taskalloc.drd import Trajectory, default_start, write_trace_csv
 from taskalloc.errors import InfeasibleError, LengthMismatchError, ParseError
 from taskalloc.graph import edge_list, from_edge_list
 from taskalloc.instances import get_instance, instance_ids
@@ -229,6 +229,38 @@ def test_bundled_instances_are_parsed_documents():
         assert np.array_equal(p2.graph.adjacency, p.graph.adjacency)
         for col, col2 in zip(p._costs.columns, p2._costs.columns):
             assert col.dtype == col2.dtype and col.tobytes() == col2.tobytes()
+
+
+def test_get_instance_returns_one_shared_instance():
+    for iid in instance_ids():
+        assert get_instance(iid) is get_instance(iid)
+
+
+def test_bundled_reference_is_read_only():
+    for iid in instance_ids():
+        ref = get_instance(iid).reference
+        for key in ("allocation", "allocation_tol", "new"):
+            with pytest.raises(TypeError):
+                ref[key] = 1.0
+        with pytest.raises(ValueError):
+            ref["allocation"][0] = 1.0
+        for key in ("keys_lower", "keys_upper", "masses", "slopes"):
+            assert type(ref.get(key, ())) is tuple
+
+
+def test_cost_table_arrays_are_read_only():
+    # each bundled problem at its reference allocation, and a mixed problem (two groups)
+    cases = [(i.problem, i.reference["allocation"]) for i in map(get_instance, instance_ids())]
+    mixed = random_problem(np.random.default_rng(4), n=6, family="mixed")
+    assert len(mixed._costs.groups) == 2
+    cases.append((mixed, default_start(mixed)))
+    fields = ("idx", "a", "b", "lower", "span", "a_per_span")
+    for p, w in cases:
+        before = total_cost(p, w)
+        for arr in [*p._costs.columns, *(getattr(g, f) for g in p._costs.groups for f in fields)]:
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]
+        assert total_cost(p, w) == before
 
 
 def test_parse_uses_one_based_edge_labels():
@@ -457,7 +489,7 @@ def _trace_rows(tmp_path, p, with_reference):
         states=_STATES,
         costs=_COSTS,
         residuals=np.array([1.0, 0.5, 1e-7, 0.0, 3.0]),
-        lyapunov=_COSTS - 0.5 if with_reference else None,
+        lyapunov=_COSTS - (0.5 if with_reference else _COSTS.min()),  # as simulate sets it
         converged=False,
         final=_STATES[-1],
         steps=2**53 + 1,
@@ -467,12 +499,11 @@ def _trace_rows(tmp_path, p, with_reference):
         residual_evals=1,
     )
     write_trace_csv(traj, p, tmp_path / "trace.csv")
-    lyap = traj.lyapunov if with_reference else _COSTS - _COSTS.min()
     expected = ["step,t,w_1,w_2,w_3,C,V,residual\n"]
     for k, step in enumerate(traj.times):
         row = [str(int(step)), f"{step * traj.dt:.15g}"]
         row += [f"{x:.15g}" for x in _STATES[k]]
-        row += [f"{x:.15g}" for x in (_COSTS[k], lyap[k], traj.residuals[k])]
+        row += [f"{x:.15g}" for x in (_COSTS[k], traj.lyapunov[k], traj.residuals[k])]
         expected.append(",".join(row) + "\n")
     return (tmp_path / "trace.csv").read_bytes(), "".join(expected).encode()
 
