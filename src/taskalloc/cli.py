@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 4
 EXIT_MISMATCH = 5
+_STATUS = np.array(["interior", "upper", "lower"])  # by status 0, 1 and -1 (the last)
 
 
 def main(argv=None) -> int:
@@ -164,9 +165,6 @@ def _solve(p):
         ]
     res = solve_lambda(p)
     cert = verify.kkt_check(p, res.allocation)
-    status = np.full(p.n, "interior")
-    status.put(res.active_lower, "lower")
-    status.put(res.active_upper, "upper")
     parts += [
         f"method: {res.method}",
         f"bracket: {res.bracket + 1}",
@@ -174,7 +172,8 @@ def _solve(p):
         f"lambda: {_g(res.lam)}",
         "allocation:",
         f"{'agent':>6} {'load':>20} {'status':>9}",
-        _format_rows("%6d %20.12f %9s\n", np.arange(1, p.n + 1), res.allocation, status),
+        _format_rows("%6d %20.12f %9s\n", np.arange(1, p.n + 1), res.allocation,
+                     _STATUS[res.status]),
         f"sum of loads: {_g(res.allocation.sum())}",
         f"total cost: {_g(total_cost(p, res.allocation))}",
     ]
@@ -188,9 +187,8 @@ def _cert_lines(cert) -> list[str]:
         f"  level: {_g(cert.lam)}",
         f"  stationarity residual: {_g(cert.stationarity_residual)}",
         f"  smallest multiplier: {_g(worst)}",
-        f"  interior: {[i + 1 for i in cert.interior]}",
-        f"  lower-active: {[i + 1 for i in cert.lower_active]}",
-        f"  upper-active: {[i + 1 for i in cert.upper_active]}",
+        *(f"  {name}: {((cert.status == s).nonzero()[0] + 1).tolist()}"
+          for s, name in ((0, "interior"), (-1, "lower-active"), (1, "upper-active"))),
     ]
 
 

@@ -55,7 +55,7 @@ MASS_FLOOR_REL = 1e-9  # loads below this fraction of w count as zero mass
 RECORD_EVERY = 100  # the trace keeps every RECORD_EVERY-th step (and the last)
 _BLOCK_STEPS = 64  # most states whose stop rule one reduction checks
 # Most states x agents in one block, so its two buffers hold about 2 MiB;
-# from n = 2**17 agents on, a block is a single state.
+# from n = 2**16 + 1 agents on, a block is a single state.
 _BLOCK_ELEMENTS = 1 << 17
 
 

@@ -15,7 +15,7 @@ Newton steps on the key (as Cominetti, Mascarenhas & Silva, Math. Prog.
 Comp. 6, 2014, do for the continuous quadratic knapsack), one O(n) clamp
 each, inside a bracket that every step shrinks; it sorts nothing. One
 vectorized clamp, `_clamp`, applies the rule above (lower wins a tie with
-upper) for every solver step and the final active sets.
+upper) for every solver step and the final status.
 
 The printed table `breakpoints(p)`, a function of the problem alone, takes
 O(n log n) sorts and one merge sweep of exact int running sums (Patriksson,
@@ -67,15 +67,13 @@ class BreakpointTable:
 
 @dataclass
 class SolverResult:
-    """Box-clamped optimum (loads sum to w within 1e-12·w), its level and active sets."""
+    """Box-clamped optimum (loads sum to w within 1e-12·w), its level and each agent's status."""
 
     allocation: np.ndarray
     key: float  # level in the cost table's key coordinate
     lam: float  # marginal-cost level itself
     bracket: int  # 0-based sorted threshold at the key, or the one starting its interval
-    interior: list[int]
-    active_lower: list[int]
-    active_upper: list[int]
+    status: np.ndarray  # (n,) int8: -1 at lower, 0 interior, 1 at upper
     method: str  # "bound" | "newton" | "blend"
     probes: int  # distinct clamps made, one O(n) pass each
 
@@ -249,9 +247,7 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     return SolverResult(
         allocation=alloc, key=key, lam=float(costs.coordinate.lambda_from_key(key)),
         bracket=int(below) - 1 + bool((kmin == key).any() or (kmax == key).any()),
-        interior=(~(at_lower | at_upper)).nonzero()[0].tolist(),
-        active_lower=at_lower.nonzero()[0].tolist(), active_upper=at_upper.nonzero()[0].tolist(),
-        method=method, probes=probes,
+        status=at_upper.view(np.int8) - at_lower.view(np.int8), method=method, probes=probes,
     )
 
 

@@ -30,6 +30,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 
 import numpy as np
 
@@ -230,6 +231,11 @@ def parse_problem(text: str) -> AllocationProblem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # the only other: an int past Python's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: an integer has more than {limit} digits") from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from exc
     return _from_document(data)
 
 
@@ -287,7 +293,11 @@ def _from_document(data) -> AllocationProblem:
 
 def load_problem(path) -> AllocationProblem:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_problem(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    return parse_problem(text)
 
 
 def serialize_problem(p: AllocationProblem) -> str:

@@ -48,7 +48,7 @@ class KktCertificate:
     """Executable optimality certificate for a feasible allocation.
 
     lam is the shared marginal-cost level; alphas/betas are the
-    multipliers of active lower/upper bounds. passed means: multipliers
+    multipliers of the agents of status -1/1. passed means: multipliers
     nonnegative and the interior marginals agree with lam, both within
     _KKT_TOL * |the agent's marginal| plus its resolution (how far its
     marginal moves over one ulp of its load) — which certifies the global
@@ -58,9 +58,7 @@ class KktCertificate:
     lam: float
     alphas: dict[int, float]
     betas: dict[int, float]
-    interior: list[int]
-    lower_active: list[int]
-    upper_active: list[int]
+    status: np.ndarray  # (n,) int8: -1 lower-active, 0 interior, 1 upper-active
     stationarity_residual: float
     passed: bool
 
@@ -89,8 +87,8 @@ class OracleResult:
 
 
 def kkt_check(p: AllocationProblem, w) -> KktCertificate:
-    """Partition agents by bound activity, find a shared level, and
-    evaluate the stationarity multipliers.
+    """Partition agents by bound activity into the certificate's status, find
+    a shared level, and evaluate the stationarity multipliers.
 
     Activity is detected within 1e-6 of each box width. Each agent admits
     the levels within _KKT_TOL (1e-6) * |its marginal| plus its resolution
@@ -102,8 +100,8 @@ def kkt_check(p: AllocationProblem, w) -> KktCertificate:
     interior marginal, or with no interior agent the midpoint of [max
     marginal over upper-active, min marginal over lower-active]. An agent
     whose box is a point admits any level; it counts as lower-active when
-    its marginal is >= lam. Raises NotFeasibleError when w is not
-    (tolerantly) inside the feasible set.
+    its marginal is >= lam, else upper-active. Raises NotFeasibleError when
+    w is not (tolerantly) inside the feasible set.
     """
     arr = as_allocation(p, w)
     if not in_feasible_set(p, arr):
@@ -142,22 +140,18 @@ def kkt_check(p: AllocationProblem, w) -> KktCertificate:
 
     at_lower = at_lo | (pinned & (marg >= lam))
     at_upper = (at_up | pinned) & ~at_lower
-    lower_active = at_lower.nonzero()[0].tolist()
-    upper_active = at_upper.nonzero()[0].tolist()
 
     # multipliers from the marginals at the loads themselves: a load within
     # the activity band but off its bound is still stationary at lam
     margs = marg.tolist()
-    alphas = {i: margs[i] - lam for i in lower_active}
-    betas = {j: lam - margs[j] for j in upper_active}
+    alphas = {i: margs[i] - lam for i in at_lower.nonzero()[0].tolist()}
+    betas = {j: lam - margs[j] for j in at_upper.nonzero()[0].tolist()}
     residual = float(np.abs(marg[k_idx] - lam).max()) if k_idx.size else 0.0
     return KktCertificate(
         lam=lam,
         alphas=alphas,
         betas=betas,
-        interior=k_idx.tolist(),
-        lower_active=lower_active,
-        upper_active=upper_active,
+        status=at_upper.view(np.int8) - at_lower.view(np.int8),
         stationarity_residual=residual,
         passed=passed,
     )

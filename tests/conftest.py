@@ -533,9 +533,7 @@ def solve_reference(p, probe_log):
         key=key,
         lam=float(table.coordinate.lambda_from_key(key)),
         bracket=below - 1 + bool(np.any(kmin == key) or np.any(kmax == key)),
-        interior=np.flatnonzero(~(at_lower | at_upper)).tolist(),
-        active_lower=np.flatnonzero(at_lower).tolist(),
-        active_upper=np.flatnonzero(at_upper).tolist(),
+        status=np.select([at_lower, at_upper], [-1, 1], 0).astype(np.int8),
         method=method,
         probes=probes,
     )
@@ -596,9 +594,7 @@ def kkt_reference(p, w, tol=1e-6):
         lam=lam,
         alphas=alphas,
         betas=betas,
-        interior=[int(i) for i in k_idx],
-        lower_active=lower_active,
-        upper_active=upper_active,
+        status=np.select([at_lower, at_upper], [-1, 1], 0).astype(np.int8),
         stationarity_residual=residual,
         passed=passed,
     )

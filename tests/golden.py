@@ -36,6 +36,8 @@ CASES = {
     "simulate-fig3-overflow": ["simulate", "--example", "fig3", "--dt", "1e6"],
     **{f"verify-{x}": ["verify", "--input", f"tests/data/{x}.json", *_ORACLE]
        for x in ("thin5", "flat2", "overflow2")},
+    # every agent at lower; two interior and a pinned one at upper
+    **{f"solve-{x}": ["solve", "--input", f"tests/data/{x}.json"] for x in ("boundsum3", "pinned3")},
 }
 
 

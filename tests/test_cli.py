@@ -791,6 +791,26 @@ def test_parse_error_messages(tmp_path, capsys, path, value, message):
     assert capsys.readouterr().err.splitlines() == ["error-code: parse exit=2", message]
 
 
+_DIGITS = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\xff{}", "file is not UTF-8: invalid start byte at byte 0"),
+        (b'{"total": 1' + b"0" * _DIGITS + b"}",
+         f"invalid JSON: an integer has more than {_DIGITS} digits"),
+        (b"[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
+    ],
+    ids=["not-utf8", "long-int", "deep"],
+)
+def test_unreadable_files_exit_parse(tmp_path, capsys, data, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error-code: parse exit=2", message]
+
+
 def test_commands_never_build_cost_models_of_a_parsed_problem(tmp_path, monkeypatch, capsys):
     # files and bundled instances go to the cost table without a CostModel,
     # and a file's agent fault is worded by the agent rule without one

@@ -499,7 +499,7 @@ def test_simulate_limit_matches_all_interior_solver(fig3_run):
 
     p, traj, _ = fig3_run
     res = solve_lambda(p)
-    assert res.interior == list(range(p.n))
+    assert not res.status.any()
     slopes = np.array([agent["a"] for agent in document(p)["agents"]])  # quadratic marginal slope
     coord_tol = 10.0 * 1e-6 / slopes.min()
     assert np.abs(traj.final - res.allocation).max() <= coord_tol
@@ -586,4 +586,4 @@ def test_theorem2_box_exit_keeps_the_solver_point(seed, n):
     traj = simulate(p, default_start(p), DrdConfig(step=0.4, max_steps=20_000))
     assert traj.box_exit_step is not None
     np.testing.assert_array_equal(select_final(p, res.allocation, traj.final), res.allocation)
-    assert 0 in res.active_upper
+    assert res.status[0] == 1

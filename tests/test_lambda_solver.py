@@ -137,9 +137,7 @@ def test_solve_exponential_reference(tab1):
     res = solve_lambda(tab1.problem)
     np.testing.assert_allclose(res.allocation, [350.0, 382.4, 417.6], atol=0.1)
     assert res.allocation.sum() == pytest.approx(1150.0, abs=1e-6)
-    assert res.active_upper == [0]
-    assert res.interior == [1, 2]
-    assert res.active_lower == []
+    assert res.status.tolist() == [1, 0, 0]
     assert res.bracket == 3
     assert res.key == pytest.approx(2.9314, abs=1e-3)
     assert res.method == "newton"
@@ -149,7 +147,7 @@ def test_solve_quadratic_reference(tab3):
     res = solve_lambda(tab3.problem)
     np.testing.assert_allclose(res.allocation, [327.7, 395.7, 426.6], atol=0.1)
     assert res.allocation.sum() == pytest.approx(1150.0, abs=1e-6)
-    assert res.interior == [0, 1, 2]
+    assert res.status.tolist() == [0, 0, 0]
     assert res.lam == pytest.approx(5.766, abs=1e-3)
 
 
@@ -171,7 +169,7 @@ def test_interior_marginals_equal_level(tab1, tab3):
     for inst in (tab1, tab3):
         res = solve_lambda(inst.problem)
         marg = marginals(inst.problem, res.allocation)
-        for i in res.interior:
+        for i in np.flatnonzero(res.status == 0):
             assert marg[i] == pytest.approx(res.lam, rel=1e-9)
 
 
@@ -321,7 +319,7 @@ def test_mixed_families_take_newton_steps():
     # linear in lam and the first step misses
     p = _mixed_instance(180.0)
     res = solve_lambda(p)
-    assert res.interior == [0]
+    assert np.flatnonzero(res.status == 0).tolist() == [0]
     assert res.method == "newton" and res.probes > 1
     assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
     assert in_feasible_set(p, res.allocation)
@@ -333,7 +331,7 @@ def test_mixed_families_with_quadratic_interior_interpolate_exactly():
     # so a Newton step from a key with the same active sets is exact
     p = _mixed_instance(140.0)
     res = solve_lambda(p)
-    assert res.active_lower == [0] and res.interior == [1] and res.active_upper == [2]
+    assert res.status.tolist() == [-1, 0, 1]
     assert res.method == "newton"
     assert res.key == res.lam == pytest.approx(2.0 + 0.05 * 40.0, rel=1e-12)
     np.testing.assert_array_equal(res.allocation, [10.0, 60.0, 70.0])

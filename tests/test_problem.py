@@ -532,8 +532,8 @@ def _solve_rows(monkeypatch, allocation):
         masses=_SPECIALS[::-1].copy(),
         slopes=np.array([np.inf, -0.0, 5e-324, 1e16]),
     )
-    res = SolverResult(allocation=_SPECIALS, key=1.0, lam=1.0, bracket=0, interior=[0, 2, 4],
-                       active_lower=[1], active_upper=[3], method="newton", probes=1)
+    res = SolverResult(allocation=_SPECIALS, key=1.0, lam=1.0, bracket=0,
+                       status=np.array([0, -1, 0, 1, 0], np.int8), method="newton", probes=1)
     monkeypatch.setattr(cli, "breakpoints", lambda p: table)
     monkeypatch.setattr(cli, "solve_lambda", lambda p: res)
     monkeypatch.setattr(cli, "total_cost", lambda p, w: 0.0)

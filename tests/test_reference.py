@@ -75,8 +75,7 @@ def _points(p, w, rng):
 
 def _same_solution(res, ref):
     assert res.allocation.tobytes() == ref.allocation.tobytes()
-    fields = ("key", "lam", "bracket", "interior", "active_lower", "active_upper", "method",
-              "probes")
+    fields = ("key", "lam", "bracket", "status", "method", "probes")
     assert [repr(getattr(res, f)) for f in fields] == [repr(getattr(ref, f)) for f in fields]
 
 

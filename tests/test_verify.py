@@ -56,8 +56,7 @@ def test_kkt_interior_certificate(tab3):
     res = solve_lambda(p)
     cert = kkt_check(p, res.allocation)
     assert cert.passed
-    assert cert.interior == [0, 1, 2]
-    assert cert.lower_active == [] and cert.upper_active == []
+    assert cert.status.tolist() == [0, 0, 0]
     assert cert.lam == pytest.approx(5.766, abs=1e-3)
     assert cert.stationarity_residual <= 1e-6
 
@@ -67,7 +66,7 @@ def test_kkt_clamped_certificate(tab1):
     res = solve_lambda(p)
     cert = kkt_check(p, res.allocation)
     assert cert.passed
-    assert cert.upper_active == [0]
+    assert np.flatnonzero(cert.status == 1).tolist() == [0]
     assert cert.alphas == {}
     assert cert.betas[0] >= 0.0
     # beta_1 = level - marginal at the clamped upper bound
@@ -83,7 +82,7 @@ def test_kkt_all_bounds_active():
     p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=40.0)
     cert = kkt_check(p, [10.0, 30.0])
     assert cert.passed
-    assert cert.interior == []
+    assert not (cert.status == 0).any()
 
 
 def test_kkt_pinned_agents_take_one_side():
@@ -97,8 +96,7 @@ def test_kkt_pinned_agents_take_one_side():
     )
     g = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     cert = kkt_check(AllocationProblem(graph=g, agents=agents, total=20.0), [5.0] * 4)
-    assert cert.interior == [2, 3] and cert.lam == 7.0
-    assert cert.lower_active == [1] and cert.upper_active == [0]
+    assert cert.status.tolist() == [1, -1, 0, 0] and cert.lam == 7.0
     assert cert.alphas == {1: 13.0} and cert.betas == {0: 6.0}
     assert cert.passed
 
@@ -121,7 +119,8 @@ def test_kkt_resolution_floor_near_a_bound():
     p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=1e5 + 0.05)
     res = solve_lambda(p)
     cert = kkt_check(p, res.allocation)
-    assert cert.lower_active == [0] and cert.alphas[0] < -1e-6 * max(1.0, cert.lam)
+    assert np.flatnonzero(cert.status == -1).tolist() == [0]
+    assert cert.alphas[0] < -1e-6 * max(1.0, cert.lam)
     assert cert.passed
     # the floor is one ulp's worth: a point off the optimum still fails
     assert not kkt_check(p, [1e5 + 0.01, 0.04]).passed
@@ -174,7 +173,7 @@ def test_kkt_nash_equivalence_for_interior_points(fig3):
     p = fig3.problem
     wstar = np.asarray(fig3.reference["allocation"])
     cert = kkt_check(p, wstar)
-    assert cert.passed and not cert.lower_active and not cert.upper_active
+    assert cert.passed and not cert.status.any()
     assert spread(p, wstar) <= 1e-6
 
     off = wstar + np.array([2.0, -2.0, 0.0, 0.0, 0.0, 0.0])
@@ -195,7 +194,7 @@ def test_kkt_tolerance_scales_with_level(iid, scale):
     p = parse_problem(json.dumps(doc))
     res = solve_lambda(p)
     assert kkt_check(p, res.allocation).passed
-    i, j = res.interior[:2]
+    i, j = np.flatnonzero(res.status == 0)[:2]
     moved = res.allocation.copy()
     moved[[i, j]] += np.array([-1.0, 1.0]) * 0.01 * moved[i]
     assert in_feasible_set(p, moved)
@@ -214,8 +213,8 @@ def test_kkt_multiplier_formulas_random():
             assert alpha == pytest.approx(at_lower[i] - cert.lam, rel=1e-9, abs=1e-9)
         for j, beta in cert.betas.items():
             assert beta == pytest.approx(cert.lam - at_upper[j], rel=1e-9, abs=1e-9)
-        partition = sorted(cert.interior + cert.lower_active + cert.upper_active)
-        assert partition == list(range(p.n))
+        # one status per agent
+        assert cert.status.shape == (p.n,) and set(cert.status.tolist()) <= {-1, 0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,22 @@ down to 1e-15 of their lower bound, and totals at the bound sums. Every
 valid draw is either refused with CostOverflowError, because a marginal
 at a bound is 0 or beyond float range, or solved in at most 80 clamps to
 a feasible point with every load in its box whose certificate passes,
-while a point moved well off it fails."""
+while a point moved well off it fails. On those draws, every data file
+and every bundled instance, an agent's status matches its load, and the
+certificate's status its multipliers."""
+
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskalloc.costs import exponential, quadratic
-from taskalloc.errors import CostOverflowError
+from taskalloc.errors import CostOverflowError, TaskAllocError
 from taskalloc.graph import from_edge_list
+from taskalloc.instances import get_instance, instance_ids
 from taskalloc.lambda_solver import solve_lambda
-from taskalloc.problem import AllocationProblem, in_feasible_set
+from taskalloc.problem import AllocationProblem, in_feasible_set, load_problem
 from taskalloc.verify import kkt_check
 
 _TINY, _HUGE = 5e-324, np.finfo(float).max
@@ -81,10 +86,13 @@ def test_wide_scale_solve_is_feasible_and_certified(
         assert in_feasible_set(p, res.allocation)
         assert (res.allocation >= p.lower_bounds).all()
         assert (res.allocation <= p.upper_bounds).all()
-        assert kkt_check(p, res.allocation).passed
+        cert = kkt_check(p, res.allocation)
+        assert cert.passed
+        assert_status_matches(p, res, cert)
         assert res.probes <= 80
-        if len(res.interior) >= 2:
-            assert_moved_point_fails(p, res.allocation, *res.interior[:2])
+        interior = np.flatnonzero(res.status == 0)
+        if len(interior) >= 2:
+            assert_moved_point_fails(p, res.allocation, *interior[:2])
 
 
 def assert_moved_point_fails(p, w, i, j):
@@ -101,3 +109,35 @@ def assert_moved_point_fails(p, w, i, j):
     allow = 1e-6 * np.abs(marg) + np.abs(p._costs.marginal(np.nextafter(moved, np.inf)) - marg)
     if marg[j] - marg[i] > 2 * (allow[i] + allow[j]):
         assert not kkt_check(p, moved).passed
+
+
+def assert_status_matches(p, res, cert):
+    """The solver's status -1 and 1 hold loads exactly at the lower and
+    upper bounds, and the certificate's alphas and betas are keyed by its
+    agents of status -1 and 1."""
+    for status in (res.status, cert.status):
+        assert status.dtype == np.int8 and status.shape == (p.n,)
+    lower, upper = res.status == -1, res.status == 1
+    np.testing.assert_array_equal(res.allocation[lower], p.lower_bounds[lower])
+    np.testing.assert_array_equal(res.allocation[upper], p.upper_bounds[upper])
+    assert sorted(cert.alphas) == np.flatnonzero(cert.status == -1).tolist()
+    assert sorted(cert.betas) == np.flatnonzero(cert.status == 1).tolist()
+
+
+def test_status_matches_on_data_files_and_bundled_instances():
+    problems = [get_instance(iid).problem for iid in instance_ids()]
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        try:
+            problems.append(load_problem(path))
+        except TaskAllocError:  # a file that exits before any solve
+            continue
+    solved = 0
+    with np.errstate(all="ignore"):
+        for p in problems:
+            try:
+                res = solve_lambda(p)
+            except CostOverflowError:
+                continue
+            assert_status_matches(p, res, kkt_check(p, res.allocation))
+            solved += 1
+    assert solved >= len(instance_ids()) + 10
