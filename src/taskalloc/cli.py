@@ -206,10 +206,10 @@ def _run_simulate(args, p, inst, out):
     return "simulate_report.txt", lines, None if traj.converged else failed
 
 
-def _simulate(p, cfg, trace: Path, reference=None):
+def _simulate(p, cfg, trace: Path):
     """The run that simulate and reproduce share: the replicator from
     default_start, its trace written to `trace`. Returns (trajectory, lines)."""
-    traj = drd.simulate(p, drd.default_start(p), cfg, reference=reference)
+    traj = drd.simulate(p, drd.default_start(p), cfg)
     drd.write_trace_csv(traj, p, trace)
     return traj, [
         f"dt: {_g(cfg.step)}",
@@ -346,7 +346,7 @@ def _reproduce_table_instance(p, inst, checks: _Checks) -> list[str]:
 def _reproduce_simulation_instance(p, inst, checks: _Checks, out: Path) -> list[str]:
     ref = inst.reference
     trace = out / f"trajectory_{inst.instance_id}.csv"
-    traj, lines = _simulate(p, drd.DrdConfig(step=inst.drd_step), trace, ref["allocation"])
+    traj, lines = _simulate(p, drd.DrdConfig(step=inst.drd_step), trace)
     checks.add_bool("converged", traj.converged, f"steps={traj.steps}")
     for i, load in enumerate(traj.final.tolist()):
         checks.add(f"limit agent {i + 1}", ref["allocation"][i], load, ref["allocation_tol"])

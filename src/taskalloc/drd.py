@@ -47,7 +47,6 @@ from .problem import (
     as_allocation,
     default_tol,
     in_simplex,
-    total_cost,
     total_cost_batch,
 )
 
@@ -68,8 +67,10 @@ class DrdConfig:
     residual_tol: float = 1e-6
 
     def __post_init__(self):
-        # an int past the float range, such as 10**400, is not finite either
-        if not 0 < self.step <= sys.float_info.max:
+        # an int past the float range, such as 10**400, is not finite either,
+        # and a numpy step compares as a Python number, not in its own dtype
+        step = self.step.item() if isinstance(self.step, np.generic) else self.step
+        if not 0 < step <= sys.float_info.max:
             raise ValueError(f"step must be positive and finite, got {self.step}")
         object.__setattr__(self, "step", float(self.step))
         cap = self.max_steps
@@ -95,7 +96,7 @@ class Trajectory:
     states: np.ndarray  # (k, n) allocations at those steps
     costs: np.ndarray  # total cost at each recorded state
     residuals: np.ndarray  # fitness spread at each recorded state
-    lyapunov: np.ndarray  # V: C(W) - C(reference), or less the least recorded cost without one
+    lyapunov: np.ndarray  # V: C(W) less the least recorded cost
     converged: bool
     final: np.ndarray
     steps: int  # index of the last simulated state
@@ -147,20 +148,14 @@ def default_start(p: AllocationProblem) -> np.ndarray:
     return p.total * base / base.sum()
 
 
-def simulate(
-    p: AllocationProblem,
-    w0,
-    cfg: DrdConfig,
-    reference=None,
-) -> Trajectory:
+def simulate(p: AllocationProblem, w0, cfg: DrdConfig) -> Trajectory:
     """Iterate replicator steps until the Nash residual drops below
     cfg.residual_tol or cfg.max_steps is hit.
 
     w0 must lie on the simplex (nonnegative, summing to w); a strictly
     positive start is needed to reach the interior equilibrium, since
     zero-mass coordinates never move. The recorded trace carries V, the
-    Lyapunov diagnostic: C(W) - C(reference) when `reference` is given,
-    else C(W) less the least recorded cost (same shape, shifted zero).
+    Lyapunov diagnostic: C(W) less the least recorded cost.
     """
     state = as_allocation(p, w0).copy()
     if not in_simplex(p, state):
@@ -242,13 +237,12 @@ def simulate(
 
     states = np.concatenate(rec_states)
     costs = total_cost_batch(p, states)
-    least = costs.min() if reference is None else total_cost(p, reference)
     return Trajectory(
         times=np.array(rec_steps, dtype=np.int64),
         states=states,
         costs=costs,
         residuals=np.concatenate(rec_residuals),
-        lyapunov=costs - least,
+        lyapunov=costs - costs.min(),
         converged=met.size > 0,
         final=S[last].copy(),
         steps=start + last,

@@ -94,13 +94,13 @@ def _rates(p: AllocationProblem, kmin):
         return p._costs.coordinate.lambda_per_key(kmin), p._costs.curvature(p.lower_bounds)
 
 
-def _clamp(p: AllocationProblem, key, kmin, kmax, respond):
+def _clamp(p: AllocationProblem, key, kmin, kmax):
     """The box clamp at a level: key <= kmin gives the lower bound, then
-    key >= kmax the upper bound, otherwise the interior response
-    respond(key). Returns (loads, at-lower mask, at-upper mask)."""
+    key >= kmax the upper bound, otherwise the cost table's interior
+    response at key. Returns (loads, at-lower mask, at-upper mask)."""
     at_lower = key <= kmin
     at_upper = (key >= kmax) & ~at_lower
-    loads = respond(key)
+    loads = p._costs.response_from_key(key)
     np.copyto(loads, p.upper_bounds, where=at_upper)
     np.copyto(loads, p.lower_bounds, where=at_lower)
     return loads, at_lower, at_upper
@@ -160,7 +160,7 @@ def _paper_table(p, decimals: int):
     clamped masses at the sorted thresholds, the slopes d(key)/d(mass))."""
     kmin, kmax = (np.round(k, decimals) for k in _agent_keys(p))
     keys = np.sort(np.concatenate([kmin, kmax]))
-    masses = _clamp(p, keys[:, None], kmin, kmax, p._costs.response_from_key)[0].sum(axis=1)
+    masses = _clamp(p, keys[:, None], kmin, kmax)[0].sum(axis=1)
     return kmin, kmax, masses, _slopes(keys, masses)
 
 
@@ -213,7 +213,7 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
                     key = k0 if w - m0 <= m1 - w else k1
                     method, c = "blend", (blend, c0[1] & c1[1], c0[2] & c1[2])
                     break
-            c = _clamp(p, key, kmin, kmax, costs.response_from_key)
+            c = _clamp(p, key, kmin, kmax)
             probes += 1
             m = float(c[0].sum())
             miss = abs(m - w)

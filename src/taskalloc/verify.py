@@ -14,6 +14,7 @@ a (cells, n) batch's rows the same way when n < 8 and that column is last.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,9 +172,11 @@ def monte_carlo_min(
     seed, and sample streams are prefix-stable across sample counts.
     A total at a bound sum, or fewer than two agents with a box of nonzero
     width, leaves a single feasible point: the "degenerate" mode.
+    `samples` must be an integer >= 1 (a float such as 600.0 is not), else
+    ValueError, whatever the mode.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
     sink = _Sink(p, dump_path)

@@ -244,9 +244,8 @@ def fig3():
 def fig2_run(fig2):
     """Full default-start replicator run on fig2 (expensive; shared)."""
     p = fig2.problem
-    ref = np.asarray(fig2.reference["allocation"])
     t0 = time.perf_counter()
-    traj = simulate(p, default_start(p), DrdConfig(step=fig2.drd_step), reference=ref)
+    traj = simulate(p, default_start(p), DrdConfig(step=fig2.drd_step))
     elapsed = time.perf_counter() - t0
     return p, traj, elapsed
 
@@ -254,9 +253,8 @@ def fig2_run(fig2):
 @pytest.fixture(scope="session")
 def fig3_run(fig3):
     p = fig3.problem
-    ref = np.asarray(fig3.reference["allocation"])
     t0 = time.perf_counter()
-    traj = simulate(p, default_start(p), DrdConfig(step=fig3.drd_step), reference=ref)
+    traj = simulate(p, default_start(p), DrdConfig(step=fig3.drd_step))
     elapsed = time.perf_counter() - t0
     return p, traj, elapsed
 

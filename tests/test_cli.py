@@ -524,8 +524,7 @@ def test_reproduce_fig3(tmp_path):
 
 def test_reproduce_replicator_body_is_simulates(tmp_path, capsys):
     # reproduce on a replicator instance runs simulate's run at the
-    # instance's step: the same report body and, but for V (which reproduce
-    # takes against the closed-form optimum), the same trace
+    # instance's step: the same report body and the same trace, byte for byte
     assert main(["reproduce", "--example", "fig3", "--out", str(tmp_path / "r")]) == 0
     assert main(["simulate", "--example", "fig3", "--out", str(tmp_path / "s")]) == 0
     capsys.readouterr()
@@ -535,14 +534,8 @@ def test_reproduce_replicator_body_is_simulates(tmp_path, capsys):
     simulated = (tmp_path / "s" / "simulate_report.txt").read_text().splitlines()[5:]
     assert simulated[-1] == "trace: trajectory.csv"
     assert body == [*simulated[:-1], "trace: trajectory_fig3.csv"]
-
-    def without_v(path):
-        rows = [line.split(",") for line in path.read_text().splitlines()]
-        v = rows[0].index("V")
-        return [row[:v] + row[v + 1:] for row in rows]
-
-    assert without_v(tmp_path / "r" / "trajectory_fig3.csv") == without_v(
-        tmp_path / "s" / "trajectory.csv")
+    assert (tmp_path / "r" / "trajectory_fig3.csv").read_bytes() == (
+        tmp_path / "s" / "trajectory.csv").read_bytes()
 
 
 def test_solve_mixed_family_file(tmp_path):

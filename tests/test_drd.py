@@ -33,7 +33,6 @@ from taskalloc.problem import (
     in_simplex,
     marginals,
     parse_problem,
-    total_cost,
 )
 
 
@@ -362,21 +361,19 @@ def test_simulate_counts_block_reductions(fig2):
 def test_trajectory_field_types(fig2, box_exit):
     # the loop holds dt and the total as 0-d arrays; none of them leaks out
     if box_exit:
-        p, w0, cfg, ref = _leaves_box(), np.array([50.0, 50.0]), DrdConfig(step=0.01), None
+        p, w0, cfg = _leaves_box(), np.array([50.0, 50.0]), DrdConfig(step=0.01)
     else:
         p = fig2.problem
         w0, cfg = default_start(p), DrdConfig(step=fig2.drd_step, max_steps=150)
-        ref = np.asarray(fig2.reference["allocation"])
-    traj = simulate(p, w0, cfg, reference=ref)
+    traj = simulate(p, w0, cfg)
     arrays = {"times": np.int64, "states": np.float64, "costs": np.float64,
               "residuals": np.float64, "lyapunov": np.float64, "final": np.float64}
     for name, dtype in arrays.items():
         value = getattr(traj, name)
         assert type(value) is np.ndarray and value.dtype == dtype, name
     assert traj.states.ndim == 2 and traj.final.shape == (p.n,)
-    # without a reference, V is C less the least recorded cost
-    least = traj.costs.min() if ref is None else total_cost(p, ref)
-    assert np.array_equal(traj.lyapunov, traj.costs - least)
+    # V is C less the least recorded cost
+    assert np.array_equal(traj.lyapunov, traj.costs - traj.costs.min())
     assert type(traj.converged) is bool and type(traj.stop) is str
     assert type(traj.dt) is float and traj.dt == cfg.step
     for name in ("steps", "residual_evals"):
@@ -407,13 +404,6 @@ def test_nash_residual_sees_idle_agent_advantage():
     f = -marginals(p, w)
     assert f[0] > f[1]
     assert spread(p, w) > 0
-
-
-def test_lyapunov_zero_at_reference(fig3):
-    ref = np.asarray(fig3.reference["allocation"])
-    traj = simulate(fig3.problem, ref, DrdConfig(step=1e-6, max_steps=1), reference=ref)
-    assert traj.lyapunov[0] == 0.0
-    assert traj.lyapunov[-1] == total_cost(fig3.problem, traj.final) - total_cost(fig3.problem, ref)
 
 
 def test_default_start_is_interior():
@@ -539,6 +529,22 @@ def test_config_validation():
     assert DrdConfig(step=1e-3, max_steps=huge).max_steps == huge
     with pytest.raises(ValueError):  # but not a step
         DrdConfig(step=10**400)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.float64, np.int64])
+def test_config_takes_numpy_scalar_steps(dtype):
+    # numpy would cast the finite bound to the step's own type, which
+    # overflows for float32 and float16 (a warning, an error here)
+    step = DrdConfig(step=dtype(1)).step
+    assert type(step) is float and step == 1.0
+    if dtype != np.int64:
+        assert DrdConfig(step=dtype(0.5)).step == 0.5
+        for bad in (np.nan, np.inf, -0.5):
+            with pytest.raises(ValueError, match="step"):
+                DrdConfig(step=dtype(bad))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="step"):
+            DrdConfig(step=dtype(bad))
 
 
 def test_simulate_float_step_cap(fig3):

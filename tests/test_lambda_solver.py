@@ -95,7 +95,7 @@ def _loads_at(p, key, key_decimals=None):
     kmin, kmax = _agent_keys(p)
     if key_decimals is not None:
         kmin, kmax = np.round(kmin, key_decimals), np.round(kmax, key_decimals)
-    return _clamp(p, key, kmin, kmax, p._costs.response_from_key)[0]
+    return _clamp(p, key, kmin, kmax)[0]
 
 
 def _mass_at(p, key, key_decimals=None):

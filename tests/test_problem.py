@@ -483,13 +483,13 @@ _COSTS = np.array([0.1, 1e16, 7.0, 2.0 / 3.0, 5e-324])
 _SPECIALS = np.array([1e16, -0.0, 5e-324, np.inf, 1.0 / 3.0])
 
 
-def _trace_rows(tmp_path, p, with_reference):
+def _trace_rows(tmp_path, p):
     traj = Trajectory(
         times=np.array([0, 100, 200, 10**7, 2**53 + 1], dtype=np.int64),
         states=_STATES,
         costs=_COSTS,
         residuals=np.array([1.0, 0.5, 1e-7, 0.0, 3.0]),
-        lyapunov=_COSTS - (0.5 if with_reference else _COSTS.min()),  # as simulate sets it
+        lyapunov=_COSTS - _COSTS.min(),  # as simulate sets it
         converged=False,
         final=_STATES[-1],
         steps=2**53 + 1,
@@ -557,12 +557,12 @@ def _solve_rows(monkeypatch, allocation):
     return text.encode(), "".join(line + "\n" for line in expected).encode()
 
 
-@pytest.mark.parametrize("writer", ["trace", "trace-reference", "dump", "table", "allocation"])
+@pytest.mark.parametrize("writer", ["trace", "dump", "table", "allocation"])
 def test_rows_match_per_number_format(tmp_path, monkeypatch, tab1, writer):
     fields = {"dump": 5, "table": 6, "allocation": 3}.get(writer, 8)  # numbers per row
     monkeypatch.setattr(problem, "_ROW_ELEMENTS", 2 * fields)
-    if writer.startswith("trace"):
-        written, expected = _trace_rows(tmp_path, tab1.problem, writer == "trace-reference")
+    if writer == "trace":
+        written, expected = _trace_rows(tmp_path, tab1.problem)
     elif writer == "dump":
         written, expected = _dump_rows(tmp_path, monkeypatch, tab1.problem)
     else:

@@ -268,6 +268,21 @@ def test_monte_carlo_degenerate_total_returns_bound_vector():
         assert res.mode == "degenerate" and res.drawn == 0
 
 
+@pytest.mark.parametrize("samples", [2.5, 600.0, 0, -1])
+@pytest.mark.parametrize("source", ["single2.json", "boundsum3.json", "thin5.json", "tab3"])
+def test_monte_carlo_rejects_samples_before_drawing(tmp_path, source, samples):
+    # degenerate, rejection and hit-and-run runs check the count alike,
+    # before any draw or dump file
+    if source.endswith(".json"):
+        p = parse_problem((Path(__file__).parent / "data" / source).read_text())
+    else:
+        p = get_instance(source).problem
+    dump = tmp_path / "dump.csv"
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+        monte_carlo_min(p, samples, seed=0, dump_path=dump)
+    assert not dump.exists()
+
+
 def test_monte_carlo_hit_and_run_path(tmp_path):
     # a total 0.05 below the upper sum leaves a corner that takes about
     # (0.05 / 2.95)^2 = 3e-4 of the shifted simplex: the walker takes over
