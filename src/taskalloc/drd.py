@@ -33,9 +33,7 @@ drift inline, and holds dt and w as 0-d arrays, which ufuncs take faster
 than Python floats (the values, and so the bits, are the same).
 """
 
-import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +42,7 @@ from .errors import StepOverflowError
 from .problem import (
     AllocationProblem,
     _format_rows,
+    _positive,
     as_allocation,
     default_tol,
     in_simplex,
@@ -60,32 +59,24 @@ _BLOCK_ELEMENTS = 1 << 17
 
 @dataclass(frozen=True)
 class DrdConfig:
-    """Discretization step, iteration cap and stop tolerance."""
+    """Step and stop tolerance (Python floats, positive and finite) and step cap (an int >= 1)."""
 
     step: float
     max_steps: int = 10_000_000
     residual_tol: float = 1e-6
 
     def __post_init__(self):
-        # an int past the float range, such as 10**400, is not finite either,
-        # and a numpy step compares as a Python number, not in its own dtype
-        step = self.step.item() if isinstance(self.step, np.generic) else self.step
-        if not 0 < step <= sys.float_info.max:
-            raise ValueError(f"step must be positive and finite, got {self.step}")
-        object.__setattr__(self, "step", float(self.step))
-        cap = self.max_steps
+        object.__setattr__(self, "step", _positive("step", self.step))
+        cap = self.max_steps if isinstance(self.max_steps, numbers.Real) else 0
         if not isinstance(cap, numbers.Integral):
             # a whole float such as 1e6 is a cap; nan, inf and 10.5 are not.
             # An int is kept as it is: float() of a huge one overflows.
             cap = int(cap) if float(cap).is_integer() else 0
-        if not cap >= 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps}")
+        if isinstance(cap, bool) or not cap >= 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         # the step loop sizes its blocks from max_steps, so 1e6 becomes 1000000
         object.__setattr__(self, "max_steps", int(cap))
-        if not 0 < self.residual_tol < math.inf:
-            raise ValueError(
-                f"residual_tol must be positive and finite, got {self.residual_tol}"
-            )
+        object.__setattr__(self, "residual_tol", _positive("residual_tol", self.residual_tol))
 
 
 @dataclass
@@ -107,12 +98,11 @@ class Trajectory:
 
 
 def _spread(G: np.ndarray, W: np.ndarray, floor: float) -> np.ndarray:
-    """Fitness spread of each state in W (n,) or (k, n) with marginals G:
-    the largest G of an agent carrying more than `floor` minus the least G,
-    taken as 0 when it is not positive, is nan, or no agent carries mass."""
+    """Fitness spread of each state in W (n,) or (k, n) with marginals G: the
+    largest G of an agent carrying more than `floor` minus the least G. A nan
+    G, or an inf one where there is mass, gives nan or inf: never converged."""
     most = np.maximum.reduce(G, axis=-1, where=W > floor, initial=-np.inf)
-    spread = most - G.min(axis=-1)
-    return np.where(spread > 0.0, spread, 0.0)
+    return most - G.min(axis=-1)
 
 
 def _first_overflow(stepped: np.ndarray) -> int | None:

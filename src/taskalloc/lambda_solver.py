@@ -81,7 +81,8 @@ class SolverResult:
 def _agent_keys(p: AllocationProblem):
     """Each agent's clamp thresholds (key at lower, key at upper); raises
     CostOverflowError when a marginal at a bound is 0 or inf in floats."""
-    lam_lo, lam_up = marginals(p, p.lower_bounds), marginals(p, p.upper_bounds)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the floats: raises below
+        lam_lo, lam_up = marginals(p, p.lower_bounds), marginals(p, p.upper_bounds)
     if not ((lam_lo > 0).all() and np.isfinite(lam_up).all()):
         raise CostOverflowError("a marginal cost at a box bound is 0 or inf in floats")
     coord = p._costs.coordinate

@@ -26,9 +26,11 @@ first fault. The bundled instances are documents too and pass the same
 checks (_from_document).
 """
 
+import contextlib
 import itertools
 import json
 import math
+import numbers
 import operator
 import sys
 
@@ -40,6 +42,15 @@ from .errors import DisconnectedError, InfeasibleError, LengthMismatchError, Par
 from .graph import Graph
 
 _ROW_ELEMENTS = 1 << 17  # numbers that _format_rows formats per slice
+
+
+def _positive(name: str, value) -> float:
+    """value as a Python float: any real number but a bool, positive and finite."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # float() of an int past the floats
+            if 0 < float(value) < math.inf:
+                return float(value)
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 class AllocationProblem:
@@ -56,8 +67,7 @@ class AllocationProblem:
     def _set(self, graph: Graph, rows, total: float) -> "AllocationProblem":
         """Check the total, then keep the graph and the table of these agent rows."""
         costs = _CostTable(*zip(*rows))
-        if not total > 0:
-            raise ValueError(f"total task must be positive, got {total}")
+        total = _positive("total", total)
         lo, up = sum(costs.lower.tolist()), sum(costs.upper.tolist())
         if _past(total, costs.lower, lo, -1):
             raise InfeasibleError(f"total {total} is below the sum of lower bounds {lo}")

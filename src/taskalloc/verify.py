@@ -24,6 +24,7 @@ from .errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
 from .problem import (
     AllocationProblem,
     _format_rows,
+    _positive,
     as_allocation,
     in_feasible_set,
     total_cost_batch,
@@ -172,10 +173,10 @@ def monte_carlo_min(
     seed, and sample streams are prefix-stable across sample counts.
     A total at a bound sum, or fewer than two agents with a box of nonzero
     width, leaves a single feasible point: the "degenerate" mode.
-    `samples` must be an integer >= 1 (a float such as 600.0 is not), else
+    `samples` must be an integer >= 1 (not a float such as 600.0, nor a bool), else
     ValueError, whatever the mode.
     """
-    if not (isinstance(samples, numbers.Integral) and samples >= 1):
+    if isinstance(samples, bool) or not (isinstance(samples, numbers.Integral) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
@@ -237,8 +238,7 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     """
     if p.n > 4:
         raise DimensionTooLargeError(f"grid oracle supports n <= 4, got {p.n}")
-    if not 0 < resolution < np.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    resolution = _positive("resolution", resolution)
     n, w, eps = p.n, p.total, 1e-9 * p.total
     wide = (p.upper_bounds - p.lower_bounds >= resolution).nonzero()[0]
     s = int(wide[-1]) if wide.size else n - 1
@@ -250,7 +250,7 @@ def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     # in _axis can move an axis by one point, which the cap does not need.
     count_all = 1.0
     for i in range(n - 1):
-        count_all *= float(np.ceil(float(up[i] - lo[i]) / float(resolution) - 1e-9)) + 1
+        count_all *= float(np.ceil(float(up[i] - lo[i]) / resolution - 1e-9)) + 1
         if count_all > _GRID_EVAL_CAP:
             raise DimensionTooLargeError(
                 f"grid would need at least {count_all:.3g} evaluations (cap {_GRID_EVAL_CAP})"

@@ -1005,6 +1005,10 @@ _REPROS = [
     ("overflow2", ["verify", "--samples", "10"], 4, "error-code: numerical exit=4"),
     ("family_list", ["solve"], 2, "error-code: parse exit=2"),
     ("infeasible2", ["solve"], 3, "error-code: infeasible exit=3"),
+    # a marginal of inf * 0 = nan, and two infinite marginals: the stop rule
+    # never holds, so the first step overflows instead of reading as converged
+    ("nan_marginal2", ["simulate", "--dt", "1e-3"], 4, "error-code: step-overflow exit=4"),
+    ("inf_marginal2", ["simulate", "--dt", "1e-3"], 4, "error-code: step-overflow exit=4"),
 ]
 
 

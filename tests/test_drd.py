@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from taskalloc.drd import (
     MASS_FLOOR_REL,
     RECORD_EVERY,
     DrdConfig,
+    _spread,
     default_start,
     simulate,
     write_trace_csv,
@@ -34,6 +36,7 @@ from taskalloc.problem import (
     marginals,
     parse_problem,
 )
+from taskalloc.verify import grid_min
 
 
 def _two_identical_agents(total=100.0):
@@ -397,6 +400,13 @@ def test_nash_residual_zero_at_equal_fitness(fig2):
     assert spread(fig2.problem, wstar) < 1e-12
 
 
+def test_spread_of_a_nan_marginal_is_nan():
+    # a nan marginal never meets the stop rule, so the run cannot read as converged
+    W = np.array([[100.0, 100.0], [0.0, 200.0]])
+    G = np.array([[np.nan, 1.0], [np.nan, 1.0]])
+    assert np.isnan(_spread(G, W, floor=1e-7)).all()
+
+
 def test_nash_residual_sees_idle_agent_advantage():
     # an empty agent whose fitness beats the loaded one keeps the residual positive
     p = _spread_instance(-2.0, -6.0)
@@ -529,22 +539,51 @@ def test_config_validation():
     assert DrdConfig(step=1e-3, max_steps=huge).max_steps == huge
     with pytest.raises(ValueError):  # but not a step
         DrdConfig(step=10**400)
+    # a count is a number, not a bool or a string
+    for bad in ("5", b"7", "1e3", True, np.True_):
+        with pytest.raises(ValueError, match="^max_steps must be an integer >= 1, got "):
+            DrdConfig(step=1e-3, max_steps=bad)
+
+
+def _positive_arguments():
+    """Each argument that takes any real number but a bool, positive and
+    finite, with a call that passes it and returns what became of it: the
+    float the problem or the config keeps, or the grid that resolution draws
+    (compared with the grid of the same Python float)."""
+    p = _two_identical_agents(total=8.0)
+    agents = (quadratic(a=0.01, b=1.0, lower=0.0, upper=4.0),) * 2
+
+    def grid(v):
+        return grid_min(p, v).drawn, grid_min(p, float(v)).drawn
+
+    return {
+        "total": lambda v: AllocationProblem(p.graph, agents, v).total,
+        "step": lambda v: DrdConfig(step=v).step,
+        "residual_tol": lambda v: DrdConfig(step=1e-3, residual_tol=v).residual_tol,
+        "resolution": grid,
+    }
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.float64, np.int64])
 def test_config_takes_numpy_scalar_steps(dtype):
-    # numpy would cast the finite bound to the step's own type, which
-    # overflows for float32 and float16 (a warning, an error here)
-    step = DrdConfig(step=dtype(1)).step
-    assert type(step) is float and step == 1.0
+    # numpy would cast the finite bound to the scalar's own type, which
+    # overflows for float32 and float16 (a warning, an error here); every
+    # positive finite argument is kept as a Python float instead
+    good = [dtype(1), dtype(2), 2] + ([dtype(0.5)] if dtype != np.int64 else [])
+    bad = [dtype(0), dtype(-1), 0, -1.0, math.nan, math.inf, 10**400, "1", True, None,
+           np.array(1.0), np.array([1.0])]
     if dtype != np.int64:
-        assert DrdConfig(step=dtype(0.5)).step == 0.5
-        for bad in (np.nan, np.inf, -0.5):
-            with pytest.raises(ValueError, match="step"):
-                DrdConfig(step=dtype(bad))
-    for bad in (0, -1):
-        with pytest.raises(ValueError, match="step"):
-            DrdConfig(step=dtype(bad))
+        bad += [dtype(np.nan), dtype(np.inf), dtype(-0.5)]
+    for name, take in _positive_arguments().items():
+        for value in good:
+            kept = take(value)
+            if name == "resolution":
+                assert kept[0] == kept[1]
+            else:
+                assert type(kept) is float and kept == value
+        for value in bad:
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
+                take(value)
 
 
 def test_simulate_float_step_cap(fig3):

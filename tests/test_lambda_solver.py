@@ -143,6 +143,17 @@ def test_solve_exponential_reference(tab1):
     assert res.method == "newton"
 
 
+def test_solve_takes_a_float32_total(tab1):
+    # a numpy total is kept as a Python float, so the level is not found in
+    # float32, whose loads would miss w by 3e-5
+    agents = [exponential(1000.0, 200.0, 350.0), exponential(1900.0, 350.0, 480.0),
+              exponential(2300.0, 410.0, 540.0)]
+    p = AllocationProblem(tab1.problem.graph, agents, np.float32(1150.3))
+    res = solve_lambda(p)
+    assert type(p.total) is float and type(res.key) is float
+    assert abs(res.allocation.sum() - p.total) <= 1e-12 * p.total
+
+
 def test_solve_quadratic_reference(tab3):
     res = solve_lambda(tab3.problem)
     np.testing.assert_allclose(res.allocation, [327.7, 395.7, 426.6], atol=0.1)

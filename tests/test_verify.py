@@ -268,7 +268,7 @@ def test_monte_carlo_degenerate_total_returns_bound_vector():
         assert res.mode == "degenerate" and res.drawn == 0
 
 
-@pytest.mark.parametrize("samples", [2.5, 600.0, 0, -1])
+@pytest.mark.parametrize("samples", [2.5, 600.0, 0, -1, True])
 @pytest.mark.parametrize("source", ["single2.json", "boundsum3.json", "thin5.json", "tab3"])
 def test_monte_carlo_rejects_samples_before_drawing(tmp_path, source, samples):
     # degenerate, rejection and hit-and-run runs check the count alike,
