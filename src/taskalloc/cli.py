@@ -275,10 +275,16 @@ def _run_verify(args, p, inst, out):
     _finite(mc.best_cost, "monte carlo")
     mc_ok = not beaten(mc)
     mc_gap = (mc.best_cost - solver_cost) / abs(solver_cost) if solver_cost else np.nan
+    sampler = {
+        "degenerate": "a single feasible point",
+        "rejection": f"kept {mc.accepted} of {mc.drawn} draws",
+        "hit-and-run": f"pilot kept {mc.accepted} of {mc.drawn}, {mc.chain_steps} moves per chain",
+    }[mc.mode]
 
     lines = [
         f"solver cost: {_g(solver_cost)}",
         f"monte carlo: samples={mc.samples} seed={mc.seed}",
+        f"  sampler: {mc.mode}, {sampler}",
         f"  best cost: {_g(mc.best_cost)}  relative gap: {_g(mc_gap)}",
         f"  solver not beaten: {mc_ok}",
         *grid_lines,

@@ -263,6 +263,7 @@ def _rank(bits: int) -> int:
     return bits if bits >= 0 else -bits - (1 << 63)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
 def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:
     """Feasibility-guarded choice of a replicator limit or the water-filling
     optimum, for library callers (no CLI command runs it). An infeasible

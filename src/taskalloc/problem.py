@@ -146,6 +146,7 @@ def marginals(p: AllocationProblem, w) -> np.ndarray:
     return p._costs.marginal(np.asarray(w, dtype=float))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
 def total_cost(p: AllocationProblem, w) -> float:
     """C(W) = sum of per-agent costs."""
     return float(cost_values(p, as_allocation(p, w)).sum())

@@ -30,18 +30,29 @@ from .problem import (
     total_cost_batch,
 )
 
-# Rejection draws come in arrays of about this many numbers, so memory
-# stays flat in n: the pilot (20 000 points at n = 3) estimates the
-# acceptance rate, later blocks (4096 points at n = 3) refill the stream.
-# Neither depends on `samples`, so streams are prefix-stable.
-_PILOT_ELEMENTS = 60_000
+# Rejection draws come in blocks of about this many numbers (4096 points
+# at n = 3), so memory stays flat in n, and the first block is the pilot
+# that chooses the sampler. No block depends on `samples`, so streams are
+# prefix-stable. A 2000-sample check on tab1/tab3 takes one block, and a
+# single block as the pilot halves its time (1.1 -> 0.47 ms on a 2-vCPU
+# Xeon) against a separate 20 000-point pilot.
 _BLOCK_ELEMENTS = 12_288
-_MIN_POINTS = 256  # floor; a 256-point pilot keeps rejection on one accepted point
+# Floor on a block's points (from n = 49 up): at the switch rate its
+# pilot still expects 5 accepted points.
+_MIN_POINTS = 256
 _CHAINS = 512  # parallel hit-and-run chains
 _SWEEPS = 5  # pair moves per free agent between recorded hit-and-run samples
-_REJECTION_MIN_RATE = 1e-3  # below this, switch to hit-and-run
+# Below this pilot acceptance rate, hit-and-run draws the samples. For
+# 4000 samples at n = 3, 8 and 30 the walk and rejection break even near
+# 3 %; at 2 % rejection takes 1.6-1.7x the walk's time, at 1e-3 about 30x.
+_REJECTION_MIN_RATE = 2e-2
 _GRID_EVAL_CAP = 200_000_000
-_GRID_BLOCK_CELLS = 4096  # grid cells evaluated per array pass
+# Grid cells evaluated per array pass. In the oracle benchmark (tab1, tab3
+# and a 4-agent instance at width/300) 8192 took 0.78x the time of 4096.
+# From 12288 up, the freed temporaries pass the C allocator's 128 KiB trim
+# threshold, so every block faults fresh pages in (100 a call on the
+# 4-agent instance) and 16384 took 1.09x, 32768 1.18x the time of 4096.
+_GRID_BLOCK_CELLS = 8192
 _KKT_TOL = 1e-6  # each agent's allowance, relative to its own marginal
 
 
@@ -88,6 +99,7 @@ class OracleResult:
     chain_steps: int = 0
 
 
+@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
 def kkt_check(p: AllocationProblem, w) -> KktCertificate:
     """Partition agents by bound activity into the certificate's status, find
     a shared level, and evaluate the stationarity multipliers.
@@ -159,6 +171,7 @@ def kkt_check(p: AllocationProblem, w) -> KktCertificate:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
 def monte_carlo_min(
     p: AllocationProblem, samples: int, seed: int, dump_path=None
 ) -> OracleResult:
@@ -167,9 +180,12 @@ def monte_carlo_min(
     Each draw is lower + x with x uniform on the shifted simplex
     {x >= 0, sum x = w - sum lower} (normalized exponential spacings), and
     is kept when it stays under the upper bounds: a uniform point of the
-    feasible set. When a pilot accepts fewer than 1e-3 of its draws, the
-    points come from a hit-and-run walk of pair moves instead, whose law
-    is also uniform (see _hit_and_run_stream). Deterministic for a fixed
+    feasible set. Draws come in blocks of _draw_size(_BLOCK_ELEMENTS, n)
+    points, and the first block is the pilot: when it keeps fewer than
+    _REJECTION_MIN_RATE (2e-2) of its draws, the points come from a
+    hit-and-run walk of pair moves instead, whose law is also uniform (see
+    _hit_and_run_stream), and which costs less below that rate. Otherwise
+    the pilot's points are the first kept. Deterministic for a fixed
     seed, and sample streams are prefix-stable across sample counts.
     A total at a bound sum, or fewer than two agents with a box of nonzero
     width, leaves a single feasible point: the "degenerate" mode.
@@ -195,23 +211,18 @@ def monte_carlo_min(
         else:
             rng = np.random.default_rng(seed)
             room = w - float(lo.sum())
-            points = _shifted_simplex(rng, _draw_size(_PILOT_ELEMENTS, n), lo, room)
-            inside = np.all(points <= up[:, None], axis=0)
-            drawn, accepted = inside.size, int(inside.sum())
-            if accepted >= _REJECTION_MIN_RATE * drawn:
-                mode = "rejection"
-                while True:
-                    sink.add(points.T[np.flatnonzero(inside)[: samples - sink.count]])
-                    if sink.count >= samples:
-                        break
-                    points = _shifted_simplex(rng, _draw_size(_BLOCK_ELEMENTS, n), lo, room)
-                    inside = np.all(points <= up[:, None], axis=0)
-                    drawn += inside.size
-                    accepted += int(inside.sum())
-            else:
-                mode = "hit-and-run"
-                del points, inside  # the walk does not need the pilot
-                chain_steps = _hit_and_run_stream(p, rng, samples, lo, up, sink)
+            mode = "rejection"
+            while sink.count < samples:
+                points = _shifted_simplex(rng, _draw_size(_BLOCK_ELEMENTS, n), lo, room)
+                inside = np.all(points <= up[:, None], axis=0)
+                drawn += inside.size
+                accepted += int(inside.sum())
+                # the first block is the pilot: too few accepts send the run to the walk
+                if drawn == inside.size and accepted < _REJECTION_MIN_RATE * drawn:
+                    mode = "hit-and-run"
+                    chain_steps = _hit_and_run_stream(p, rng, samples, lo, up, sink)
+                    break
+                sink.add(points.T[np.flatnonzero(inside)[: samples - sink.count]])
     finally:
         sink.close()
     return OracleResult(
@@ -220,6 +231,7 @@ def monte_carlo_min(
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
 def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     """Exhaustive scan of the feasible slice, a deterministic small-instance
     oracle: the last agent whose box is at least `resolution` wide (else

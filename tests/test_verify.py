@@ -13,19 +13,24 @@ from taskalloc.costs import exponential, quadratic
 from taskalloc.errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
 from taskalloc.graph import from_edge_list
 from taskalloc.instances import get_instance
-from taskalloc.lambda_solver import solve_lambda
+from taskalloc.lambda_solver import select_final, solve_lambda
 from taskalloc.problem import (
     AllocationProblem,
     in_feasible_set,
+    load_problem,
     marginals,
     parse_problem,
     total_cost,
     total_cost_batch,
 )
 from taskalloc.verify import (
+    _BLOCK_ELEMENTS,
     _CHAINS,
+    _GRID_BLOCK_CELLS,
+    _REJECTION_MIN_RATE,
     _SWEEPS,
     _axis,
+    _draw_size,
     _hit_and_run_stream,
     _Sink,
     grid_min,
@@ -293,7 +298,7 @@ def test_monte_carlo_hit_and_run_path(tmp_path):
         graph=from_edge_list(3, [(0, 1), (1, 2)]), agents=agents, total=302.95
     )
     res = monte_carlo_min(p, 3000, seed=5, dump_path=tmp_path / "long.csv")
-    assert res.mode == "hit-and-run" and res.accepted < 1e-3 * res.drawn
+    assert res.mode == "hit-and-run" and res.accepted < _REJECTION_MIN_RATE * res.drawn
     assert in_feasible_set(p, res.best)
     again = monte_carlo_min(p, 3000, seed=5)
     assert res.best_cost == again.best_cost
@@ -305,6 +310,17 @@ def test_monte_carlo_hit_and_run_path(tmp_path):
     assert len(short) == 301
     assert (tmp_path / "long.csv").read_text().splitlines()[:301] == short
 
+
+def test_first_block_rate_chooses_the_sampler():
+    # two boxes [0, u] on a total of 1 keep a share 2u - 1 of the simplex
+    # draws: 3 % and 1 %, either side of the switch. 100 samples take one
+    # 6144-point block, so the counts are the first block's
+    size = _draw_size(_BLOCK_ELEMENTS, 2)
+    for u, mode in ((0.515, "rejection"), (0.505, "hit-and-run")):
+        res = monte_carlo_min(_boxes([(0.0, u), (0.0, u)], 1.0), 100, seed=0)
+        assert (res.mode, res.drawn) == (mode, size)
+        assert (res.accepted >= _REJECTION_MIN_RATE * size) == (mode == "rejection")
+        assert 0.5 * (2 * u - 1) < res.accepted / size < 1.5 * (2 * u - 1)
 
 def test_oracle_chain_steps_count_walk_steps_only(tab1):
     # boxes 0.02 wide and a total 0.01 below the upper sum: the feasible
@@ -440,12 +456,34 @@ def test_hit_and_run_law_matches_rejection(tmp_path, n):
 def test_oracles_keep_a_point_when_costs_overflow():
     # every cost on [0, 1e300]^2 with that total overflows to inf
     p = _boxes([(0.0, 1e300), (0.0, 1e300)], 1e300)
-    with np.errstate(over="ignore"):
-        results = [grid_min(p, 1e298), monte_carlo_min(p, 10, seed=0)]
-    for res in results:
+    for res in (grid_min(p, 1e298), monte_carlo_min(p, 10, seed=0)):
         assert res.best is not None and in_feasible_set(p, res.best)
         assert res.best_cost == np.inf
 
+
+@pytest.mark.parametrize("call", ["kkt_check", "monte_carlo_min", "grid_min", "select_final",
+                                  "total_cost"])
+@pytest.mark.parametrize("name", ["inf_marginal2", "nan_marginal2"])
+def test_calls_on_costs_past_the_floats_raise_no_warning(name, call):
+    # every warning fails a test: these calls read costs and marginals of
+    # inf or nan as values, as the CLI does
+    p = load_problem(Path(__file__).parent / "data" / f"{name}.json")
+    span = p.upper_bounds - p.lower_bounds
+    w = p.lower_bounds + (p.total - p.lower_bounds.sum()) * span / span.sum()
+    inf = name == "inf_marginal2"  # there every cost in the boxes overflows
+    if call == "kkt_check":
+        assert not kkt_check(p, w).passed
+    elif call in ("monte_carlo_min", "grid_min"):
+        res = monte_carlo_min(p, 100, seed=0) if call == "monte_carlo_min" else grid_min(p, 0.5)
+        assert in_feasible_set(p, res.best) and (res.best_cost == np.inf) == inf
+    elif call == "select_final":
+        first = max(p.lower_bounds[0], p.total - p.upper_bounds[1])
+        other = np.array([first, p.total - first])
+        assert in_feasible_set(p, other)
+        # two infinite totals tie, and the first candidate stays
+        assert select_final(p, w, other).tobytes() == (w if inf else other).tobytes()
+    else:
+        assert (total_cost(p, w) == np.inf) == inf
 
 def test_oracles_on_a_small_total():
     # boxes [0, 1e-12], total 3e-13: with tolerances floored at 1, the
@@ -467,7 +505,8 @@ def test_oracles_on_a_small_total():
 
 def test_rejection_skips_refill_blocks_that_accept_nothing(monkeypatch):
     # boxes of 0.505 on a total of 1 accept 1 % of the simplex draws, so
-    # about one 256-point refill block in 13 accepts no point at all
+    # about one 256-point block in 13 accepts no point at all; the switch
+    # is set below 1 % so that rejection keeps the run
     sizes = []
     add = _Sink.add
 
@@ -476,10 +515,11 @@ def test_rejection_skips_refill_blocks_that_accept_nothing(monkeypatch):
         add(sink, points)
 
     monkeypatch.setattr("taskalloc.verify._BLOCK_ELEMENTS", 512)
+    monkeypatch.setattr("taskalloc.verify._REJECTION_MIN_RATE", 1e-3)
     monkeypatch.setattr(_Sink, "add", recording)
     p = _boxes([(0.0, 0.505), (0.0, 0.505)], 1.0)
     res = monte_carlo_min(p, 1000, seed=0)
-    assert res.mode == "rejection" and res.drawn == 30_000 + 256 * (len(sizes) - 1)
+    assert res.mode == "rejection" and res.drawn == 256 * len(sizes)
     assert 0 in sizes and sum(sizes) == 1000
     assert in_feasible_set(p, res.best)
 
@@ -603,7 +643,7 @@ def _grid_cases():
     cases = [
         # n = 2: one row, longer than a block
         (_boxes([(0.0, 100.0), (10.0, 90.0)], 120.0), 0.01),
-        # n = 3: 101 rows of 101 cells cross the 4096-cell block twice;
+        # n = 3: 101 rows of 101 cells cross the 8192-cell block once;
         # a 5001-cell last axis makes every block a single row
         (_boxes([(0.0, 100.0), (5.0, 105.0), (20.0, 90.0)], 150.0), 1.0),
         (_boxes([(0.0, 100.0), (0.0, 40.0), (0.0, 100.0)], 150.0, "exponential"), 0.33),
@@ -655,6 +695,23 @@ def test_grid_matches_per_row_reference(p, resolution):
     assert res.best_cost == best_cost and res.samples == feasible
     assert res.mode == "grid" and res.accepted == feasible <= res.drawn
 
+
+@pytest.mark.parametrize("iid", ["tab1", "tab3", "mixed4"])
+def test_grid_block_size_moves_no_bit(monkeypatch, iid):
+    # the block size only cuts the same C-order scan into other pieces;
+    # 64 cells cut tab1's and tab3's rows into column chunks
+    if iid == "mixed4":
+        p = _boxes([(0.0, 40.0), (5.0, 60.0), (0.0, 70.0), (10.0, 50.0)], 110.0, "mixed")
+        resolution = 0.9
+    else:
+        p = get_instance(iid).problem
+        resolution = _auto_resolution(p)
+    seen = set()
+    for cells in (64, 4096, _GRID_BLOCK_CELLS):
+        monkeypatch.setattr("taskalloc.verify._GRID_BLOCK_CELLS", cells)
+        res = grid_min(p, resolution)
+        seen.add((res.best.tobytes(), res.best_cost, res.samples, res.drawn))
+    assert len(seen) == 1
 
 @st.composite
 def _grid_problems(draw):
