@@ -44,12 +44,10 @@ _STATUS = np.array(["interior", "upper", "lower"])  # by status 0, 1 and -1 (the
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # costs beyond float range show as inf or nan, or exit 4 via _finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            p, inst, label = _load(args)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            name, body, verdict = globals()[f"_run_{args.command}"](args, p, inst, out)
+        p, inst, label = _load(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        name, body, verdict = globals()[f"_run_{args.command}"](args, p, inst, out)
         parts = [
             f"command: {args.command}",
             f"instance: {label}",

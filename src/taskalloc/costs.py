@@ -165,7 +165,7 @@ class _CostTable:
         self.lower, self.upper = lower, upper
         span = upper - lower
         # only exponential agents read a / span, inf if it overflows; a quadratic box may be a point
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(all="ignore"):
             a_per_span = a / span
         self.groups = []
         for name, fam in _FAMILIES.items():

@@ -33,7 +33,6 @@ drift inline, and holds dt and w as 0-d arrays, which ufuncs take faster
 than Python floats (the values, and so the bits, are the same).
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,7 @@ import numpy as np
 from .errors import StepOverflowError
 from .problem import (
     AllocationProblem,
+    _count,
     _format_rows,
     _positive,
     as_allocation,
@@ -67,15 +67,7 @@ class DrdConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "step", _positive("step", self.step))
-        cap = self.max_steps if isinstance(self.max_steps, numbers.Real) else 0
-        if not isinstance(cap, numbers.Integral):
-            # a whole float such as 1e6 is a cap; nan, inf and 10.5 are not.
-            # An int is kept as it is: float() of a huge one overflows.
-            cap = int(cap) if float(cap).is_integer() else 0
-        if isinstance(cap, bool) or not cap >= 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        # the step loop sizes its blocks from max_steps, so 1e6 becomes 1000000
-        object.__setattr__(self, "max_steps", int(cap))
+        object.__setattr__(self, "max_steps", _count("max_steps", self.max_steps))
         object.__setattr__(self, "residual_tol", _positive("residual_tol", self.residual_tol))
 
 
@@ -138,6 +130,9 @@ def default_start(p: AllocationProblem) -> np.ndarray:
     return p.total * base / base.sum()
 
 
+# Overflow shows as StepOverflowError alone, without numpy warnings; the
+# states stepped after an overflow are discarded unchecked.
+@np.errstate(all="ignore")
 def simulate(p: AllocationProblem, w0, cfg: DrdConfig) -> Trajectory:
     """Iterate replicator steps until the Nash residual drops below
     cfg.residual_tol or cfg.max_steps is hit.
@@ -180,26 +175,23 @@ def simulate(p: AllocationProblem, w0, cfg: DrdConfig) -> Trajectory:
         k = min(max_steps - start + 1, block)
         cap = max_steps - start  # index of the state that takes no step
         gs = []
-        # Overflow shows as StepOverflowError alone, without numpy warnings;
-        # the states stepped after an overflow are discarded unchecked.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(k):
-                w = s_rows[j]
-                g = marginal(w)
-                gs.append(g)
-                if j == cap:
-                    break
-                # the drift; each bincount over the adjacency pairs gives
-                # every agent's neighbour sum. Arguments are positional
-                # (weights, minlength; out), which numpy parses faster.
-                nbr_w = bincount(rows, w[cols], n)
-                nbr_gw = bincount(rows, (g * w)[cols], n)
-                add(w, dt * ((w / total) * (nbr_gw - g * nbr_w)), s_rows[j + 1])
-            stepped = len(gs) - (j == cap)
-            bad = _first_overflow(S[1 : stepped + 1])
-            m = len(gs) if bad is None else bad + 1  # S[:m] are valid states
-            G = np.concatenate(gs[:m]).reshape(m, n)  # G[j]: marginals at S[j]
-            residuals = _spread(G, S[:m], floor)
+        for j in range(k):
+            w = s_rows[j]
+            g = marginal(w)
+            gs.append(g)
+            if j == cap:
+                break
+            # the drift; each bincount over the adjacency pairs gives
+            # every agent's neighbour sum. Arguments are positional
+            # (weights, minlength; out), which numpy parses faster.
+            nbr_w = bincount(rows, w[cols], n)
+            nbr_gw = bincount(rows, (g * w)[cols], n)
+            add(w, dt * ((w / total) * (nbr_gw - g * nbr_w)), s_rows[j + 1])
+        stepped = len(gs) - (j == cap)
+        bad = _first_overflow(S[1 : stepped + 1])
+        m = len(gs) if bad is None else bad + 1  # S[:m] are valid states
+        G = np.concatenate(gs[:m]).reshape(m, n)  # G[j]: marginals at S[j]
+        residuals = _spread(G, S[:m], floor)
         residual_evals += 1
         met = (residuals <= tol).nonzero()[0]
         last = int(met[0]) if met.size else m - 1
@@ -243,6 +235,7 @@ def simulate(p: AllocationProblem, w0, cfg: DrdConfig) -> Trajectory:
     )
 
 
+@np.errstate(all="ignore")  # a step index times dt past the floats reads inf
 def write_trace_csv(traj: Trajectory, p: AllocationProblem, path) -> None:
     """CSV trace: step,t,w_1,...,w_n,C,V,residual with full precision, V
     being traj.lyapunov; rows go out via problem._format_rows."""

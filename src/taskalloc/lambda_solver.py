@@ -81,8 +81,7 @@ class SolverResult:
 def _agent_keys(p: AllocationProblem):
     """Each agent's clamp thresholds (key at lower, key at upper); raises
     CostOverflowError when a marginal at a bound is 0 or inf in floats."""
-    with np.errstate(over="ignore", invalid="ignore"):  # past the floats: raises below
-        lam_lo, lam_up = marginals(p, p.lower_bounds), marginals(p, p.upper_bounds)
+    lam_lo, lam_up = marginals(p, p.lower_bounds), marginals(p, p.upper_bounds)
     if not ((lam_lo > 0).all() and np.isfinite(lam_up).all()):
         raise CostOverflowError("a marginal cost at a box bound is 0 or inf in floats")
     coord = p._costs.coordinate
@@ -91,8 +90,7 @@ def _agent_keys(p: AllocationProblem):
 
 def _rates(p: AllocationProblem, kmin):
     """d(level)/d(key) at kmin, and c'' at the lower bound: their ratio is d(load)/d(key)."""
-    with np.errstate(all="ignore"):
-        return p._costs.coordinate.lambda_per_key(kmin), p._costs.curvature(p.lower_bounds)
+    return p._costs.coordinate.lambda_per_key(kmin), p._costs.curvature(p.lower_bounds)
 
 
 def _clamp(p: AllocationProblem, key, kmin, kmax):
@@ -107,6 +105,7 @@ def _clamp(p: AllocationProblem, key, kmin, kmax):
     return loads, at_lower, at_upper
 
 
+@np.errstate(all="ignore")  # masses and slopes past the floats read inf or nan
 def breakpoints(p: AllocationProblem) -> BreakpointTable:
     """Sorted 2n-entry table of clamp thresholds and aggregate responses of one
     cost family (mixed raises ValueError). Each mass is sum(lower) +
@@ -171,6 +170,7 @@ def _slopes(keys, masses):
     return np.where(dm > 0, np.diff(keys) / np.where(dm > 0, dm, 1.0), np.inf)
 
 
+@np.errstate(all="ignore")  # past the floats: inf or nan, or CostOverflowError
 def solve_lambda(p: AllocationProblem) -> SolverResult:
     """Find the level whose clamped responses sum to the total.
 
@@ -198,9 +198,8 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
     if min(w - m0, m1 - w) > tol:
         method, goal, best, bisect = "newton", math.inf, None, False
         # slopes d(load)/d(key) at the lower thresholds, at every key for one family
-        with np.errstate(all="ignore"):
-            rate = np.divide(*_rates(p, kmin))
-            key = float(((rate * kmin).sum() + (w - m0)) / rate.sum())
+        rate = np.divide(*_rates(p, kmin))
+        key = float(((rate * kmin).sum() + (w - m0)) / rate.sum())
         while True:
             if not (bisect or k0 < key < k1):
                 # share of the mass gap first, so nothing underflows
@@ -230,8 +229,7 @@ def solve_lambda(p: AllocationProblem) -> SolverResult:
             else:
                 k1, m1, c1 = key, m, c
             if costs.family is None:  # a mixed table's slopes move with the level
-                with np.errstate(all="ignore"):
-                    rate = costs.coordinate.lambda_per_key(key) / costs.curvature(c[0])
+                rate = costs.coordinate.lambda_per_key(key) / costs.curvature(c[0])
             inside = ~(c[1] | c[2])
             s = float(rate[inside].sum())
             key = key + (w - m) / s if s > 0 else math.nan
@@ -263,7 +261,7 @@ def _rank(bits: int) -> int:
     return bits if bits >= 0 else -bits - (1 << 63)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
+@np.errstate(all="ignore")  # costs past the floats read inf or nan
 def select_final(p: AllocationProblem, wstar, wo) -> np.ndarray:
     """Feasibility-guarded choice of a replicator limit or the water-filling
     optimum, for library callers (no CLI command runs it). An infeasible

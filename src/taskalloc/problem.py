@@ -53,6 +53,13 @@ def _positive(name: str, value) -> float:
     raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _count(name: str, value) -> int:
+    """value as a Python int: any integer but a bool, at least 1."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class AllocationProblem:
     """Graph + per-agent costs + total task; everything downstream consumes this.
     Immutable: no attribute can be set, and every array it holds is read-only."""
@@ -146,7 +153,7 @@ def marginals(p: AllocationProblem, w) -> np.ndarray:
     return p._costs.marginal(np.asarray(w, dtype=float))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
+@np.errstate(all="ignore")  # costs past the floats read inf or nan
 def total_cost(p: AllocationProblem, w) -> float:
     """C(W) = sum of per-agent costs."""
     return float(cost_values(p, as_allocation(p, w)).sum())
@@ -160,6 +167,7 @@ def total_cost_batch(p: AllocationProblem, batch: np.ndarray) -> np.ndarray:
     return cost_values(p, batch).sum(axis=1)
 
 
+@np.errstate(all="ignore")  # loads past the floats sum to inf
 def in_feasible_set(p: AllocationProblem, w) -> bool:
     """Sum matches the total and every load sits in its box (within default_tol)."""
     arr = as_allocation(p, w)
@@ -169,6 +177,7 @@ def in_feasible_set(p: AllocationProblem, w) -> bool:
     return bool((arr >= p.lower_bounds - tol).all() and (arr <= p.upper_bounds + tol).all())
 
 
+@np.errstate(all="ignore")  # loads past the floats sum to inf
 def in_simplex(p: AllocationProblem, w) -> bool:
     """Nonnegative loads summing to the total (within default_tol); boxes ignored."""
     arr = as_allocation(p, w)

@@ -14,7 +14,6 @@ a (cells, n) batch's rows the same way when n < 8 and that column is last.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .costs import _CostTable
 from .errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
 from .problem import (
     AllocationProblem,
+    _count,
     _format_rows,
     _positive,
     as_allocation,
@@ -99,7 +99,7 @@ class OracleResult:
     chain_steps: int = 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
+@np.errstate(all="ignore")  # costs past the floats read inf or nan
 def kkt_check(p: AllocationProblem, w) -> KktCertificate:
     """Partition agents by bound activity into the certificate's status, find
     a shared level, and evaluate the stationarity multipliers.
@@ -171,7 +171,7 @@ def kkt_check(p: AllocationProblem, w) -> KktCertificate:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
+@np.errstate(all="ignore")  # costs past the floats read inf or nan
 def monte_carlo_min(
     p: AllocationProblem, samples: int, seed: int, dump_path=None
 ) -> OracleResult:
@@ -192,8 +192,7 @@ def monte_carlo_min(
     `samples` must be an integer >= 1 (not a float such as 600.0, nor a bool), else
     ValueError, whatever the mode.
     """
-    if isinstance(samples, bool) or not (isinstance(samples, numbers.Integral) and samples >= 1):
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    samples = _count("samples", samples)
     n, w = p.n, p.total
     lo, up = p.lower_bounds, p.upper_bounds
     sink = _Sink(p, dump_path)
@@ -231,7 +230,7 @@ def monte_carlo_min(
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # costs past the floats read inf or nan
+@np.errstate(all="ignore")  # costs past the floats read inf or nan
 def grid_min(p: AllocationProblem, resolution: float) -> OracleResult:
     """Exhaustive scan of the feasible slice, a deterministic small-instance
     oracle: the last agent whose box is at least `resolution` wide (else

@@ -878,8 +878,7 @@ def test_exit_codes_on_random_problem_files(doc):
             if argv == ["solve"] and rc == 0:
                 assert "kkt certificate: PASSED" in (Path(out) / "solver_report.txt").read_text()
                 p = load_problem(path)
-                with np.errstate(over="ignore", invalid="ignore"):  # as in main
-                    loads = solve_lambda(p).allocation
+                loads = solve_lambda(p).allocation
                 # n ulps of w exceed 1e-12 * w only for subnormal totals
                 assert abs(loads.sum() - p.total) <= max(1e-12 * p.total, p.n * math.ulp(p.total))
 
@@ -1009,6 +1008,20 @@ _REPROS = [
     # never holds, so the first step overflows instead of reading as converged
     ("nan_marginal2", ["simulate", "--dt", "1e-3"], 4, "error-code: step-overflow exit=4"),
     ("inf_marginal2", ["simulate", "--dt", "1e-3"], 4, "error-code: step-overflow exit=4"),
+    # boxes 1e308 wide: the upper bounds, and the table's last masses, sum
+    # past the floats while every cost at the optimum is small
+    ("bigbox3", ["solve"], 0, _PASSED),
+    ("bigbox3", ["simulate", "--dt", "1e-3", "--max-steps", "5"], 0, "converged: True"),
+    ("bigbox3", ["verify", "--samples", "300"], 0, _VERIFIED),
+    # costs past the floats with finite marginals: the solver and the
+    # replicator price their points at inf, and verify exits 4 on that
+    ("costover2", ["solve"], 0, "total cost: inf"),
+    ("costover2", ["simulate", "--dt", "1e-3", "--max-steps", "5"], 0, "final cost: inf"),
+    ("costover2", ["verify", "--samples", "300"], 4, "error-code: numerical exit=4"),
+    # marginals 2e-320 apart move the loads by 1e-12 a step at dt = 1e308,
+    # and the trace's time column, step 5 times dt, reads inf
+    ("tracetime2", ["simulate", "--dt", "1e308", "--tol", "5e-324", "--max-steps", "5"], 4,
+     "error-code: not-converged exit=4"),
 ]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from taskalloc.problem import (
     AllocationProblem,
     default_tol,
     in_simplex,
+    load_problem,
     marginals,
     parse_problem,
 )
@@ -518,6 +520,16 @@ def test_trace_csv_layout(tmp_path, fig3_run):
     assert float(first[8]) == pytest.approx(traj.costs[0], rel=1e-12)
 
 
+def test_trace_time_past_the_floats_reads_inf(tmp_path):
+    # at dt = 1e308 the loads move by 1e-12 a step, while step 5's time
+    # overflows: the trace writes inf, and numpy prints no warning
+    p = load_problem(Path(__file__).parent / "data" / "tracetime2.json")
+    traj = simulate(p, default_start(p), DrdConfig(step=1e308, max_steps=5, residual_tol=5e-324))
+    assert traj.times.tolist() == [0, 5] and not traj.converged
+    write_trace_csv(traj, p, tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_text().splitlines()[2].startswith("5,inf,")
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         DrdConfig(step=0.0)
@@ -532,9 +544,10 @@ def test_config_validation():
             DrdConfig(step=1e-3, residual_tol=bad)
         with pytest.raises(ValueError):
             DrdConfig(step=1e-3, max_steps=bad)
-    with pytest.raises(ValueError):
-        DrdConfig(step=1e-3, max_steps=10.5)
-    assert DrdConfig(step=1e-3, max_steps=1e3).max_steps == 1000
+    # a count is an integer: a float is refused, whole or not
+    for bad in (10.5, 1e3, 130.0):
+        with pytest.raises(ValueError, match="^max_steps must be an integer >= 1, got "):
+            DrdConfig(step=1e-3, max_steps=bad)
     huge = int("9" * 400)  # beyond float range: a cap, not an OverflowError
     assert DrdConfig(step=1e-3, max_steps=huge).max_steps == huge
     with pytest.raises(ValueError):  # but not a step
@@ -584,13 +597,6 @@ def test_config_takes_numpy_scalar_steps(dtype):
         for value in bad:
             with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got "):
                 take(value)
-
-
-def test_simulate_float_step_cap(fig3):
-    # a whole float cap ends the run on that step, as an int cap does
-    p = fig3.problem
-    traj = simulate(p, default_start(p), DrdConfig(step=fig3.drd_step, max_steps=130.0))
-    assert traj.steps == 130 and traj.stop == "max-steps"
 
 
 # ---------------------------------------------------------------------------

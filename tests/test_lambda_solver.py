@@ -384,7 +384,7 @@ def test_non_finite_threshold_raises_cost_overflow():
         exponential(a=1.0, lower=0.0, upper=1.0),
     )
     p = AllocationProblem(graph=from_edge_list(2, [(0, 1)]), agents=agents, total=0.5)
-    with np.errstate(over="ignore"), pytest.raises(CostOverflowError):
+    with pytest.raises(CostOverflowError):
         solve_lambda(p)
 
 

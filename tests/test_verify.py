@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 from pathlib import Path
@@ -8,15 +9,24 @@ from conftest import document, random_problem, spread, traced_peak
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import taskalloc
 from taskalloc.cli import _auto_resolution
 from taskalloc.costs import exponential, quadratic
-from taskalloc.errors import DimensionTooLargeError, EmptyGridError, NotFeasibleError
+from taskalloc.drd import DrdConfig, simulate
+from taskalloc.errors import (
+    CostOverflowError,
+    DimensionTooLargeError,
+    EmptyGridError,
+    NotFeasibleError,
+    StepOverflowError,
+)
 from taskalloc.graph import from_edge_list
 from taskalloc.instances import get_instance
-from taskalloc.lambda_solver import select_final, solve_lambda
+from taskalloc.lambda_solver import breakpoints, select_final, solve_lambda
 from taskalloc.problem import (
     AllocationProblem,
     in_feasible_set,
+    in_simplex,
     load_problem,
     marginals,
     parse_problem,
@@ -461,29 +471,82 @@ def test_oracles_keep_a_point_when_costs_overflow():
         assert res.best_cost == np.inf
 
 
-@pytest.mark.parametrize("call", ["kkt_check", "monte_carlo_min", "grid_min", "select_final",
-                                  "total_cost"])
-@pytest.mark.parametrize("name", ["inf_marginal2", "nan_marginal2"])
+# every public call that computes with a problem: each runs under one
+# np.errstate decorator, so a cost, marginal or sum past the floats reads
+# inf or nan, or raises the package's own error, and prints no warning
+_NO_WARNING_CALLS = ["kkt_check", "monte_carlo_min", "grid_min", "select_final", "total_cost",
+                     "solve_lambda", "breakpoints", "simulate", "in_feasible_set", "in_simplex"]
+# public calls that take a problem first and need no decorator:
+# default_start scales the box widths so that no sum overflows, and the
+# other two write the problem as JSON
+_NO_WARNING_EXEMPT = ["default_start", "serialize_problem", "save_problem"]
+
+
+@pytest.mark.parametrize("call", _NO_WARNING_CALLS)
+@pytest.mark.parametrize("name", ["inf_marginal2", "nan_marginal2", "bigbox3", "costover2"])
 def test_calls_on_costs_past_the_floats_raise_no_warning(name, call):
     # every warning fails a test: these calls read costs and marginals of
     # inf or nan as values, as the CLI does
     p = load_problem(Path(__file__).parent / "data" / f"{name}.json")
-    span = p.upper_bounds - p.lower_bounds
-    w = p.lower_bounds + (p.total - p.lower_bounds.sum()) * span / span.sum()
-    inf = name == "inf_marginal2"  # there every cost in the boxes overflows
+    share = (p.upper_bounds - p.lower_bounds) / (p.upper_bounds - p.lower_bounds).max()
+    w = p.lower_bounds + (p.total - p.lower_bounds.sum()) * share / share.sum()
+    # inf_marginal2 and costover2: every cost of a feasible point overflows;
+    # bigbox3 and costover2: every marginal at a bound is finite, so the
+    # solver solves, and w, an even split of identical agents, is the optimum
+    inf = name in ("inf_marginal2", "costover2")
+    solves = name in ("bigbox3", "costover2")
     if call == "kkt_check":
-        assert not kkt_check(p, w).passed
+        assert kkt_check(p, w).passed == solves
     elif call in ("monte_carlo_min", "grid_min"):
-        res = monte_carlo_min(p, 100, seed=0) if call == "monte_carlo_min" else grid_min(p, 0.5)
+        if call == "monte_carlo_min":
+            res = monte_carlo_min(p, 100, seed=0)
+        else:  # bigbox3's boxes are 1e308 wide: the CLI's 300 steps
+            res = grid_min(p, 0.5 if name != "bigbox3" else _auto_resolution(p))
         assert in_feasible_set(p, res.best) and (res.best_cost == np.inf) == inf
     elif call == "select_final":
-        first = max(p.lower_bounds[0], p.total - p.upper_bounds[1])
-        other = np.array([first, p.total - first])
+        # the other candidate fills the boxes from the last agent down
+        other, rest = p.lower_bounds.copy(), p.total - sum(p.lower_bounds.tolist())
+        for i in reversed(range(p.n)):
+            other[i] += min(rest, p.upper_bounds[i] - p.lower_bounds[i])
+            rest -= other[i] - p.lower_bounds[i]
         assert in_feasible_set(p, other)
         # two infinite totals tie, and the first candidate stays
-        assert select_final(p, w, other).tobytes() == (w if inf else other).tobytes()
-    else:
+        assert select_final(p, w, other).tobytes() == (w if inf or solves else other).tobytes()
+    elif call == "total_cost":
         assert (total_cost(p, w) == np.inf) == inf
+    elif call == "solve_lambda":
+        if not solves:  # a marginal at a bound is inf
+            with pytest.raises(CostOverflowError):
+                solve_lambda(p)
+        else:
+            loads = solve_lambda(p).allocation
+            assert in_feasible_set(p, loads) and (total_cost(p, loads) == np.inf) == inf
+    elif call == "breakpoints":
+        if not solves:  # nan_marginal2 mixes families, which no table takes
+            with pytest.raises(CostOverflowError if p._costs.family else ValueError):
+                breakpoints(p)
+        else:  # bigbox3's upper bounds sum to inf, and so does the last mass
+            assert breakpoints(p).masses[-1] == sum(p.upper_bounds.tolist())
+    elif call == "simulate":
+        cfg = DrdConfig(step=1e-3, max_steps=5)
+        if not solves:  # an inf marginal makes the first step's drift nan
+            with pytest.raises(StepOverflowError):
+                simulate(p, w, cfg)
+        else:
+            assert (simulate(p, w, cfg).costs[-1] == np.inf) == inf
+    else:  # loads of 1e308 each sum past the floats
+        member = in_feasible_set if call == "in_feasible_set" else in_simplex
+        assert member(p, w) and not member(p, np.full(p.n, 1e308))
+
+
+def test_every_public_call_on_a_problem_is_checked_for_warnings():
+    # a public function whose first parameter is a problem is in the call
+    # table above or named exempt, so a new one cannot skip the rule
+    taking_p = [name for name in taskalloc.__all__
+                if inspect.isfunction(fn := getattr(taskalloc, name))
+                and next(iter(inspect.signature(fn).parameters), None) == "p"]
+    assert sorted(taking_p) == sorted(_NO_WARNING_CALLS + _NO_WARNING_EXEMPT)
+
 
 def test_oracles_on_a_small_total():
     # boxes [0, 1e-12], total 3e-13: with tolerances floored at 1, the
