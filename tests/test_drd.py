@@ -599,6 +599,19 @@ def test_config_takes_numpy_scalar_steps(dtype):
                 take(value)
 
 
+def test_simulate_float_step_cap(fig3):
+    # a float cap is refused, whole or not; an integer cap, Python or numpy,
+    # ends the run on that step
+    with pytest.raises(ValueError, match="^max_steps must be an integer >= 1, got 130.0$"):
+        DrdConfig(step=fig3.drd_step, max_steps=130.0)
+    p = fig3.problem
+    for cap in (130, np.int64(130)):
+        config = DrdConfig(step=fig3.drd_step, max_steps=cap)
+        assert type(config.max_steps) is int
+        traj = simulate(p, default_start(p), config)
+        assert traj.steps == 130 and traj.stop == "max-steps"
+
+
 # ---------------------------------------------------------------------------
 # the paper's two theorems on instances whose optimum has a closed form
 
